@@ -334,5 +334,11 @@ def _cross_validate(values: dict[str, object]) -> None:
     roi_px_h = values["rig.roi_height_um"] / values["camera.pixel_scale_um"]
     if roi_px_w > values["camera.width_px"] or roi_px_h > values["camera.height_px"]:
         raise ConfigurationError("the readout window exceeds the sensor size")
+    full_well = 2 ** values["camera.bit_depth"] - 1
+    if values["camera.dark_offset"] >= full_well:
+        raise ConfigurationError(
+            f"camera.dark_offset {values['camera.dark_offset']} reaches the "
+            f"{values['camera.bit_depth']}-bit full well {full_well}: every read would clip"
+        )
     if values["energy.spot_small_um"] > values["energy.spot_large_um"]:
         raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")

@@ -3,9 +3,10 @@
 Magnetization maps to a rotation angle, the crossed analyzer turns that into
 an intensity I_out = I_in * c * (1 - m) with c = delta^2 / 2, and a strictly
 linear camera (additive dark offset, optional Gaussian read noise) converts
-intensity into pixel counts. Also provides ROI integration, frame averaging,
-and the threshold-fluence write-spot geometry for flat-top and Gaussian
-beams.
+intensity into pixel counts. One kernel renders every camera read as a
+stack of frames from a single noise draw; the rest is frame averaging, ROI
+integration, and the threshold-fluence write-spot geometry for flat-top and
+Gaussian beams.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigurationError
 from .synapse import SynapseSite
 
@@ -53,19 +55,6 @@ class OpticalConstants:
     def c(self) -> float:
         """Analyzer leakage constant, exactly delta^2 / 2."""
         return self.delta * self.delta / 2.0
-
-
-def faraday_rotation(m: float, constants: OpticalConstants, convention: int = -1) -> float:
-    """Rotation angle for a written fraction m; |angle| = gamma * m.
-
-    convention (+1 or -1) fixes the sign left open by the helicity choice;
-    only squared quantities reach the camera, so it never affects weights.
-    """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError("written fraction must be in [0, 1]")
-    if convention not in (1, -1):
-        raise ValueError("convention must be +1 or -1")
-    return convention * constants.gamma * m
 
 
 def analyzer_intensity(m: float, constants: OpticalConstants) -> float:
@@ -194,18 +183,18 @@ def expose_frame(
     background_written_fraction: float = 0.0,
     masks: Sequence[np.ndarray] | None = None,
 ) -> Frame:
-    """Render one frame of the configured sensor window.
-
-    Pixels inside a written spot carry that site's intensity (uniform over
-    the disk, scaled by the site's background_gain to model illumination
-    inhomogeneity at that sample area); all other pixels carry the
-    background state. Requires an rng when read noise is enabled.
-    """
-    frames = expose_frames(
+    """Render one frame of the configured sensor window."""
+    counts, clipped = expose_frames(
         1, sites, constants, camera, rng,
         background_written_fraction=background_written_fraction, masks=masks,
     )
-    return frames[0]
+    return Frame(
+        counts=counts[0].astype(np.int64),
+        exposure_s=camera.exposure_s,
+        pixel_area=camera.pixel_area,
+        bit_depth=camera.bit_depth,
+        clipped=clipped,
+    )
 
 
 def expose_frames(
@@ -216,8 +205,17 @@ def expose_frames(
     rng: np.random.Generator | None = None,
     background_written_fraction: float = 0.0,
     masks: Sequence[np.ndarray] | None = None,
-) -> list[Frame]:
-    """Render n noise-independent frames of the same scene in one draw."""
+) -> tuple[np.ndarray, bool]:
+    """The readout kernel: n noise-independent frames of one scene.
+
+    Pixels inside a written spot carry that site's intensity (uniform over
+    the disk, scaled by the site's background_gain to model illumination
+    inhomogeneity at that sample area); all other pixels carry the
+    background state. One read-noise draw covers every frame, so an rng is
+    required when read noise is enabled. Returns the integer counts, clipped
+    to [0, full_well], as a float64 (n_frames, height, width) stack, and
+    whether any pixel clipped.
+    """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if camera.read_noise > 0 and rng is None:
@@ -243,52 +241,35 @@ def expose_frames(
             * analyzer_intensity(site.written_fraction, constants)
         )
     base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
-    frames = []
+    shape = (n_frames, camera.height, camera.width)
     if camera.read_noise > 0:
-        noise = rng.normal(0.0, camera.read_noise, size=(n_frames, camera.height, camera.width))
+        counts = rng.normal(0.0, camera.read_noise, size=shape)
+        counts += base
     else:
-        noise = np.zeros((n_frames, camera.height, camera.width))
-    for i in range(n_frames):
-        raw = np.rint(base + noise[i])
-        clipped = bool(np.any(raw > camera.full_well))
-        counts = np.clip(raw, 0, camera.full_well).astype(np.int64)
-        frames.append(
-            Frame(
-                counts=counts,
-                exposure_s=camera.exposure_s,
-                pixel_area=camera.pixel_area,
-                bit_depth=camera.bit_depth,
-                clipped=clipped,
-            )
-        )
-    return frames
+        counts = np.broadcast_to(base, shape).copy()
+    np.rint(counts, out=counts)
+    clipped = bool((counts > camera.full_well).any())
+    np.clip(counts, 0, camera.full_well, out=counts)
+    return counts, clipped
 
 
-def average_frames(frames: Sequence[Frame]) -> Frame:
-    """Per-pixel arithmetic mean; accumulates in float, rounds at the end."""
-    if not frames:
-        raise ValueError("average_frames needs at least one frame")
-    first = frames[0]
-    for f in frames[1:]:
-        if f.counts.shape != first.counts.shape or f.exposure_s != first.exposure_s:
-            raise ValueError("frames must share dimensions and exposure")
-    mean = np.mean([f.counts for f in frames], axis=0)
-    return Frame(
-        counts=np.rint(mean).astype(np.int64),
-        exposure_s=first.exposure_s,
-        pixel_area=first.pixel_area,
-        bit_depth=first.bit_depth,
-        clipped=any(f.clipped for f in frames),
-    )
+def average_frames(counts: np.ndarray) -> np.ndarray:
+    """Per-pixel mean of a (frames, height, width) stack, rounded to counts.
+
+    The float64 sums of at most 1000 frames of counts below 2**32 are exact,
+    so the mean does not depend on the summation order.
+    """
+    if counts.ndim != 3:
+        raise ValueError(f"expected a (frames, height, width) stack, got shape {counts.shape}")
+    return np.rint(counts.mean(axis=0)).astype(np.int64)
 
 
-def integrate_roi(frame: Frame, roi: Roi) -> int:
-    """Exact sum of the pixel counts inside the ROI."""
-    if roi.x + roi.width > frame.width or roi.y + roi.height > frame.height:
-        raise ValueError(
-            f"roi {roi} does not fit in a {frame.width}x{frame.height} frame"
-        )
-    region = frame.counts[roi.y : roi.y + roi.height, roi.x : roi.x + roi.width]
+def integrate_roi(counts: np.ndarray, roi: Roi) -> int:
+    """Exact sum of the (height, width) pixel counts inside the ROI."""
+    height, width = counts.shape
+    if roi.x + roi.width > width or roi.y + roi.height > height:
+        raise ValueError(f"roi {roi} does not fit in a {width}x{height} frame")
+    region = counts[roi.y : roi.y + roi.height, roi.x : roi.x + roi.width]
     return int(region.sum())
 
 
@@ -360,13 +341,15 @@ def write_spot_geometry(
 
 
 def write_pgm(frame: Frame, path) -> None:
-    """Export as 16-bit binary PGM (P5) with a JSON metadata sidecar."""
+    """Export as 16-bit binary PGM (P5) with a JSON metadata sidecar.
+
+    Both files are written atomically.
+    """
     path = Path(path)
     maxval = 65535
     scaled = np.clip(frame.counts, 0, maxval).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii"))
-        fh.write(scaled.tobytes())
+    header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
+    atomic_write(path, header + scaled.tobytes())
     meta = {
         "exposure_s": frame.exposure_s,
         "pixel_area_um2": frame.pixel_area,
@@ -375,6 +358,7 @@ def write_pgm(frame: Frame, path) -> None:
         "width": frame.width,
         "height": frame.height,
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    atomic_write(
+        path.with_suffix(path.suffix + ".json"),
+        json.dumps(meta, sort_keys=True, indent=2) + "\n",
     )

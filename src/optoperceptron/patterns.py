@@ -47,16 +47,6 @@ def flatten_grid(grid) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def unflatten(inputs) -> tuple[tuple[int, ...], ...]:
-    """Inverse of flatten_grid."""
-    cells = tuple(int(x) for x in inputs)
-    if len(cells) != N_INPUTS:
-        raise ValueError(f"expected {N_INPUTS} inputs, got {len(cells)}")
-    return tuple(
-        cells[r * GRID_SIDE : (r + 1) * GRID_SIDE] for r in range(GRID_SIDE)
-    )
-
-
 @dataclass(frozen=True)
 class Pattern:
     """One 9-input binary pattern with its provenance.
@@ -221,7 +211,3 @@ def parse_bitmap_text(text: str) -> dict[str, tuple[str, str, str]]:
         bitmaps[cls] = tuple(block)
     return bitmaps
 
-
-def format_bitmap_text(bitmaps) -> str:
-    """Inverse of parse_bitmap_text (canonical z, v, n order)."""
-    return "\n\n".join("\n".join(bitmaps[cls]) for cls in CLASSES) + "\n"

@@ -1,7 +1,7 @@
 """Hardware-emulation rig: nine weight sites plus one threshold site.
 
 Sequencing mirrors the physical bench: shutter-gated pulse packets write a
-site, the probe path renders ten ROI frames that are averaged and
+site, the probe path renders a stack of ten ROI frames that is averaged and
 integrated, and every write/read lands in an energy ledger. The shutter
 delivers a jittered pulse count per packet; that jitter is the hardware
 realization of the stochastic learning rate.
@@ -23,6 +23,7 @@ from .optics import (
     Roi,
     SpotGeometry,
     average_frames,
+    expose_frame,
     expose_frames,
     integrate_roi,
     spot_pixel_mask,
@@ -281,9 +282,10 @@ class Rig:
 
     def _read_site(self, index: int) -> int:
         """Ten-frame averaged ROI sum of one site (one read event)."""
-        self.events.append(("stage_move", self.label(index)))
+        label = self.label(index)
+        self.events.append(("stage_move", label))
         self.events.append(("mirror", "in"))
-        frames = expose_frames(
+        counts, _ = expose_frames(
             self.config.frames_per_read,
             [(self.sites[index], self.window_spot)],
             self.constants,
@@ -291,9 +293,8 @@ class Rig:
             self.camera_rng,
             masks=[self._window_mask],
         )
-        averaged = average_frames(frames)
-        total = integrate_roi(averaged, self.window_roi)
-        self.events.append(("read", self.label(index)))
+        total = integrate_roi(average_frames(counts), self.window_roi)
+        self.events.append(("read", label))
         self.events.append(("mirror", "out"))
         self.ledger.add_reads(1)
         return total
@@ -330,17 +331,16 @@ class Rig:
         The conjugate shutter blocks the camera for the duration; zero-cost
         sequencing events land in the run trace.
         """
-        self.events.append(("stage_move", self.label(index)))
+        label = self.label(index)
+        self.events.append(("stage_move", label))
         self.events.append(("ps2", "blocking"))
         polarization = self._polarization(helicity)
         delivered = []
         for _ in range(n_packets):
             pulses = shutter_event(self.shutter_rng, self.shutter)
             self.sites[index] = apply_packet(self.sites[index], helicity, pulses)
-            self.ledger.add_write(self.label(index), pulses, self.per_pulse_write_j)
-            self.events.append(
-                ("shutter", self.label(index), helicity.value, polarization, pulses)
-            )
+            self.ledger.add_write(label, pulses, self.per_pulse_write_j)
+            self.events.append(("shutter", label, helicity.value, polarization, pulses))
             delivered.append(pulses)
         self.events.append(("ps2", "open"))
         return delivered
@@ -406,11 +406,10 @@ class Rig:
             placed.append(
                 (site, SpotGeometry(x, y, self.config.spot_diameter_um))
             )
-        frames = expose_frames(
-            1, placed, self.constants, self.sensor_camera,
+        return expose_frame(
+            placed, self.constants, self.sensor_camera,
             rng if rng is not None else self.camera_rng,
         )
-        return frames[0]
 
     def site_position_um(self, index: int) -> tuple[float, float]:
         """Layout: 3x3 weight grid plus the threshold area beside it."""

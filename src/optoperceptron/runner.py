@@ -8,7 +8,6 @@ and the site parameter draws, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -16,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
 from .rig import (
@@ -143,14 +143,6 @@ def emulate_run(cfg: RunConfig, seed: int) -> RunResult:
 # -- artifact writing ---------------------------------------------------------
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -230,26 +222,26 @@ def sweep_csv(rows: Sequence[Sequence]) -> str:
 
 def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    _atomic_write(
+    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
+    atomic_write(
         out_dir / "summary.json",
         json.dumps(result.summary(), sort_keys=True, indent=2) + "\n",
     )
-    _atomic_write(out_dir / "bars_pre.csv", bars_csv(result.pre_eval))
-    _atomic_write(
+    atomic_write(out_dir / "bars_pre.csv", bars_csv(result.pre_eval))
+    atomic_write(
         out_dir / "bars_post.csv",
         bars_csv(interleave_post_results(result.post_train_eval, result.post_test_eval)),
     )
     if cfg["run.trace_verbosity"] >= 1:
-        _atomic_write(out_dir / "learning_curve.csv", learning_curve_csv(result.trace))
-        _atomic_write(out_dir / "trace.json", result.trace.to_json() + "\n")
+        atomic_write(out_dir / "learning_curve.csv", learning_curve_csv(result.trace))
+        atomic_write(out_dir / "trace.json", result.trace.to_json() + "\n")
     if result.rig is not None:
-        _atomic_write(
+        atomic_write(
             out_dir / "ledger.json",
             json.dumps(result.rig.ledger.to_json_dict(), sort_keys=True, indent=2) + "\n",
         )
-        _atomic_write(out_dir / "ledger.txt", result.rig.ledger.summary_line() + "\n")
-        _atomic_write(
+        atomic_write(out_dir / "ledger.txt", result.rig.ledger.summary_line() + "\n")
+        atomic_write(
             out_dir / "weight_state.json",
             result.rig.weight_state().to_json() + "\n",
         )
@@ -263,12 +255,12 @@ def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> Non
             }
             for i, p in enumerate(s.params for s in result.rig.sites)
         ]
-        _atomic_write(
+        atomic_write(
             out_dir / "site_params.json",
             json.dumps(site_params, sort_keys=True, indent=2) + "\n",
         )
         if result.backend is not None and result.backend.snapshots:
-            _atomic_write(
+            atomic_write(
                 out_dir / "weight_snapshots.json",
                 json.dumps(result.backend.snapshots, sort_keys=True, indent=2) + "\n",
             )
@@ -291,8 +283,8 @@ def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    _atomic_write(out_dir / "dataset.csv", dataset_csv(dataset))
+    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
+    atomic_write(out_dir / "dataset.csv", dataset_csv(dataset))
     summary = {
         "mode": "dataset",
         "patterns": len(dataset.training) + len(dataset.testing),
@@ -300,7 +292,7 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "testing": len(dataset.testing),
         "version": __version__,
     }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -329,8 +321,8 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     small = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_small_um"]))
     large = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_large_um"]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    _atomic_write(
+    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
+    atomic_write(
         out_dir / "ledger.json",
         json.dumps(ledger.to_json_dict(), sort_keys=True, indent=2) + "\n",
     )
@@ -347,8 +339,8 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "read_energy_nj": ledger.read_energy_j * 1e9,
         "version": __version__,
     }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _atomic_write(
+    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    atomic_write(
         out_dir / "energy.txt",
         (
             f"per-pulse energy: {small * 1e12:.1f} pJ ({cfg['energy.spot_small_um']} um spot), "
@@ -383,8 +375,8 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         if result.trace.converged:
             converged_steps.append(result.trace.total_steps)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    _atomic_write(out_dir / "sweep.csv", sweep_csv(rows))
+    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
+    atomic_write(out_dir / "sweep.csv", sweep_csv(rows))
     summary = {
         "mode": f"sweep-{mode}",
         "base_seed": seed,
@@ -393,7 +385,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "median_steps": float(np.median(converged_steps)) if converged_steps else None,
         "version": __version__,
     }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -152,11 +151,7 @@ def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> Syn
         raise ValueError("pulse_count must be >= 0")
     delta = pulse_count if helicity is Helicity.WRITE else -pulse_count
     accumulated = min(max(site.accumulated_pulses + delta, 0), site.params.exposure_ceiling)
-    return replace(
-        site,
-        accumulated_pulses=accumulated,
-        written_fraction=response_curve(accumulated, site.params),
-    )
+    return SynapseSite(response_curve(accumulated, site.params), accumulated, site.params)
 
 
 def saturate(site: SynapseSite, direction: str) -> SynapseSite:
@@ -212,12 +207,3 @@ def sample_sites(
             )
         )
     return sites
-
-
-def apply_sequence(
-    site: SynapseSite, packets: Sequence[tuple[Helicity, int]]
-) -> SynapseSite:
-    """Fold a sequence of (helicity, pulse_count) packets over a site."""
-    for helicity, count in packets:
-        site = apply_packet(site, helicity, count)
-    return site

@@ -317,28 +317,3 @@ def evaluate_patterns(
         )
     return results
 
-
-def evaluate_test(
-    weights: Sequence[float],
-    threshold: float,
-    testing_patterns: Sequence[Pattern],
-    target_class: str = "v",
-) -> list[EvalResult]:
-    """Classify held-out patterns with a fixed weight vector."""
-    results = []
-    for p in testing_patterns:
-        output = pattern_output(weights, p)
-        desired_above = p.class_label == target_class
-        correct = output > threshold if desired_above else output < threshold
-        results.append(
-            EvalResult(
-                pattern_id=p.pattern_id,
-                class_label=p.class_label,
-                role=p.role,
-                output=output,
-                threshold=threshold,
-                desired_above=desired_above,
-                correct=correct,
-            )
-        )
-    return results

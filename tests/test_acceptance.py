@@ -148,7 +148,7 @@ def test_criterion_6_readout_linearity():
 
     def roi_sum(m: float) -> int:
         frame = expose_frame([(SynapseSite(m, 0, params), spot)], constants, camera)
-        return integrate_roi(frame, roi)
+        return integrate_roi(frame.counts, roi)
 
     background = roi_sum(0.0)
     worst = 0.0

@@ -115,6 +115,16 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sensor_clipping_at_dark_level_exit_code(tmp_path, capsys):
+    # 8 bits: full well 255, below the default dark offset of 600
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text("camera.bit_depth = 8\n")
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "full well" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 1\n")

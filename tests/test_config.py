@@ -77,6 +77,14 @@ def test_cross_validation_shutter_window():
         )
 
 
+def test_cross_validation_dark_offset_vs_full_well():
+    # 10 bits: full well 1023
+    with pytest.raises(ConfigurationError, match="full well"):
+        load_config(overrides={"camera.bit_depth": "10", "camera.dark_offset": "1023"})
+    cfg = load_config(overrides={"camera.bit_depth": "10", "camera.dark_offset": "1022"})
+    assert cfg["camera.dark_offset"] == 1022.0
+
+
 def test_bitmaps_file_loading(tmp_path):
     path = tmp_path / "glyphs.txt"
     path.write_text("111\n000\n111\n\n100\n100\n100\n\n001\n001\n001\n")

@@ -17,9 +17,9 @@ from optoperceptron.optics import (
     average_frames,
     expose_frame,
     expose_frames,
-    faraday_rotation,
     integrate_roi,
     peak_fluence_j_cm2,
+    spot_pixel_mask,
     write_pgm,
     write_spot_geometry,
 )
@@ -43,32 +43,7 @@ def centered_spot(camera, diameter=10.0):
     return SpotGeometry(camera.width / 2.0, camera.height / 2.0, diameter)
 
 
-# -- rotation and analyzer ----------------------------------------------------
-
-def test_rotation_zero_at_background():
-    assert faraday_rotation(0.0, CONSTANTS) == 0.0
-
-
-def test_rotation_magnitude_at_saturation():
-    assert abs(faraday_rotation(1.0, CONSTANTS)) == CONSTANTS.gamma
-
-
-def test_rotation_direct_value():
-    assert abs(faraday_rotation(0.3, CONSTANTS)) == pytest.approx(0.003)
-
-
-def test_rotation_sign_convention():
-    assert faraday_rotation(0.5, CONSTANTS, convention=1) == -faraday_rotation(
-        0.5, CONSTANTS, convention=-1
-    )
-    with pytest.raises(ValueError):
-        faraday_rotation(0.5, CONSTANTS, convention=2)
-
-
-def test_rotation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        faraday_rotation(1.5, CONSTANTS)
-
+# -- analyzer -----------------------------------------------------------------
 
 def test_analyzer_maximum_at_background():
     assert analyzer_intensity(0.0, CONSTANTS) == CONSTANTS.intensity_in * CONSTANTS.c
@@ -196,8 +171,10 @@ def test_spot_outside_fov_rejected():
 def test_batched_frames_are_noise_independent():
     camera = window_camera(noise=10.0)
     rng = np.random.default_rng(5)
-    frames = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, rng)
-    assert not np.array_equal(frames[0].counts, frames[1].counts)
+    counts, _ = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, rng)
+    assert counts.shape == (3, camera.height, camera.width)
+    assert not np.array_equal(counts[0], counts[1])
+    assert not np.array_equal(counts[1], counts[2])
 
 
 # -- averaging and ROI --------------------------------------------------------
@@ -205,42 +182,68 @@ def test_batched_frames_are_noise_independent():
 def test_average_single_frame_identity():
     camera = window_camera()
     frame = expose_frame([(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
-    assert np.array_equal(average_frames([frame]).counts, frame.counts)
+    assert np.array_equal(average_frames(frame.counts[None]), frame.counts)
 
 
 def test_average_two_frames():
-    camera = window_camera()
-    a = expose_frame([], CONSTANTS, camera)
-    b = expose_frame([], CONSTANTS, camera)
-    a.counts[:] = 100
-    b.counts[:] = 200
-    assert np.all(average_frames([a, b]).counts == 150)
+    stack = np.empty((2, 18, 20))
+    stack[0] = 100
+    stack[1] = 200
+    assert np.all(average_frames(stack) == 150)
 
 
 def test_average_rejects_mismatched_dimensions():
-    small = expose_frame([], CONSTANTS, window_camera())
-    big = expose_frame([], CONSTANTS, CameraConfig(width=30, height=30))
+    frame = expose_frame([], CONSTANTS, window_camera())
     with pytest.raises(ValueError):
-        average_frames([small, big])
+        average_frames(frame.counts)  # one frame, not a (frames, h, w) stack
 
 
 def test_ten_frame_average_reduces_noise():
     sigma = 8.0
     camera = CameraConfig(width=128, height=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
     rng = np.random.default_rng(11)
-    frames = expose_frames(10, [], CONSTANTS, camera, rng, background_written_fraction=1.0)
-    averaged = average_frames(frames)
-    residual = averaged.counts.astype(float).std()
+    counts, clipped = expose_frames(10, [], CONSTANTS, camera, rng, background_written_fraction=1.0)
+    assert not clipped
+    residual = average_frames(counts).astype(float).std()
     expected = sigma / math.sqrt(10)
     assert abs(residual - expected) / expected < 0.20  # 128*128 > 1e4 pixels
+
+
+@pytest.mark.parametrize(
+    "camera",
+    [
+        window_camera(noise=40.0),
+        # bright level 230 +- 40 against a full well of 255, dark spot 30 +- 40
+        window_camera(noise=40.0, dark=30.0, bit_depth=8, exposure=0.0001),
+    ],
+)
+def test_kernel_matches_per_frame_reference(camera):
+    spot = centered_spot(camera)
+    counts, clipped = expose_frames(
+        10, [(site_at(1.0), spot)], CONSTANTS, camera, np.random.default_rng(3)
+    )
+    # The per-frame loop the kernel replaced, on the same noise draw.
+    mask = spot_pixel_mask(spot, camera)
+    intensity = np.where(mask, 0.0, analyzer_intensity(0.0, CONSTANTS))
+    base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
+    noise = np.random.default_rng(3).normal(0.0, camera.read_noise, size=counts.shape)
+    raws = [np.rint(base + noise[i]) for i in range(10)]
+    frames = [np.clip(raw, 0, camera.full_well).astype(np.int64) for raw in raws]
+    assert clipped == any(bool(np.any(raw > camera.full_well)) for raw in raws)
+    assert np.array_equal(counts, frames)
+    assert np.array_equal(
+        average_frames(counts), np.rint(np.mean(frames, axis=0)).astype(np.int64)
+    )
+    if camera.bit_depth == 8:
+        assert clipped and (counts == 0).any()
 
 
 def test_integrate_uniform_roi():
     camera = window_camera()
     frame = expose_frame([], CONSTANTS, camera)
     frame.counts[:] = 7
-    assert integrate_roi(frame, Roi(2, 3, 5, 4)) == 7 * 20
-    assert integrate_roi(frame, Roi(0, 0, 1, 1)) == 7
+    assert integrate_roi(frame.counts, Roi(2, 3, 5, 4)) == 7 * 20
+    assert integrate_roi(frame.counts, Roi(0, 0, 1, 1)) == 7
 
 
 def test_integrate_ramp_closed_form():
@@ -248,20 +251,20 @@ def test_integrate_ramp_closed_form():
     frame = expose_frame([], CONSTANTS, camera)
     frame.counts[:] = np.arange(camera.width)[None, :]
     # sum over a full-width row span: height * sum(0..width-1)
-    total = integrate_roi(frame, Roi(0, 0, camera.width, camera.height))
+    total = integrate_roi(frame.counts, Roi(0, 0, camera.width, camera.height))
     assert total == camera.height * (camera.width - 1) * camera.width // 2
 
 
 def test_integrate_whole_frame_equals_sum():
     camera = window_camera()
     frame = expose_frame([(site_at(0.5), centered_spot(camera))], CONSTANTS, camera)
-    assert integrate_roi(frame, Roi(0, 0, camera.width, camera.height)) == frame.counts.sum()
+    assert integrate_roi(frame.counts, Roi(0, 0, camera.width, camera.height)) == frame.counts.sum()
 
 
 def test_integrate_out_of_bounds_rejected():
     frame = expose_frame([], CONSTANTS, window_camera())
     with pytest.raises(ValueError):
-        integrate_roi(frame, Roi(15, 15, 10, 10))
+        integrate_roi(frame.counts, Roi(15, 15, 10, 10))
 
 
 # -- write spot geometry ------------------------------------------------------
@@ -325,3 +328,18 @@ def test_pgm_roundtrip(tmp_path):
     assert np.array_equal(data, frame.counts)
     meta = json.loads(path.with_suffix(".pgm.json").read_text())
     assert meta["exposure_s"] == camera.exposure_s
+
+
+def test_pgm_write_is_atomic(tmp_path):
+    camera = window_camera()
+    frame = expose_frame([(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    path = tmp_path / "frame.pgm"
+    write_pgm(frame, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pgm", "frame.pgm.json"]
+    header = f"P5\n{camera.width} {camera.height}\n65535\n".encode()
+    assert path.read_bytes() == header + frame.counts.astype(">u2").tobytes()
+    meta = {
+        "bit_depth": 16, "clipped": False, "exposure_s": 0.01,
+        "height": camera.height, "pixel_area_um2": 1.0, "width": camera.width,
+    }
+    assert (tmp_path / "frame.pgm.json").read_text() == json.dumps(meta, indent=2) + "\n"

@@ -8,7 +8,6 @@ from optoperceptron.synapse import (
     Helicity,
     InhomogeneityParams,
     apply_packet,
-    apply_sequence,
     fresh_site,
     response_curve,
     sample_sites,
@@ -16,6 +15,12 @@ from optoperceptron.synapse import (
 )
 
 NOMINAL = InhomogeneityParams()
+
+
+def apply_all(site, packets):
+    for helicity, count in packets:
+        site = apply_packet(site, helicity, count)
+    return site
 
 valid_params = st.builds(
     InhomogeneityParams,
@@ -87,7 +92,7 @@ def test_full_erase_after_overdrive():
 
 def test_write_erase_write_reversibility():
     single = apply_packet(fresh_site(), Helicity.WRITE, 600)
-    cycled = apply_sequence(
+    cycled = apply_all(
         fresh_site(),
         [(Helicity.WRITE, 600), (Helicity.ERASE, 600), (Helicity.WRITE, 600)],
     )
@@ -102,7 +107,7 @@ def test_write_erase_write_reversibility():
     st.integers(1, 600),
 )
 def test_write_then_erase_is_identity(prefix, k):
-    site = apply_sequence(fresh_site(), prefix)
+    site = apply_all(fresh_site(), prefix)
     cycled = apply_packet(apply_packet(site, Helicity.WRITE, k), Helicity.ERASE, k)
     assert cycled.written_fraction == site.written_fraction
 

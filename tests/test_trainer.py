@@ -11,7 +11,6 @@ from optoperceptron.trainer import (
     VectorBackend,
     classify,
     evaluate_patterns,
-    evaluate_test,
     pattern_output,
     sample_eta,
     train,
@@ -212,9 +211,10 @@ def test_evaluate_test_read_only_and_correct():
     backend = VectorBackend(config)
     trace = train(dataset, config, backend)
     assert trace.converged
-    first = evaluate_test(trace.final_weights, trace.final_threshold, dataset.testing)
-    second = evaluate_test(trace.final_weights, trace.final_threshold, dataset.testing)
+    first = evaluate_patterns(backend, dataset.testing, "v")
+    second = evaluate_patterns(backend, dataset.testing, "v")
     assert first == second
+    assert backend.weights() == trace.final_weights
     assert all(r.correct for r in first)
     v_test = next(r for r in first if r.class_label == "v")
     assert v_test.output > trace.final_threshold
