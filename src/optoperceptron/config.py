@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import ConfigurationError
 from .optics import BeamConfig, CameraConfig, OpticalConstants
 from .patterns import DEFAULT_BITMAPS, parse_bitmap_text
-from .rig import RigConfig, ShutterModel
+from .rig import RigConfig, ShutterModel, energy_per_pulse
 from .synapse import CURVE_FAMILIES, InhomogeneityParams
 from .trainer import TrainerConfig
 
@@ -115,7 +115,7 @@ KEY_TABLE: dict[str, _Key] = {
     "synapse.site_spread": _Key(_float(0.0, 0.9), 0.05, "relative site-to-site parameter spread"),
     "shutter.open_time_min_ms": _Key(_float(0.0, 1e4, lo_open=True), 15.0, "shortest shutter opening"),
     "shutter.open_time_max_ms": _Key(_float(0.0, 1e4, lo_open=True), 25.0, "longest shutter opening"),
-    "shutter.repetition_rate_hz": _Key(_float(0.0, 1e9, lo_open=True), 1000.0, "laser repetition rate"),
+    "shutter.repetition_rate_hz": _Key(_float(0.0, 1e9, lo_open=True), 1000.0, "write laser repetition rate (also sets pulse energy)"),
     "shutter.nominal_packet_pulses": _Key(_int(1, 1_000_000), 50, "nominal pulses per packet"),
     "shutter.jitter_mode": _Key(_choice("relative", "time"), "relative", "packet jitter model"),
     "shutter.jitter_enabled": _Key(_bool, True, "disable for exactly nominal packets"),
@@ -132,7 +132,6 @@ KEY_TABLE: dict[str, _Key] = {
     "optics.gamma": _Key(_float(0.0, 0.2), 0.01, "Faraday rotation coefficient"),
     "optics.delta_rad": _Key(_float(0.0, 0.2, lo_open=True), 0.1, "analyzer offset from extinction"),
     "optics.intensity_in": _Key(_float(0.0, 1e30, lo_open=True), 4.0e6, "probe intensity at the sample"),
-    "optics.wavelength_nm": _Key(_float(0.0, 1e5, lo_open=True), 800.0, "probe wavelength (metadata)"),
     "camera.width_px": _Key(_int(1, 65536), 166, "sensor window width"),
     "camera.height_px": _Key(_int(1, 65536), 128, "sensor window height"),
     "camera.pixel_scale_um": _Key(_float(0.0, 1e3, lo_open=True), 1.0, "sample-plane size of one pixel"),
@@ -142,15 +141,11 @@ KEY_TABLE: dict[str, _Key] = {
     "camera.read_noise": _Key(_float(0.0, 1e6), 50.0, "Gaussian read noise sigma in counts"),
     "camera.bit_depth": _Key(_int(8, 32), 16, "ADC bit depth"),
     "energy.write_power_uw": _Key(_float(0.0, 1e9), 0.56, "calibrated write power for energy accounting"),
-    "energy.repetition_rate_hz": _Key(_float(0.0, 1e9, lo_open=True), 1000.0, "repetition rate for pulse energy"),
     "energy.waist_um": _Key(_float(0.0, 1e6, lo_open=True), 100.0, "write beam waist diameter"),
     "energy.spot_small_um": _Key(_float(0.0, 1e6, lo_open=True), 25.0, "smaller reference spot diameter"),
     "energy.spot_large_um": _Key(_float(0.0, 1e6, lo_open=True), 40.0, "larger reference spot diameter"),
     "energy.read_nj": _Key(_float(0.0, 1e9), 0.4, "energy per site read"),
     "energy.include_initialization": _Key(_bool, True, "account initialization writes and reads"),
-    "energy.profile": _Key(_choice("flattop", "gaussian"), "flattop", "write beam profile"),
-    "energy.flattop_order": _Key(_int(1, 100), 5, "super-Gaussian order of the flat-top edge"),
-    "energy.threshold_fluence_j_cm2": _Key(_float(0.0, 1e6, lo_open=True), 0.05, "write threshold fluence"),
     "sweep.seeds": _Key(_int(1, 100_000), 50, "number of seeds in a sweep"),
     "sweep.mode": _Key(_choice("simulate", "emulate"), "simulate", "which runner the sweep drives"),
 }
@@ -186,7 +181,7 @@ class RunConfig:
 
     # -- derived objects ----------------------------------------------------
 
-    def trainer_config(self, seed: int) -> TrainerConfig:
+    def trainer_config(self) -> TrainerConfig:
         return TrainerConfig(
             initial_weight=self["trainer.initial_weight"],
             initial_threshold=self["trainer.initial_threshold"],
@@ -196,7 +191,6 @@ class RunConfig:
             target_class=self["trainer.target_class"],
             threshold_raise=self["trainer.threshold_raise"],
             reset_weights_on_raise=self["trainer.reset_weights_on_raise"],
-            rng_seed=seed,
         )
 
     def nominal_site_params(self) -> InhomogeneityParams:
@@ -212,7 +206,6 @@ class RunConfig:
             gamma=self["optics.gamma"],
             delta=self["optics.delta_rad"],
             intensity_in=self["optics.intensity_in"],
-            wavelength_nm=self["optics.wavelength_nm"],
         )
 
     def camera_config(self) -> CameraConfig:
@@ -255,14 +248,16 @@ class RunConfig:
         return nanojoules(self["energy.read_nj"])
 
     def energy_beam(self) -> BeamConfig:
+        """The write laser: calibrated power at the shutter's repetition rate."""
         return BeamConfig(
             average_power_w=self["energy.write_power_uw"] * 1e-6,
-            repetition_rate_hz=self["energy.repetition_rate_hz"],
+            repetition_rate_hz=self["shutter.repetition_rate_hz"],
             waist_diameter_um=self["energy.waist_um"],
-            profile=self["energy.profile"],
-            flattop_order=self["energy.flattop_order"],
-            threshold_fluence_j_cm2=self["energy.threshold_fluence_j_cm2"],
         )
+
+    def per_pulse_write_j(self) -> float:
+        """Write energy of one pulse on the network's spot."""
+        return energy_per_pulse(self.energy_beam(), self["rig.spot_diameter_um"])
 
     # -- echo ---------------------------------------------------------------
 

@@ -5,5 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid configuration value, bitmap, or parameter combination."""
 
 
-class DegenerateBackgroundError(ValueError):
-    """A background intensity sum is zero or negative (dead readout region)."""
+class DegenerateBackgroundError(ConfigurationError):
+    """A background read cannot reference a weight: its sum is zero or
+    negative (dead readout region), or its frames clipped at the full well."""

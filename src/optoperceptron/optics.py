@@ -4,15 +4,13 @@ Magnetization maps to a rotation angle, the crossed analyzer turns that into
 an intensity I_out = I_in * c * (1 - m) with c = delta^2 / 2, and a strictly
 linear camera (additive dark offset, optional Gaussian read noise) converts
 intensity into pixel counts. One kernel renders every camera read as a
-stack of frames from a single noise draw; the rest is frame averaging, ROI
-integration, and the threshold-fluence write-spot geometry for flat-top and
-Gaussian beams.
+stack of frames from a single noise draw; the rest is frame averaging and
+ROI integration.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,16 +26,11 @@ SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle chain is invalid
 
 @dataclass(frozen=True)
 class OpticalConstants:
-    """Probe-side constants of the readout chain.
-
-    The wavelength is provenance metadata only; nothing downstream is
-    dispersive.
-    """
+    """Probe-side constants of the readout chain."""
 
     gamma: float = 0.01
     delta: float = 0.1
     intensity_in: float = 4.0e6
-    wavelength_nm: float = 800.0
 
     def __post_init__(self):
         if not 0.0 < self.delta <= SMALL_ANGLE_LIMIT:
@@ -149,20 +142,16 @@ class Roi:
 class SpotGeometry:
     """Written area on the sample: a disk at center with the given diameter.
 
-    diameter_um may be 0, meaning the beam never crossed the write threshold
-    and no spot exists.
+    diameter_um may be 0, meaning no spot exists.
     """
 
     center_x_um: float
     center_y_um: float
     diameter_um: float
-    profile: str = "flattop"
 
     def __post_init__(self):
         if self.diameter_um < 0:
             raise ValueError("diameter_um must be >= 0")
-        if self.profile not in ("flattop", "gaussian"):
-            raise ValueError("profile must be 'flattop' or 'gaussian'")
 
 
 def spot_pixel_mask(spot: SpotGeometry, camera: CameraConfig) -> np.ndarray:
@@ -275,14 +264,11 @@ def integrate_roi(counts: np.ndarray, roi: Roi) -> int:
 
 @dataclass(frozen=True)
 class BeamConfig:
-    """Write beam at the sample: power, waist, profile, and write threshold."""
+    """Write beam at the sample: calibrated average power, repetition rate, waist."""
 
     average_power_w: float
     repetition_rate_hz: float = 1000.0
     waist_diameter_um: float = 100.0
-    profile: str = "flattop"
-    flattop_order: int = 5
-    threshold_fluence_j_cm2: float = 0.05
 
     def __post_init__(self):
         if self.average_power_w < 0:
@@ -291,53 +277,10 @@ class BeamConfig:
             raise ConfigurationError("repetition_rate_hz must be > 0")
         if self.waist_diameter_um <= 0:
             raise ConfigurationError("waist_diameter_um must be > 0")
-        if self.profile not in ("flattop", "gaussian"):
-            raise ConfigurationError("profile must be 'flattop' or 'gaussian'")
-        if self.flattop_order < 1:
-            raise ConfigurationError("flattop_order must be >= 1")
-        if self.threshold_fluence_j_cm2 <= 0:
-            raise ConfigurationError("threshold_fluence_j_cm2 must be > 0")
 
     @property
     def pulse_energy_j(self) -> float:
         return self.average_power_w / self.repetition_rate_hz
-
-    @property
-    def order(self) -> int:
-        """Super-Gaussian order: 1 for gaussian, flattop_order otherwise."""
-        return 1 if self.profile == "gaussian" else self.flattop_order
-
-
-UM2_PER_CM2 = 1.0e8
-
-
-def peak_fluence_j_cm2(beam: BeamConfig) -> float:
-    """Peak fluence of a super-Gaussian exp(-2 (r/w)^(2n)) with the beam's
-    pulse energy, where w is the waist radius."""
-    n = beam.order
-    w_um = beam.waist_diameter_um / 2.0
-    area_um2 = math.pi * w_um * w_um * 2.0 ** (-1.0 / n) * math.gamma(1.0 / n) / n
-    return beam.pulse_energy_j / area_um2 * UM2_PER_CM2
-
-
-def write_spot_geometry(
-    beam: BeamConfig, center_x_um: float = 0.0, center_y_um: float = 0.0
-) -> SpotGeometry:
-    """Diameter of the region where fluence reaches the write threshold.
-
-    Zero when the peak fluence never reaches the threshold; otherwise the
-    super-Gaussian threshold radius, which grows with power (slowly for
-    flat-top orders, by the standard radius formula for gaussian order 1).
-    """
-    f_peak = peak_fluence_j_cm2(beam)
-    if f_peak <= beam.threshold_fluence_j_cm2:
-        diameter = 0.0
-    else:
-        n = beam.order
-        w_um = beam.waist_diameter_um / 2.0
-        ratio = math.log(f_peak / beam.threshold_fluence_j_cm2) / 2.0
-        diameter = 2.0 * w_um * ratio ** (1.0 / (2.0 * n))
-    return SpotGeometry(center_x_um, center_y_um, diameter, beam.profile)
 
 
 def write_pgm(frame: Frame, path) -> None:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateBackgroundError
 from .optics import (
     BeamConfig,
     CameraConfig,
@@ -30,7 +30,7 @@ from .optics import (
 )
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site, saturate
 from .trainer import Action, Pattern, TrainerConfig, UpdateRecord
-from .weights import WeightState, extract_threshold
+from .weights import WeightState
 
 N_WEIGHT_SITES = 9
 THRESHOLD_SITE = 9  # index of the threshold area in the 10-site array
@@ -77,9 +77,9 @@ def shutter_event(rng: np.random.Generator, model: ShutterModel) -> int:
     return max(count, 1)
 
 
-def energy_per_pulse(beam: BeamConfig, spot: SpotGeometry) -> float:
-    """Pulse energy apportioned to the written spot by area fraction."""
-    ratio = spot.diameter_um / beam.waist_diameter_um
+def energy_per_pulse(beam: BeamConfig, diameter_um: float) -> float:
+    """Pulse energy apportioned to a written spot by area fraction."""
+    ratio = diameter_um / beam.waist_diameter_um
     return beam.pulse_energy_j * ratio * ratio
 
 
@@ -150,35 +150,6 @@ class EnergyLedger:
             f"read={self.read_energy_j * 1e9:.3f}nJ "
             f"total={self.total_energy_j * 1e9:.3f}nJ"
         )
-
-
-@dataclass(frozen=True)
-class EnergyConfig:
-    """Costs used when accounting a training trace."""
-
-    per_pulse_j: float
-    per_read_j: float = 0.4e-9
-    initialization_pulses: int = 0
-    initialization_reads: int = 0
-
-
-def account_run(trace, config: EnergyConfig) -> EnergyLedger:
-    """Energy ledger of a completed training trace.
-
-    Write energy sums pulses x per-pulse cost over the update events; each
-    updated site counts one read (the ten-frame snapshot batch after its
-    adjustment). Initialization costs are added when configured.
-    """
-    ledger = EnergyLedger(per_read_j=config.per_read_j)
-    if config.initialization_pulses:
-        ledger.add_write("init", config.initialization_pulses, config.per_pulse_j)
-    ledger.add_reads(config.initialization_reads)
-    for record in trace.steps:
-        if record.pulses is None:
-            continue
-        ledger.add_write(record.pattern_id, sum(record.pulses), config.per_pulse_j)
-        ledger.add_reads(len(record.pulses))
-    return ledger
 
 
 @dataclass(frozen=True)
@@ -280,12 +251,16 @@ class Rig:
 
     # -- reads --------------------------------------------------------------
 
-    def _read_site(self, index: int) -> int:
-        """Ten-frame averaged ROI sum of one site (one read event)."""
+    def _read_site(self, index: int, background: bool = False) -> int:
+        """Ten-frame averaged ROI sum of one site (one read event).
+
+        A background read whose frames clipped at the full well cannot
+        reference a weight, so it fails the run.
+        """
         label = self.label(index)
         self.events.append(("stage_move", label))
         self.events.append(("mirror", "in"))
-        counts, _ = expose_frames(
+        counts, clipped = expose_frames(
             self.config.frames_per_read,
             [(self.sites[index], self.window_spot)],
             self.constants,
@@ -293,6 +268,11 @@ class Rig:
             self.camera_rng,
             masks=[self._window_mask],
         )
+        if background and clipped:
+            raise DegenerateBackgroundError(
+                f"background read of site {label} clipped at the "
+                f"{self.window_camera.bit_depth}-bit full well {self.window_camera.full_well}"
+            )
         total = integrate_roi(average_frames(counts), self.window_roi)
         self.events.append(("read", label))
         self.events.append(("mirror", "out"))
@@ -303,7 +283,9 @@ class Rig:
         """Snapshot and cache I_B for all ten sites; sites must be fresh."""
         if any(s.accumulated_pulses != 0 for s in self.sites):
             raise ValueError("backgrounds must be captured before any writing")
-        self.background_sums = [self._read_site(i) for i in range(N_WEIGHT_SITES + 1)]
+        self.background_sums = [
+            self._read_site(i, background=True) for i in range(N_WEIGHT_SITES + 1)
+        ]
         return list(self.background_sums)
 
     def read_sites(self, site_indices: Iterable[int]) -> dict[int, int]:
@@ -455,10 +437,7 @@ class RigBackend:
         if self.rig.config.reread_threshold:
             self.rig.read_sites([THRESHOLD_SITE])
             self._state = self.rig.weight_state()
-        base = extract_threshold(
-            self._state.threshold_background, self._state.threshold_written
-        )
-        return base * self._raise_factor
+        return self._state.threshold * self._raise_factor
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
         active = pattern.active_indices

@@ -18,15 +18,8 @@ from . import __version__
 from .atomic import atomic_write
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
-from .rig import (
-    EnergyConfig,
-    N_WEIGHT_SITES,
-    Rig,
-    RigBackend,
-    account_run,
-    energy_per_pulse,
-)
-from .optics import SpotGeometry, write_pgm
+from .rig import EnergyLedger, N_WEIGHT_SITES, Rig, RigBackend, energy_per_pulse
+from .optics import write_pgm
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
@@ -64,20 +57,15 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
         cfg["synapse.site_spread"],
         nominal=cfg.nominal_site_params(),
     )
-    rig_cfg = cfg.rig_config()
-    per_pulse_j = energy_per_pulse(
-        cfg.energy_beam(),
-        SpotGeometry(0.0, 0.0, rig_cfg.spot_diameter_um),
-    )
     return Rig(
         site_params=site_params,
         constants=cfg.optical_constants(),
         camera=cfg.camera_config(),
-        rig_config=rig_cfg,
+        rig_config=cfg.rig_config(),
         shutter=cfg.shutter_model(),
         shutter_rng=streams.shutter,
         camera_rng=streams.camera,
-        per_pulse_write_j=per_pulse_j,
+        per_pulse_write_j=cfg.per_pulse_write_j(),
         per_read_j=cfg.per_read_j(),
     )
 
@@ -115,7 +103,7 @@ class RunResult:
 def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
     streams = make_streams(seed)
     dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
-    trainer_cfg = cfg.trainer_config(seed)
+    trainer_cfg = cfg.trainer_config()
     backend = VectorBackend(trainer_cfg, rng=streams.eta)
     pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
     trace = train(dataset, trainer_cfg, backend)
@@ -127,7 +115,7 @@ def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
 def emulate_run(cfg: RunConfig, seed: int) -> RunResult:
     streams = make_streams(seed)
     dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
-    trainer_cfg = cfg.trainer_config(seed)
+    trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, streams)
     backend = RigBackend(rig, trainer_cfg, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
     pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
@@ -297,29 +285,21 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 
 
 def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    """Account a simulated training run at the configured hardware costs."""
+    """Per-pulse write energies and the ledger of the nominal initialization:
+    init packets x nominal packet pulses plus 20 reads. Training updates are
+    not billed here; an emulate run's ledger.json bills them."""
     result = simulate_run(cfg, seed)
     beam = cfg.energy_beam()
-    rig_cfg = cfg.rig_config()
-    shutter = cfg.shutter_model()
-    per_pulse = energy_per_pulse(beam, SpotGeometry(0, 0, rig_cfg.spot_diameter_um))
-    init_pulses = 0
-    init_reads = 0
+    per_pulse = cfg.per_pulse_write_j()
+    ledger = EnergyLedger(per_read_j=cfg.per_read_j())
     if cfg["energy.include_initialization"]:
-        packets = N_WEIGHT_SITES * rig_cfg.init_weight_packets + rig_cfg.init_threshold_packets
-        init_pulses = packets * shutter.nominal_packet_pulses
-        init_reads = 2 * (N_WEIGHT_SITES + 1)
-    ledger = account_run(
-        result.trace,
-        EnergyConfig(
-            per_pulse_j=per_pulse,
-            per_read_j=cfg.per_read_j(),
-            initialization_pulses=init_pulses,
-            initialization_reads=init_reads,
-        ),
-    )
-    small = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_small_um"]))
-    large = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_large_um"]))
+        packets = N_WEIGHT_SITES * cfg["rig.init_weight_packets"] + cfg["rig.init_threshold_packets"]
+        pulses = packets * cfg["shutter.nominal_packet_pulses"]
+        if pulses:
+            ledger.add_write("init", pulses, per_pulse)
+        ledger.add_reads(2 * (N_WEIGHT_SITES + 1))
+    small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
+    large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
     atomic_write(

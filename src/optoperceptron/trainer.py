@@ -36,7 +36,6 @@ class TrainerConfig:
     target_class: str = "v"
     threshold_raise: float = 0.05
     reset_weights_on_raise: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.eta_max <= 0:
@@ -195,12 +194,12 @@ class WeightBackend(Protocol):
 class VectorBackend:
     """Plain weight vector with sampled learning rates (simulation mode)."""
 
-    def __init__(self, config: TrainerConfig, n_inputs: int = 9, rng=None):
+    def __init__(self, config: TrainerConfig, rng: np.random.Generator, n_inputs: int = 9):
         self.config = config
         self.n_inputs = n_inputs
         self._weights = [config.initial_weight] * n_inputs
         self._threshold = config.initial_threshold
-        self._rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
+        self._rng = rng
 
     def output(self, pattern: Pattern) -> float:
         return pattern_output(self._weights, pattern)
@@ -302,8 +301,6 @@ def evaluate_patterns(
     for p in patterns:
         output = backend.output(p)
         threshold = backend.threshold()
-        desired_above = p.class_label == target_class
-        correct = output > threshold if desired_above else output < threshold
         results.append(
             EvalResult(
                 pattern_id=p.pattern_id,
@@ -311,8 +308,9 @@ def evaluate_patterns(
                 role=p.role,
                 output=output,
                 threshold=threshold,
-                desired_above=desired_above,
-                correct=correct,
+                desired_above=p.class_label == target_class,
+                correct=classify(output, threshold, p.class_label, target_class)
+                is Action.ACCEPT,
             )
         )
     return results

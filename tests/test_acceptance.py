@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import json
 import statistics
 import time
 
@@ -20,8 +21,8 @@ from optoperceptron.optics import (
     integrate_roi,
 )
 from optoperceptron.patterns import CLASSES, build_dataset, reduced_training
-from optoperceptron.rig import EnergyConfig, RigBackend, account_run, energy_per_pulse
-from optoperceptron.runner import build_rig, emulate_run, make_streams, simulate_run
+from optoperceptron.rig import RigBackend, energy_per_pulse
+from optoperceptron.runner import build_rig, emulate_run, make_streams, run_energy, simulate_run
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
 from optoperceptron.weights import extract_weight
@@ -184,9 +185,10 @@ def test_criterion_7_mode_equivalence():
     cfg = load_config(overrides=equivalence_overrides())
     dataset = build_dataset(cfg.bitmaps)
     reduced = reduced_training(dataset, per_class=2)
-    trainer_cfg = cfg.trainer_config(seed=3)
+    trainer_cfg = cfg.trainer_config()
 
-    sim_trace = train(dataset, trainer_cfg, VectorBackend(trainer_cfg), training_patterns=reduced)
+    sim_backend = VectorBackend(trainer_cfg, rng=np.random.default_rng(3))
+    sim_trace = train(dataset, trainer_cfg, sim_backend, training_patterns=reduced)
     rig = build_rig(cfg, make_streams(3))
     emu_trace = train(dataset, trainer_cfg, RigBackend(rig, trainer_cfg), training_patterns=reduced)
 
@@ -207,18 +209,21 @@ def test_criterion_7_mode_equivalence():
     )
 
 
-def test_criterion_8_energy_ledger():
+def test_criterion_8_energy_ledger(tmp_path):
     cfg = load_config()
     beam = cfg.energy_beam()
-    small = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_small_um"]))
-    large = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["energy.spot_large_um"]))
+    small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
+    large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
     in_window = 33e-12 <= small <= 96e-12 and 33e-12 <= large <= 96e-12
 
-    # trace-level accounting bills reads at exactly the configured cost
-    result = simulate_run(cfg, 0)
-    per_pulse = energy_per_pulse(beam, SpotGeometry(0, 0, cfg["rig.spot_diameter_um"]))
-    trace_ledger = account_run(result.trace, EnergyConfig(per_pulse_j=per_pulse))
-    trace_exact = trace_ledger.read_energy_j == trace_ledger.read_events * 0.4e-9
+    # the energy mode's initialization ledger bills reads at exactly the
+    # configured cost: 10 backgrounds + 10 initial reads
+    run_energy(cfg, tmp_path, 0)
+    energy_ledger = json.loads((tmp_path / "ledger.json").read_text())
+    energy_exact = (
+        energy_ledger["read_events"] == 20
+        and energy_ledger["read_energy_j"] == energy_ledger["read_events"] * 0.4e-9
+    )
 
     # live rig ledger from a short emulated run must bill every actual read
     emu_cfg = load_config(overrides={"trainer.max_epochs": "3"})
@@ -231,7 +236,7 @@ def test_criterion_8_energy_ledger():
         and ledger.read_energy_j == ledger.read_events * 0.4e-9
         and ledger.read_events > 0
     )
-    ok = in_window and trace_exact and live_exact
+    ok = in_window and energy_exact and live_exact
     report(
         "8 energy-ledger",
         ok,

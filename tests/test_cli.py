@@ -142,3 +142,55 @@ def test_unconverged_run_still_exits_zero(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "optics.wavelength_nm = 800",
+        "energy.repetition_rate_hz = 1000",
+        "energy.profile = gaussian",
+        "energy.flattop_order = 5",
+        "energy.threshold_fluence_j_cm2 = 0.05",
+    ],
+    ids=lambda line: line.split(" =")[0],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, line):
+    # none of these changed an artifact, so the parser no longer accepts them
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    assert main(["energy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
+    # one write laser: the shutter's repetition rate divides the calibrated power
+    assert main(["energy", "--out", str(tmp_path / "a")]) == 0
+    base = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("shutter.repetition_rate_hz = 2000\n")
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    doubled = json.loads(capsys.readouterr().out)
+    assert doubled["per_pulse_network_spot_pj"] == base["per_pulse_network_spot_pj"] / 2
+
+
+@pytest.mark.parametrize(
+    "config_text, message",
+    [
+        # every pixel at full well: the background sums would all read 65535 x ROI
+        ("camera.gain = 1e6\n", "clipped at the 16-bit full well"),
+        # noiseless, no dark level, almost no light: every background sums to 0
+        (
+            "camera.dark_offset = 0\ncamera.read_noise = 0\noptics.intensity_in = 1e-3\n",
+            "background sum must be positive",
+        ),
+    ],
+    ids=["clipped", "dead"],
+)
+def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

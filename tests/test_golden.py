@@ -5,6 +5,8 @@ across refactors. Regenerate them only together with a CHANGES.md entry that
 says why the output changed:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before overwriting, it names each case/file whose digest changed on stderr.
 """
 
 import contextlib
@@ -63,6 +65,12 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as work:
             digests[case] = run_case(case, Path(work))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for case in sorted(set(old) | set(digests)):
+        before, after = old.get(case, {}), digests.get(case, {})
+        for name in sorted(set(before) | set(after)):
+            if before.get(name) != after.get(name):
+                print(f"changed: {case}/{name}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(digests)} cases to {GOLDEN}", file=sys.stderr)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
-    BeamConfig,
     CameraConfig,
     OpticalConstants,
     Roi,
@@ -18,10 +17,8 @@ from optoperceptron.optics import (
     expose_frame,
     expose_frames,
     integrate_roi,
-    peak_fluence_j_cm2,
     spot_pixel_mask,
     write_pgm,
-    write_spot_geometry,
 )
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite
 
@@ -265,49 +262,6 @@ def test_integrate_out_of_bounds_rejected():
     frame = expose_frame([], CONSTANTS, window_camera())
     with pytest.raises(ValueError):
         integrate_roi(frame.counts, Roi(15, 15, 10, 10))
-
-
-# -- write spot geometry ------------------------------------------------------
-
-def test_zero_power_no_spot():
-    beam = BeamConfig(average_power_w=0.0)
-    assert write_spot_geometry(beam).diameter_um == 0.0
-
-
-def test_gaussian_peak_fluence_closed_form():
-    beam = BeamConfig(average_power_w=5.15e-3, profile="gaussian")
-    w_cm = beam.waist_diameter_um / 2.0 * 1e-4
-    expected = 2.0 * beam.pulse_energy_j / (math.pi * w_cm * w_cm)
-    assert peak_fluence_j_cm2(beam) == pytest.approx(expected)
-
-
-def test_gaussian_at_threshold_gives_vanishing_spot():
-    base = BeamConfig(average_power_w=1e-3, profile="gaussian")
-    threshold = peak_fluence_j_cm2(base)
-    beam = BeamConfig(
-        average_power_w=1e-3, profile="gaussian", threshold_fluence_j_cm2=threshold
-    )
-    assert write_spot_geometry(beam).diameter_um == 0.0
-
-
-def test_gaussian_threshold_radius_formula():
-    beam = BeamConfig(average_power_w=5.15e-3, profile="gaussian", threshold_fluence_j_cm2=0.05)
-    spot = write_spot_geometry(beam)
-    ratio = peak_fluence_j_cm2(beam) / beam.threshold_fluence_j_cm2
-    expected = beam.waist_diameter_um * math.sqrt(math.log(ratio) / 2.0)
-    assert spot.diameter_um == pytest.approx(expected)
-
-
-def test_flattop_diameter_grows_with_power():
-    low = write_spot_geometry(BeamConfig(average_power_w=4e-3))
-    high = write_spot_geometry(BeamConfig(average_power_w=6e-3))
-    assert 0.0 < low.diameter_um < high.diameter_um
-
-
-def test_flattop_near_full_waist_above_threshold():
-    beam = BeamConfig(average_power_w=40e-3)  # far above threshold
-    spot = write_spot_geometry(beam)
-    assert spot.diameter_um >= 0.9 * beam.waist_diameter_um
 
 
 # -- export -------------------------------------------------------------------

@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from optoperceptron.config import load_config
-from optoperceptron.optics import SpotGeometry
+from optoperceptron.optics import BeamConfig
 from optoperceptron.patterns import build_dataset, reduced_training
 from optoperceptron.rig import (
-    EnergyConfig,
     EnergyLedger,
     N_WEIGHT_SITES,
     RigBackend,
     ShutterModel,
     THRESHOLD_SITE,
-    account_run,
     energy_per_pulse,
     shutter_event,
 )
 from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.synapse import response_curve
-from optoperceptron.trainer import Action, StepRecord, TrainingTrace, VectorBackend, train
+from optoperceptron.trainer import Action, train
 
 
 def quiet_overrides(**extra):
@@ -78,23 +76,21 @@ def test_shutter_deterministic_per_seed():
 # -- energy -------------------------------------------------------------------
 
 def beam():
-    from optoperceptron.optics import BeamConfig
-
     return BeamConfig(average_power_w=0.56e-6, waist_diameter_um=100.0)
 
 
 def test_energy_zero_spot():
-    assert energy_per_pulse(beam(), SpotGeometry(0, 0, 0.0)) == 0.0
+    assert energy_per_pulse(beam(), 0.0) == 0.0
 
 
 def test_energy_full_waist_is_full_pulse_energy():
     b = beam()
-    assert energy_per_pulse(b, SpotGeometry(0, 0, 100.0)) == pytest.approx(b.pulse_energy_j)
+    assert energy_per_pulse(b, 100.0) == pytest.approx(b.pulse_energy_j)
 
 
 def test_reference_spots_land_in_reported_window():
-    small = energy_per_pulse(beam(), SpotGeometry(0, 0, 25.0))
-    large = energy_per_pulse(beam(), SpotGeometry(0, 0, 40.0))
+    small = energy_per_pulse(beam(), 25.0)
+    large = energy_per_pulse(beam(), 40.0)
     assert 33e-12 <= small <= 96e-12
     assert 33e-12 <= large <= 96e-12
 
@@ -113,39 +109,6 @@ def test_ledger_totals_additive_and_order_independent():
     assert pulses == 147
     assert write_j == pytest.approx(140 * 50e-12 + 7 * 10e-12)
     assert read_j == 3 * 0.4e-9
-
-
-def fake_trace(pulse_lists):
-    trace = TrainingTrace()
-    for i, pulses in enumerate(pulse_lists, start=1):
-        trace.steps.append(
-            StepRecord(
-                step=i, pattern_id=f"p{i}", class_label="z", output=0.0,
-                threshold=1.0, action="lower" if pulses else "accept",
-                eta=None, pulses=pulses, weights=(0.0,) * 9,
-            )
-        )
-    return trace
-
-
-def test_account_run_zero_updates():
-    ledger = account_run(fake_trace([None, None]), EnergyConfig(per_pulse_j=50e-12))
-    assert ledger.write_energy_j == 0.0
-    assert ledger.read_events == 0
-
-
-def test_account_run_single_update():
-    ledger = account_run(fake_trace([(60, 40)]), EnergyConfig(per_pulse_j=50e-12))
-    assert ledger.write_energy_j == pytest.approx(5e-9)
-    assert ledger.read_events == 2
-    assert ledger.read_energy_j == 2 * 0.4e-9
-
-
-def test_account_run_includes_initialization_when_configured():
-    config = EnergyConfig(per_pulse_j=1e-12, initialization_pulses=25000, initialization_reads=20)
-    ledger = account_run(fake_trace([None]), config)
-    assert ledger.total_pulses == 25000
-    assert ledger.read_events == 20
 
 
 # -- rig sequencing -----------------------------------------------------------
@@ -314,7 +277,7 @@ def test_rig_ledger_counts_expected_events():
 
 def test_rig_backend_output_sums_active_contributions():
     cfg, rig = make_rig()
-    config = cfg.trainer_config(seed=0)
+    config = cfg.trainer_config()
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
     pattern = dataset.training[0]
@@ -325,7 +288,7 @@ def test_rig_backend_output_sums_active_contributions():
 
 def test_rig_backend_threshold_raise_is_multiplicative():
     cfg, rig = make_rig()
-    backend = RigBackend(rig, cfg.trainer_config(seed=0))
+    backend = RigBackend(rig, cfg.trainer_config())
     b0 = backend.threshold()
     backend.raise_threshold(1.05)
     assert backend.threshold() == pytest.approx(b0 * 1.05)
@@ -333,7 +296,7 @@ def test_rig_backend_threshold_raise_is_multiplicative():
 
 def test_reread_threshold_costs_one_read_per_call():
     cfg, rig = make_rig(**{"rig.reread_threshold": "true"})
-    backend = RigBackend(rig, cfg.trainer_config(seed=0))
+    backend = RigBackend(rig, cfg.trainer_config())
     before = rig.ledger.read_events
     backend.threshold()
     assert rig.ledger.read_events == before + 1
@@ -344,7 +307,7 @@ def test_emulated_training_converges_full_default_set():
     # update limit cycles, exactly like the random learning rate in simulation
     cfg = load_config(overrides={"camera.read_noise": "0"})
     rig = build_rig(cfg, make_streams(4))
-    config = cfg.trainer_config(seed=4)
+    config = cfg.trainer_config()
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
     trace = train(dataset, config, backend)
@@ -361,7 +324,7 @@ def test_emulated_training_converges_on_reduced_linear_set():
             "synapse.saturation_pulses": 25000,
         }
     )
-    config = cfg.trainer_config(seed=4)
+    config = cfg.trainer_config()
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
     reduced = reduced_training(dataset, per_class=2)
