@@ -106,7 +106,6 @@ KEY_TABLE: dict[str, _Key] = {
     "trainer.max_epochs": _Key(_int(1, 1_000_000), 500, "epoch cap before giving up"),
     "trainer.target_class": _Key(_choice("z", "v", "n"), "v", "class whose outputs must exceed the threshold"),
     "trainer.threshold_raise": _Key(_float(0.0, 1.0, lo_open=True), 0.05, "relative threshold raise on negative weights"),
-    "trainer.reset_weights_on_raise": _Key(_bool, False, "rewrite weights after a threshold raise"),
     "dataset.bitmaps_file": _Key(_string, "builtin", "path to a 3-block bitmap file, or 'builtin'"),
     "synapse.dead_zone_pulses": _Key(_int(0, 1_000_000), 250, "pulses with no magnetization response"),
     "synapse.saturation_pulses": _Key(_int(1, 10_000_000), 600, "pulses to full saturation"),
@@ -127,15 +126,12 @@ KEY_TABLE: dict[str, _Key] = {
     "rig.roi_height_um": _Key(_float(0.0, 1e4, lo_open=True), 15.5, "readout window height on the sample"),
     "rig.spot_diameter_um": _Key(_float(0.0, 1e4, lo_open=True), 10.0, "written spot diameter"),
     "rig.site_spacing_um": _Key(_float(0.0, 1e4, lo_open=True), 48.0, "spacing of the site array layout"),
-    "rig.reread_threshold": _Key(_bool, False, "re-read the threshold site every step"),
-    "rig.write_polarization": _Key(_choice("right", "left"), "right", "which circular handedness writes"),
-    "optics.gamma": _Key(_float(0.0, 0.2), 0.01, "Faraday rotation coefficient"),
     "optics.delta_rad": _Key(_float(0.0, 0.2, lo_open=True), 0.1, "analyzer offset from extinction"),
     "optics.intensity_in": _Key(_float(0.0, 1e30, lo_open=True), 4.0e6, "probe intensity at the sample"),
     "camera.width_px": _Key(_int(1, 65536), 166, "sensor window width"),
     "camera.height_px": _Key(_int(1, 65536), 128, "sensor window height"),
     "camera.pixel_scale_um": _Key(_float(0.0, 1e3, lo_open=True), 1.0, "sample-plane size of one pixel"),
-    "camera.exposure_ms": _Key(_float(0.0, 1e6), 10.0, "exposure time per frame"),
+    "camera.exposure_ms": _Key(_float(0.0, 1e6, lo_open=True), 10.0, "exposure time per frame"),
     "camera.gain": _Key(_float(0.0, 1e12, lo_open=True), 100.0, "counts per unit light density"),
     "camera.dark_offset": _Key(_float(0.0, 1e9), 600.0, "dark level in counts"),
     "camera.read_noise": _Key(_float(0.0, 1e6), 50.0, "Gaussian read noise sigma in counts"),
@@ -190,7 +186,6 @@ class RunConfig:
             max_epochs=self["trainer.max_epochs"],
             target_class=self["trainer.target_class"],
             threshold_raise=self["trainer.threshold_raise"],
-            reset_weights_on_raise=self["trainer.reset_weights_on_raise"],
         )
 
     def nominal_site_params(self) -> InhomogeneityParams:
@@ -203,7 +198,6 @@ class RunConfig:
 
     def optical_constants(self) -> OpticalConstants:
         return OpticalConstants(
-            gamma=self["optics.gamma"],
             delta=self["optics.delta_rad"],
             intensity_in=self["optics.intensity_in"],
         )
@@ -240,8 +234,6 @@ class RunConfig:
             roi_height_um=self["rig.roi_height_um"],
             spot_diameter_um=self["rig.spot_diameter_um"],
             site_spacing_um=self["rig.site_spacing_um"],
-            reread_threshold=self["rig.reread_threshold"],
-            write_polarization=self["rig.write_polarization"],
         )
 
     def per_read_j(self) -> float:

@@ -28,7 +28,6 @@ SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle chain is invalid
 class OpticalConstants:
     """Probe-side constants of the readout chain."""
 
-    gamma: float = 0.01
     delta: float = 0.1
     intensity_in: float = 4.0e6
 
@@ -36,10 +35,6 @@ class OpticalConstants:
         if not 0.0 < self.delta <= SMALL_ANGLE_LIMIT:
             raise ConfigurationError(
                 f"analyzer offset delta must be in (0, {SMALL_ANGLE_LIMIT}] rad"
-            )
-        if not 0.0 <= self.gamma <= SMALL_ANGLE_LIMIT:
-            raise ConfigurationError(
-                f"rotation coefficient gamma must be in [0, {SMALL_ANGLE_LIMIT}]"
             )
         if self.intensity_in < 0:
             raise ConfigurationError("intensity_in must be >= 0")
@@ -169,14 +164,10 @@ def expose_frame(
     constants: OpticalConstants,
     camera: CameraConfig,
     rng: np.random.Generator | None = None,
-    background_written_fraction: float = 0.0,
     masks: Sequence[np.ndarray] | None = None,
 ) -> Frame:
     """Render one frame of the configured sensor window."""
-    counts, clipped = expose_frames(
-        1, sites, constants, camera, rng,
-        background_written_fraction=background_written_fraction, masks=masks,
-    )
+    counts, clipped = expose_frames(1, sites, constants, camera, rng, masks=masks)
     return Frame(
         counts=counts[0].astype(np.int64),
         exposure_s=camera.exposure_s,
@@ -192,7 +183,6 @@ def expose_frames(
     constants: OpticalConstants,
     camera: CameraConfig,
     rng: np.random.Generator | None = None,
-    background_written_fraction: float = 0.0,
     masks: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, bool]:
     """The readout kernel: n noise-independent frames of one scene.
@@ -211,7 +201,7 @@ def expose_frames(
         raise ValueError("an rng is required when read noise is enabled")
     intensity = np.full(
         (camera.height, camera.width),
-        analyzer_intensity(background_written_fraction, constants),
+        analyzer_intensity(0.0, constants),
         dtype=np.float64,
     )
     width_um = camera.width * camera.pixel_scale_um
@@ -286,18 +276,20 @@ class BeamConfig:
 def write_pgm(frame: Frame, path) -> None:
     """Export as 16-bit binary PGM (P5) with a JSON metadata sidecar.
 
-    Both files are written atomically.
+    Both files are written atomically. The sidecar's "clipped" flag is set
+    when the sensor clipped or a count above 65535 was cut to fit.
     """
     path = Path(path)
     maxval = 65535
     scaled = np.clip(frame.counts, 0, maxval).astype(">u2")
+    clipped = frame.clipped or bool((frame.counts > maxval).any())
     header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
     atomic_write(path, header + scaled.tobytes())
     meta = {
         "exposure_s": frame.exposure_s,
         "pixel_area_um2": frame.pixel_area,
         "bit_depth": frame.bit_depth,
-        "clipped": frame.clipped,
+        "clipped": clipped,
         "width": frame.width,
         "height": frame.height,
     }

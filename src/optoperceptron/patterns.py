@@ -86,7 +86,6 @@ class Dataset:
 
     training: tuple[Pattern, ...]
     testing: tuple[Pattern, ...]
-    desired_class_above_threshold: str = "v"
 
     def __post_init__(self):
         if len(self.training) != 24 or len(self.testing) != 3:
@@ -99,8 +98,6 @@ class Dataset:
         train_inputs = {p.inputs for p in self.training}
         if any(p.inputs in train_inputs for p in self.testing):
             raise ValueError("a pattern appears in both training and testing")
-        if self.desired_class_above_threshold not in CLASSES:
-            raise ValueError("desired class must be one of " + ", ".join(CLASSES))
 
 
 def ideal_patterns(bitmaps=None) -> list[Pattern]:
@@ -146,7 +143,7 @@ def generate_variants(ideal: Pattern) -> list[Pattern]:
     return variants
 
 
-def build_dataset(bitmaps=None, desired_class: str = "v") -> Dataset:
+def build_dataset(bitmaps=None) -> Dataset:
     """Full 27-pattern dataset with the class-blocked training order."""
     training: list[Pattern] = []
     testing: list[Pattern] = []
@@ -155,25 +152,7 @@ def build_dataset(bitmaps=None, desired_class: str = "v") -> Dataset:
         training.append(ideal)
         training.extend(v for v in variants if v.role == TRAIN_ROLE)
         testing.extend(v for v in variants if v.role == TEST_ROLE)
-    return Dataset(
-        training=tuple(training),
-        testing=tuple(testing),
-        desired_class_above_threshold=desired_class,
-    )
-
-
-def reduced_training(dataset: Dataset, per_class: int = 2) -> tuple[Pattern, ...]:
-    """First per_class training patterns of each class, keeping the block order.
-
-    Used for quick cross-checks where the full 24-pattern run is too heavy.
-    """
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    kept: list[Pattern] = []
-    for cls in CLASSES:
-        block = [p for p in dataset.training if p.class_label == cls]
-        kept.extend(block[:per_class])
-    return tuple(kept)
+    return Dataset(training=tuple(training), testing=tuple(testing))
 
 
 def parse_bitmap_text(text: str) -> dict[str, tuple[str, str, str]]:

@@ -28,7 +28,7 @@ from .optics import (
     integrate_roi,
     spot_pixel_mask,
 )
-from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site, saturate
+from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
 from .trainer import Action, Pattern, TrainerConfig, UpdateRecord
 from .weights import WeightState
 
@@ -164,8 +164,6 @@ class RigConfig:
     roi_height_um: float = 15.5
     spot_diameter_um: float = 10.0
     site_spacing_um: float = 48.0
-    reread_threshold: bool = False
-    write_polarization: str = "right"
 
     def __post_init__(self):
         if min(self.init_weight_packets, self.init_threshold_packets) < 0:
@@ -178,8 +176,6 @@ class RigConfig:
             raise ConfigurationError("roi dimensions must be > 0")
         if self.spot_diameter_um <= 0:
             raise ConfigurationError("spot_diameter_um must be > 0")
-        if self.write_polarization not in ("right", "left"):
-            raise ConfigurationError("write_polarization must be 'right' or 'left'")
 
 
 class Rig:
@@ -301,12 +297,6 @@ class Rig:
 
     # -- writes -------------------------------------------------------------
 
-    def _polarization(self, helicity: Helicity) -> str:
-        write_pol = self.config.write_polarization
-        if helicity is Helicity.WRITE:
-            return write_pol
-        return "left" if write_pol == "right" else "right"
-
     def _write_packets(self, index: int, helicity: Helicity, n_packets: int) -> list[int]:
         """Deliver shutter-gated packets to one site; returns pulses/packet.
 
@@ -316,13 +306,12 @@ class Rig:
         label = self.label(index)
         self.events.append(("stage_move", label))
         self.events.append(("ps2", "blocking"))
-        polarization = self._polarization(helicity)
         delivered = []
         for _ in range(n_packets):
             pulses = shutter_event(self.shutter_rng, self.shutter)
             self.sites[index] = apply_packet(self.sites[index], helicity, pulses)
             self.ledger.add_write(label, pulses, self.per_pulse_write_j)
-            self.events.append(("shutter", label, helicity.value, polarization, pulses))
+            self.events.append(("shutter", label, helicity.value, pulses))
             delivered.append(pulses)
         self.events.append(("ps2", "open"))
         return delivered
@@ -359,14 +348,6 @@ class Rig:
         self._write_packets(THRESHOLD_SITE, Helicity.WRITE, self.config.init_threshold_packets)
         self.read_sites(range(N_WEIGHT_SITES + 1))
         return self.weight_state()
-
-    def reinitialize_weights(self) -> None:
-        """Full erase of the nine weight sites, then rewrite and re-read."""
-        for i in range(N_WEIGHT_SITES):
-            self.sites[i] = saturate(self.sites[i], "background")
-            self.events.append(("erase_reset", self.label(i)))
-            self._write_packets(i, Helicity.WRITE, self.config.init_weight_packets)
-        self.read_sites(range(N_WEIGHT_SITES))
 
     # -- state --------------------------------------------------------------
 
@@ -434,9 +415,6 @@ class RigBackend:
         return total
 
     def threshold(self) -> float:
-        if self.rig.config.reread_threshold:
-            self.rig.read_sites([THRESHOLD_SITE])
-            self._state = self.rig.weight_state()
         return self._state.threshold * self._raise_factor
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
@@ -452,10 +430,6 @@ class RigBackend:
 
     def weights(self) -> tuple[float, ...]:
         return self._state.weights
-
-    def reset_weights(self) -> None:
-        self.rig.reinitialize_weights()
-        self._state = self.rig.weight_state()
 
     def weight_state(self) -> WeightState:
         return self._state

@@ -102,11 +102,11 @@ class RunResult:
 
 def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
     streams = make_streams(seed)
-    dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
+    dataset = build_dataset(cfg.bitmaps)
     trainer_cfg = cfg.trainer_config()
     backend = VectorBackend(trainer_cfg, rng=streams.eta)
     pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
-    trace = train(dataset, trainer_cfg, backend)
+    trace = train(dataset.training, trainer_cfg, backend)
     post_train = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
     post_test = evaluate_patterns(backend, dataset.testing, trainer_cfg.target_class)
     return RunResult("simulate", seed, dataset, trace, pre, post_train, post_test)
@@ -114,12 +114,12 @@ def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
 
 def emulate_run(cfg: RunConfig, seed: int) -> RunResult:
     streams = make_streams(seed)
-    dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
+    dataset = build_dataset(cfg.bitmaps)
     trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, streams)
     backend = RigBackend(rig, trainer_cfg, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
     pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
-    trace = train(dataset, trainer_cfg, backend)
+    trace = train(dataset.training, trainer_cfg, backend)
     post_train = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
     post_test = evaluate_patterns(backend, dataset.testing, trainer_cfg.target_class)
     return RunResult(
@@ -269,7 +269,7 @@ def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 
 
 def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    dataset = build_dataset(cfg.bitmaps, desired_class=cfg["trainer.target_class"])
+    dataset = build_dataset(cfg.bitmaps)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
     atomic_write(out_dir / "dataset.csv", dataset_csv(dataset))

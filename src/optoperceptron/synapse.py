@@ -27,8 +27,6 @@ class Helicity(enum.Enum):
     """Circular polarization handedness, abstracted to its effect on m.
 
     WRITE drives m upward (darkens the readout spot), ERASE drives it back.
-    Which physical handedness plays which role is a configuration switch
-    (see RigConfig.write_polarization); it does not affect any intensity.
     """
 
     WRITE = "write"
@@ -152,23 +150,6 @@ def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> Syn
     delta = pulse_count if helicity is Helicity.WRITE else -pulse_count
     accumulated = min(max(site.accumulated_pulses + delta, 0), site.params.exposure_ceiling)
     return SynapseSite(response_curve(accumulated, site.params), accumulated, site.params)
-
-
-def saturate(site: SynapseSite, direction: str) -> SynapseSite:
-    """Force the site to a saturation endpoint (external field / full erase).
-
-    direction is "background" (m = 0) or "written" (m = 1); the odometer is
-    reset to the matching endpoint exposure.
-    """
-    if direction == "background":
-        return replace(site, accumulated_pulses=0, written_fraction=0.0)
-    if direction == "written":
-        return replace(
-            site,
-            accumulated_pulses=site.params.saturation_pulses,
-            written_fraction=1.0,
-        )
-    raise ValueError(f"direction must be 'background' or 'written', got {direction!r}")
 
 
 def sample_sites(

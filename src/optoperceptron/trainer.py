@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .patterns import CLASSES, Dataset, Pattern
+from .patterns import CLASSES, N_INPUTS, Pattern
 
 
 class Action(enum.Enum):
@@ -35,7 +35,6 @@ class TrainerConfig:
     max_epochs: int = 500
     target_class: str = "v"
     threshold_raise: float = 0.05
-    reset_weights_on_raise: bool = False
 
     def __post_init__(self):
         if self.eta_max <= 0:
@@ -188,16 +187,13 @@ class WeightBackend(Protocol):
 
     def weights(self) -> tuple[float, ...]: ...
 
-    def reset_weights(self) -> None: ...
-
 
 class VectorBackend:
     """Plain weight vector with sampled learning rates (simulation mode)."""
 
-    def __init__(self, config: TrainerConfig, rng: np.random.Generator, n_inputs: int = 9):
+    def __init__(self, config: TrainerConfig, rng: np.random.Generator):
         self.config = config
-        self.n_inputs = n_inputs
-        self._weights = [config.initial_weight] * n_inputs
+        self._weights = [config.initial_weight] * N_INPUTS
         self._threshold = config.initial_threshold
         self._rng = rng
 
@@ -221,24 +217,17 @@ class VectorBackend:
     def weights(self) -> tuple[float, ...]:
         return tuple(self._weights)
 
-    def reset_weights(self) -> None:
-        self._weights = [self.config.initial_weight] * self.n_inputs
-
 
 def train(
-    dataset: Dataset,
-    config: TrainerConfig,
-    backend: WeightBackend,
-    training_patterns: Sequence[Pattern] | None = None,
+    patterns: Sequence[Pattern], config: TrainerConfig, backend: WeightBackend
 ) -> TrainingTrace:
     """Run the supervised loop until a clean pass with non-negative weights.
 
-    Patterns are visited in dataset order; a miss triggers exactly one
+    Patterns are visited in the order given; a miss triggers exactly one
     update before the loop advances. After a clean pass, any negative weight
     raises the threshold and training continues. Hitting max_epochs returns
     an unconverged trace, not an error.
     """
-    patterns = tuple(training_patterns) if training_patterns is not None else dataset.training
     trace = TrainingTrace()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -272,8 +261,6 @@ def train(
                 old = backend.threshold()
                 backend.raise_threshold(1.0 + config.threshold_raise)
                 trace.raises.append(ThresholdRaise(step, old, backend.threshold()))
-                if config.reset_weights_on_raise:
-                    backend.reset_weights()
             else:
                 trace.converged = True
                 break

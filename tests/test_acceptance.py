@@ -20,7 +20,7 @@ from optoperceptron.optics import (
     expose_frame,
     integrate_roi,
 )
-from optoperceptron.patterns import CLASSES, build_dataset, reduced_training
+from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import RigBackend, energy_per_pulse
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_energy, simulate_run
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite, response_curve
@@ -184,13 +184,13 @@ def test_criterion_7_mode_equivalence():
     # w0 = 0.5 against b0 = 2.5 (both dyadic, so float comparisons are exact)
     cfg = load_config(overrides=equivalence_overrides())
     dataset = build_dataset(cfg.bitmaps)
-    reduced = reduced_training(dataset, per_class=2)
+    reduced = tuple(p for p in dataset.training if p.variant_index in (0, 2))
     trainer_cfg = cfg.trainer_config()
 
     sim_backend = VectorBackend(trainer_cfg, rng=np.random.default_rng(3))
-    sim_trace = train(dataset, trainer_cfg, sim_backend, training_patterns=reduced)
+    sim_trace = train(reduced, trainer_cfg, sim_backend)
     rig = build_rig(cfg, make_streams(3))
-    emu_trace = train(dataset, trainer_cfg, RigBackend(rig, trainer_cfg), training_patterns=reduced)
+    emu_trace = train(reduced, trainer_cfg, RigBackend(rig, trainer_cfg))
 
     sim_decisions = [(s.pattern_id, s.action) for s in sim_trace.steps]
     emu_decisions = [(s.pattern_id, s.action) for s in emu_trace.steps]

@@ -152,11 +152,15 @@ def test_unconverged_run_still_exits_zero(tmp_path, capsys):
         "energy.profile = gaussian",
         "energy.flattop_order = 5",
         "energy.threshold_fluence_j_cm2 = 0.05",
+        "optics.gamma = 0.01",
+        "rig.write_polarization = left",
+        "rig.reread_threshold = true",
+        "trainer.reset_weights_on_raise = true",
     ],
     ids=lambda line: line.split(" =")[0],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, line):
-    # none of these changed an artifact, so the parser no longer accepts them
+    # each was deleted with the code it reached, so the parser rejects it
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     assert main(["energy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -184,8 +188,10 @@ def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
             "camera.dark_offset = 0\ncamera.read_noise = 0\noptics.intensity_in = 1e-3\n",
             "background sum must be positive",
         ),
+        # no light at all: every read would be the dark level plus noise
+        ("camera.exposure_ms = 0\n", "camera.exposure_ms"),
     ],
-    ids=["clipped", "dead"],
+    ids=["clipped", "dead", "zero-exposure"],
 )
 def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message):
     cfg = tmp_path / "degenerate.cfg"

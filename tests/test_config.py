@@ -1,5 +1,6 @@
 import pytest
 
+from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import DEFAULT_BITMAPS
@@ -21,12 +22,12 @@ def test_file_values_and_comments(tmp_path):
         "trainer.eta_max = 0.01\n"
         "\n"
         "camera.read_noise = 0\n"
-        "rig.reread_threshold = true\n"
+        "run.dump_frames = true\n"
     )
     cfg = load_config(path)
     assert cfg["trainer.eta_max"] == 0.01
     assert cfg["camera.read_noise"] == 0.0
-    assert cfg["rig.reread_threshold"] is True
+    assert cfg["run.dump_frames"] is True
 
 
 def test_unknown_key_reports_line(tmp_path):
@@ -115,3 +116,107 @@ def test_optional_keys_accept_none():
 def test_every_key_documented():
     for key, spec in KEY_TABLE.items():
         assert spec.doc, f"{key} lacks documentation"
+
+
+# -- every key changes an artifact --------------------------------------------
+
+# Set in the config file: the --seed, --verbose and --frames flags would
+# override the key under test.
+BASE_CONFIG = {
+    "run.seed": "7",
+    "run.trace_verbosity": "2",
+    "run.dump_frames": "true",
+    "trainer.max_epochs": "2",
+    "sweep.seeds": "2",
+}
+ALT_GLYPHS = "111\n000\n111\n\n101\n101\n010\n\n010\n101\n101\n"
+# A run that raises the threshold: simulate at seed 7 first raises after step 96.
+RAISING = {
+    "trainer.initial_threshold": "0.5",
+    "trainer.eta_fixed": "0.1",
+    "trainer.max_epochs": "10",
+}
+TIMED_SHUTTER = {"shutter.jitter_mode": "time"}
+
+# key -> (alternate value, CLI mode, companion overrides for both runs)
+KEY_CASES = {
+    "run.seed": ("8", "simulate", {}),
+    "run.trace_verbosity": ("0", "simulate", {}),
+    "run.dump_frames": ("false", "emulate", {}),
+    "trainer.initial_weight": ("0.4", "simulate", {}),
+    "trainer.initial_threshold": ("2.0", "simulate", {}),
+    "trainer.eta_max": ("0.02", "simulate", {}),
+    "trainer.eta_fixed": ("0.01", "simulate", {}),
+    "trainer.max_epochs": ("1", "simulate", {}),
+    "trainer.target_class": ("z", "simulate", {}),
+    "trainer.threshold_raise": ("0.1", "simulate", RAISING),
+    "dataset.bitmaps_file": (ALT_GLYPHS, "dataset", {}),
+    "synapse.dead_zone_pulses": ("200", "emulate", {}),
+    "synapse.saturation_pulses": ("700", "emulate", {}),
+    "synapse.curve": ("linear", "emulate", {}),
+    "synapse.margin_pulses": ("0", "emulate", {}),
+    "synapse.site_spread": ("0.1", "emulate", {}),
+    "shutter.open_time_min_ms": ("20", "emulate", TIMED_SHUTTER),
+    "shutter.open_time_max_ms": ("20", "emulate", TIMED_SHUTTER),
+    "shutter.repetition_rate_hz": ("2000", "energy", {}),
+    "shutter.nominal_packet_pulses": ("40", "emulate", {}),
+    "shutter.jitter_mode": ("time", "emulate", {}),
+    "shutter.jitter_enabled": ("false", "emulate", {}),
+    "rig.init_weight_packets": ("40", "emulate", {}),
+    "rig.init_threshold_packets": ("200", "emulate", {}),
+    "rig.learning_packets": ("3", "emulate", {}),
+    "rig.frames_per_read": ("5", "emulate", {}),
+    "rig.roi_width_um": ("20", "emulate", {}),
+    "rig.roi_height_um": ("20", "emulate", {}),
+    "rig.spot_diameter_um": ("8", "emulate", {}),
+    "rig.site_spacing_um": ("40", "emulate", {}),
+    "optics.delta_rad": ("0.12", "emulate", {}),
+    "optics.intensity_in": ("3e6", "emulate", {}),
+    "camera.width_px": ("160", "emulate", {}),
+    "camera.height_px": ("120", "emulate", {}),
+    "camera.pixel_scale_um": ("0.9", "emulate", {}),
+    "camera.exposure_ms": ("9", "emulate", {}),
+    "camera.gain": ("90", "emulate", {}),
+    "camera.dark_offset": ("500", "emulate", {}),
+    "camera.read_noise": ("40", "emulate", {}),
+    "camera.bit_depth": ("17", "emulate", {}),
+    "energy.write_power_uw": ("0.6", "energy", {}),
+    "energy.waist_um": ("90", "energy", {}),
+    "energy.spot_small_um": ("20", "energy", {}),
+    "energy.spot_large_um": ("45", "energy", {}),
+    "energy.read_nj": ("0.5", "energy", {}),
+    "energy.include_initialization": ("false", "energy", {}),
+    "sweep.seeds": ("3", "sweep", {}),
+    "sweep.mode": ("emulate", "sweep", {}),
+}
+
+
+def run_artifacts(work, mode: str, values: dict[str, str]) -> dict[str, bytes]:
+    """Every artifact of one CLI run except the config echo."""
+    work.mkdir()
+    config = work / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    out = work / "out"
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 0
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "config.resolved.txt"
+    }
+
+
+def test_key_cases_cover_the_key_table():
+    assert set(KEY_CASES) == set(KEY_TABLE)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CASES))
+def test_every_key_changes_an_artifact(key, tmp_path):
+    value, mode, companions = KEY_CASES[key]
+    if key == "dataset.bitmaps_file":
+        glyphs = tmp_path / "glyphs.txt"
+        glyphs.write_text(value)
+        value = str(glyphs)
+    base = {**BASE_CONFIG, **companions}
+    before = run_artifacts(tmp_path / "base", mode, base)
+    after = run_artifacts(tmp_path / "alt", mode, {**base, key: value})
+    assert before != after, f"{key} = {value} changed no artifact of {mode}"

@@ -22,7 +22,7 @@ from optoperceptron.optics import (
 )
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite
 
-CONSTANTS = OpticalConstants()  # gamma 0.01, delta 0.1, I_in 4e6
+CONSTANTS = OpticalConstants()  # delta 0.1, I_in 4e6
 
 
 def site_at(m, gain=1.0):
@@ -71,8 +71,6 @@ def test_leakage_constant_exact():
 def test_constants_small_angle_enforced():
     with pytest.raises(ConfigurationError):
         OpticalConstants(delta=0.5)
-    with pytest.raises(ConfigurationError):
-        OpticalConstants(gamma=0.5)
 
 
 # -- frame rendering ----------------------------------------------------------
@@ -199,7 +197,7 @@ def test_ten_frame_average_reduces_noise():
     sigma = 8.0
     camera = CameraConfig(width=128, height=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
     rng = np.random.default_rng(11)
-    counts, clipped = expose_frames(10, [], CONSTANTS, camera, rng, background_written_fraction=1.0)
+    counts, clipped = expose_frames(10, [], CONSTANTS, camera, rng)  # 25000 counts
     assert not clipped
     residual = average_frames(counts).astype(float).std()
     expected = sigma / math.sqrt(10)
@@ -297,3 +295,16 @@ def test_pgm_write_is_atomic(tmp_path):
         "height": camera.height, "pixel_area_um2": 1.0, "width": camera.width,
     }
     assert (tmp_path / "frame.pgm.json").read_text() == json.dumps(meta, indent=2) + "\n"
+
+
+def test_pgm_sidecar_flags_counts_clipped_to_16_bits(tmp_path):
+    # 17 bits: the 66600-count background fits the sensor but not the PGM
+    camera = window_camera(gain=330.0, bit_depth=17)
+    frame = expose_frame([(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    assert not frame.clipped
+    assert frame.counts.max() > 65535
+    path = tmp_path / "frame.pgm"
+    write_pgm(frame, path)
+    pixels = np.frombuffer(path.read_bytes()[-2 * frame.counts.size:], dtype=">u2")
+    assert np.array_equal(pixels, np.minimum(frame.counts, 65535).ravel())
+    assert json.loads(path.with_suffix(".pgm.json").read_text())["clipped"] is True

@@ -12,7 +12,6 @@ from optoperceptron.patterns import (
     generate_variants,
     ideal_patterns,
     parse_bitmap_text,
-    reduced_training,
 )
 
 grids = st.lists(
@@ -130,13 +129,6 @@ def test_pattern_validates_inputs():
         Pattern("z0", "z", 0, "train", (0,) * 8)
     with pytest.raises(ValueError):
         Pattern("z0", "z", 0, "train", (0,) * 8 + (2,))
-
-
-def test_reduced_training_keeps_block_order():
-    ds = build_dataset()
-    reduced = reduced_training(ds, per_class=2)
-    assert [p.class_label for p in reduced] == ["z", "z", "v", "v", "n", "n"]
-    assert [p.variant_index for p in reduced] == [0, 2, 0, 2, 0, 2]
 
 
 def test_bitmap_text_roundtrip():

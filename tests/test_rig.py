@@ -5,7 +5,7 @@ import pytest
 
 from optoperceptron.config import load_config
 from optoperceptron.optics import BeamConfig
-from optoperceptron.patterns import build_dataset, reduced_training
+from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import (
     EnergyLedger,
     N_WEIGHT_SITES,
@@ -17,7 +17,7 @@ from optoperceptron.rig import (
 )
 from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.synapse import response_curve
-from optoperceptron.trainer import Action, train
+from optoperceptron.trainer import Action, evaluate_patterns, train
 
 
 def quiet_overrides(**extra):
@@ -294,12 +294,19 @@ def test_rig_backend_threshold_raise_is_multiplicative():
     assert backend.threshold() == pytest.approx(b0 * 1.05)
 
 
-def test_reread_threshold_costs_one_read_per_call():
-    cfg, rig = make_rig(**{"rig.reread_threshold": "true"})
-    backend = RigBackend(rig, cfg.trainer_config())
-    before = rig.ledger.read_events
-    backend.threshold()
-    assert rig.ledger.read_events == before + 1
+def test_rig_evaluation_is_read_only():
+    # default noise: a read would bill the ledger and advance the camera stream
+    cfg = load_config()
+    rig = build_rig(cfg, make_streams(7))
+    config = cfg.trainer_config()
+    backend = RigBackend(rig, config)
+    reads, writes = rig.ledger.read_events, len(rig.ledger.write_events)
+    camera_state = rig.camera_rng.bit_generator.state
+    results = evaluate_patterns(backend, build_dataset(cfg.bitmaps).training, config.target_class)
+    assert rig.ledger.read_events == reads
+    assert len(rig.ledger.write_events) == writes
+    assert rig.camera_rng.bit_generator.state == camera_state
+    assert {r.threshold for r in results} == {backend.threshold()}
 
 
 def test_emulated_training_converges_full_default_set():
@@ -310,7 +317,7 @@ def test_emulated_training_converges_full_default_set():
     config = cfg.trainer_config()
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
-    trace = train(dataset, config, backend)
+    trace = train(dataset.training, config, backend)
     assert trace.converged
     assert all(s.action == "accept" for s in trace.steps[-24:])
     assert min(backend.weights()) >= 0.0
@@ -327,8 +334,8 @@ def test_emulated_training_converges_on_reduced_linear_set():
     config = cfg.trainer_config()
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
-    reduced = reduced_training(dataset, per_class=2)
-    trace = train(dataset, config, backend, training_patterns=reduced)
+    reduced = tuple(p for p in dataset.training if p.variant_index in (0, 2))
+    trace = train(reduced, config, backend)
     assert trace.converged
     assert all(s.action == "accept" for s in trace.steps[-len(reduced):])
     assert min(backend.weights()) >= 0.0

@@ -11,7 +11,6 @@ from optoperceptron.synapse import (
     fresh_site,
     response_curve,
     sample_sites,
-    saturate,
 )
 
 NOMINAL = InhomogeneityParams()
@@ -129,19 +128,6 @@ def test_written_fraction_stays_in_unit_interval(packets):
 def test_negative_pulse_count_rejected():
     with pytest.raises(ValueError):
         apply_packet(fresh_site(), Helicity.WRITE, -1)
-
-
-def test_saturate_endpoints():
-    site = apply_packet(fresh_site(), Helicity.WRITE, 400)
-    assert saturate(site, "background").written_fraction == 0.0
-    assert saturate(site, "written").written_fraction == 1.0
-    with pytest.raises(ValueError):
-        saturate(site, "sideways")
-
-
-def test_saturate_then_zero_pulses():
-    site = saturate(fresh_site(), "background")
-    assert apply_packet(site, Helicity.WRITE, 0).written_fraction == 0.0
 
 
 def test_sample_sites_zero_spread_is_nominal():

@@ -123,7 +123,7 @@ def test_fixed_point_dataset_accepts_everything():
     }
     dataset = build_dataset(bitmaps)
     config = TrainerConfig()
-    trace = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(0)))
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert trace.converged
     assert trace.total_steps == 24
     assert all(s.action == "accept" for s in trace.steps)
@@ -134,7 +134,7 @@ def test_training_converges_and_orders_classes():
     dataset = build_dataset()
     config = TrainerConfig()
     backend = VectorBackend(config, rng=np.random.default_rng(11))
-    trace = train(dataset, config, backend)
+    trace = train(dataset.training, config, backend)
     assert trace.converged
     # converged means the last full pass was 24 accepts
     assert all(s.action == "accept" for s in trace.steps[-24:])
@@ -145,8 +145,8 @@ def test_training_converges_and_orders_classes():
 def test_training_deterministic_with_fixed_eta():
     dataset = build_dataset()
     config = TrainerConfig(eta_fixed=0.01)
-    t1 = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(0)))
-    t2 = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(0)))
+    t1 = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
+    t2 = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert [(s.pattern_id, s.action, s.weights) for s in t1.steps] == [
         (s.pattern_id, s.action, s.weights) for s in t2.steps
     ]
@@ -155,14 +155,14 @@ def test_training_deterministic_with_fixed_eta():
 def test_training_step_indices_consecutive():
     dataset = build_dataset()
     config = TrainerConfig()
-    trace = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(5)))
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(5)))
     assert [s.step for s in trace.steps] == list(range(1, trace.total_steps + 1))
 
 
 def test_updates_touch_only_active_indices():
     dataset = build_dataset()
     config = TrainerConfig()
-    trace = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(2)))
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(2)))
     by_id = {p.pattern_id: p for p in dataset.training}
     previous = (config.initial_weight,) * 9
     for record in trace.steps:
@@ -181,12 +181,11 @@ def test_threshold_raise_path():
         pat([1, 0, 0, 0, 0, 0, 0, 0, 0], cls="v", pid="v0"),
         pat([1, 1, 0, 0, 0, 0, 0, 0, 0], cls="z", pid="z0"),
     )
-    dataset = build_dataset()
     config = TrainerConfig(
         initial_weight=0.05, initial_threshold=0.2, eta_fixed=0.3, max_epochs=30
     )
     backend = VectorBackend(config, rng=np.random.default_rng(0))
-    trace = train(dataset, config, backend, training_patterns=patterns)
+    trace = train(patterns, config, backend)
     assert not trace.converged
     assert trace.threshold_raises >= 1
     assert min(trace.final_weights) < 0
@@ -200,7 +199,7 @@ def test_threshold_raise_path():
 def test_max_epochs_returns_unconverged_trace():
     dataset = build_dataset()
     config = TrainerConfig(max_epochs=1)
-    trace = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(0)))
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert not trace.converged
     assert trace.epochs == 1
 
@@ -209,7 +208,7 @@ def test_evaluate_test_read_only_and_correct():
     dataset = build_dataset()
     config = TrainerConfig()
     backend = VectorBackend(config, rng=np.random.default_rng(19))
-    trace = train(dataset, config, backend)
+    trace = train(dataset.training, config, backend)
     assert trace.converged
     first = evaluate_patterns(backend, dataset.testing, "v")
     second = evaluate_patterns(backend, dataset.testing, "v")
@@ -223,7 +222,7 @@ def test_evaluate_test_read_only_and_correct():
 def test_trace_json_shape():
     dataset = build_dataset()
     config = TrainerConfig(max_epochs=2)
-    trace = train(dataset, config, VectorBackend(config, rng=np.random.default_rng(1)))
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(1)))
     import json
 
     payload = json.loads(trace.to_json())
