@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -12,3 +13,8 @@ def atomic_write(path: Path, data: str | bytes) -> None:
     with open(tmp, mode) as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def write_json(path: Path, payload) -> None:
+    """The one JSON artifact format: sorted keys, two-space indent, final newline."""
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

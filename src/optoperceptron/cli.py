@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "train the abstract perceptron and export plot CSVs"),
         ("emulate", "train against the emulated write/read hardware"),
         ("dataset", "export the 27-pattern dataset"),
-        ("energy", "per-pulse write energies and the initialization energy ledger"),
+        ("energy", "per-pulse write energies and the energy ledger of the emulate run"),
         ("sweep", "run many seeds and summarize convergence"),
     ]:
         p = sub.add_parser(mode, help=help_text)

@@ -141,7 +141,6 @@ KEY_TABLE: dict[str, _Key] = {
     "energy.spot_small_um": _Key(_float(0.0, 1e6, lo_open=True), 25.0, "smaller reference spot diameter"),
     "energy.spot_large_um": _Key(_float(0.0, 1e6, lo_open=True), 40.0, "larger reference spot diameter"),
     "energy.read_nj": _Key(_float(0.0, 1e9), 0.4, "energy per site read"),
-    "energy.include_initialization": _Key(_bool, True, "account initialization writes and reads"),
     "sweep.seeds": _Key(_int(1, 100_000), 50, "number of seeds in a sweep"),
     "sweep.mode": _Key(_choice("simulate", "emulate"), "simulate", "which runner the sweep drives"),
 }
@@ -329,3 +328,8 @@ def _cross_validate(values: dict[str, object]) -> None:
         )
     if values["energy.spot_small_um"] > values["energy.spot_large_um"]:
         raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
+    # a spot bills (d / waist)^2 of a pulse, so a wider one would bill more than it
+    waist = values["energy.waist_um"]
+    for key in ("rig.spot_diameter_um", "energy.spot_large_um"):
+        if values[key] > waist:
+            raise ConfigurationError(f"{key} {values[key]} exceeds energy.waist_um {waist}")

@@ -10,14 +10,13 @@ ROI integration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .errors import ConfigurationError
 from .synapse import SynapseSite
 
@@ -93,6 +92,13 @@ class CameraConfig:
     def full_well(self) -> int:
         return (1 << self.bit_depth) - 1
 
+    def in_field(self, x_um: float, y_um: float) -> bool:
+        """Whether a sample-plane point lies on the sensor."""
+        return (
+            0.0 <= x_um <= self.width * self.pixel_scale_um
+            and 0.0 <= y_um <= self.height * self.pixel_scale_um
+        )
+
 
 @dataclass
 class Frame:
@@ -127,10 +133,6 @@ class Roi:
             raise ValueError("roi must be at least 1x1 pixels")
         if self.x < 0 or self.y < 0:
             raise ValueError("roi origin must be non-negative")
-
-    @property
-    def n_pixels(self) -> int:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,8 @@ def expose_frames(
         analyzer_intensity(0.0, constants),
         dtype=np.float64,
     )
-    width_um = camera.width * camera.pixel_scale_um
-    height_um = camera.height * camera.pixel_scale_um
     for idx, (site, spot) in enumerate(sites):
-        if not (0.0 <= spot.center_x_um <= width_um and 0.0 <= spot.center_y_um <= height_um):
+        if not camera.in_field(spot.center_x_um, spot.center_y_um):
             raise ValueError(
                 f"spot center ({spot.center_x_um}, {spot.center_y_um}) um is "
                 "outside the sensor field of view"
@@ -293,7 +293,4 @@ def write_pgm(frame: Frame, path) -> None:
         "width": frame.width,
         "height": frame.height,
     }
-    atomic_write(
-        path.with_suffix(path.suffix + ".json"),
-        json.dumps(meta, sort_keys=True, indent=2) + "\n",
-    )
+    write_json(path.with_suffix(path.suffix + ".json"), meta)

@@ -233,6 +233,14 @@ class Rig:
         self.window_roi = Roi(0, 0, win_w, win_h)
         self._window_mask = spot_pixel_mask(self.window_spot, self.window_camera)
 
+        # One camera images the whole array, so every site must land on it.
+        for i in range(N_WEIGHT_SITES + 1):
+            if not camera.in_field(*self.site_position_um(i)):
+                raise ConfigurationError(
+                    f"site {self.label(i)} at {self.site_position_um(i)} um is outside "
+                    "the sensor field of view; reduce rig.site_spacing_um"
+                )
+
     # -- addressing ---------------------------------------------------------
 
     def _check_indices(self, indices: Iterable[int]) -> list[int]:
@@ -361,7 +369,7 @@ class Rig:
             self.written_sums[THRESHOLD_SITE],
         )
 
-    def full_frame(self, rng: np.random.Generator | None = None) -> Frame:
+    def full_frame(self) -> Frame:
         """Compose all ten sites on the full sensor (for image export)."""
         placed = []
         for i, site in enumerate(self.sites):
@@ -369,10 +377,7 @@ class Rig:
             placed.append(
                 (site, SpotGeometry(x, y, self.config.spot_diameter_um))
             )
-        return expose_frame(
-            placed, self.constants, self.sensor_camera,
-            rng if rng is not None else self.camera_rng,
-        )
+        return expose_frame(placed, self.constants, self.sensor_camera, self.camera_rng)
 
     def site_position_um(self, index: int) -> tuple[float, float]:
         """Layout: 3x3 weight grid plus the threshold area beside it."""
@@ -430,6 +435,3 @@ class RigBackend:
 
     def weights(self) -> tuple[float, ...]:
         return self._state.weights
-
-    def weight_state(self) -> WeightState:
-        return self._state

@@ -7,7 +7,6 @@ and the site parameter draws, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -15,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
-from .rig import EnergyLedger, N_WEIGHT_SITES, Rig, RigBackend, energy_per_pulse
+from .rig import N_WEIGHT_SITES, Rig, RigBackend, energy_per_pulse
 from .optics import write_pgm
 from .synapse import sample_sites
 from .trainer import (
@@ -211,10 +210,7 @@ def sweep_csv(rows: Sequence[Sequence]) -> str:
 def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    atomic_write(
-        out_dir / "summary.json",
-        json.dumps(result.summary(), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(out_dir / "summary.json", result.summary())
     atomic_write(out_dir / "bars_pre.csv", bars_csv(result.pre_eval))
     atomic_write(
         out_dir / "bars_post.csv",
@@ -222,17 +218,11 @@ def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> Non
     )
     if cfg["run.trace_verbosity"] >= 1:
         atomic_write(out_dir / "learning_curve.csv", learning_curve_csv(result.trace))
-        atomic_write(out_dir / "trace.json", result.trace.to_json() + "\n")
+        write_json(out_dir / "trace.json", result.trace.to_json_dict())
     if result.rig is not None:
-        atomic_write(
-            out_dir / "ledger.json",
-            json.dumps(result.rig.ledger.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        )
+        write_json(out_dir / "ledger.json", result.rig.ledger.to_json_dict())
         atomic_write(out_dir / "ledger.txt", result.rig.ledger.summary_line() + "\n")
-        atomic_write(
-            out_dir / "weight_state.json",
-            result.rig.weight_state().to_json() + "\n",
-        )
+        write_json(out_dir / "weight_state.json", result.rig.weight_state().to_json_dict())
         site_params = [
             {
                 "site": result.rig.label(i),
@@ -243,15 +233,9 @@ def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> Non
             }
             for i, p in enumerate(s.params for s in result.rig.sites)
         ]
-        atomic_write(
-            out_dir / "site_params.json",
-            json.dumps(site_params, sort_keys=True, indent=2) + "\n",
-        )
+        write_json(out_dir / "site_params.json", site_params)
         if result.backend is not None and result.backend.snapshots:
-            atomic_write(
-                out_dir / "weight_snapshots.json",
-                json.dumps(result.backend.snapshots, sort_keys=True, indent=2) + "\n",
-            )
+            write_json(out_dir / "weight_snapshots.json", result.backend.snapshots)
         if cfg["run.dump_frames"]:
             write_pgm(result.rig.full_frame(), out_dir / "sample_final.pgm")
 
@@ -280,38 +264,27 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "testing": len(dataset.testing),
         "version": __version__,
     }
-    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
 def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    """Per-pulse write energies and the ledger of the nominal initialization:
-    init packets x nominal packet pulses plus 20 reads. Training updates are
-    not billed here; an emulate run's ledger.json bills them."""
-    result = simulate_run(cfg, seed)
+    """Per-pulse write energies and the energy ledger of the emulate run: its
+    ledger.json is byte-identical to that of emulate at the same (config, seed)."""
+    result = emulate_run(cfg, seed)
+    ledger = result.rig.ledger
     beam = cfg.energy_beam()
-    per_pulse = cfg.per_pulse_write_j()
-    ledger = EnergyLedger(per_read_j=cfg.per_read_j())
-    if cfg["energy.include_initialization"]:
-        packets = N_WEIGHT_SITES * cfg["rig.init_weight_packets"] + cfg["rig.init_threshold_packets"]
-        pulses = packets * cfg["shutter.nominal_packet_pulses"]
-        if pulses:
-            ledger.add_write("init", pulses, per_pulse)
-        ledger.add_reads(2 * (N_WEIGHT_SITES + 1))
     small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
     large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    atomic_write(
-        out_dir / "ledger.json",
-        json.dumps(ledger.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
+    write_json(out_dir / "ledger.json", ledger.to_json_dict())
     summary = {
         "mode": "energy",
         "seed": seed,
         "per_pulse_spot_small_pj": small * 1e12,
         "per_pulse_spot_large_pj": large * 1e12,
-        "per_pulse_network_spot_pj": per_pulse * 1e12,
+        "per_pulse_network_spot_pj": cfg.per_pulse_write_j() * 1e12,
         "training_steps": result.trace.total_steps,
         "total_pulses": ledger.total_pulses,
         "write_energy_nj": ledger.write_energy_j * 1e9,
@@ -319,7 +292,7 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "read_energy_nj": ledger.read_energy_j * 1e9,
         "version": __version__,
     }
-    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "summary.json", summary)
     atomic_write(
         out_dir / "energy.txt",
         (
@@ -365,7 +338,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "median_steps": float(np.median(converged_steps)) if converged_steps else None,
         "version": __version__,
     }
-    atomic_write(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 

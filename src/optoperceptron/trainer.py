@@ -10,7 +10,6 @@ below zero the threshold is raised and training continues.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -150,8 +149,8 @@ class TrainingTrace:
             "final_threshold": self.final_threshold,
         }
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "summary": self.summary(),
             "raises": [
                 {
@@ -163,7 +162,6 @@ class TrainingTrace:
             ],
             "steps": [s.to_json_dict() for s in self.steps],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 @dataclass

@@ -8,7 +8,6 @@ subtracts the background from itself and contributes exactly zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import DegenerateBackgroundError
@@ -135,6 +134,3 @@ class WeightState:
             "clamped_low": self.clamp_diagnostics.low,
             "clamped_high": self.clamp_diagnostics.high,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

@@ -22,7 +22,14 @@ from optoperceptron.optics import (
 )
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import RigBackend, energy_per_pulse
-from optoperceptron.runner import build_rig, emulate_run, make_streams, run_energy, simulate_run
+from optoperceptron.runner import (
+    build_rig,
+    emulate_run,
+    make_streams,
+    run_emulate,
+    run_energy,
+    simulate_run,
+)
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
 from optoperceptron.weights import extract_weight
@@ -216,12 +223,17 @@ def test_criterion_8_energy_ledger(tmp_path):
     large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
     in_window = 33e-12 <= small <= 96e-12 and 33e-12 <= large <= 96e-12
 
-    # the energy mode's initialization ledger bills reads at exactly the
-    # configured cost: 10 backgrounds + 10 initial reads
-    run_energy(cfg, tmp_path, 0)
-    energy_ledger = json.loads((tmp_path / "ledger.json").read_text())
+    # the energy mode writes the emulate run's own ledger, byte for byte,
+    # billing 10 backgrounds + 10 initial reads + one read per updated site
+    run_energy(cfg, tmp_path / "energy", 0)
+    run_emulate(cfg, tmp_path / "emulate", 0)
+    energy_bytes = (tmp_path / "energy" / "ledger.json").read_bytes()
+    energy_ledger = json.loads(energy_bytes)
+    trace = json.loads((tmp_path / "emulate" / "trace.json").read_text())
+    emulate_updated = sum(len(s["pulses"]) for s in trace["steps"] if s["pulses"])
     energy_exact = (
-        energy_ledger["read_events"] == 20
+        energy_bytes == (tmp_path / "emulate" / "ledger.json").read_bytes()
+        and energy_ledger["read_events"] == 20 + emulate_updated
         and energy_ledger["read_energy_j"] == energy_ledger["read_events"] * 0.4e-9
     )
 

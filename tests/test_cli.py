@@ -156,6 +156,7 @@ def test_unconverged_run_still_exits_zero(tmp_path, capsys):
         "rig.write_polarization = left",
         "rig.reread_threshold = true",
         "trainer.reset_weights_on_raise = true",
+        "energy.include_initialization = true",
     ],
     ids=lambda line: line.split(" =")[0],
 )
@@ -165,6 +166,31 @@ def test_removed_keys_are_unknown(tmp_path, capsys, line):
     bad.write_text(line + "\n")
     assert main(["energy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_energy_ledger_reconciles_with_the_emulate_run(tmp_path, capsys, seed):
+    # energy's ledger bills exactly the packets and reads of the emulate run
+    assert main(["energy", "--seed", str(seed), "--out", str(tmp_path / "energy")]) == 0
+    assert main(["emulate", "--seed", str(seed), "--out", str(tmp_path / "emulate")]) == 0
+    ledger = json.loads((tmp_path / "energy" / "ledger.json").read_text())
+    summary = json.loads((tmp_path / "energy" / "summary.json").read_text())
+    resolved = dict(
+        line.split(" = ")
+        for line in read_lines(tmp_path / "energy" / "config.resolved.txt")[1:]
+    )
+    trace = json.loads((tmp_path / "emulate" / "trace.json").read_text())
+    curve = read_lines(tmp_path / "emulate" / "learning_curve.csv")[2:]
+
+    updates = [s["pulses"] for s in trace["steps"] if s["pulses"]]
+    assert summary["training_steps"] == len(trace["steps"])
+    assert ledger["read_events"] == summary["read_events"] == 20 + sum(map(len, updates))
+    n_init = 9 * int(resolved["rig.init_weight_packets"]) + int(resolved["rig.init_threshold_packets"])
+    learning = int(resolved["rig.learning_packets"]) * sum(map(len, updates))
+    assert len(ledger["write_events"]) == n_init + learning
+    init_pulses = sum(e["pulses"] for e in ledger["write_events"][:n_init])
+    training_pulses = sum(int(row.split(",")[-1]) for row in curve if row.split(",")[-1])
+    assert ledger["total_pulses"] == summary["total_pulses"] == init_pulses + training_pulses
 
 
 def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
@@ -190,8 +216,10 @@ def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
         ),
         # no light at all: every read would be the dark level plus noise
         ("camera.exposure_ms = 0\n", "camera.exposure_ms"),
+        # the 3x3 grid reaches x = 186.5 um on a 166 um wide sensor
+        ("rig.site_spacing_um = 100\n", "outside the sensor"),
     ],
-    ids=["clipped", "dead", "zero-exposure"],
+    ids=["clipped", "dead", "zero-exposure", "off-sensor"],
 )
 def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message):
     cfg = tmp_path / "degenerate.cfg"

@@ -86,6 +86,16 @@ def test_cross_validation_dark_offset_vs_full_well():
     assert cfg["camera.dark_offset"] == 1022.0
 
 
+def test_cross_validation_spot_vs_waist():
+    # the area fraction (d / waist)^2 would bill more than the whole pulse
+    with pytest.raises(ConfigurationError, match="rig.spot_diameter_um 300.0 exceeds"):
+        load_config(overrides={"rig.spot_diameter_um": "300"})
+    with pytest.raises(ConfigurationError, match="energy.spot_large_um 200.0 exceeds"):
+        load_config(overrides={"energy.spot_large_um": "200"})
+    cfg = load_config(overrides={"rig.spot_diameter_um": "100", "energy.spot_large_um": "100"})
+    assert cfg["rig.spot_diameter_um"] == cfg["energy.waist_um"]
+
+
 def test_bitmaps_file_loading(tmp_path):
     path = tmp_path / "glyphs.txt"
     path.write_text("111\n000\n111\n\n100\n100\n100\n\n001\n001\n001\n")
@@ -185,7 +195,6 @@ KEY_CASES = {
     "energy.spot_small_um": ("20", "energy", {}),
     "energy.spot_large_um": ("45", "energy", {}),
     "energy.read_nj": ("0.5", "energy", {}),
-    "energy.include_initialization": ("false", "energy", {}),
     "sweep.seeds": ("3", "sweep", {}),
     "sweep.mode": ("emulate", "sweep", {}),
 }

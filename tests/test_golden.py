@@ -60,6 +60,12 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == golden[name]
 
 
+def test_energy_ledger_is_the_emulate_ledger():
+    # energy writes the ledger of the emulate run at the same (config, seed)
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["energy"]["ledger.json"] == golden["emulate"]["ledger.json"]
+
+
 if __name__ == "__main__":
     digests = {}
     for case in sorted(CASES):

@@ -151,8 +151,9 @@ def test_fully_written_site_reads_dark_area():
     total = rig.read_sites([0])[0]
     dark = cfg["camera.dark_offset"]
     n_spot = int(rig._window_mask.sum())
-    n_out = rig.window_roi.n_pixels - n_spot
-    bright = rig.background_sums[0] / rig.window_roi.n_pixels
+    n_px = rig.window_roi.width * rig.window_roi.height
+    n_out = n_px - n_spot
+    bright = rig.background_sums[0] / n_px
     assert total == n_spot * dark + n_out * bright
 
 
@@ -164,7 +165,7 @@ def test_fully_written_covering_spot_reads_pure_dark():
 
     rig._write_packets(5, Helicity.WRITE, 50)
     total = rig.read_sites([5])[5]
-    assert total == cfg["camera.dark_offset"] * rig.window_roi.n_pixels
+    assert total == cfg["camera.dark_offset"] * rig.window_roi.width * rig.window_roi.height
 
 
 def test_read_is_pure_without_writes():
@@ -281,7 +282,7 @@ def test_rig_backend_output_sums_active_contributions():
     backend = RigBackend(rig, config)
     dataset = build_dataset(cfg.bitmaps)
     pattern = dataset.training[0]
-    state = backend.weight_state()
+    state = backend.rig.weight_state()
     expected = sum(state.contribution(i) for i in pattern.active_indices)
     assert backend.output(pattern) == pytest.approx(expected)
 

@@ -225,7 +225,7 @@ def test_trace_json_shape():
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(1)))
     import json
 
-    payload = json.loads(trace.to_json())
+    payload = json.loads(json.dumps(trace.to_json_dict()))
     assert payload["summary"]["total_steps"] == trace.total_steps
     assert len(payload["steps"]) == trace.total_steps
 

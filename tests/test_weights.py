@@ -108,7 +108,7 @@ def test_weight_state_from_sums():
 
 def test_weight_state_json_roundtrip():
     state = WeightState.from_sums([1000] * 9, [500] * 9, 2000, 100)
-    payload = json.loads(state.to_json())
+    payload = json.loads(json.dumps(state.to_json_dict()))
     assert payload["weights"] == [0.5] * 9
     assert payload["threshold"] == 1900
     assert payload["clamped_low"] == 0
