@@ -29,6 +29,25 @@ CASES = {
     "emulate": (["emulate", "--seed", "7"], None),
     "emulate-verbose-frames": (["emulate", "--seed", "7", "--verbose", "--frames"], None),
     "emulate-max-epochs-3": (["emulate", "--seed", "7"], "trainer.max_epochs = 3\n"),
+    # The readout and shutter fast paths branch on these; each keeps
+    # trainer.max_epochs = 3 so the case stays cheap.
+    "emulate-jitter-time": (
+        ["emulate", "--seed", "7"],
+        "trainer.max_epochs = 3\nshutter.jitter_mode = time\n",
+    ),
+    "emulate-jitter-off": (
+        ["emulate", "--seed", "7"],
+        "trainer.max_epochs = 3\nshutter.jitter_enabled = false\n",
+    ),
+    "emulate-read-noise-0": (
+        ["emulate", "--seed", "7"],
+        "trainer.max_epochs = 3\ncamera.read_noise = 0\n",
+    ),
+    # Saturated spots clip at 0 counts.
+    "emulate-dark-offset-0": (
+        ["emulate", "--seed", "7"],
+        "trainer.max_epochs = 3\ncamera.dark_offset = 0\n",
+    ),
     "dataset": (["dataset", "--seed", "7"], None),
     "energy": (["energy", "--seed", "7"], None),
     "sweep": (["sweep", "--seed", "7"], None),
