@@ -38,12 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument(
-            "--frames", action="store_true", help="dump PGM frames (emulate mode)"
-        )
-        p.add_argument(
-            "--verbose", action="store_true", help="full trace plus weight snapshots"
-        )
+        if mode == "emulate":
+            # Only emulate writes these artifacts; other modes reject the flags.
+            p.add_argument("--frames", action="store_true", help="dump PGM frames")
+            p.add_argument(
+                "--verbose", action="store_true", help="full trace plus weight snapshots"
+            )
         if mode == "sweep":
             p.add_argument("--seeds", type=int, default=None, help="override sweep.seeds")
     return parser
@@ -54,9 +54,9 @@ def main(argv=None) -> int:
     overrides: dict[str, str] = {}
     if args.seed is not None:
         overrides["run.seed"] = str(args.seed)
-    if args.frames:
+    if getattr(args, "frames", False):
         overrides["run.dump_frames"] = "true"
-    if args.verbose:
+    if getattr(args, "verbose", False):
         overrides["run.trace_verbosity"] = "2"
     if getattr(args, "seeds", None) is not None:
         overrides["sweep.seeds"] = str(args.seeds)

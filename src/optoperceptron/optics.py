@@ -195,16 +195,17 @@ def expose_frames(
     background state. One read-noise draw covers every frame, so an rng is
     required when read noise is enabled. Returns the integer counts, clipped
     to [0, full_well], as a float64 (n_frames, height, width) stack, and
-    whether any pixel clipped.
+    whether any pixel clipped at the full well. The clip pass runs only when
+    the rounded stack's minimum is below 0 or its maximum above the full
+    well; otherwise the stack is already in range.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if camera.read_noise > 0 and rng is None:
         raise ValueError("an rng is required when read noise is enabled")
-    intensity = np.full(
+    base = np.full(
         (camera.height, camera.width),
-        analyzer_intensity(0.0, constants),
-        dtype=np.float64,
+        _noiseless_counts(analyzer_intensity(0.0, constants), camera),
     )
     for idx, (site, spot) in enumerate(sites):
         if not camera.in_field(spot.center_x_um, spot.center_y_um):
@@ -215,11 +216,11 @@ def expose_frames(
         if spot.diameter_um == 0:
             continue
         mask = masks[idx] if masks is not None else spot_pixel_mask(spot, camera)
-        intensity[mask] = (
+        base[mask] = _noiseless_counts(
             site.params.background_gain
-            * analyzer_intensity(site.written_fraction, constants)
+            * analyzer_intensity(site.written_fraction, constants),
+            camera,
         )
-    base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
     shape = (n_frames, camera.height, camera.width)
     if camera.read_noise > 0:
         counts = rng.normal(0.0, camera.read_noise, size=shape)
@@ -227,20 +228,31 @@ def expose_frames(
     else:
         counts = np.broadcast_to(base, shape).copy()
     np.rint(counts, out=counts)
-    clipped = bool((counts > camera.full_well).any())
-    np.clip(counts, 0, camera.full_well, out=counts)
+    full_well = camera.full_well
+    clipped = bool(counts.max() > full_well)
+    if clipped or counts.min() < 0:
+        np.clip(counts, 0, full_well, out=counts)
     return counts, clipped
+
+
+def _noiseless_counts(intensity: float, camera: CameraConfig) -> float:
+    """Mean counts of a pixel at the given probe intensity, before rounding."""
+    return camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
 
 
 def average_frames(counts: np.ndarray) -> np.ndarray:
     """Per-pixel mean of a (frames, height, width) stack, rounded to counts.
 
     The float64 sums of at most 1000 frames of counts below 2**32 are exact,
-    so the mean does not depend on the summation order.
+    so the mean does not depend on the summation order. Integer stacks are
+    accepted too.
     """
     if counts.ndim != 3:
         raise ValueError(f"expected a (frames, height, width) stack, got shape {counts.shape}")
-    return np.rint(counts.mean(axis=0)).astype(np.int64)
+    mean = counts.sum(axis=0, dtype=np.float64)
+    mean /= counts.shape[0]
+    np.rint(mean, out=mean)
+    return mean.astype(np.int64)
 
 
 def integrate_roi(counts: np.ndarray, roi: Roi) -> int:

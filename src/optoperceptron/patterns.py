@@ -9,6 +9,7 @@ The first variant of every class is held out for testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigurationError
 
@@ -75,7 +76,7 @@ class Pattern:
                 f"variant {self.variant_index} must have role {expected_role!r}"
             )
 
-    @property
+    @cached_property
     def active_indices(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.inputs) if x == 1)
 

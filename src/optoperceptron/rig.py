@@ -59,22 +59,24 @@ class ShutterModel:
             raise ConfigurationError("jitter_mode must be 'relative' or 'time'")
 
 
-def shutter_event(rng: np.random.Generator, model: ShutterModel) -> int:
-    """Pulses delivered by one shutter opening; always at least 1.
+def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> list[int]:
+    """Pulses delivered by n shutter openings; each at least 1.
 
-    "time" derives the count from a uniformly drawn opening time at the
+    "time" derives each count from a uniformly drawn opening time at the
     repetition rate; "relative" scales the nominal packet by a uniform
-    factor in (0, 1], mirroring the learning-rate range.
+    factor in (0, 1], mirroring the learning-rate range. One batched draw
+    yields the same values as n scalar draws; disabled jitter draws nothing.
     """
     if not model.jitter_enabled:
-        return model.nominal_packet_pulses
+        return [model.nominal_packet_pulses] * n
     if model.jitter_mode == "time":
-        opening_s = rng.uniform(model.open_time_min_ms, model.open_time_max_ms) / 1000.0
-        count = int(round(model.repetition_rate_hz * opening_s))
+        rate = model.repetition_rate_hz
+        openings_ms = rng.uniform(model.open_time_min_ms, model.open_time_max_ms, n)
+        counts = [round(rate * (ms / 1000.0)) for ms in openings_ms.tolist()]
     else:
-        factor = 1.0 - rng.random()  # (0, 1]
-        count = int(round(model.nominal_packet_pulses * factor))
-    return max(count, 1)
+        nominal = model.nominal_packet_pulses
+        counts = [round(nominal * (1.0 - u)) for u in rng.random(n).tolist()]  # (0, 1]
+    return [max(c, 1) for c in counts]
 
 
 def energy_per_pulse(beam: BeamConfig, diameter_um: float) -> float:
@@ -102,10 +104,11 @@ class EnergyLedger:
     write_events: list[WriteEvent] = field(default_factory=list)
     read_events: int = 0
 
-    def add_write(self, site: str, pulses: int, per_pulse_j: float) -> None:
-        if pulses < 0 or per_pulse_j < 0:
+    def add_writes(self, site: str, pulses: Sequence[int], per_pulse_j: float) -> None:
+        """One write event per packet, in delivery order."""
+        if per_pulse_j < 0 or any(p < 0 for p in pulses):
             raise ValueError("pulses and per-pulse energy must be >= 0")
-        self.write_events.append(WriteEvent(site, pulses, per_pulse_j))
+        self.write_events.extend(WriteEvent(site, p, per_pulse_j) for p in pulses)
 
     def add_reads(self, n: int = 1) -> None:
         if n < 0:
@@ -312,16 +315,18 @@ class Rig:
         sequencing events land in the run trace.
         """
         label = self.label(index)
-        self.events.append(("stage_move", label))
-        self.events.append(("ps2", "blocking"))
-        delivered = []
-        for _ in range(n_packets):
-            pulses = shutter_event(self.shutter_rng, self.shutter)
-            self.sites[index] = apply_packet(self.sites[index], helicity, pulses)
-            self.ledger.add_write(label, pulses, self.per_pulse_write_j)
-            self.events.append(("shutter", label, helicity.value, pulses))
-            delivered.append(pulses)
-        self.events.append(("ps2", "open"))
+        events = self.events
+        events.append(("stage_move", label))
+        events.append(("ps2", "blocking"))
+        delivered = shutter_pulses(self.shutter_rng, self.shutter, n_packets)
+        site = self.sites[index]
+        tag = helicity.value
+        for pulses in delivered:
+            site = apply_packet(site, helicity, pulses)
+            events.append(("shutter", label, tag, pulses))
+        self.sites[index] = site
+        self.ledger.add_writes(label, delivered, self.per_pulse_write_j)
+        events.append(("ps2", "open"))
         return delivered
 
     def apply_learning_update(
@@ -414,9 +419,10 @@ class RigBackend:
             self.snapshots.append(self._state.to_json_dict())
 
     def output(self, pattern: Pattern) -> float:
+        contributions = self._state.contributions
         total = 0.0
         for i in pattern.active_indices:
-            total += self._state.contribution(i)
+            total += contributions[i]
         return total
 
     def threshold(self) -> float:

@@ -89,6 +89,7 @@ class WeightState:
     threshold_background: float
     threshold_written: float
     threshold: float
+    contributions: tuple[float, ...]  # I_B - I_W per site, unclamped
     clamp_diagnostics: ClampDiagnostics = field(default_factory=ClampDiagnostics)
 
     @classmethod
@@ -107,6 +108,9 @@ class WeightState:
         weights = tuple(
             extract_weight(b, w, diagnostics) for b, w in zip(backgrounds, writtens)
         )
+        contributions = tuple(
+            gated_contribution(1, b, w) for b, w in zip(backgrounds, writtens)
+        )
         return cls(
             background_sums=backgrounds,
             written_sums=writtens,
@@ -114,13 +118,8 @@ class WeightState:
             threshold_background=float(threshold_background),
             threshold_written=float(threshold_written),
             threshold=extract_threshold(threshold_background, threshold_written),
+            contributions=contributions,
             clamp_diagnostics=diagnostics,
-        )
-
-    def contribution(self, index: int) -> float:
-        """Count-scale weighted input of site `index` for an active bit."""
-        return gated_contribution(
-            1, self.background_sums[index], self.written_sums[index]
         )
 
     def to_json_dict(self) -> dict:

@@ -109,6 +109,18 @@ def test_sweep_mode(tmp_path):
     assert summary["seeds"] == 5
 
 
+@pytest.mark.parametrize("mode", ["simulate", "dataset", "energy", "sweep"])
+def test_emulate_only_flags_rejected_by_other_modes(mode, tmp_path, capsys):
+    # only emulate writes PGM frames and weight snapshots
+    out = tmp_path / "out"
+    for flag in ("--verbose", "--frames"):
+        with pytest.raises(SystemExit) as exc:
+            main([mode, flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("trainer.eta_max = -1\n")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
@@ -231,6 +231,78 @@ def test_kernel_matches_per_frame_reference(camera):
     )
     if camera.bit_depth == 8:
         assert clipped and (counts == 0).any()
+
+
+def reference_expose_frames(n_frames, sites, constants, camera, rng):
+    """The kernel before its scalar base image and conditional clip: an
+    intensity image, four full-array passes to counts, an unconditional clip."""
+    intensity = np.full(
+        (camera.height, camera.width), analyzer_intensity(0.0, constants), dtype=np.float64
+    )
+    for site, spot in sites:
+        intensity[spot_pixel_mask(spot, camera)] = (
+            site.params.background_gain * analyzer_intensity(site.written_fraction, constants)
+        )
+    base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
+    shape = (n_frames, camera.height, camera.width)
+    if camera.read_noise > 0:
+        counts = rng.normal(0.0, camera.read_noise, size=shape)
+        counts += base
+    else:
+        counts = np.broadcast_to(base, shape).copy()
+    np.rint(counts, out=counts)
+    clipped = bool((counts > camera.full_well).any())
+    np.clip(counts, 0, camera.full_well, out=counts)
+    return counts, clipped
+
+
+def reference_average_frames(counts):
+    return np.rint(counts.mean(axis=0)).astype(np.int64)
+
+
+KERNEL_CASE = dict(
+    n_frames=10, fractions=[1.0, 0.4], gains=[1.0, 1.1], camera_gain=100.0,
+    dark=600.0, bit_depth=16, noise=50.0, use_masks=True, roi=(0, 0, 20, 18),
+)
+
+
+@example(**KERNEL_CASE)
+@example(**{**KERNEL_CASE, "dark": 0.0})  # saturated spots clip at 0 counts
+@example(**{**KERNEL_CASE, "bit_depth": 8, "dark": 30.0, "camera_gain": 1.0})
+@example(**{**KERNEL_CASE, "noise": 0.0, "use_masks": False})
+@given(
+    n_frames=st.integers(1, 12),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=2),
+    gains=st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
+    camera_gain=st.floats(0.5, 300.0),
+    dark=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
+    bit_depth=st.sampled_from([8, 12, 16]),
+    noise=st.one_of(st.just(0.0), st.floats(0.1, 200.0)),
+    use_masks=st.booleans(),
+    roi=st.tuples(st.integers(0, 9), st.integers(0, 8), st.integers(1, 11), st.integers(1, 10)),
+)
+def test_kernel_matches_reference_byte_for_byte(
+    n_frames, fractions, gains, camera_gain, dark, bit_depth, noise, use_masks, roi
+):
+    camera = window_camera(noise=noise, dark=dark, gain=camera_gain, bit_depth=bit_depth)
+    spots = [SpotGeometry(6.0, 9.0, 8.0), SpotGeometry(13.0, 9.0, 8.0)]  # overlapping
+    sites = [(site_at(m, g), spot) for m, g, spot in zip(fractions, gains, spots)]
+    masks = [spot_pixel_mask(spot, camera) for _, spot in sites] if use_masks else None
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    counts, clipped = expose_frames(n_frames, sites, CONSTANTS, camera, rng, masks=masks)
+    ref_counts, ref_clipped = reference_expose_frames(n_frames, sites, CONSTANTS, camera, ref_rng)
+    assert counts.dtype == ref_counts.dtype and counts.shape == ref_counts.shape
+    assert counts.tobytes() == ref_counts.tobytes()
+    assert clipped == ref_clipped
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for stack in (counts, counts.astype(np.int64), counts.astype(np.uint16)):
+        mean = average_frames(stack)
+        ref_mean = reference_average_frames(stack)
+        assert mean.dtype == ref_mean.dtype and mean.tobytes() == ref_mean.tobytes()
+    region = Roi(*roi)
+    total = integrate_roi(mean, region)
+    ref_total = int(mean[region.y : region.y + region.height, region.x : region.x + region.width].sum())
+    assert type(total) is int and total == ref_total
 
 
 def test_integrate_uniform_roi():

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from optoperceptron import rig as rig_module
 from optoperceptron.config import load_config
 from optoperceptron.optics import BeamConfig
 from optoperceptron.patterns import build_dataset
@@ -13,9 +16,9 @@ from optoperceptron.rig import (
     ShutterModel,
     THRESHOLD_SITE,
     energy_per_pulse,
-    shutter_event,
+    shutter_pulses,
 )
-from optoperceptron.runner import build_rig, make_streams
+from optoperceptron.runner import build_rig, emulate_run, make_streams
 from optoperceptron.synapse import response_curve
 from optoperceptron.trainer import Action, evaluate_patterns, train
 
@@ -40,7 +43,7 @@ def make_rig(seed=0, **extra):
 def test_time_derived_counts_match_opening_window():
     model = ShutterModel(jitter_mode="time")
     rng = np.random.default_rng(0)
-    counts = [shutter_event(rng, model) for _ in range(500)]
+    counts = shutter_pulses(rng, model, 500)
     assert all(15 <= c <= 25 for c in counts)
     assert len(set(counts)) > 3
 
@@ -48,13 +51,13 @@ def test_time_derived_counts_match_opening_window():
 def test_degenerate_opening_window():
     model = ShutterModel(open_time_min_ms=20, open_time_max_ms=20, jitter_mode="time")
     rng = np.random.default_rng(0)
-    assert all(shutter_event(rng, model) == 20 for _ in range(20))
+    assert shutter_pulses(rng, model, 20) == [20] * 20
 
 
 def test_relative_jitter_range_and_floor():
     model = ShutterModel(jitter_mode="relative")
     rng = np.random.default_rng(1)
-    counts = [shutter_event(rng, model) for _ in range(2000)]
+    counts = shutter_pulses(rng, model, 2000)
     assert all(1 <= c <= 50 for c in counts)
     assert min(counts) < 10  # the factor really spans (0, 1]
     assert max(counts) > 45
@@ -63,14 +66,57 @@ def test_relative_jitter_range_and_floor():
 def test_jitter_disabled_is_nominal():
     model = ShutterModel(jitter_enabled=False)
     rng = np.random.default_rng(2)
-    assert all(shutter_event(rng, model) == 50 for _ in range(10))
+    assert shutter_pulses(rng, model, 10) == [50] * 10
 
 
 def test_shutter_deterministic_per_seed():
     model = ShutterModel()
-    a = [shutter_event(np.random.default_rng(7), model) for _ in range(1)]
-    b = [shutter_event(np.random.default_rng(7), model) for _ in range(1)]
+    a = shutter_pulses(np.random.default_rng(7), model, 5)
+    b = shutter_pulses(np.random.default_rng(7), model, 5)
     assert a == b
+
+
+def scalar_shutter_event(rng, model):
+    """One packet's pulse count from its own scalar draw."""
+    if not model.jitter_enabled:
+        return model.nominal_packet_pulses
+    if model.jitter_mode == "time":
+        opening_s = rng.uniform(model.open_time_min_ms, model.open_time_max_ms) / 1000.0
+        count = int(round(model.repetition_rate_hz * opening_s))
+    else:
+        factor = 1.0 - rng.random()
+        count = int(round(model.nominal_packet_pulses * factor))
+    return max(count, 1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    mode=st.sampled_from(["relative", "time"]),
+    enabled=st.booleans(),
+    nominal=st.integers(1, 400),
+    open_min_ms=st.floats(0.01, 40.0),
+    open_span_ms=st.floats(0.0, 40.0),
+    rate_hz=st.floats(1.0, 1e5),
+)
+def test_batched_shutter_draw_equals_scalar_draws(
+    seed, n, mode, enabled, nominal, open_min_ms, open_span_ms, rate_hz
+):
+    model = ShutterModel(
+        open_time_min_ms=open_min_ms,
+        open_time_max_ms=open_min_ms + open_span_ms,
+        repetition_rate_hz=rate_hz,
+        nominal_packet_pulses=nominal,
+        jitter_mode=mode,
+        jitter_enabled=enabled,
+    )
+    batched_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = shutter_pulses(batched_rng, model, n)
+    assert batched == [scalar_shutter_event(scalar_rng, model) for _ in range(n)]
+    assert all(type(c) is int for c in batched)
+    assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+    if not enabled:
+        assert batched_rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 # -- energy -------------------------------------------------------------------
@@ -101,7 +147,7 @@ def test_ledger_totals_additive_and_order_independent():
     for perm in itertools.permutations(events):
         ledger = EnergyLedger(per_read_j=0.4e-9)
         for site, pulses, cost in perm:
-            ledger.add_write(site, pulses, cost)
+            ledger.add_writes(site, [pulses], cost)
         ledger.add_reads(3)
         totals.add((ledger.total_pulses, ledger.write_energy_j, ledger.read_energy_j))
     assert len(totals) == 1
@@ -121,7 +167,7 @@ def test_initialization_saturates_weight_sites():
     # identical sites, noiseless: every weight sits at the same maximum,
     # the spot's share of the ROI darkening
     assert len(set(state.weights)) == 1
-    expected = state.contribution(0) / state.background_sums[0]
+    expected = state.contributions[0] / state.background_sums[0]
     assert state.weights[0] == pytest.approx(expected)
     assert state.weights[0] > 0.2
 
@@ -247,7 +293,7 @@ def test_threshold_to_weight_ratio_in_linear_region():
         }
     )
     state = rig.initialize_network()
-    weight_counts = state.contribution(0)
+    weight_counts = state.contributions[0]
     ratio = state.threshold / weight_counts
     assert ratio == pytest.approx(5.0, rel=1e-3)
     # matches the simulation-mode convention b0 / w0 = 2.5 / 0.5
@@ -283,8 +329,10 @@ def test_rig_backend_output_sums_active_contributions():
     dataset = build_dataset(cfg.bitmaps)
     pattern = dataset.training[0]
     state = backend.rig.weight_state()
-    expected = sum(state.contribution(i) for i in pattern.active_indices)
-    assert backend.output(pattern) == pytest.approx(expected)
+    expected = 0.0
+    for i in pattern.active_indices:  # the backend's summation order
+        expected += state.contributions[i]
+    assert backend.output(pattern) == expected
 
 
 def test_rig_backend_threshold_raise_is_multiplicative():
@@ -340,3 +388,30 @@ def test_emulated_training_converges_on_reduced_linear_set():
     assert trace.converged
     assert all(s.action == "accept" for s in trace.steps[-len(reduced):])
     assert min(backend.weights()) >= 0.0
+
+
+# -- trace contract ---------------------------------------------------------------
+
+def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch):
+    # The benchmark's per-layer trace counts packets and renders by wrapping
+    # rig.apply_packet and rig.expose_frames; a path that bypasses either
+    # name would read as a speed-up instead of failing its completeness check.
+    calls = {"packets": 0, "pulses": 0, "renders": 0}
+    apply_packet, expose_frames = rig_module.apply_packet, rig_module.expose_frames
+
+    def counted_apply_packet(site, helicity, pulse_count):
+        calls["packets"] += 1
+        calls["pulses"] += pulse_count
+        return apply_packet(site, helicity, pulse_count)
+
+    def counted_expose_frames(*args, **kwargs):
+        calls["renders"] += 1
+        return expose_frames(*args, **kwargs)
+
+    monkeypatch.setattr(rig_module, "apply_packet", counted_apply_packet)
+    monkeypatch.setattr(rig_module, "expose_frames", counted_expose_frames)
+    cfg = load_config(overrides={"trainer.max_epochs": "3"})
+    ledger = emulate_run(cfg, 7).rig.ledger
+    assert calls["packets"] == len(ledger.write_events) > 0
+    assert calls["pulses"] == ledger.total_pulses
+    assert calls["renders"] == ledger.read_events > 0

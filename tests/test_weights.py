@@ -103,7 +103,8 @@ def test_weight_state_from_sums():
     assert state.weights[8] == 0.0  # clamped
     assert state.clamp_diagnostics.low == 1
     assert state.threshold == 1500
-    assert state.contribution(0) == 400
+    assert state.contributions[0] == 400
+    assert state.contributions[8] == -50  # unclamped, unlike the weight
 
 
 def test_weight_state_json_roundtrip():
