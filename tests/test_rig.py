@@ -157,6 +157,16 @@ def test_ledger_totals_additive_and_order_independent():
     assert read_j == 3 * 0.4e-9
 
 
+def test_ledger_rejects_negative_writes_whole():
+    ledger = EnergyLedger()
+    ledger.add_writes("w1", [3, 4], 1e-12)
+    with pytest.raises(ValueError):
+        ledger.add_writes("w2", [5, -1], 1e-12)
+    with pytest.raises(ValueError):
+        ledger.add_writes("w2", [5], -1e-12)
+    assert [(e.site, e.pulses) for e in ledger.write_events] == [("w1", 3), ("w1", 4)]
+
+
 # -- rig sequencing -----------------------------------------------------------
 
 def test_initialization_saturates_weight_sites():
