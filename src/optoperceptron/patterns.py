@@ -96,9 +96,13 @@ class Dataset:
             n_test = sum(1 for p in self.testing if p.class_label == cls)
             if n_train != 8 or n_test != 1:
                 raise ValueError(f"class {cls!r} must have 8 train + 1 test patterns")
-        train_inputs = {p.inputs for p in self.training}
-        if any(p.inputs in train_inputs for p in self.testing):
-            raise ValueError("a pattern appears in both training and testing")
+        train_ids = {p.inputs: p.pattern_id for p in self.training}
+        for p in self.testing:
+            if p.inputs in train_ids:
+                raise ConfigurationError(
+                    f"held-out pattern {p.pattern_id} equals training pattern "
+                    f"{train_ids[p.inputs]}: a pattern appears in both training and testing"
+                )
 
 
 def ideal_patterns(bitmaps=None) -> list[Pattern]:

@@ -29,7 +29,7 @@ from .optics import (
     spot_pixel_mask,
 )
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import Action, Pattern, TrainerConfig, UpdateRecord
+from .trainer import Action, Pattern, TrainerConfig, UpdateRecord, pattern_output
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
@@ -419,11 +419,7 @@ class RigBackend:
             self.snapshots.append(self._state.to_json_dict())
 
     def output(self, pattern: Pattern) -> float:
-        contributions = self._state.contributions
-        total = 0.0
-        for i in pattern.active_indices:
-            total += contributions[i]
-        return total
+        return pattern_output(self._state.contributions, pattern)
 
     def threshold(self) -> float:
         return self._state.threshold * self._raise_factor

@@ -99,9 +99,8 @@ class RunResult:
         return s
 
 
-def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
+def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
     streams = make_streams(seed)
-    dataset = build_dataset(cfg.bitmaps)
     trainer_cfg = cfg.trainer_config()
     backend = VectorBackend(trainer_cfg, rng=streams.eta)
     pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
@@ -111,9 +110,8 @@ def simulate_run(cfg: RunConfig, seed: int) -> RunResult:
     return RunResult("simulate", seed, dataset, trace, pre, post_train, post_test)
 
 
-def emulate_run(cfg: RunConfig, seed: int) -> RunResult:
+def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
     streams = make_streams(seed)
-    dataset = build_dataset(cfg.bitmaps)
     trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, streams)
     backend = RigBackend(rig, trainer_cfg, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
@@ -241,13 +239,13 @@ def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> Non
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    result = simulate_run(cfg, seed)
+    result = simulate_run(cfg, seed, build_dataset(cfg.bitmaps))
     write_run_artifacts(result, cfg, out_dir)
     return result.summary()
 
 
 def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    result = emulate_run(cfg, seed)
+    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
     write_run_artifacts(result, cfg, out_dir)
     return result.summary()
 
@@ -271,7 +269,7 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     """Per-pulse write energies and the energy ledger of the emulate run: its
     ledger.json is byte-identical to that of emulate at the same (config, seed)."""
-    result = emulate_run(cfg, seed)
+    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
     ledger = result.rig.ledger
     beam = cfg.energy_beam()
     small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
@@ -308,11 +306,12 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     """Per-seed convergence summaries; seeds are base_seed + i."""
     mode = cfg["sweep.mode"]
     runner = simulate_run if mode == "simulate" else emulate_run
+    dataset = build_dataset(cfg.bitmaps)
     rows = []
     converged_steps = []
     for i in range(cfg["sweep.seeds"]):
         run_seed = seed + i
-        result = runner(cfg, run_seed)
+        result = runner(cfg, run_seed, dataset)
         rows.append(
             [
                 run_seed,

@@ -51,12 +51,21 @@ class TrainerConfig:
 
 
 def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
-    """Weighted sum of the pattern's inputs."""
+    """Weighted sum of the pattern's 0/1 inputs; both backends evaluate with it.
+
+    Only the active inputs are summed, in index order from 0.0. That is
+    bit-identical to the full sum of w * x: w * 1 is exact, a skipped
+    w * 0 is +-0.0, which leaves a nonzero partial sum unchanged, and a
+    zero partial sum is +0.0 either way because 0.0 + (-0.0) is 0.0.
+    """
     if len(weights) != len(pattern.inputs):
         raise ValueError(
             f"weight vector length {len(weights)} != input length {len(pattern.inputs)}"
         )
-    return sum(w * x for w, x in zip(weights, pattern.inputs))
+    total = 0.0
+    for i in pattern.active_indices:
+        total += weights[i]
+    return total
 
 
 def classify(output: float, threshold: float, pattern_class: str, target_class: str) -> Action:
@@ -73,7 +82,11 @@ def classify(output: float, threshold: float, pattern_class: str, target_class: 
 def update_weights(
     weights: Sequence[float], pattern: Pattern, direction: Action, eta: float
 ) -> list[float]:
-    """w_i +- eta * x_i; only the pattern's active inputs move."""
+    """w_i +- eta * x_i; only the pattern's active inputs move.
+
+    Inactive inputs still take their +-0.0 step: a raise turns a -0.0
+    weight (trainer.initial_weight may be -0.0) into +0.0.
+    """
     if direction not in (Action.RAISE_OUTPUT, Action.LOWER_OUTPUT):
         raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
     if eta <= 0:
@@ -89,7 +102,7 @@ def sample_eta(rng: np.random.Generator, eta_max: float) -> float:
     return eta_max * (1.0 - rng.random())
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int
     pattern_id: str
@@ -191,7 +204,7 @@ class VectorBackend:
 
     def __init__(self, config: TrainerConfig, rng: np.random.Generator):
         self.config = config
-        self._weights = [config.initial_weight] * N_INPUTS
+        self._weights = (config.initial_weight,) * N_INPUTS
         self._threshold = config.initial_threshold
         self._rng = rng
 
@@ -206,14 +219,14 @@ class VectorBackend:
             eta = self.config.eta_fixed
         else:
             eta = sample_eta(self._rng, self.config.eta_max)
-        self._weights = update_weights(self._weights, pattern, direction, eta)
+        self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
         return UpdateRecord(eta=eta)
 
     def raise_threshold(self, factor: float) -> None:
         self._threshold *= factor
 
     def weights(self) -> tuple[float, ...]:
-        return tuple(self._weights)
+        return self._weights
 
 
 def train(
@@ -227,30 +240,27 @@ def train(
     an unconverged trace, not an error.
     """
     trace = TrainingTrace()
+    output_of, threshold_of, weights_of = backend.output, backend.threshold, backend.weights
+    record = trace.steps.append
+    target = config.target_class
+    accepted = UpdateRecord()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
         clean = True
         for pattern in patterns:
             step += 1
-            output = backend.output(pattern)
-            threshold = backend.threshold()
-            action = classify(output, threshold, pattern.class_label, config.target_class)
-            update = UpdateRecord()
+            output = output_of(pattern)
+            threshold = threshold_of()
+            action = classify(output, threshold, pattern.class_label, target)
+            update = accepted
             if action is not Action.ACCEPT:
                 clean = False
                 update = backend.apply_update(pattern, action)
-            trace.steps.append(
+            record(
                 StepRecord(
-                    step=step,
-                    pattern_id=pattern.pattern_id,
-                    class_label=pattern.class_label,
-                    output=output,
-                    threshold=threshold,
-                    action=action.value,
-                    eta=update.eta,
-                    pulses=update.pulses,
-                    weights=backend.weights(),
+                    step, pattern.pattern_id, pattern.class_label, output, threshold,
+                    action.value, update.eta, update.pulses, weights_of(),
                 )
             )
         if clean:

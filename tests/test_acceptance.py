@@ -46,7 +46,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def simulate_sweep():
     cfg = load_config()
     start = time.monotonic()
-    results = [simulate_run(cfg, seed) for seed in range(N_SWEEP_SEEDS)]
+    dataset = build_dataset(cfg.bitmaps)
+    results = [simulate_run(cfg, seed, dataset) for seed in range(N_SWEEP_SEEDS)]
     elapsed = time.monotonic() - start
     return results, elapsed
 
@@ -239,7 +240,7 @@ def test_criterion_8_energy_ledger(tmp_path):
 
     # live rig ledger from a short emulated run must bill every actual read
     emu_cfg = load_config(overrides={"trainer.max_epochs": "3"})
-    emu = emulate_run(emu_cfg, 0)
+    emu = emulate_run(emu_cfg, 0, build_dataset(emu_cfg.bitmaps))
     ledger = emu.rig.ledger
     updated_sites = sum(len(s.pulses) for s in emu.trace.steps if s.pulses)
     expected_live_reads = 20 + updated_sites  # 10 backgrounds + 10 init reads
@@ -297,8 +298,13 @@ def test_criterion_10_noise_robustness():
     base = {"trainer.max_epochs": "200"}
     clean_cfg = load_config(overrides={**base, "camera.read_noise": "0"})
     noisy_cfg = load_config(overrides={**base, "camera.read_noise": repr(sigma)})
-    clean = sum(emulate_run(clean_cfg, seed).trace.converged for seed in range(N_SWEEP_SEEDS))
-    noisy = sum(emulate_run(noisy_cfg, seed).trace.converged for seed in range(N_SWEEP_SEEDS))
+    dataset = build_dataset(clean_cfg.bitmaps)
+    clean = sum(
+        emulate_run(clean_cfg, seed, dataset).trace.converged for seed in range(N_SWEEP_SEEDS)
+    )
+    noisy = sum(
+        emulate_run(noisy_cfg, seed, dataset).trace.converged for seed in range(N_SWEEP_SEEDS)
+    )
     clean_rate = clean / N_SWEEP_SEEDS
     noisy_rate = noisy / N_SWEEP_SEEDS
     ok = clean_rate > 0 and noisy_rate >= 0.8 * clean_rate

@@ -48,10 +48,21 @@ CASES = {
         ["emulate", "--seed", "7"],
         "trainer.max_epochs = 3\ncamera.dark_offset = 0\n",
     ),
+    # Default simulate never raises the threshold; this one raises it 28
+    # times with a fixed learning rate and stops unconverged at max_epochs.
+    "simulate-raises": (
+        ["simulate", "--seed", "7"],
+        "trainer.initial_weight = 0.05\ntrainer.initial_threshold = 0.2\n"
+        "trainer.eta_fixed = 0.3\ntrainer.max_epochs = 30\n",
+    ),
+    "simulate-target-z": (["simulate", "--seed", "7"], "trainer.target_class = z\n"),
     "dataset": (["dataset", "--seed", "7"], None),
     "energy": (["energy", "--seed", "7"], None),
     "sweep": (["sweep", "--seed", "7"], None),
-    "sweep-emulate": (["sweep", "--seed", "7"], "sweep.mode = emulate\nsweep.seeds = 3\n"),
+    "sweep-eta-fixed": (
+        ["sweep", "--seed", "7"], "sweep.seeds = 5\ntrainer.eta_fixed = 0.05\n"
+    ),
+    "sweep-emulate":(["sweep", "--seed", "7"], "sweep.mode = emulate\nsweep.seeds = 3\n"),
 }
 
 

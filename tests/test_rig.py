@@ -421,7 +421,7 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch):
     monkeypatch.setattr(rig_module, "apply_packet", counted_apply_packet)
     monkeypatch.setattr(rig_module, "expose_frames", counted_expose_frames)
     cfg = load_config(overrides={"trainer.max_epochs": "3"})
-    ledger = emulate_run(cfg, 7).rig.ledger
+    ledger = emulate_run(cfg, 7, build_dataset(cfg.bitmaps)).rig.ledger
     assert calls["packets"] == len(ledger.write_events) > 0
     assert calls["pulses"] == ledger.total_pulses
     assert calls["renders"] == ledger.read_events > 0

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -39,6 +43,27 @@ def test_output_basis_vector():
 def test_output_length_mismatch():
     with pytest.raises(ValueError):
         pattern_output([0.5] * 8, pat([0] * 9))
+
+
+ALL_INPUT_VECTORS = [pat(bits) for bits in itertools.product((0, 1), repeat=9)]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, 1e300, -1e300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=9,
+        max_size=9,
+    )
+)
+def test_output_is_bit_identical_to_the_full_weighted_sum(weights):
+    # the former formula sum(w * x): a left fold from the int 0, which is what
+    # sum() does with floats up to Python 3.11 (3.12 compensates the rounding)
+    for p in ALL_INPUT_VECTORS:
+        full = float(functools.reduce(operator.add, (w * x for w, x in zip(weights, p.inputs)), 0))
+        assert pattern_output(weights, p).hex() == full.hex()
 
 
 def test_classify_target_above_accepts():
@@ -172,6 +197,22 @@ def test_updates_touch_only_active_indices():
         if record.action == "accept":
             assert not changed
         previous = record.weights
+
+
+@pytest.mark.parametrize("initial_weight", [0.5, -0.0])
+def test_step_records_hold_the_weights_after_each_step(initial_weight):
+    # replaying the recorded updates on a fresh backend reproduces each record
+    dataset = build_dataset()
+    config = TrainerConfig(initial_weight=initial_weight, max_epochs=20)
+    trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(4)))
+    replay = VectorBackend(config, rng=np.random.default_rng(4))
+    by_id = {p.pattern_id: p for p in dataset.training}
+    for record in trace.steps:
+        if record.action != "accept":
+            update = replay.apply_update(by_id[record.pattern_id], Action(record.action))
+            assert update.eta == record.eta
+        assert [w.hex() for w in record.weights] == [w.hex() for w in replay.weights()]
+    assert replay.weights() == trace.final_weights
 
 
 def test_threshold_raise_path():
