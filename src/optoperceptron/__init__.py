@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .errors import ConfigurationError, DegenerateBackgroundError
 from .patterns import Dataset, Pattern, build_dataset
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, response_curve
-from .optics import CameraConfig, Frame, OpticalConstants, Roi, SpotGeometry
-from .weights import WeightState, extract_threshold, extract_weight, gated_contribution
+from .optics import CameraConfig, OpticalConstants, Roi, SpotGeometry
+from .weights import WeightState, extract_threshold, extract_weight
 from .trainer import Action, TrainerConfig, TrainingTrace, train
 from .rig import EnergyLedger, Rig, RigBackend, ShutterModel
 
@@ -23,7 +23,6 @@ __all__ = [
     "Dataset",
     "DegenerateBackgroundError",
     "EnergyLedger",
-    "Frame",
     "Helicity",
     "InhomogeneityParams",
     "OpticalConstants",
@@ -40,7 +39,6 @@ __all__ = [
     "build_dataset",
     "extract_threshold",
     "extract_weight",
-    "gated_contribution",
     "response_curve",
     "train",
     "__version__",

@@ -100,25 +100,6 @@ class CameraConfig:
         )
 
 
-@dataclass
-class Frame:
-    """One camera exposure: integer counts plus acquisition metadata."""
-
-    counts: np.ndarray
-    exposure_s: float
-    pixel_area: float
-    bit_depth: int
-    clipped: bool = False
-
-    @property
-    def width(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.counts.shape[0]
-
-
 @dataclass(frozen=True)
 class Roi:
     """Rectangular pixel region; must lie fully inside the frame it reads."""
@@ -159,24 +140,6 @@ def spot_pixel_mask(spot: SpotGeometry, camera: CameraConfig) -> np.ndarray:
     py = (ys + 0.5) * scale
     r = spot.diameter_um / 2.0
     return (px - spot.center_x_um) ** 2 + (py - spot.center_y_um) ** 2 <= r * r
-
-
-def expose_frame(
-    sites: Sequence[tuple[SynapseSite, SpotGeometry]],
-    constants: OpticalConstants,
-    camera: CameraConfig,
-    rng: np.random.Generator | None = None,
-    masks: Sequence[np.ndarray] | None = None,
-) -> Frame:
-    """Render one frame of the configured sensor window."""
-    counts, clipped = expose_frames(1, sites, constants, camera, rng, masks=masks)
-    return Frame(
-        counts=counts[0].astype(np.int64),
-        exposure_s=camera.exposure_s,
-        pixel_area=camera.pixel_area,
-        bit_depth=camera.bit_depth,
-        clipped=clipped,
-    )
 
 
 def expose_frames(
@@ -285,24 +248,29 @@ class BeamConfig:
         return self.average_power_w / self.repetition_rate_hz
 
 
-def write_pgm(frame: Frame, path) -> None:
-    """Export as 16-bit binary PGM (P5) with a JSON metadata sidecar.
+def write_pgm(counts: np.ndarray, clipped: bool, camera: CameraConfig, path) -> None:
+    """Export one (height, width) frame as 16-bit binary PGM (P5) with a JSON
+    metadata sidecar.
 
-    Both files are written atomically. The sidecar's "clipped" flag is set
-    when the sensor clipped or a count above 65535 was cut to fit.
+    counts and clipped are one frame of expose_frames and its flag; exposure,
+    pixel area and bit depth come from the camera it was rendered with, width
+    and height from counts.shape. Both files are written atomically. The
+    sidecar's "clipped" flag is set when the sensor clipped or a count above
+    65535 was cut to fit.
     """
     path = Path(path)
     maxval = 65535
-    scaled = np.clip(frame.counts, 0, maxval).astype(">u2")
-    clipped = frame.clipped or bool((frame.counts > maxval).any())
-    header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
+    height, width = counts.shape
+    scaled = np.clip(counts, 0, maxval).astype(">u2")
+    clipped = clipped or bool((counts > maxval).any())
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
     atomic_write(path, header + scaled.tobytes())
     meta = {
-        "exposure_s": frame.exposure_s,
-        "pixel_area_um2": frame.pixel_area,
-        "bit_depth": frame.bit_depth,
+        "exposure_s": camera.exposure_s,
+        "pixel_area_um2": camera.pixel_area,
+        "bit_depth": camera.bit_depth,
         "clipped": clipped,
-        "width": frame.width,
-        "height": frame.height,
+        "width": width,
+        "height": height,
     }
     write_json(path.with_suffix(path.suffix + ".json"), meta)

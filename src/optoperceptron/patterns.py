@@ -96,12 +96,20 @@ class Dataset:
             n_test = sum(1 for p in self.testing if p.class_label == cls)
             if n_train != 8 or n_test != 1:
                 raise ValueError(f"class {cls!r} must have 8 train + 1 test patterns")
-        train_ids = {p.inputs: p.pattern_id for p in self.training}
+        train_ids: dict[tuple[int, ...], Pattern] = {}
+        for p in self.training:
+            first = train_ids.setdefault(p.inputs, p)
+            if first.class_label != p.class_label:
+                raise ConfigurationError(
+                    f"training pattern {p.pattern_id} equals training pattern "
+                    f"{first.pattern_id}: one input vector carries two class labels"
+                )
         for p in self.testing:
             if p.inputs in train_ids:
                 raise ConfigurationError(
                     f"held-out pattern {p.pattern_id} equals training pattern "
-                    f"{train_ids[p.inputs]}: a pattern appears in both training and testing"
+                    f"{train_ids[p.inputs].pattern_id}: a pattern appears in both "
+                    "training and testing"
                 )
 
 

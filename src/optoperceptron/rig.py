@@ -9,7 +9,7 @@ realization of the stochastic learning rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,18 +18,16 @@ from .errors import ConfigurationError, DegenerateBackgroundError
 from .optics import (
     BeamConfig,
     CameraConfig,
-    Frame,
     OpticalConstants,
     Roi,
     SpotGeometry,
     average_frames,
-    expose_frame,
     expose_frames,
     integrate_roi,
     spot_pixel_mask,
 )
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import Action, Pattern, TrainerConfig, UpdateRecord, pattern_output
+from .trainer import Action, Pattern, UpdateRecord, pattern_output
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
@@ -218,16 +216,7 @@ class Rig:
         scale = camera.pixel_scale_um
         win_w = max(1, int(rig_config.roi_width_um / scale + 0.5))
         win_h = max(1, int(rig_config.roi_height_um / scale + 0.5))
-        self.window_camera = CameraConfig(
-            width=win_w,
-            height=win_h,
-            pixel_scale_um=scale,
-            exposure_s=camera.exposure_s,
-            gain=camera.gain,
-            dark_offset=camera.dark_offset,
-            read_noise=camera.read_noise,
-            bit_depth=camera.bit_depth,
-        )
+        self.window_camera = replace(camera, width=win_w, height=win_h)
         self.window_spot = SpotGeometry(
             center_x_um=win_w * scale / 2.0,
             center_y_um=win_h * scale / 2.0,
@@ -374,15 +363,16 @@ class Rig:
             self.written_sums[THRESHOLD_SITE],
         )
 
-    def full_frame(self) -> Frame:
-        """Compose all ten sites on the full sensor (for image export)."""
+    def full_frame(self) -> tuple[np.ndarray, bool]:
+        """All ten sites on the full sensor, for image export: counts and clip flag."""
         placed = []
         for i, site in enumerate(self.sites):
             x, y = self.site_position_um(i)
             placed.append(
                 (site, SpotGeometry(x, y, self.config.spot_diameter_um))
             )
-        return expose_frame(placed, self.constants, self.sensor_camera, self.camera_rng)
+        counts, clipped = expose_frames(1, placed, self.constants, self.sensor_camera, self.camera_rng)
+        return counts[0].astype(np.int64), clipped
 
     def site_position_um(self, index: int) -> tuple[float, float]:
         """Layout: 3x3 weight grid plus the threshold area beside it."""
@@ -402,13 +392,12 @@ class RigBackend:
 
     Outputs and the threshold live on the raw counts scale (sums of
     I_B - I_W); the learning rate is realized as shutter-gated pulse
-    packets, never sampled.
+    packets, never sampled. threshold() is the threshold site's read, the
+    value train() starts from. keep_snapshots keeps every weight state.
     """
 
-    def __init__(self, rig: Rig, config: TrainerConfig, keep_snapshots: bool = False):
+    def __init__(self, rig: Rig, keep_snapshots: bool = False):
         self.rig = rig
-        self.config = config
-        self._raise_factor = 1.0
         self._state = rig.initialize_network()
         self.keep_snapshots = keep_snapshots
         self.snapshots: list[dict] = []
@@ -422,7 +411,8 @@ class RigBackend:
         return pattern_output(self._state.contributions, pattern)
 
     def threshold(self) -> float:
-        return self._state.threshold * self._raise_factor
+        # the artifacts print a float; exact, as the int count sum is < 2**53
+        return float(self._state.threshold)
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
         active = pattern.active_indices
@@ -431,9 +421,6 @@ class RigBackend:
         self._state = self.rig.weight_state()
         self._snapshot()
         return UpdateRecord(pulses=tuple(applied[i] for i in active))
-
-    def raise_threshold(self, factor: float) -> None:
-        self._raise_factor *= factor
 
     def weights(self) -> tuple[float, ...]:
         return self._state.weights

@@ -22,8 +22,10 @@ from .optics import write_pgm
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
+    TrainerConfig,
     TrainingTrace,
     VectorBackend,
+    WeightBackend,
     evaluate_patterns,
     train,
 )
@@ -73,13 +75,12 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
 class RunResult:
     mode: str
     seed: int
-    dataset: Dataset
     trace: TrainingTrace
     pre_eval: list[EvalResult]
     post_train_eval: list[EvalResult]
     post_test_eval: list[EvalResult]
+    backend: WeightBackend
     rig: Rig | None = None
-    backend: RigBackend | None = None
 
     @property
     def test_correct(self) -> int:
@@ -100,29 +101,33 @@ class RunResult:
 
 
 def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
-    streams = make_streams(seed)
     trainer_cfg = cfg.trainer_config()
-    backend = VectorBackend(trainer_cfg, rng=streams.eta)
-    pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
-    trace = train(dataset.training, trainer_cfg, backend)
-    post_train = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
-    post_test = evaluate_patterns(backend, dataset.testing, trainer_cfg.target_class)
-    return RunResult("simulate", seed, dataset, trace, pre, post_train, post_test)
+    backend = VectorBackend(trainer_cfg, rng=make_streams(seed).eta)
+    return _train_and_evaluate("simulate", seed, trainer_cfg, backend, dataset)
 
 
 def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
-    streams = make_streams(seed)
     trainer_cfg = cfg.trainer_config()
-    rig = build_rig(cfg, streams)
-    backend = RigBackend(rig, trainer_cfg, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
-    pre = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
+    rig = build_rig(cfg, make_streams(seed))
+    backend = RigBackend(rig, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
+    return _train_and_evaluate("emulate", seed, trainer_cfg, backend, dataset, rig)
+
+
+def _train_and_evaluate(
+    mode: str, seed: int, trainer_cfg: TrainerConfig, backend: WeightBackend,
+    dataset: Dataset, rig: Rig | None = None,
+) -> RunResult:
+    """The run body of both modes. Pre-training bars are judged against the
+    backend's starting threshold, post-training ones against the trained
+    threshold. train and evaluate_patterns are looked up by this module's
+    names, which the benchmark's tracer wraps."""
+    target = trainer_cfg.target_class
+    pre = evaluate_patterns(backend, dataset.training, target, backend.threshold())
     trace = train(dataset.training, trainer_cfg, backend)
-    post_train = evaluate_patterns(backend, dataset.training, trainer_cfg.target_class)
-    post_test = evaluate_patterns(backend, dataset.testing, trainer_cfg.target_class)
-    return RunResult(
-        "emulate", seed, dataset, trace, pre, post_train, post_test,
-        rig=rig, backend=backend,
-    )
+    final = trace.final_threshold
+    post_train = evaluate_patterns(backend, dataset.training, target, final)
+    post_test = evaluate_patterns(backend, dataset.testing, target, final)
+    return RunResult(mode, seed, trace, pre, post_train, post_test, backend, rig)
 
 
 # -- artifact writing ---------------------------------------------------------
@@ -232,10 +237,11 @@ def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> Non
             for i, p in enumerate(s.params for s in result.rig.sites)
         ]
         write_json(out_dir / "site_params.json", site_params)
-        if result.backend is not None and result.backend.snapshots:
+        if result.backend.snapshots:  # a run with a rig has a RigBackend
             write_json(out_dir / "weight_snapshots.json", result.backend.snapshots)
         if cfg["run.dump_frames"]:
-            write_pgm(result.rig.full_frame(), out_dir / "sample_final.pgm")
+            counts, clipped = result.rig.full_frame()
+            write_pgm(counts, clipped, result.rig.sensor_camera, out_dir / "sample_final.pgm")
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:

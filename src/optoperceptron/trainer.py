@@ -10,7 +10,7 @@ below zero the threshold is raised and training continues.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class TrainerConfig:
 
 
 def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
-    """Weighted sum of the pattern's 0/1 inputs; both backends evaluate with it.
+    """Weighted sum of the pattern's 0/1 inputs: the input gate of both backends.
 
     Only the active inputs are summed, in index order from 0.0. That is
     bit-identical to the full sum of w * x: w * 1 is exact, a skipped
@@ -165,14 +165,7 @@ class TrainingTrace:
     def to_json_dict(self) -> dict:
         return {
             "summary": self.summary(),
-            "raises": [
-                {
-                    "after_step": r.after_step,
-                    "old_threshold": r.old_threshold,
-                    "new_threshold": r.new_threshold,
-                }
-                for r in self.raises
-            ],
+            "raises": [asdict(r) for r in self.raises],
             "steps": [s.to_json_dict() for s in self.steps],
         }
 
@@ -194,8 +187,6 @@ class WeightBackend(Protocol):
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord: ...
 
-    def raise_threshold(self, factor: float) -> None: ...
-
     def weights(self) -> tuple[float, ...]: ...
 
 
@@ -205,14 +196,13 @@ class VectorBackend:
     def __init__(self, config: TrainerConfig, rng: np.random.Generator):
         self.config = config
         self._weights = (config.initial_weight,) * N_INPUTS
-        self._threshold = config.initial_threshold
         self._rng = rng
 
     def output(self, pattern: Pattern) -> float:
         return pattern_output(self._weights, pattern)
 
     def threshold(self) -> float:
-        return self._threshold
+        return self.config.initial_threshold
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
         if self.config.eta_fixed is not None:
@@ -221,9 +211,6 @@ class VectorBackend:
             eta = sample_eta(self._rng, self.config.eta_max)
         self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
         return UpdateRecord(eta=eta)
-
-    def raise_threshold(self, factor: float) -> None:
-        self._threshold *= factor
 
     def weights(self) -> tuple[float, ...]:
         return self._weights
@@ -235,15 +222,17 @@ def train(
     """Run the supervised loop until a clean pass with non-negative weights.
 
     Patterns are visited in the order given; a miss triggers exactly one
-    update before the loop advances. After a clean pass, any negative weight
-    raises the threshold and training continues. Hitting max_epochs returns
-    an unconverged trace, not an error.
+    update before the loop advances. The threshold starts at
+    backend.threshold() and only train raises it: a clean pass that ends
+    with a negative weight multiplies it by 1 + config.threshold_raise and
+    training continues. Hitting max_epochs returns an unconverged trace.
     """
     trace = TrainingTrace()
-    output_of, threshold_of, weights_of = backend.output, backend.threshold, backend.weights
+    output_of, weights_of = backend.output, backend.weights
     record = trace.steps.append
     target = config.target_class
     accepted = UpdateRecord()
+    threshold = backend.threshold()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
@@ -251,7 +240,6 @@ def train(
         for pattern in patterns:
             step += 1
             output = output_of(pattern)
-            threshold = threshold_of()
             action = classify(output, threshold, pattern.class_label, target)
             update = accepted
             if action is not Action.ACCEPT:
@@ -264,16 +252,15 @@ def train(
                 )
             )
         if clean:
-            weights = backend.weights()
-            if min(weights) < 0:
-                old = backend.threshold()
-                backend.raise_threshold(1.0 + config.threshold_raise)
-                trace.raises.append(ThresholdRaise(step, old, backend.threshold()))
+            if min(weights_of()) < 0:
+                old = threshold
+                threshold *= 1.0 + config.threshold_raise
+                trace.raises.append(ThresholdRaise(step, old, threshold))
             else:
                 trace.converged = True
                 break
-    trace.final_weights = backend.weights()
-    trace.final_threshold = backend.threshold()
+    trace.final_weights = weights_of()
+    trace.final_threshold = threshold
     return trace
 
 
@@ -289,13 +276,12 @@ class EvalResult:
 
 
 def evaluate_patterns(
-    backend: WeightBackend, patterns: Sequence[Pattern], target_class: str
+    backend: WeightBackend, patterns: Sequence[Pattern], target_class: str, threshold: float
 ) -> list[EvalResult]:
-    """Read-only evaluation pass; never mutates the backend."""
+    """Read-only pass judging every pattern against the one given threshold."""
     results = []
     for p in patterns:
         output = backend.output(p)
-        threshold = backend.threshold()
         results.append(
             EvalResult(
                 pattern_id=p.pattern_id,

@@ -1,9 +1,10 @@
-"""Background-referenced weight extraction and binary input gating.
+"""Background-referenced weight extraction on the raw counts scale.
 
 A network weight is the fractional darkening of a readout region relative to
-its cached background: w = (I_B - I_W) / I_B. Input gating works on raw
-count sums: an active input contributes I_B - I_W, an inactive one
-subtracts the background from itself and contributes exactly zero.
+its cached background: w = (I_B - I_W) / I_B. On the raw count scale each
+site contributes I_B - I_W; the input gate is trainer.pattern_output, which
+adds the contributions of the active inputs only (an inactive input reads
+B - B = 0).
 """
 
 from __future__ import annotations
@@ -53,23 +54,6 @@ def extract_weight(
     return w
 
 
-def gated_contribution(input_bit: int, background_sum: float, written_sum: float) -> float:
-    """Weighted input on the raw counts scale.
-
-    Bit 1 reads the weight against its background (B - W); bit 0 subtracts
-    the background from itself (B - B) and contributes 0 regardless of sums.
-    """
-    if input_bit not in (0, 1):
-        raise ValueError(f"input bit must be 0 or 1, got {input_bit}")
-    if input_bit == 0:
-        return 0.0
-    if background_sum <= 0:
-        raise DegenerateBackgroundError(
-            f"background sum must be positive, got {background_sum}"
-        )
-    return background_sum - written_sum
-
-
 def extract_threshold(threshold_background_sum: float, threshold_written_sum: float) -> float:
     """Classification threshold on the same counts scale as gated inputs."""
     if threshold_background_sum <= 0:
@@ -108,9 +92,8 @@ class WeightState:
         weights = tuple(
             extract_weight(b, w, diagnostics) for b, w in zip(backgrounds, writtens)
         )
-        contributions = tuple(
-            gated_contribution(1, b, w) for b, w in zip(backgrounds, writtens)
-        )
+        # extract_weight has rejected every b <= 0 of these pairs already.
+        contributions = tuple(b - w for b, w in zip(backgrounds, writtens))
         return cls(
             background_sums=backgrounds,
             written_sums=writtens,

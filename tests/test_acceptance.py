@@ -17,7 +17,7 @@ from optoperceptron.optics import (
     OpticalConstants,
     Roi,
     SpotGeometry,
-    expose_frame,
+    expose_frames,
     integrate_roi,
 )
 from optoperceptron.patterns import build_dataset
@@ -156,8 +156,8 @@ def test_criterion_6_readout_linearity():
     params = InhomogeneityParams()
 
     def roi_sum(m: float) -> int:
-        frame = expose_frame([(SynapseSite(m, 0, params), spot)], constants, camera)
-        return integrate_roi(frame.counts, roi)
+        counts, _ = expose_frames(1, [(SynapseSite(m, 0, params), spot)], constants, camera)
+        return integrate_roi(counts[0], roi)
 
     background = roi_sum(0.0)
     worst = 0.0
@@ -198,7 +198,7 @@ def test_criterion_7_mode_equivalence():
     sim_backend = VectorBackend(trainer_cfg, rng=np.random.default_rng(3))
     sim_trace = train(reduced, trainer_cfg, sim_backend)
     rig = build_rig(cfg, make_streams(3))
-    emu_trace = train(reduced, trainer_cfg, RigBackend(rig, trainer_cfg))
+    emu_trace = train(reduced, trainer_cfg, RigBackend(rig))
 
     sim_decisions = [(s.pattern_id, s.action) for s in sim_trace.steps]
     emu_decisions = [(s.pattern_id, s.action) for s in emu_trace.steps]

@@ -242,15 +242,29 @@ def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message)
     assert not out.exists()
 
 
+OVERLAPPING_BITMAPS = [
+    # z's held-out variant flips its second input: 100 -> 110, which is v's ideal
+    (
+        "100\n000\n000\n\n110\n000\n000\n\n010\n101\n101\n",
+        "held-out pattern z1 equals training pattern v0",
+    ),
+    # z and v share one glyph: every training input vector carries both labels
+    (
+        "110\n010\n011\n\n110\n010\n011\n\n010\n101\n101\n",
+        "training pattern v0 equals training pattern z0",
+    ),
+]
+
+
 @pytest.mark.parametrize("mode", ["dataset", "simulate", "sweep"])
 def test_held_out_variant_repeating_a_training_pattern_exit_code(tmp_path, capsys, mode):
-    # z's held-out variant flips its second input: 100 -> 110, which is v's ideal
-    bitmaps = tmp_path / "overlap.txt"
-    bitmaps.write_text("100\n000\n000\n\n110\n000\n000\n\n010\n101\n101\n")
-    cfg = tmp_path / "overlap.cfg"
-    cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
-    out = tmp_path / "o"
-    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: held-out pattern z1 equals training pattern v0")
-    assert not out.exists()
+    for i, (bitmap_text, message) in enumerate(OVERLAPPING_BITMAPS):
+        bitmaps = tmp_path / f"overlap{i}.txt"
+        bitmaps.write_text(bitmap_text)
+        cfg = tmp_path / f"overlap{i}.cfg"
+        cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
+        out = tmp_path / f"o{i}"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}")
+        assert not out.exists()

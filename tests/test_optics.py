@@ -14,7 +14,6 @@ from optoperceptron.optics import (
     SpotGeometry,
     analyzer_intensity,
     average_frames,
-    expose_frame,
     expose_frames,
     integrate_roi,
     spot_pixel_mask,
@@ -78,89 +77,83 @@ def test_constants_small_angle_enforced():
 def test_fully_written_spot_reads_dark_level():
     camera = window_camera()
     spot = centered_spot(camera)
-    frame = expose_frame([(site_at(1.0), spot)], CONSTANTS, camera)
-    from optoperceptron.optics import spot_pixel_mask
-
+    counts, _ = expose_frames(1, [(site_at(1.0), spot)], CONSTANTS, camera)
     mask = spot_pixel_mask(spot, camera)
-    assert np.all(frame.counts[mask] == 600)
+    assert np.all(counts[0][mask] == 600)
 
 
 def test_zero_exposure_reads_dark_everywhere():
     camera = window_camera(exposure=0.0)
-    frame = expose_frame([(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
-    assert np.all(frame.counts == 600)
+    counts, _ = expose_frames(1, [(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
+    assert np.all(counts == 600)
 
 
 def test_in_spot_contrast_closed_form():
     camera = window_camera()
     spot = centered_spot(camera)
-    from optoperceptron.optics import spot_pixel_mask
-
     mask = spot_pixel_mask(spot, camera)
-    bright = expose_frame([(site_at(0.0), spot)], CONSTANTS, camera)
-    dark = expose_frame([(site_at(1.0), spot)], CONSTANTS, camera)
+    bright, _ = expose_frames(1, [(site_at(0.0), spot)], CONSTANTS, camera)
+    dark, _ = expose_frames(1, [(site_at(1.0), spot)], CONSTANTS, camera)
     expected = camera.gain * CONSTANTS.intensity_in * CONSTANTS.c * camera.exposure_s / camera.pixel_area
-    deltas = bright.counts[mask] - dark.counts[mask]
+    deltas = bright[0][mask] - dark[0][mask]
     assert np.all(deltas == round(expected))
 
 
 def test_noiseless_render_deterministic():
     camera = window_camera()
     spot = centered_spot(camera)
-    a = expose_frame([(site_at(0.4), spot)], CONSTANTS, camera)
-    b = expose_frame([(site_at(0.4), spot)], CONSTANTS, camera)
-    assert np.array_equal(a.counts, b.counts)
+    a, _ = expose_frames(1, [(site_at(0.4), spot)], CONSTANTS, camera)
+    b, _ = expose_frames(1, [(site_at(0.4), spot)], CONSTANTS, camera)
+    assert np.array_equal(a, b)
 
 
 def test_render_linear_in_exposure_until_clipping():
     base = window_camera(dark=0.0)
     doubled = window_camera(dark=0.0, exposure=0.020)
     spot = centered_spot(base)
-    f1 = expose_frame([(site_at(0.5), spot)], CONSTANTS, base)
-    f2 = expose_frame([(site_at(0.5), spot)], CONSTANTS, doubled)
-    assert not f1.clipped and not f2.clipped
-    assert np.array_equal(f2.counts, 2 * f1.counts)
+    c1, clipped1 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, base)
+    c2, clipped2 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, doubled)
+    assert not clipped1 and not clipped2
+    assert np.array_equal(c2, 2 * c1)
 
 
 def test_monotone_in_written_fraction():
     camera = window_camera()
     spot = centered_spot(camera)
-    previous = expose_frame([(site_at(0.0), spot)], CONSTANTS, camera)
+    previous, _ = expose_frames(1, [(site_at(0.0), spot)], CONSTANTS, camera)
     for m in (0.2, 0.5, 0.8, 1.0):
-        current = expose_frame([(site_at(m), spot)], CONSTANTS, camera)
-        assert np.all(current.counts <= previous.counts)
+        current, _ = expose_frames(1, [(site_at(m), spot)], CONSTANTS, camera)
+        assert np.all(current <= previous)
         previous = current
 
 
 def test_background_gain_scales_spot_region():
     camera = window_camera(dark=0.0)
     spot = centered_spot(camera)
-    from optoperceptron.optics import spot_pixel_mask
-
     mask = spot_pixel_mask(spot, camera)
-    plain = expose_frame([(site_at(0.0, gain=1.0), spot)], CONSTANTS, camera)
-    boosted = expose_frame([(site_at(0.0, gain=1.1), spot)], CONSTANTS, camera)
-    assert np.all(boosted.counts[mask] > plain.counts[mask])
-    assert np.array_equal(boosted.counts[~mask], plain.counts[~mask])
+    plain, _ = expose_frames(1, [(site_at(0.0, gain=1.0), spot)], CONSTANTS, camera)
+    boosted, _ = expose_frames(1, [(site_at(0.0, gain=1.1), spot)], CONSTANTS, camera)
+    assert np.all(boosted[0][mask] > plain[0][mask])
+    assert np.array_equal(boosted[0][~mask], plain[0][~mask])
 
 
 def test_clipping_sets_flag_not_error():
     camera = window_camera(bit_depth=8)  # full well 255 << bright level
-    frame = expose_frame([(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
-    assert frame.clipped
-    assert frame.counts.max() == camera.full_well
+    counts, clipped = expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
+    assert clipped
+    assert counts.max() == camera.full_well
 
 
 def test_noise_requires_rng():
     camera = window_camera(noise=5.0)
     with pytest.raises(ValueError):
-        expose_frame([(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
+        expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
 
 
 def test_spot_outside_fov_rejected():
     camera = window_camera()
     with pytest.raises(ValueError):
-        expose_frame([(site_at(0.0), SpotGeometry(500.0, 5.0, 10.0))], CONSTANTS, camera)
+        expose_frames(1, [(site_at(0.0), SpotGeometry(500.0, 5.0, 10.0))], CONSTANTS, camera)
 
 
 def test_batched_frames_are_noise_independent():
@@ -176,8 +169,8 @@ def test_batched_frames_are_noise_independent():
 
 def test_average_single_frame_identity():
     camera = window_camera()
-    frame = expose_frame([(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
-    assert np.array_equal(average_frames(frame.counts[None]), frame.counts)
+    counts, _ = expose_frames(1, [(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
+    assert np.array_equal(average_frames(counts), counts[0])
 
 
 def test_average_two_frames():
@@ -188,9 +181,9 @@ def test_average_two_frames():
 
 
 def test_average_rejects_mismatched_dimensions():
-    frame = expose_frame([], CONSTANTS, window_camera())
+    counts, _ = expose_frames(1, [], CONSTANTS, window_camera())
     with pytest.raises(ValueError):
-        average_frames(frame.counts)  # one frame, not a (frames, h, w) stack
+        average_frames(counts[0])  # one frame, not a (frames, h, w) stack
 
 
 def test_ten_frame_average_reduces_noise():
@@ -307,40 +300,42 @@ def test_kernel_matches_reference_byte_for_byte(
 
 def test_integrate_uniform_roi():
     camera = window_camera()
-    frame = expose_frame([], CONSTANTS, camera)
-    frame.counts[:] = 7
-    assert integrate_roi(frame.counts, Roi(2, 3, 5, 4)) == 7 * 20
-    assert integrate_roi(frame.counts, Roi(0, 0, 1, 1)) == 7
+    counts, _ = expose_frames(1, [], CONSTANTS, camera)
+    frame = counts[0]
+    frame[:] = 7
+    assert integrate_roi(frame, Roi(2, 3, 5, 4)) == 7 * 20
+    assert integrate_roi(frame, Roi(0, 0, 1, 1)) == 7
 
 
 def test_integrate_ramp_closed_form():
     camera = window_camera()
-    frame = expose_frame([], CONSTANTS, camera)
-    frame.counts[:] = np.arange(camera.width)[None, :]
+    counts, _ = expose_frames(1, [], CONSTANTS, camera)
+    frame = counts[0]
+    frame[:] = np.arange(camera.width)[None, :]
     # sum over a full-width row span: height * sum(0..width-1)
-    total = integrate_roi(frame.counts, Roi(0, 0, camera.width, camera.height))
+    total = integrate_roi(frame, Roi(0, 0, camera.width, camera.height))
     assert total == camera.height * (camera.width - 1) * camera.width // 2
 
 
 def test_integrate_whole_frame_equals_sum():
     camera = window_camera()
-    frame = expose_frame([(site_at(0.5), centered_spot(camera))], CONSTANTS, camera)
-    assert integrate_roi(frame.counts, Roi(0, 0, camera.width, camera.height)) == frame.counts.sum()
+    counts, _ = expose_frames(1, [(site_at(0.5), centered_spot(camera))], CONSTANTS, camera)
+    assert integrate_roi(counts[0], Roi(0, 0, camera.width, camera.height)) == counts.sum()
 
 
 def test_integrate_out_of_bounds_rejected():
-    frame = expose_frame([], CONSTANTS, window_camera())
+    counts, _ = expose_frames(1, [], CONSTANTS, window_camera())
     with pytest.raises(ValueError):
-        integrate_roi(frame.counts, Roi(15, 15, 10, 10))
+        integrate_roi(counts[0], Roi(15, 15, 10, 10))
 
 
 # -- export -------------------------------------------------------------------
 
 def test_pgm_roundtrip(tmp_path):
     camera = window_camera()
-    frame = expose_frame([(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
     path = tmp_path / "frame.pgm"
-    write_pgm(frame, path)
+    write_pgm(counts[0], clipped, camera, path)
     blob = path.read_bytes()
     header, rest = blob.split(b"\n", 1)
     assert header == b"P5"
@@ -349,19 +344,19 @@ def test_pgm_roundtrip(tmp_path):
     maxval, pixels = rest.split(b"\n", 1)
     assert maxval == b"65535"
     data = np.frombuffer(pixels, dtype=">u2").reshape(camera.height, camera.width)
-    assert np.array_equal(data, frame.counts)
+    assert np.array_equal(data, counts[0])
     meta = json.loads(path.with_suffix(".pgm.json").read_text())
     assert meta["exposure_s"] == camera.exposure_s
 
 
 def test_pgm_write_is_atomic(tmp_path):
     camera = window_camera()
-    frame = expose_frame([(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
     path = tmp_path / "frame.pgm"
-    write_pgm(frame, path)
+    write_pgm(counts[0], clipped, camera, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pgm", "frame.pgm.json"]
     header = f"P5\n{camera.width} {camera.height}\n65535\n".encode()
-    assert path.read_bytes() == header + frame.counts.astype(">u2").tobytes()
+    assert path.read_bytes() == header + counts[0].astype(">u2").tobytes()
     meta = {
         "bit_depth": 16, "clipped": False, "exposure_s": 0.01,
         "height": camera.height, "pixel_area_um2": 1.0, "width": camera.width,
@@ -372,11 +367,11 @@ def test_pgm_write_is_atomic(tmp_path):
 def test_pgm_sidecar_flags_counts_clipped_to_16_bits(tmp_path):
     # 17 bits: the 66600-count background fits the sensor but not the PGM
     camera = window_camera(gain=330.0, bit_depth=17)
-    frame = expose_frame([(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
-    assert not frame.clipped
-    assert frame.counts.max() > 65535
+    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    assert not clipped
+    assert counts.max() > 65535
     path = tmp_path / "frame.pgm"
-    write_pgm(frame, path)
-    pixels = np.frombuffer(path.read_bytes()[-2 * frame.counts.size:], dtype=">u2")
-    assert np.array_equal(pixels, np.minimum(frame.counts, 65535).ravel())
+    write_pgm(counts[0], clipped, camera, path)
+    pixels = np.frombuffer(path.read_bytes()[-2 * counts.size:], dtype=">u2")
+    assert np.array_equal(pixels, np.minimum(counts, 65535).ravel())
     assert json.loads(path.with_suffix(".pgm.json").read_text())["clipped"] is True

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from optoperceptron.rig import (
     energy_per_pulse,
     shutter_pulses,
 )
-from optoperceptron.runner import build_rig, emulate_run, make_streams
+from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate
 from optoperceptron.synapse import response_curve
 from optoperceptron.trainer import Action, evaluate_patterns, train
 
@@ -313,10 +314,11 @@ def test_threshold_to_weight_ratio_in_linear_region():
 def test_full_frame_renders_all_sites():
     cfg, rig = make_rig()
     rig.initialize_network()
-    frame = rig.full_frame()
-    assert frame.counts.shape == (cfg["camera.height_px"], cfg["camera.width_px"])
+    counts, clipped = rig.full_frame()
+    assert counts.shape == (cfg["camera.height_px"], cfg["camera.width_px"])
+    assert counts.dtype == np.int64 and not clipped
     # ten written spots must appear as dark disks on the bright background
-    dark_pixels = int((frame.counts < 1000).sum())
+    dark_pixels = int((counts < 1000).sum())
     assert dark_pixels > 10 * 0.8 * rig._window_mask.sum()
 
 
@@ -334,8 +336,7 @@ def test_rig_ledger_counts_expected_events():
 
 def test_rig_backend_output_sums_active_contributions():
     cfg, rig = make_rig()
-    config = cfg.trainer_config()
-    backend = RigBackend(rig, config)
+    backend = RigBackend(rig)
     dataset = build_dataset(cfg.bitmaps)
     pattern = dataset.training[0]
     state = backend.rig.weight_state()
@@ -345,12 +346,11 @@ def test_rig_backend_output_sums_active_contributions():
     assert backend.output(pattern) == expected
 
 
-def test_rig_backend_threshold_raise_is_multiplicative():
+def test_rig_backend_threshold_is_the_threshold_read_as_float():
+    # the count sum becomes the float that every artifact prints
     cfg, rig = make_rig()
-    backend = RigBackend(rig, cfg.trainer_config())
-    b0 = backend.threshold()
-    backend.raise_threshold(1.05)
-    assert backend.threshold() == pytest.approx(b0 * 1.05)
+    threshold = RigBackend(rig).threshold()
+    assert type(threshold) is float and threshold == rig.weight_state().threshold
 
 
 def test_rig_evaluation_is_read_only():
@@ -358,14 +358,17 @@ def test_rig_evaluation_is_read_only():
     cfg = load_config()
     rig = build_rig(cfg, make_streams(7))
     config = cfg.trainer_config()
-    backend = RigBackend(rig, config)
+    backend = RigBackend(rig)
     reads, writes = rig.ledger.read_events, len(rig.ledger.write_events)
     camera_state = rig.camera_rng.bit_generator.state
-    results = evaluate_patterns(backend, build_dataset(cfg.bitmaps).training, config.target_class)
+    threshold = backend.threshold()
+    results = evaluate_patterns(
+        backend, build_dataset(cfg.bitmaps).training, config.target_class, threshold
+    )
     assert rig.ledger.read_events == reads
     assert len(rig.ledger.write_events) == writes
     assert rig.camera_rng.bit_generator.state == camera_state
-    assert {r.threshold for r in results} == {backend.threshold()}
+    assert {r.threshold for r in results} == {threshold}
 
 
 def test_emulated_training_converges_full_default_set():
@@ -374,7 +377,7 @@ def test_emulated_training_converges_full_default_set():
     cfg = load_config(overrides={"camera.read_noise": "0"})
     rig = build_rig(cfg, make_streams(4))
     config = cfg.trainer_config()
-    backend = RigBackend(rig, config)
+    backend = RigBackend(rig)
     dataset = build_dataset(cfg.bitmaps)
     trace = train(dataset.training, config, backend)
     assert trace.converged
@@ -391,7 +394,7 @@ def test_emulated_training_converges_on_reduced_linear_set():
         }
     )
     config = cfg.trainer_config()
-    backend = RigBackend(rig, config)
+    backend = RigBackend(rig)
     dataset = build_dataset(cfg.bitmaps)
     reduced = tuple(p for p in dataset.training if p.variant_index in (0, 2))
     trace = train(reduced, config, backend)
@@ -402,7 +405,7 @@ def test_emulated_training_converges_on_reduced_linear_set():
 
 # -- trace contract ---------------------------------------------------------------
 
-def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch):
+def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_path):
     # The benchmark's per-layer trace counts packets and renders by wrapping
     # rig.apply_packet and rig.expose_frames; a path that bypasses either
     # name would read as a speed-up instead of failing its completeness check.
@@ -425,3 +428,10 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch):
     assert calls["packets"] == len(ledger.write_events) > 0
     assert calls["pulses"] == ledger.total_pulses
     assert calls["renders"] == ledger.read_events > 0
+    # the full-frame export of --frames is one more render through the same name
+    calls["renders"] = 0
+    cfg = load_config(overrides={"trainer.max_epochs": "3", "run.dump_frames": "true"})
+    run_emulate(cfg, tmp_path, 7)
+    ledger_json = json.loads((tmp_path / "ledger.json").read_text())
+    assert (tmp_path / "sample_final.pgm").exists()
+    assert calls["renders"] == ledger_json["read_events"] + 1

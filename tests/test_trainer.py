@@ -163,7 +163,7 @@ def test_training_converges_and_orders_classes():
     assert trace.converged
     # converged means the last full pass was 24 accepts
     assert all(s.action == "accept" for s in trace.steps[-24:])
-    results = evaluate_patterns(backend, dataset.training, "v")
+    results = evaluate_patterns(backend, dataset.training, "v", trace.final_threshold)
     assert [r.correct for r in results] == [True] * 24
 
 
@@ -233,8 +233,13 @@ def test_threshold_raise_path():
     # threshold never decreases over the run
     thresholds = [s.threshold for s in trace.steps]
     assert thresholds == sorted(thresholds)
+    # each raise compounds the last: the same float operation every time
+    previous = config.initial_threshold
     for r in trace.raises:
-        assert r.new_threshold == pytest.approx(r.old_threshold * 1.05)
+        assert r.old_threshold == previous
+        assert r.new_threshold == r.old_threshold * (1.0 + config.threshold_raise)
+        previous = r.new_threshold
+    assert trace.final_threshold == previous
 
 
 def test_max_epochs_returns_unconverged_trace():
@@ -251,8 +256,8 @@ def test_evaluate_test_read_only_and_correct():
     backend = VectorBackend(config, rng=np.random.default_rng(19))
     trace = train(dataset.training, config, backend)
     assert trace.converged
-    first = evaluate_patterns(backend, dataset.testing, "v")
-    second = evaluate_patterns(backend, dataset.testing, "v")
+    first = evaluate_patterns(backend, dataset.testing, "v", trace.final_threshold)
+    second = evaluate_patterns(backend, dataset.testing, "v", trace.final_threshold)
     assert first == second
     assert backend.weights() == trace.final_weights
     assert all(r.correct for r in first)

@@ -10,7 +10,6 @@ from optoperceptron.weights import (
     WeightState,
     extract_threshold,
     extract_weight,
-    gated_contribution,
 )
 
 
@@ -31,6 +30,9 @@ def test_degenerate_background_rejected():
         extract_weight(0, 100)
     with pytest.raises(DegenerateBackgroundError):
         extract_threshold(0, 0)
+    # the same check guards the counts-scale contribution B - W of a site
+    with pytest.raises(DegenerateBackgroundError):
+        WeightState.from_sums([1000] * 8 + [0], [0] * 9, 2000, 100)
 
 
 def test_clamping_counted():
@@ -50,34 +52,22 @@ def test_weight_scale_invariant(background, written, k):
     assert w1 == pytest.approx(w2, rel=1e-12)
 
 
-def test_gate_closed_contributes_zero():
-    assert gated_contribution(0, 123456, 99) == 0.0
-    assert gated_contribution(0, 0, 0) == 0.0  # no background read happens at all
-
-
-def test_gate_open_zero_weight():
-    assert gated_contribution(1, 1000, 1000) == 0.0
-
-
-def test_gate_open_direct_value():
-    assert gated_contribution(1, 1000, 600) == 400
-
-
-def test_gate_rejects_non_binary():
-    with pytest.raises(ValueError):
-        gated_contribution(2, 1000, 600)
-
-
-def test_gate_open_degenerate_background():
-    with pytest.raises(DegenerateBackgroundError):
-        gated_contribution(1, 0, 0)
+@pytest.mark.parametrize(
+    "background, written, contribution",
+    [(1000, 1000, 0.0), (1000, 600, 400.0)],
+    ids=["zero-weight", "direct-value"],
+)
+def test_weight_state_contribution(background, written, contribution):
+    state = WeightState.from_sums([background] * 9, [written] * 9, 2000, 100)
+    assert state.contributions == (contribution,) * 9
 
 
 @given(st.floats(1.0, 1e9), st.floats(0.0, 1e9))
-def test_gate_equals_background_times_weight(background, written):
+def test_contribution_equals_background_times_weight(background, written):
     # identity holds whenever the raw ratio needs no clamping
     if 0.0 <= (background - written) / background <= 1.0:
-        assert gated_contribution(1, background, written) == pytest.approx(
+        state = WeightState.from_sums([background] * 9, [written] * 9, 2000, 100)
+        assert state.contributions[0] == pytest.approx(
             background * extract_weight(background, written), rel=1e-12
         )
 
