@@ -30,9 +30,6 @@ def test_degenerate_background_rejected():
         extract_weight(0, 100)
     with pytest.raises(DegenerateBackgroundError):
         extract_threshold(0, 0)
-    # the same check guards the counts-scale contribution B - W of a site
-    with pytest.raises(DegenerateBackgroundError):
-        WeightState.from_sums([1000] * 8 + [0], [0] * 9, 2000, 100)
 
 
 def test_clamping_counted():
@@ -60,6 +57,12 @@ def test_weight_scale_invariant(background, written, k):
 def test_weight_state_contribution(background, written, contribution):
     state = WeightState.from_sums([background] * 9, [written] * 9, 2000, 100)
     assert state.contributions == (contribution,) * 9
+
+
+def test_gate_open_degenerate_background():
+    # the counts-scale contribution B - W of an open gate needs a usable background
+    with pytest.raises(DegenerateBackgroundError):
+        WeightState.from_sums([1000] * 8 + [0], [0] * 9, 2000, 100)
 
 
 @given(st.floats(1.0, 1e9), st.floats(0.0, 1e9))
