@@ -62,13 +62,6 @@ def main(argv=None) -> int:
         overrides["sweep.seeds"] = str(args.seeds)
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         summary = MODE_RUNNERS[args.mode](cfg, args.out, cfg["run.seed"])
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,13 +8,14 @@ outputs ship so a run is reproducible from (config, seed) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigurationError
-from .optics import BeamConfig, CameraConfig, OpticalConstants
+from .optics import CameraConfig, OpticalConstants
 from .patterns import DEFAULT_BITMAPS, parse_bitmap_text
 from .rig import RigConfig, ShutterModel, energy_per_pulse
 from .synapse import CURVE_FAMILIES, InhomogeneityParams
@@ -45,6 +46,8 @@ def _int(lo=None, hi=None) -> Callable[[str], int]:
 def _float(lo=None, hi=None, lo_open=False) -> Callable[[str], float]:
     def parse(text: str) -> float:
         value = float(text)
+        if math.isnan(value):  # every bound comparison below is false for NaN
+            raise ValueError(f"expected a number, got {text!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ValueError(f"{value} is below the minimum {lo}")
         if hi is not None and value > hi:
@@ -146,9 +149,9 @@ KEY_TABLE: dict[str, _Key] = {
 }
 
 
-def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
-    """Raw key -> (value, line number); syntax errors carry the line."""
-    entries: dict[str, tuple[str, int]] = {}
+def parse_config_text(text: str) -> list[tuple[str, str, str]]:
+    """(key, raw value, "line n") per setting; syntax errors carry the line."""
+    entries: dict[str, tuple[str, str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -160,8 +163,8 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
         value = value.strip()
         if key in entries:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = (value, lineno)
-    return entries
+        entries[key] = (key, value, f"line {lineno}")
+    return list(entries.values())
 
 
 @dataclass
@@ -238,17 +241,11 @@ class RunConfig:
     def per_read_j(self) -> float:
         return nanojoules(self["energy.read_nj"])
 
-    def energy_beam(self) -> BeamConfig:
-        """The write laser: calibrated power at the shutter's repetition rate."""
-        return BeamConfig(
-            average_power_w=self["energy.write_power_uw"] * 1e-6,
-            repetition_rate_hz=self["shutter.repetition_rate_hz"],
-            waist_diameter_um=self["energy.waist_um"],
-        )
-
-    def per_pulse_write_j(self) -> float:
-        """Write energy of one pulse on the network's spot."""
-        return energy_per_pulse(self.energy_beam(), self["rig.spot_diameter_um"])
+    def per_pulse_j(self, diameter_um: float) -> float:
+        """Write energy of one pulse on a spot of the given diameter: the
+        calibrated power at the shutter's repetition rate, by area fraction."""
+        pulse_energy_j = self["energy.write_power_uw"] * 1e-6 / self["shutter.repetition_rate_hz"]
+        return energy_per_pulse(pulse_energy_j, self["energy.waist_um"], diameter_um)
 
     # -- echo ---------------------------------------------------------------
 
@@ -266,28 +263,29 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def read_text_file(path: str | Path) -> str:
+    """A config or bitmap file as UTF-8 text, whatever the host locale."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_config(
     config_path: str | Path | None = None,
     overrides: dict[str, str] | None = None,
 ) -> RunConfig:
     """Resolve defaults, an optional config file, and CLI overrides in order."""
     values: dict[str, object] = {key: spec.default for key, spec in KEY_TABLE.items()}
-    if config_path is not None:
-        text = Path(config_path).read_text()
-        for key, (raw, lineno) in parse_config_text(text).items():
-            if key not in KEY_TABLE:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            try:
-                values[key] = KEY_TABLE[key].parse(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"line {lineno}: {key}: {exc}") from exc
-    for key, raw in (overrides or {}).items():
+    entries = parse_config_text(read_text_file(config_path)) if config_path is not None else []
+    entries += [(key, raw, "override") for key, raw in (overrides or {}).items()]
+    for key, raw, where in entries:
         if key not in KEY_TABLE:
-            raise ConfigurationError(f"override: unknown key {key!r}")
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
         try:
             values[key] = KEY_TABLE[key].parse(raw)
         except ValueError as exc:
-            raise ConfigurationError(f"override: {key}: {exc}") from exc
+            raise ConfigurationError(f"{where}: {key}: {exc}") from exc
 
     _cross_validate(values)
 
@@ -298,7 +296,7 @@ def load_config(
         path = Path(bitmaps_file)
         if not path.exists():
             raise ConfigurationError(f"dataset.bitmaps_file: no such file {bitmaps_file!r}")
-        bitmaps = parse_bitmap_text(path.read_text())
+        bitmaps = parse_bitmap_text(read_text_file(path))
     return RunConfig(values=values, bitmaps=bitmaps)
 
 

@@ -11,12 +11,10 @@ ROI integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_write, write_json
 from .errors import ConfigurationError
 from .synapse import SynapseSite
 
@@ -227,44 +225,20 @@ def integrate_roi(counts: np.ndarray, roi: Roi) -> int:
     return int(region.sum())
 
 
-@dataclass(frozen=True)
-class BeamConfig:
-    """Write beam at the sample: calibrated average power, repetition rate, waist."""
-
-    average_power_w: float
-    repetition_rate_hz: float = 1000.0
-    waist_diameter_um: float = 100.0
-
-    def __post_init__(self):
-        if self.average_power_w < 0:
-            raise ConfigurationError("average_power_w must be >= 0")
-        if self.repetition_rate_hz <= 0:
-            raise ConfigurationError("repetition_rate_hz must be > 0")
-        if self.waist_diameter_um <= 0:
-            raise ConfigurationError("waist_diameter_um must be > 0")
-
-    @property
-    def pulse_energy_j(self) -> float:
-        return self.average_power_w / self.repetition_rate_hz
-
-
-def write_pgm(counts: np.ndarray, clipped: bool, camera: CameraConfig, path) -> None:
-    """Export one (height, width) frame as 16-bit binary PGM (P5) with a JSON
+def pgm_image(counts: np.ndarray, clipped: bool, camera: CameraConfig) -> tuple[bytes, dict]:
+    """One (height, width) frame as 16-bit binary PGM (P5) bytes and its JSON
     metadata sidecar.
 
     counts and clipped are one frame of expose_frames and its flag; exposure,
     pixel area and bit depth come from the camera it was rendered with, width
-    and height from counts.shape. Both files are written atomically. The
-    sidecar's "clipped" flag is set when the sensor clipped or a count above
-    65535 was cut to fit.
+    and height from counts.shape. The sidecar's "clipped" flag is set when the
+    sensor clipped or a count above 65535 was cut to fit.
     """
-    path = Path(path)
     maxval = 65535
     height, width = counts.shape
     scaled = np.clip(counts, 0, maxval).astype(">u2")
     clipped = clipped or bool((counts > maxval).any())
     header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    atomic_write(path, header + scaled.tobytes())
     meta = {
         "exposure_s": camera.exposure_s,
         "pixel_area_um2": camera.pixel_area,
@@ -273,4 +247,4 @@ def write_pgm(counts: np.ndarray, clipped: bool, camera: CameraConfig, path) -> 
         "width": width,
         "height": height,
     }
-    write_json(path.with_suffix(path.suffix + ".json"), meta)
+    return header + scaled.tobytes(), meta

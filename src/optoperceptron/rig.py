@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateBackgroundError
 from .optics import (
-    BeamConfig,
     CameraConfig,
     OpticalConstants,
     Roi,
@@ -77,10 +76,10 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     return [max(c, 1) for c in counts]
 
 
-def energy_per_pulse(beam: BeamConfig, diameter_um: float) -> float:
-    """Pulse energy apportioned to a written spot by area fraction."""
-    ratio = diameter_um / beam.waist_diameter_um
-    return beam.pulse_energy_j * ratio * ratio
+def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float) -> float:
+    """Pulse energy apportioned to a written spot by its area fraction of the waist."""
+    ratio = diameter_um / waist_um
+    return pulse_energy_j * ratio * ratio
 
 
 @dataclass

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from . import __version__
 from .atomic import atomic_write, write_json
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
-from .rig import N_WEIGHT_SITES, Rig, RigBackend, energy_per_pulse
-from .optics import write_pgm
+from .optics import pgm_image
+from .rig import N_WEIGHT_SITES, Rig, RigBackend
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
@@ -66,7 +66,7 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
         shutter=cfg.shutter_model(),
         shutter_rng=streams.shutter,
         camera_rng=streams.camera,
-        per_pulse_write_j=cfg.per_pulse_write_j(),
+        per_pulse_write_j=cfg.per_pulse_j(cfg["rig.spot_diameter_um"]),
         per_read_j=cfg.per_read_j(),
     )
 
@@ -87,17 +87,13 @@ class RunResult:
         return sum(1 for r in self.post_test_eval if r.correct)
 
     def summary(self) -> dict:
-        s = self.trace.summary()
-        s.update(
-            {
-                "mode": self.mode,
-                "seed": self.seed,
-                "test_correct": self.test_correct,
-                "test_total": len(self.post_test_eval),
-                "version": __version__,
-            }
-        )
-        return s
+        return {
+            **self.trace.summary(),
+            "mode": self.mode,
+            "seed": self.seed,
+            "test_correct": self.test_correct,
+            "test_total": len(self.post_test_eval),
+        }
 
 
 def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
@@ -210,66 +206,75 @@ def sweep_csv(rows: Sequence[Sequence]) -> str:
     return _csv_text("sweep.v1", header, rows)
 
 
-def write_run_artifacts(result: RunResult, cfg: RunConfig, out_dir: Path) -> None:
+def write_artifacts(out_dir: Path, cfg: RunConfig, summary: dict, files: Iterable) -> dict:
+    """The one artifact writer, atomic per file: config.resolved.txt, each
+    (name, payload) of files (a .json name as JSON), then summary.json,
+    stamped with the package version, last. Returns the stamped summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    write_json(out_dir / "summary.json", result.summary())
-    atomic_write(out_dir / "bars_pre.csv", bars_csv(result.pre_eval))
-    atomic_write(
-        out_dir / "bars_post.csv",
-        bars_csv(interleave_post_results(result.post_train_eval, result.post_test_eval)),
+    for name, payload in files:
+        if name.endswith(".json"):
+            write_json(out_dir / name, payload)
+        else:
+            atomic_write(out_dir / name, payload)
+    summary["version"] = __version__
+    write_json(out_dir / "summary.json", summary)
+    return summary
+
+
+def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]:
+    """(name, payload) of every artifact of a simulate or emulate run but the
+    summary, one at a time, so no two large payloads are held at once."""
+    yield "bars_pre.csv", bars_csv(result.pre_eval)
+    yield "bars_post.csv", bars_csv(
+        interleave_post_results(result.post_train_eval, result.post_test_eval)
     )
     if cfg["run.trace_verbosity"] >= 1:
-        atomic_write(out_dir / "learning_curve.csv", learning_curve_csv(result.trace))
-        write_json(out_dir / "trace.json", result.trace.to_json_dict())
-    if result.rig is not None:
-        write_json(out_dir / "ledger.json", result.rig.ledger.to_json_dict())
-        atomic_write(out_dir / "ledger.txt", result.rig.ledger.summary_line() + "\n")
-        write_json(out_dir / "weight_state.json", result.rig.weight_state().to_json_dict())
-        site_params = [
-            {
-                "site": result.rig.label(i),
-                "dead_zone_pulses": p.dead_zone_pulses,
-                "saturation_pulses": p.saturation_pulses,
-                "background_gain": p.background_gain,
-                "curve": p.curve,
-            }
-            for i, p in enumerate(s.params for s in result.rig.sites)
-        ]
-        write_json(out_dir / "site_params.json", site_params)
-        if result.backend.snapshots:  # a run with a rig has a RigBackend
-            write_json(out_dir / "weight_snapshots.json", result.backend.snapshots)
-        if cfg["run.dump_frames"]:
-            counts, clipped = result.rig.full_frame()
-            write_pgm(counts, clipped, result.rig.sensor_camera, out_dir / "sample_final.pgm")
+        yield "learning_curve.csv", learning_curve_csv(result.trace)
+        yield "trace.json", result.trace.to_json_dict()
+    rig = result.rig
+    if rig is None:
+        return
+    yield "ledger.json", rig.ledger.to_json_dict()
+    yield "ledger.txt", rig.ledger.summary_line() + "\n"
+    yield "weight_state.json", rig.weight_state().to_json_dict()
+    yield "site_params.json", [
+        {
+            "site": rig.label(i),
+            "dead_zone_pulses": p.dead_zone_pulses,
+            "saturation_pulses": p.saturation_pulses,
+            "background_gain": p.background_gain,
+            "curve": p.curve,
+        }
+        for i, p in enumerate(s.params for s in rig.sites)
+    ]
+    if result.backend.snapshots:  # a run with a rig has a RigBackend
+        yield "weight_snapshots.json", result.backend.snapshots
+    if cfg["run.dump_frames"]:
+        image, sidecar = pgm_image(*rig.full_frame(), rig.sensor_camera)
+        yield "sample_final.pgm", image
+        yield "sample_final.pgm.json", sidecar
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     result = simulate_run(cfg, seed, build_dataset(cfg.bitmaps))
-    write_run_artifacts(result, cfg, out_dir)
-    return result.summary()
+    return write_artifacts(out_dir, cfg, result.summary(), run_files(result, cfg))
 
 
 def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
-    write_run_artifacts(result, cfg, out_dir)
-    return result.summary()
+    return write_artifacts(out_dir, cfg, result.summary(), run_files(result, cfg))
 
 
 def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     dataset = build_dataset(cfg.bitmaps)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    atomic_write(out_dir / "dataset.csv", dataset_csv(dataset))
     summary = {
         "mode": "dataset",
         "patterns": len(dataset.training) + len(dataset.testing),
         "training": len(dataset.training),
         "testing": len(dataset.testing),
-        "version": __version__,
     }
-    write_json(out_dir / "summary.json", summary)
-    return summary
+    return write_artifacts(out_dir, cfg, summary, [("dataset.csv", dataset_csv(dataset))])
 
 
 def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
@@ -277,35 +282,27 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     ledger.json is byte-identical to that of emulate at the same (config, seed)."""
     result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
     ledger = result.rig.ledger
-    beam = cfg.energy_beam()
-    small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
-    large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    write_json(out_dir / "ledger.json", ledger.to_json_dict())
+    small = cfg.per_pulse_j(cfg["energy.spot_small_um"])
+    large = cfg.per_pulse_j(cfg["energy.spot_large_um"])
     summary = {
         "mode": "energy",
         "seed": seed,
         "per_pulse_spot_small_pj": small * 1e12,
         "per_pulse_spot_large_pj": large * 1e12,
-        "per_pulse_network_spot_pj": cfg.per_pulse_write_j() * 1e12,
+        "per_pulse_network_spot_pj": cfg.per_pulse_j(cfg["rig.spot_diameter_um"]) * 1e12,
         "training_steps": result.trace.total_steps,
         "total_pulses": ledger.total_pulses,
         "write_energy_nj": ledger.write_energy_j * 1e9,
         "read_events": ledger.read_events,
         "read_energy_nj": ledger.read_energy_j * 1e9,
-        "version": __version__,
     }
-    write_json(out_dir / "summary.json", summary)
-    atomic_write(
-        out_dir / "energy.txt",
-        (
-            f"per-pulse energy: {small * 1e12:.1f} pJ ({cfg['energy.spot_small_um']} um spot), "
-            f"{large * 1e12:.1f} pJ ({cfg['energy.spot_large_um']} um spot)\n"
-            f"ledger: {ledger.summary_line()}\n"
-        ),
+    energy_txt = (
+        f"per-pulse energy: {small * 1e12:.1f} pJ ({cfg['energy.spot_small_um']} um spot), "
+        f"{large * 1e12:.1f} pJ ({cfg['energy.spot_large_um']} um spot)\n"
+        f"ledger: {ledger.summary_line()}\n"
     )
-    return summary
+    files = [("ledger.json", ledger.to_json_dict()), ("energy.txt", energy_txt)]
+    return write_artifacts(out_dir, cfg, summary, files)
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
@@ -332,19 +329,14 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         )
         if result.trace.converged:
             converged_steps.append(result.trace.total_steps)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
-    atomic_write(out_dir / "sweep.csv", sweep_csv(rows))
     summary = {
         "mode": f"sweep-{mode}",
         "base_seed": seed,
         "seeds": cfg["sweep.seeds"],
         "converged": len(converged_steps),
         "median_steps": float(np.median(converged_steps)) if converged_steps else None,
-        "version": __version__,
     }
-    write_json(out_dir / "summary.json", summary)
-    return summary
+    return write_artifacts(out_dir, cfg, summary, [("sweep.csv", sweep_csv(rows))])
 
 
 MODE_RUNNERS = {

@@ -21,7 +21,7 @@ from optoperceptron.optics import (
     integrate_roi,
 )
 from optoperceptron.patterns import build_dataset
-from optoperceptron.rig import RigBackend, energy_per_pulse
+from optoperceptron.rig import RigBackend
 from optoperceptron.runner import (
     build_rig,
     emulate_run,
@@ -219,9 +219,8 @@ def test_criterion_7_mode_equivalence():
 
 def test_criterion_8_energy_ledger(tmp_path):
     cfg = load_config()
-    beam = cfg.energy_beam()
-    small = energy_per_pulse(beam, cfg["energy.spot_small_um"])
-    large = energy_per_pulse(beam, cfg["energy.spot_large_um"])
+    small = cfg.per_pulse_j(cfg["energy.spot_small_um"])
+    large = cfg.per_pulse_j(cfg["energy.spot_large_um"])
     in_window = 33e-12 <= small <= 96e-12 and 33e-12 <= large <= 96e-12
 
     # the energy mode writes the emulate run's own ledger, byte for byte,

@@ -147,6 +147,64 @@ def test_missing_config_file_is_io_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_output_path_that_is_a_file_is_io_error(tmp_path, capsys):
+    # the config loads; the artifact writer then cannot create the directory
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["dataset", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "camera.read_noise",  # NaN > 0 is false: a silently noiseless run
+        "trainer.eta_max",
+        "trainer.initial_weight",
+        "trainer.initial_threshold",
+        "energy.write_power_uw",  # NaN in summary.json, which is not JSON
+        "synapse.site_spread",
+        "camera.gain",
+        "optics.intensity_in",
+    ],
+)
+def test_nan_float_value_exit_code(tmp_path, capsys, key):
+    # every bound comparison with NaN is false, so NaN must be refused by name
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key} = nan\n")
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1: {key}: expected a number, got 'nan'" in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_file_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9\nrun.seed = 1\n".encode("latin-1"))
+    out = tmp_path / "o"
+    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}: not UTF-8 text (")
+    assert "at byte 5)" in err
+    assert not out.exists()
+
+
+def test_non_utf8_bitmap_file_exit_code(tmp_path, capsys):
+    bitmaps = tmp_path / "glyphs.txt"
+    bitmaps.write_bytes(b"\xff00\n000\n000\n")
+    cfg = tmp_path / "glyphs.cfg"
+    cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
+    out = tmp_path / "o"
+    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {bitmaps}: not UTF-8 text (")
+    assert not out.exists()
+
+
 def test_unconverged_run_still_exits_zero(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("trainer.max_epochs = 1\n")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,8 +15,8 @@ from optoperceptron.optics import (
     average_frames,
     expose_frames,
     integrate_roi,
+    pgm_image,
     spot_pixel_mask,
-    write_pgm,
 )
 from optoperceptron.synapse import InhomogeneityParams, SynapseSite
 
@@ -331,12 +330,10 @@ def test_integrate_out_of_bounds_rejected():
 
 # -- export -------------------------------------------------------------------
 
-def test_pgm_roundtrip(tmp_path):
+def test_pgm_roundtrip():
     camera = window_camera()
     counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
-    path = tmp_path / "frame.pgm"
-    write_pgm(counts[0], clipped, camera, path)
-    blob = path.read_bytes()
+    blob, meta = pgm_image(counts[0], clipped, camera)
     header, rest = blob.split(b"\n", 1)
     assert header == b"P5"
     dims, rest = rest.split(b"\n", 1)
@@ -345,33 +342,28 @@ def test_pgm_roundtrip(tmp_path):
     assert maxval == b"65535"
     data = np.frombuffer(pixels, dtype=">u2").reshape(camera.height, camera.width)
     assert np.array_equal(data, counts[0])
-    meta = json.loads(path.with_suffix(".pgm.json").read_text())
     assert meta["exposure_s"] == camera.exposure_s
 
 
-def test_pgm_write_is_atomic(tmp_path):
+def test_pgm_image_bytes_and_sidecar():
     camera = window_camera()
     counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
-    path = tmp_path / "frame.pgm"
-    write_pgm(counts[0], clipped, camera, path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pgm", "frame.pgm.json"]
+    blob, meta = pgm_image(counts[0], clipped, camera)
     header = f"P5\n{camera.width} {camera.height}\n65535\n".encode()
-    assert path.read_bytes() == header + counts[0].astype(">u2").tobytes()
-    meta = {
+    assert blob == header + counts[0].astype(">u2").tobytes()
+    assert meta == {
         "bit_depth": 16, "clipped": False, "exposure_s": 0.01,
         "height": camera.height, "pixel_area_um2": 1.0, "width": camera.width,
     }
-    assert (tmp_path / "frame.pgm.json").read_text() == json.dumps(meta, indent=2) + "\n"
 
 
-def test_pgm_sidecar_flags_counts_clipped_to_16_bits(tmp_path):
+def test_pgm_sidecar_flags_counts_clipped_to_16_bits():
     # 17 bits: the 66600-count background fits the sensor but not the PGM
     camera = window_camera(gain=330.0, bit_depth=17)
     counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
     assert not clipped
     assert counts.max() > 65535
-    path = tmp_path / "frame.pgm"
-    write_pgm(counts[0], clipped, camera, path)
-    pixels = np.frombuffer(path.read_bytes()[-2 * counts.size:], dtype=">u2")
+    blob, meta = pgm_image(counts[0], clipped, camera)
+    pixels = np.frombuffer(blob[-2 * counts.size:], dtype=">u2")
     assert np.array_equal(pixels, np.minimum(counts, 65535).ravel())
-    assert json.loads(path.with_suffix(".pgm.json").read_text())["clipped"] is True
+    assert meta["clipped"] is True

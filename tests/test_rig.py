@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from optoperceptron import rig as rig_module
 from optoperceptron.config import load_config
-from optoperceptron.optics import BeamConfig
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import (
     EnergyLedger,
@@ -122,22 +121,20 @@ def test_batched_shutter_draw_equals_scalar_draws(
 
 # -- energy -------------------------------------------------------------------
 
-def beam():
-    return BeamConfig(average_power_w=0.56e-6, waist_diameter_um=100.0)
+PULSE_J = 0.56e-6 / 1000.0  # default write power at the default repetition rate
 
 
 def test_energy_zero_spot():
-    assert energy_per_pulse(beam(), 0.0) == 0.0
+    assert energy_per_pulse(PULSE_J, 100.0, 0.0) == 0.0
 
 
 def test_energy_full_waist_is_full_pulse_energy():
-    b = beam()
-    assert energy_per_pulse(b, 100.0) == pytest.approx(b.pulse_energy_j)
+    assert energy_per_pulse(PULSE_J, 100.0, 100.0) == pytest.approx(PULSE_J)
 
 
 def test_reference_spots_land_in_reported_window():
-    small = energy_per_pulse(beam(), 25.0)
-    large = energy_per_pulse(beam(), 40.0)
+    small = energy_per_pulse(PULSE_J, 100.0, 25.0)
+    large = energy_per_pulse(PULSE_J, 100.0, 40.0)
     assert 33e-12 <= small <= 96e-12
     assert 33e-12 <= large <= 96e-12
 
