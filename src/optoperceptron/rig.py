@@ -410,8 +410,7 @@ class RigBackend:
         return pattern_output(self._state.contributions, pattern)
 
     def threshold(self) -> float:
-        # the artifacts print a float; exact, as the int count sum is < 2**53
-        return float(self._state.threshold)
+        return self._state.threshold
 
     def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
         active = pattern.active_indices

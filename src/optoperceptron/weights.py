@@ -86,6 +86,8 @@ class WeightState:
     ) -> "WeightState":
         backgrounds = tuple(float(v) for v in background_sums)
         writtens = tuple(float(v) for v in written_sums)
+        threshold_background = float(threshold_background)
+        threshold_written = float(threshold_written)
         if len(backgrounds) != len(writtens):
             raise ValueError("background and written sums must pair up")
         diagnostics = ClampDiagnostics()
@@ -98,8 +100,8 @@ class WeightState:
             background_sums=backgrounds,
             written_sums=writtens,
             weights=weights,
-            threshold_background=float(threshold_background),
-            threshold_written=float(threshold_written),
+            threshold_background=threshold_background,
+            threshold_written=threshold_written,
             threshold=extract_threshold(threshold_background, threshold_written),
             contributions=contributions,
             clamp_diagnostics=diagnostics,

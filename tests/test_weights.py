@@ -105,6 +105,8 @@ def test_weight_state_json_roundtrip():
     payload = json.loads(json.dumps(state.to_json_dict()))
     assert payload["weights"] == [0.5] * 9
     assert payload["threshold"] == 1900
+    # int count sums print as floats, the threshold like the sums it comes from
+    assert type(state.threshold) is type(state.threshold_background) is float
     assert payload["clamped_low"] == 0
 
 
