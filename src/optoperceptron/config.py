@@ -263,7 +263,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def read_text_file(path: str | Path) -> str:
+def _read_text(path: str | Path) -> str:
     """A config or bitmap file as UTF-8 text, whatever the host locale."""
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -277,7 +277,7 @@ def load_config(
 ) -> RunConfig:
     """Resolve defaults, an optional config file, and CLI overrides in order."""
     values: dict[str, object] = {key: spec.default for key, spec in KEY_TABLE.items()}
-    entries = parse_config_text(read_text_file(config_path)) if config_path is not None else []
+    entries = parse_config_text(_read_text(config_path)) if config_path is not None else []
     entries += [(key, raw, "override") for key, raw in (overrides or {}).items()]
     for key, raw, where in entries:
         if key not in KEY_TABLE:
@@ -296,7 +296,7 @@ def load_config(
         path = Path(bitmaps_file)
         if not path.exists():
             raise ConfigurationError(f"dataset.bitmaps_file: no such file {bitmaps_file!r}")
-        bitmaps = parse_bitmap_text(read_text_file(path))
+        bitmaps = parse_bitmap_text(_read_text(path))
     return RunConfig(values=values, bitmaps=bitmaps)
 
 
