@@ -8,6 +8,7 @@ outputs ship so a run is reproducible from (config, seed) alone.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -264,11 +265,17 @@ class RunConfig:
 
 
 def _read_text(path: str | Path) -> str:
-    """A config or bitmap file as UTF-8 text, whatever the host locale."""
+    """A config or bitmap file as UTF-8 text, whatever the host locale. A
+    leading byte-order mark is dropped, and an error names the file's own
+    byte offset, the mark included."""
+    data = Path(path).read_bytes()
+    skipped = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data[skipped:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {skipped + exc.start})"
+        ) from exc
 
 
 def load_config(

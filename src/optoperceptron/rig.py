@@ -308,7 +308,7 @@ class Rig:
         events.append(("ps2", "blocking"))
         delivered = shutter_pulses(self.shutter_rng, self.shutter, n_packets)
         site = self.sites[index]
-        tag = helicity.value
+        tag = helicity._value_  # .value is a Python-level enum property
         for pulses in delivered:
             site = apply_packet(site, helicity, pulses)
             events.append(("shutter", label, tag, pulses))

@@ -2,7 +2,9 @@
 
 Every run derives all of its randomness from (config, seed): the master
 seed spawns one stream each for learning rates, the shutter, the camera,
-and the site parameter draws, so repeated runs are byte-identical.
+and the site parameter draws, in that order, so repeated runs are
+byte-identical. A simulate run draws learning rates alone and builds only
+their stream; an emulate run builds the other three.
 """
 
 from __future__ import annotations
@@ -35,16 +37,22 @@ SCHEMA_PREFIX = "optoperceptron"
 
 @dataclass
 class Streams:
-    eta: np.random.Generator
+    """The rig's streams: children 1-3 of the run seed."""
+
     shutter: np.random.Generator
     camera: np.random.Generator
     sites: np.random.SeedSequence
 
 
+def eta_stream(seed: int) -> np.random.Generator:
+    """The learning-rate stream: child 0 of the run seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
 def make_streams(seed: int) -> Streams:
-    eta_ss, shutter_ss, camera_ss, sites_ss = np.random.SeedSequence(seed).spawn(4)
+    """Children 1-3 of the run seed; child 0 is eta_stream's, left unbuilt."""
+    _, shutter_ss, camera_ss, sites_ss = np.random.SeedSequence(seed).spawn(4)
     return Streams(
-        eta=np.random.default_rng(eta_ss),
         shutter=np.random.default_rng(shutter_ss),
         camera=np.random.default_rng(camera_ss),
         sites=sites_ss,
@@ -76,8 +84,8 @@ class RunResult:
     mode: str
     seed: int
     trace: TrainingTrace
-    pre_eval: list[EvalResult]
-    post_train_eval: list[EvalResult]
+    pre_eval: list[EvalResult] | None  # None when the run skipped its bars
+    post_train_eval: list[EvalResult] | None
     post_test_eval: list[EvalResult]
     backend: WeightBackend
     rig: Rig | None = None
@@ -96,32 +104,37 @@ class RunResult:
         }
 
 
-def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
+def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True) -> RunResult:
     trainer_cfg = cfg.trainer_config()
-    backend = VectorBackend(trainer_cfg, rng=make_streams(seed).eta)
-    return _train_and_evaluate("simulate", seed, trainer_cfg, backend, dataset)
+    backend = VectorBackend(trainer_cfg, rng=eta_stream(seed))
+    return _train_and_evaluate("simulate", seed, trainer_cfg, backend, dataset, bars)
 
 
-def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset) -> RunResult:
+def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True) -> RunResult:
     trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, make_streams(seed))
-    backend = RigBackend(rig, keep_snapshots=cfg["run.trace_verbosity"] >= 2)
-    return _train_and_evaluate("emulate", seed, trainer_cfg, backend, dataset, rig)
+    backend = RigBackend(rig, keep_snapshots=bars and cfg["run.trace_verbosity"] >= 2)
+    return _train_and_evaluate("emulate", seed, trainer_cfg, backend, dataset, bars, rig)
 
 
 def _train_and_evaluate(
     mode: str, seed: int, trainer_cfg: TrainerConfig, backend: WeightBackend,
-    dataset: Dataset, rig: Rig | None = None,
+    dataset: Dataset, bars: bool, rig: Rig | None = None,
 ) -> RunResult:
     """The run body of both modes. Pre-training bars are judged against the
     backend's starting threshold, post-training ones against the trained
-    threshold. train and evaluate_patterns are looked up by this module's
-    names, which the benchmark's tracer wraps."""
+    threshold; bars=False skips both evaluations of the training patterns
+    (and the weight snapshots), which only the bars artifacts show. The
+    held-out evaluation always runs. train and evaluate_patterns are looked
+    up by this module's names, which the benchmark's tracer wraps."""
     target = trainer_cfg.target_class
-    pre = evaluate_patterns(backend, dataset.training, target, backend.threshold())
+    pre = post_train = None
+    if bars:
+        pre = evaluate_patterns(backend, dataset.training, target, backend.threshold())
     trace = train(dataset.training, trainer_cfg, backend)
     final = trace.final_threshold
-    post_train = evaluate_patterns(backend, dataset.training, target, final)
+    if bars:
+        post_train = evaluate_patterns(backend, dataset.training, target, final)
     post_test = evaluate_patterns(backend, dataset.testing, target, final)
     return RunResult(mode, seed, trace, pre, post_train, post_test, backend, rig)
 
@@ -306,7 +319,8 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 
 
 def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    """Per-seed convergence summaries; seeds are base_seed + i."""
+    """Per-seed convergence summaries; seeds are base_seed + i. A row needs
+    the trace and the held-out evaluation only, so each run skips its bars."""
     mode = cfg["sweep.mode"]
     runner = simulate_run if mode == "simulate" else emulate_run
     dataset = build_dataset(cfg.bitmaps)
@@ -314,7 +328,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     converged_steps = []
     for i in range(cfg["sweep.seeds"]):
         run_seed = seed + i
-        result = runner(cfg, run_seed, dataset)
+        result = runner(cfg, run_seed, dataset, bars=False)
         rows.append(
             [
                 run_seed,

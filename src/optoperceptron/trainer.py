@@ -25,6 +25,12 @@ class Action(enum.Enum):
     LOWER_OUTPUT = "lower"
 
 
+# The members under module names, and a member's tag read as ``_value_``:
+# on Python 3.11 ``Action.ACCEPT`` and ``.value`` each cost over ten times
+# a global read, and the step path reads them on every step.
+_ACCEPT, _RAISE, _LOWER = Action.ACCEPT, Action.RAISE_OUTPUT, Action.LOWER_OUTPUT
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     initial_weight: float = 0.5
@@ -75,8 +81,8 @@ def classify(output: float, threshold: float, pattern_class: str, target_class: 
     strictly below; an exact tie is never accepted.
     """
     if pattern_class == target_class:
-        return Action.ACCEPT if output > threshold else Action.RAISE_OUTPUT
-    return Action.ACCEPT if output < threshold else Action.LOWER_OUTPUT
+        return _ACCEPT if output > threshold else _RAISE
+    return _ACCEPT if output < threshold else _LOWER
 
 
 def update_weights(
@@ -85,14 +91,18 @@ def update_weights(
     """w_i +- eta * x_i; only the pattern's active inputs move.
 
     Inactive inputs still take their +-0.0 step: a raise turns a -0.0
-    weight (trainer.initial_weight may be -0.0) into +0.0.
+    weight (trainer.initial_weight may be -0.0) into +0.0. The signed step
+    is +-eta itself, bit-identical to the product (+-1.0) * eta.
     """
-    if direction not in (Action.RAISE_OUTPUT, Action.LOWER_OUTPUT):
+    if direction is _RAISE:
+        step = eta
+    elif direction is _LOWER:
+        step = -eta
+    else:
         raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    sign = 1.0 if direction is Action.RAISE_OUTPUT else -1.0
-    return [w + sign * eta * x for w, x in zip(weights, pattern.inputs)]
+    return [w + step * x for w, x in zip(weights, pattern.inputs)]
 
 
 def sample_eta(rng: np.random.Generator, eta_max: float) -> float:
@@ -226,13 +236,16 @@ def train(
     backend.threshold() and only train raises it: a clean pass that ends
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
+    Only an update moves the weights, so they are read again after each
+    update alone.
     """
     trace = TrainingTrace()
-    output_of, weights_of = backend.output, backend.weights
+    output_of, update_of, weights_of = backend.output, backend.apply_update, backend.weights
     record = trace.steps.append
     target = config.target_class
     accepted = UpdateRecord()
     threshold = backend.threshold()
+    weights = weights_of()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
@@ -242,24 +255,25 @@ def train(
             output = output_of(pattern)
             action = classify(output, threshold, pattern.class_label, target)
             update = accepted
-            if action is not Action.ACCEPT:
+            if action is not _ACCEPT:
                 clean = False
-                update = backend.apply_update(pattern, action)
+                update = update_of(pattern, action)
+                weights = weights_of()
             record(
                 StepRecord(
                     step, pattern.pattern_id, pattern.class_label, output, threshold,
-                    action.value, update.eta, update.pulses, weights_of(),
+                    action._value_, update.eta, update.pulses, weights,
                 )
             )
         if clean:
-            if min(weights_of()) < 0:
+            if min(weights) < 0:
                 old = threshold
                 threshold *= 1.0 + config.threshold_raise
                 trace.raises.append(ThresholdRaise(step, old, threshold))
             else:
                 trace.converged = True
                 break
-    trace.final_weights = weights_of()
+    trace.final_weights = weights
     trace.final_threshold = threshold
     return trace
 
@@ -291,7 +305,7 @@ def evaluate_patterns(
                 threshold=threshold,
                 desired_above=p.class_label == target_class,
                 correct=classify(output, threshold, p.class_label, target_class)
-                is Action.ACCEPT,
+                is _ACCEPT,
             )
         )
     return results

@@ -205,6 +205,32 @@ def test_non_utf8_bitmap_file_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfrun.seed = 1\n")
+    out = tmp_path / "o"
+    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "run.seed = 1" in read_lines(out / "config.resolved.txt")
+
+
+def test_bitmap_file_with_byte_order_mark(tmp_path, capsys):
+    bitmaps = tmp_path / "glyphs.txt"
+    bitmaps.write_bytes(b"\xef\xbb\xbf111\n000\n111\n\n100\n100\n100\n\n001\n001\n001\n")
+    cfg = tmp_path / "glyphs.cfg"
+    cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
+    out = tmp_path / "o"
+    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_lines(out / "dataset.csv")[2:]
+    assert rows[0] == "z0,z,0,train,1,1,1,0,0,0,1,1,1"
+
+
+def test_non_utf8_byte_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom-latin1.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + "# caf\u00e9\n".encode("latin-1"))
+    assert main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "at byte 8)" in capsys.readouterr().err
+
+
 def test_unconverged_run_still_exits_zero(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("trainer.max_epochs = 1\n")

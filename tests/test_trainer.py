@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -118,6 +119,52 @@ def test_update_rejects_bad_eta_and_direction():
         update_weights([0.5] * 9, pat([1] * 9), Action.RAISE_OUTPUT, 0.0)
     with pytest.raises(ValueError):
         update_weights([0.5] * 9, pat([1] * 9), Action.ACCEPT, 0.01)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal, with equal signs: +0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.lists(FINITE, min_size=9, max_size=9),
+    st.sampled_from(ALL_INPUT_VECTORS),
+    st.sampled_from([Action.RAISE_OUTPUT, Action.LOWER_OUTPUT]),
+    st.one_of(
+        st.sampled_from([0.014, 5e-324, 1e300]),
+        st.floats(min_value=5e-324, allow_infinity=False),
+    ),
+)
+def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, eta):
+    sign = 1.0 if direction is Action.RAISE_OUTPUT else -1.0
+    reference = [w + sign * eta * x for w, x in zip(weights, p.inputs)]
+    updated = update_weights(weights, p, direction, eta)
+    assert len(updated) == 9
+    assert all(same_float(a, b) for a, b in zip(updated, reference))
+
+
+def test_raise_turns_an_inactive_negative_zero_weight_positive():
+    # trainer.initial_weight = -0.0: a raise moves every inactive input to +0.0
+    backend = VectorBackend(TrainerConfig(initial_weight=-0.0, eta_fixed=0.01), np.random.default_rng(0))
+    backend.apply_update(pat([1] + [0] * 8), Action.RAISE_OUTPUT)
+    raised = backend.weights()
+    assert same_float(raised[0], 0.01)
+    assert all(same_float(w, 0.0) for w in raised[1:])
+    lowered = update_weights([-0.0] * 9, pat([1] + [0] * 8), Action.LOWER_OUTPUT, 0.01)
+    assert same_float(lowered[0], -0.01)
+    assert all(same_float(w, -0.0) for w in lowered[1:])
+
+
+def test_classify_tags_are_the_artifact_actions():
+    assert [a.value for a in Action] == ["accept", "raise", "lower"]
+    tags = {classify(o, 2.5, c, "v").value for o in (2.4, 2.6) for c in ("v", "z")}
+    assert tags == {"accept", "raise", "lower"}
 
 
 def test_sample_eta_in_half_open_interval():
