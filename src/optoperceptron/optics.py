@@ -4,8 +4,9 @@ Magnetization maps to a rotation angle, the crossed analyzer turns that into
 an intensity I_out = I_in * c * (1 - m) with c = delta^2 / 2, and a strictly
 linear camera (additive dark offset, optional Gaussian read noise) converts
 intensity into pixel counts. One kernel renders every camera read as a
-stack of frames from a single noise draw; the rest is frame averaging and
-ROI integration.
+stack of frames into a read-noise block; one draw may cover the blocks of
+several reads. The rest is frame averaging and ROI integration, which
+reduce the trailing axes and so serve one read or several at once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class CameraConfig:
     exposure_s: float = 0.010
     gain: float = 100.0
     dark_offset: float = 600.0
-    read_noise: float = 0.0
+    read_noise: float = 50.0
     bit_depth: int = 16
 
     def __post_init__(self):
@@ -140,12 +141,29 @@ def spot_pixel_mask(spot: SpotGeometry, camera: CameraConfig) -> np.ndarray:
     return (px - spot.center_x_um) ** 2 + (py - spot.center_y_um) ** 2 <= r * r
 
 
+def draw_read_noise(rng: np.random.Generator, camera: CameraConfig, *leading: int) -> np.ndarray:
+    """Gaussian read noise for (*leading, height, width) pixels from one draw.
+
+    The draw fills values in order, so one block equals the blocks of its
+    leading slices drawn one after another, and leaves the rng in the same
+    state. Scaling standard normal values by sigma gives, value for value,
+    what rng.normal(0, sigma) gives (it computes 0 + sigma * z), with a
+    faster fill. A noiseless camera draws nothing and gets zeros.
+    """
+    shape = (*leading, camera.height, camera.width)
+    if camera.read_noise == 0:
+        return np.zeros(shape)
+    noise = rng.standard_normal(shape)
+    noise *= camera.read_noise
+    return noise
+
+
 def expose_frames(
     n_frames: int,
     sites: Sequence[tuple[SynapseSite, SpotGeometry]],
     constants: OpticalConstants,
     camera: CameraConfig,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
     masks: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, bool]:
     """The readout kernel: n noise-independent frames of one scene.
@@ -153,21 +171,26 @@ def expose_frames(
     Pixels inside a written spot carry that site's intensity (uniform over
     the disk, scaled by the site's background_gain to model illumination
     inhomogeneity at that sample area); all other pixels carry the
-    background state. One read-noise draw covers every frame, so an rng is
-    required when read noise is enabled. Returns the integer counts, clipped
-    to [0, full_well], as a float64 (n_frames, height, width) stack, and
-    whether any pixel clipped at the full well. The clip pass runs only when
-    the rounded stack's minimum is below 0 or its maximum above the full
-    well; otherwise the stack is already in range.
+    background state. noise is the (n_frames, height, width) read-noise
+    block of this exposure, from draw_read_noise; the frames are rendered
+    into it in place. It is required when read noise is enabled and
+    defaults to zeros otherwise. Returns the integer counts, clipped to
+    [0, full_well], as a float64 (n_frames, height, width) stack, and
+    whether any pixel clipped at the full well. The clip pass runs only
+    when the rounded stack's minimum is below 0 or its maximum above the
+    full well; otherwise the stack is already in range.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if camera.read_noise > 0 and rng is None:
-        raise ValueError("an rng is required when read noise is enabled")
-    base = np.full(
-        (camera.height, camera.width),
-        _noiseless_counts(analyzer_intensity(0.0, constants), camera),
-    )
+    shape = (n_frames, camera.height, camera.width)
+    if noise is None:
+        if camera.read_noise > 0:
+            raise ValueError("a read-noise block is required when read noise is enabled")
+        noise = np.zeros(shape)
+    elif noise.shape != shape:
+        raise ValueError(f"noise block of shape {noise.shape} does not fit {shape}")
+    base = np.empty(shape[1:])  # empty + fill: half the call cost of np.full
+    base.fill(_noiseless_counts(analyzer_intensity(0.0, constants), camera))
     for idx, (site, spot) in enumerate(sites):
         if not camera.in_field(spot.center_x_um, spot.center_y_um):
             raise ValueError(
@@ -182,12 +205,8 @@ def expose_frames(
             * analyzer_intensity(site.written_fraction, constants),
             camera,
         )
-    shape = (n_frames, camera.height, camera.width)
-    if camera.read_noise > 0:
-        counts = rng.normal(0.0, camera.read_noise, size=shape)
-        counts += base
-    else:
-        counts = np.broadcast_to(base, shape).copy()
+    counts = noise
+    counts += base
     np.rint(counts, out=counts)
     full_well = camera.full_well
     clipped = bool(counts.max() > full_well)
@@ -202,27 +221,31 @@ def _noiseless_counts(intensity: float, camera: CameraConfig) -> float:
 
 
 def average_frames(counts: np.ndarray) -> np.ndarray:
-    """Per-pixel mean of a (frames, height, width) stack, rounded to counts.
+    """Per-pixel mean over the frame axis of a (..., frames, height, width)
+    stack, rounded to counts.
 
     The float64 sums of at most 1000 frames of counts below 2**32 are exact,
-    so the mean does not depend on the summation order. Integer stacks are
-    accepted too.
+    so the mean does not depend on the summation order, and averaging a
+    stack of several reads at once equals averaging each alone. Integer
+    stacks are accepted too.
     """
-    if counts.ndim != 3:
+    if counts.ndim < 3:
         raise ValueError(f"expected a (frames, height, width) stack, got shape {counts.shape}")
-    mean = counts.sum(axis=0, dtype=np.float64)
-    mean /= counts.shape[0]
+    mean = counts.sum(axis=-3, dtype=np.float64)
+    mean /= counts.shape[-3]
     np.rint(mean, out=mean)
     return mean.astype(np.int64)
 
 
-def integrate_roi(counts: np.ndarray, roi: Roi) -> int:
-    """Exact sum of the (height, width) pixel counts inside the ROI."""
-    height, width = counts.shape
+def integrate_roi(counts: np.ndarray, roi: Roi) -> int | list:
+    """Exact sum of the pixel counts inside the ROI of each trailing
+    (height, width) frame: an int for one frame, a list of ints for a
+    stack of frames."""
+    height, width = counts.shape[-2:]
     if roi.x + roi.width > width or roi.y + roi.height > height:
         raise ValueError(f"roi {roi} does not fit in a {width}x{height} frame")
-    region = counts[roi.y : roi.y + roi.height, roi.x : roi.x + roi.width]
-    return int(region.sum())
+    region = counts[..., roi.y : roi.y + roi.height, roi.x : roi.x + roi.width]
+    return region.sum(axis=(-2, -1)).tolist()
 
 
 def pgm_image(counts: np.ndarray, clipped: bool, camera: CameraConfig) -> tuple[bytes, dict]:

@@ -21,6 +21,7 @@ from .optics import (
     Roi,
     SpotGeometry,
     average_frames,
+    draw_read_noise,
     expose_frames,
     integrate_roi,
     spot_pixel_mask,
@@ -223,6 +224,12 @@ class Rig:
         )
         self.window_roi = Roi(0, 0, win_w, win_h)
         self._window_mask = spot_pixel_mask(self.window_spot, self.window_camera)
+        if not self._window_mask.any():
+            raise ConfigurationError(
+                f"a {rig_config.spot_diameter_um} um spot covers no pixel center of the "
+                f"{win_w}x{win_h} readout window at {scale} um per pixel, so no read "
+                "could see a weight; increase rig.spot_diameter_um"
+            )
 
         # One camera images the whole array, so every site must land on it.
         for i in range(N_WEIGHT_SITES + 1):
@@ -246,58 +253,57 @@ class Rig:
 
     # -- reads --------------------------------------------------------------
 
-    def _read_site(self, index: int, background: bool = False) -> int:
-        """Ten-frame averaged ROI sum of one site (one read event).
+    def _read(self, indices: Sequence[int], background: bool = False) -> list[int]:
+        """Ten-frame averaged ROI sums of the listed sites, one read event each.
 
-        A background read whose frames clipped at the full well cannot
-        reference a weight, so it fails the run.
+        One read-noise draw covers every frame of every listed site. Each
+        site is rendered into its slice of that block, and the block is
+        averaged and integrated at once. A background read whose frames
+        clipped at the full well cannot reference a weight, so it fails the
+        run, naming the first such site in the listed order.
         """
-        label = self.label(index)
-        self.events.append(("stage_move", label))
-        self.events.append(("mirror", "in"))
-        counts, clipped = expose_frames(
-            self.config.frames_per_read,
-            [(self.sites[index], self.window_spot)],
-            self.constants,
-            self.window_camera,
-            self.camera_rng,
-            masks=[self._window_mask],
-        )
-        if background and clipped:
-            raise DegenerateBackgroundError(
-                f"background read of site {label} clipped at the "
-                f"{self.window_camera.bit_depth}-bit full well {self.window_camera.full_well}"
-            )
-        total = integrate_roi(average_frames(counts), self.window_roi)
-        self.events.append(("read", label))
-        self.events.append(("mirror", "out"))
-        self.ledger.add_reads(1)
-        return total
+        camera = self.window_camera
+        n_frames = self.config.frames_per_read
+        block = draw_read_noise(self.camera_rng, camera, len(indices), n_frames)
+        sites, spot, constants = self.sites, self.window_spot, self.constants
+        masks = [self._window_mask]
+        events = self.events
+        for i, noise in zip(indices, block):
+            label = SITE_LABELS[i]
+            events.append(("stage_move", label))
+            events.append(("mirror", "in"))
+            _, clipped = expose_frames(n_frames, [(sites[i], spot)], constants, camera, noise, masks)
+            if background and clipped:
+                raise DegenerateBackgroundError(
+                    f"background read of site {label} clipped at the "
+                    f"{camera.bit_depth}-bit full well {camera.full_well}"
+                )
+            events.append(("read", label))
+            events.append(("mirror", "out"))
+        self.ledger.add_reads(len(indices))
+        return integrate_roi(average_frames(block), self.window_roi)
 
     def capture_backgrounds(self) -> list[int]:
         """Snapshot and cache I_B for all ten sites; sites must be fresh."""
         if any(s.accumulated_pulses != 0 for s in self.sites):
             raise ValueError("backgrounds must be captured before any writing")
-        self.background_sums = [
-            self._read_site(i, background=True) for i in range(N_WEIGHT_SITES + 1)
-        ]
+        self.background_sums = self._read(range(N_WEIGHT_SITES + 1), background=True)
         return list(self.background_sums)
 
     def read_sites(self, site_indices: Iterable[int]) -> dict[int, int]:
         """Re-read only the listed sites; updates the cached written sums."""
         if self.background_sums is None:
             raise ValueError("capture backgrounds before reading weights")
-        sums = {}
-        for i in self._check_indices(site_indices):
-            value = self._read_site(i)
+        idxs = self._check_indices(site_indices)
+        sums = dict(zip(idxs, self._read(idxs)))
+        for i, value in sums.items():
             self.written_sums[i] = value
-            sums[i] = value
         return sums
 
     # -- writes -------------------------------------------------------------
 
-    def _write_packets(self, index: int, helicity: Helicity, n_packets: int) -> list[int]:
-        """Deliver shutter-gated packets to one site; returns pulses/packet.
+    def _write_packets(self, index: int, helicity: Helicity, delivered: Sequence[int]) -> None:
+        """Deliver shutter-gated packets of the given pulse counts to one site.
 
         The conjugate shutter blocks the camera for the duration; zero-cost
         sequencing events land in the run trace.
@@ -306,7 +312,6 @@ class Rig:
         events = self.events
         events.append(("stage_move", label))
         events.append(("ps2", "blocking"))
-        delivered = shutter_pulses(self.shutter_rng, self.shutter, n_packets)
         site = self.sites[index]
         tag = helicity._value_  # .value is a Python-level enum property
         for pulses in delivered:
@@ -315,7 +320,24 @@ class Rig:
         self.sites[index] = site
         self.ledger.add_writes(label, delivered, self.per_pulse_write_j)
         events.append(("ps2", "open"))
-        return delivered
+
+    def _write_sites(
+        self, indices: Sequence[int], helicity: Helicity, packets: Sequence[int]
+    ) -> dict[int, int]:
+        """packets[k] packets on site indices[k], in order; returns pulses/site.
+
+        One shutter draw covers every packet and is split across the sites in
+        delivery order, which equals one draw per site.
+        """
+        delivered = shutter_pulses(self.shutter_rng, self.shutter, sum(packets))
+        applied = {}
+        start = 0
+        for i, n in zip(indices, packets):
+            site_pulses = delivered[start : start + n]
+            start += n
+            self._write_packets(i, helicity, site_pulses)
+            applied[i] = sum(site_pulses)
+        return applied
 
     def apply_learning_update(
         self, site_indices: Iterable[int], direction: Action
@@ -327,13 +349,10 @@ class Rig:
             helicity = Helicity.ERASE
         else:
             raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
-        applied = {}
-        for i in self._check_indices(site_indices):
-            if i == THRESHOLD_SITE:
-                raise ValueError("learning updates never address the threshold site")
-            delivered = self._write_packets(i, helicity, self.config.learning_packets)
-            applied[i] = sum(delivered)
-        return applied
+        idxs = self._check_indices(site_indices)
+        if THRESHOLD_SITE in idxs:
+            raise ValueError("learning updates never address the threshold site")
+        return self._write_sites(idxs, helicity, [self.config.learning_packets] * len(idxs))
 
     def initialize_network(self) -> WeightState:
         """Write pre-weights and threshold from a fresh sample, read all sites.
@@ -344,9 +363,9 @@ class Rig:
         """
         if self.background_sums is None:
             self.capture_backgrounds()
-        for i in range(N_WEIGHT_SITES):
-            self._write_packets(i, Helicity.WRITE, self.config.init_weight_packets)
-        self._write_packets(THRESHOLD_SITE, Helicity.WRITE, self.config.init_threshold_packets)
+        budgets = [self.config.init_weight_packets] * N_WEIGHT_SITES
+        budgets.append(self.config.init_threshold_packets)
+        self._write_sites(range(N_WEIGHT_SITES + 1), Helicity.WRITE, budgets)
         self.read_sites(range(N_WEIGHT_SITES + 1))
         return self.weight_state()
 
@@ -370,7 +389,9 @@ class Rig:
             placed.append(
                 (site, SpotGeometry(x, y, self.config.spot_diameter_um))
             )
-        counts, clipped = expose_frames(1, placed, self.constants, self.sensor_camera, self.camera_rng)
+        camera = self.sensor_camera
+        noise = draw_read_noise(self.camera_rng, camera, 1)
+        counts, clipped = expose_frames(1, placed, self.constants, camera, noise)
         return counts[0].astype(np.int64), clipped
 
     def site_position_um(self, index: int) -> tuple[float, float]:

@@ -127,15 +127,15 @@ def response_curve(effective_pulses: float, params: InhomogeneityParams) -> floa
 
 @dataclass(frozen=True)
 class SynapseSite:
-    """One addressable sample area holding a single network weight."""
+    """One addressable sample area holding a single network weight.
+
+    written_fraction is unchecked: apply_packet takes it from
+    response_curve, which returns values in [0, 1] only.
+    """
 
     written_fraction: float
     accumulated_pulses: int
     params: InhomogeneityParams
-
-    def __post_init__(self):
-        if not 0.0 <= self.written_fraction <= 1.0:
-            raise ValueError("written_fraction must stay in [0, 1]")
 
 
 def fresh_site(params: InhomogeneityParams | None = None) -> SynapseSite:

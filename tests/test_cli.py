@@ -326,6 +326,17 @@ def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message)
     assert not out.exists()
 
 
+def test_spot_covering_no_pixel_exit_code(tmp_path, capsys):
+    # A 0.01 um spot holds no pixel center of the readout window, so every
+    # weight read would be background noise alone.
+    cfg = tmp_path / "tiny_spot.cfg"
+    cfg.write_text("rig.spot_diameter_um = 0.01\n")
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    assert "covers no pixel center" in capsys.readouterr().err
+    assert not out.exists()
+
+
 OVERLAPPING_BITMAPS = [
     # z's held-out variant flips its second input: 100 -> 110, which is v's ideal
     (

@@ -3,7 +3,11 @@ import pytest
 from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.errors import ConfigurationError
+from optoperceptron.optics import CameraConfig, OpticalConstants
 from optoperceptron.patterns import DEFAULT_BITMAPS
+from optoperceptron.rig import RigConfig, ShutterModel
+from optoperceptron.synapse import InhomogeneityParams
+from optoperceptron.trainer import TrainerConfig
 
 
 def test_defaults_load():
@@ -13,6 +17,22 @@ def test_defaults_load():
     assert cfg["trainer.eta_max"] == 0.014
     assert cfg["camera.dark_offset"] == 600.0
     assert cfg.bitmaps == DEFAULT_BITMAPS
+
+
+@pytest.mark.parametrize(
+    "accessor, typed",
+    [
+        ("trainer_config", TrainerConfig),
+        ("nominal_site_params", InhomogeneityParams),
+        ("optical_constants", OpticalConstants),
+        ("camera_config", CameraConfig),
+        ("shutter_model", ShutterModel),
+        ("rig_config", RigConfig),
+    ],
+)
+def test_typed_config_defaults_match_the_key_table(accessor, typed):
+    # Code that builds a typed config directly gets what the CLI runs with.
+    assert getattr(load_config(), accessor)() == typed()
 
 
 def test_file_values_and_comments(tmp_path):

@@ -1,12 +1,22 @@
-"""Hot-path guard: the functions run once per trainer step or per packet read
-no enum member through its class (``Action.ACCEPT``) and no ``.value``. On
-Python 3.11 either read costs over ten times a module-level name, so one
-such read put back on the step path silently undoes the saving."""
+"""Hot-path guards.
+
+The functions run once per trainer step or per packet read no enum member
+through its class (``Action.ACCEPT``) and no ``.value``. On Python 3.11
+either read costs over ten times a module-level name, so one such read put
+back on the step path silently undoes the saving.
+
+A rig operation on several sites makes one camera draw (reads) or one
+shutter draw (writes), not one per site: each draw carries its own fixed
+per-call cost.
+"""
 
 import ast
 from pathlib import Path
 
 import optoperceptron
+from optoperceptron.config import load_config
+from optoperceptron.runner import build_rig, make_streams
+from optoperceptron.trainer import Action
 
 PACKAGE = Path(optoperceptron.__file__).parent
 HOT_PATH = {
@@ -47,3 +57,43 @@ def test_hot_path_reads_no_enum_member_through_its_class_and_no_value():
                 if through_class or node.attr == "value":
                     offending.append(f"{module}.{name}: {ast.unparse(node)}")
     assert offending == []
+
+
+class CountingRng:
+    """A generator that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def __getattr__(self, name):
+        self.draws += 1
+        return getattr(self.rng, name)
+
+
+def counting_rig():
+    rig = build_rig(load_config(), make_streams(7))
+    rig.camera_rng = CountingRng(rig.camera_rng)
+    rig.shutter_rng = CountingRng(rig.shutter_rng)
+    return rig
+
+
+def test_one_camera_draw_per_read_operation():
+    rig = counting_rig()
+    rig.capture_backgrounds()
+    assert rig.camera_rng.draws == 1
+    for sites in ([3, 1, 4], range(10), [5]):
+        rig.read_sites(sites)
+    assert rig.camera_rng.draws == 4
+    assert rig.ledger.read_events == 10 + 3 + 10 + 1
+
+
+def test_one_shutter_draw_per_write_operation():
+    rig = counting_rig()
+    rig.initialize_network()  # ten sites' packets
+    assert rig.shutter_rng.draws == 1
+    assert rig.camera_rng.draws == 2  # backgrounds, then the full read
+    rig.apply_learning_update([0, 4, 8], Action.RAISE_OUTPUT)
+    rig.apply_learning_update([2, 6], Action.LOWER_OUTPUT)
+    assert rig.shutter_rng.draws == 3
+    assert len(rig.ledger.write_events) == 9 * 50 + 250 + 5 * 2

@@ -13,6 +13,7 @@ from optoperceptron.optics import (
     SpotGeometry,
     analyzer_intensity,
     average_frames,
+    draw_read_noise,
     expose_frames,
     integrate_roi,
     pgm_image,
@@ -147,6 +148,9 @@ def test_noise_requires_rng():
     camera = window_camera(noise=5.0)
     with pytest.raises(ValueError):
         expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
+    wrong_frames = draw_read_noise(np.random.default_rng(0), camera, 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, wrong_frames)
 
 
 def test_spot_outside_fov_rejected():
@@ -158,7 +162,8 @@ def test_spot_outside_fov_rejected():
 def test_batched_frames_are_noise_independent():
     camera = window_camera(noise=10.0)
     rng = np.random.default_rng(5)
-    counts, _ = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, rng)
+    noise = draw_read_noise(rng, camera, 3)
+    counts, _ = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, noise)
     assert counts.shape == (3, camera.height, camera.width)
     assert not np.array_equal(counts[0], counts[1])
     assert not np.array_equal(counts[1], counts[2])
@@ -189,7 +194,7 @@ def test_ten_frame_average_reduces_noise():
     sigma = 8.0
     camera = CameraConfig(width=128, height=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
     rng = np.random.default_rng(11)
-    counts, clipped = expose_frames(10, [], CONSTANTS, camera, rng)  # 25000 counts
+    counts, clipped = expose_frames(10, [], CONSTANTS, camera, draw_read_noise(rng, camera, 10))  # 25000 counts
     assert not clipped
     residual = average_frames(counts).astype(float).std()
     expected = sigma / math.sqrt(10)
@@ -207,7 +212,8 @@ def test_ten_frame_average_reduces_noise():
 def test_kernel_matches_per_frame_reference(camera):
     spot = centered_spot(camera)
     counts, clipped = expose_frames(
-        10, [(site_at(1.0), spot)], CONSTANTS, camera, np.random.default_rng(3)
+        10, [(site_at(1.0), spot)], CONSTANTS, camera,
+        draw_read_noise(np.random.default_rng(3), camera, 10),
     )
     # The per-frame loop the kernel replaced, on the same noise draw.
     mask = spot_pixel_mask(spot, camera)
@@ -281,7 +287,8 @@ def test_kernel_matches_reference_byte_for_byte(
     sites = [(site_at(m, g), spot) for m, g, spot in zip(fractions, gains, spots)]
     masks = [spot_pixel_mask(spot, camera) for _, spot in sites] if use_masks else None
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-    counts, clipped = expose_frames(n_frames, sites, CONSTANTS, camera, rng, masks=masks)
+    noise = draw_read_noise(rng, camera, n_frames)
+    counts, clipped = expose_frames(n_frames, sites, CONSTANTS, camera, noise, masks=masks)
     ref_counts, ref_clipped = reference_expose_frames(n_frames, sites, CONSTANTS, camera, ref_rng)
     assert counts.dtype == ref_counts.dtype and counts.shape == ref_counts.shape
     assert counts.tobytes() == ref_counts.tobytes()

@@ -3,15 +3,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron import rig as rig_module
 from optoperceptron.config import load_config
+from optoperceptron.errors import DegenerateBackgroundError
+from optoperceptron.optics import average_frames, draw_read_noise, expose_frames, integrate_roi
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import (
     EnergyLedger,
     N_WEIGHT_SITES,
+    SITE_LABELS,
     RigBackend,
     ShutterModel,
     THRESHOLD_SITE,
@@ -19,7 +22,7 @@ from optoperceptron.rig import (
     shutter_pulses,
 )
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate
-from optoperceptron.synapse import response_curve
+from optoperceptron.synapse import Helicity, apply_packet, response_curve
 from optoperceptron.trainer import Action, evaluate_patterns, train
 
 
@@ -184,7 +187,7 @@ def test_backgrounds_required_before_writing():
     from optoperceptron.synapse import Helicity
 
     cfg, rig = make_rig()
-    rig._write_packets(0, Helicity.WRITE, 1)
+    rig._write_packets(0, Helicity.WRITE, [50])
     with pytest.raises(ValueError):
         rig.capture_backgrounds()
 
@@ -201,7 +204,7 @@ def test_fully_written_site_reads_dark_area():
     rig.capture_backgrounds()
     from optoperceptron.synapse import Helicity
 
-    rig._write_packets(0, Helicity.WRITE, 50)
+    rig._write_packets(0, Helicity.WRITE, [50] * 50)
     total = rig.read_sites([0])[0]
     dark = cfg["camera.dark_offset"]
     n_spot = int(rig._window_mask.sum())
@@ -217,7 +220,7 @@ def test_fully_written_covering_spot_reads_pure_dark():
     rig.capture_backgrounds()
     from optoperceptron.synapse import Helicity
 
-    rig._write_packets(5, Helicity.WRITE, 50)
+    rig._write_packets(5, Helicity.WRITE, [50] * 50)
     total = rig.read_sites([5])[5]
     assert total == cfg["camera.dark_offset"] * rig.window_roi.width * rig.window_roi.height
 
@@ -329,6 +332,143 @@ def test_rig_ledger_counts_expected_events():
     assert rig.ledger.read_energy_j == pytest.approx(20 * 0.4e-9)
 
 
+# -- batched operations ----------------------------------------------------------
+
+def twin_generator(rng):
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def one_site_read(rig, index, rng):
+    """One site's read from its own noise draw: total and clip flag."""
+    camera, n_frames = rig.window_camera, rig.config.frames_per_read
+    counts, clipped = expose_frames(
+        n_frames,
+        [(rig.sites[index], rig.window_spot)],
+        rig.constants,
+        camera,
+        draw_read_noise(rng, camera, n_frames),
+    )
+    return integrate_roi(average_frames(counts), rig.window_roi), clipped
+
+
+READ_CASE = dict(
+    seed=7, order=[4, 0, 8, 4, 9], pulses=[0, 300, 450, 600, 1200, 0, 80, 500, 700, 1500],
+    overrides={},
+)
+
+
+@example(**READ_CASE)
+@example(**{**READ_CASE, "overrides": {"camera.read_noise": "0"}})
+@example(**{**READ_CASE, "overrides": {"camera.dark_offset": "0"}})  # written spots clip at 0
+@example(  # a bright background against an 8-bit full well clips high
+    **{**READ_CASE, "overrides": {"camera.bit_depth": "8", "camera.dark_offset": "30",
+                                  "camera.gain": "1"}}
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.lists(st.integers(0, THRESHOLD_SITE), max_size=12),
+    pulses=st.lists(st.integers(0, 1500), min_size=10, max_size=10),
+    overrides=st.sampled_from([
+        {},
+        {"camera.read_noise": "0"},
+        {"camera.dark_offset": "0", "camera.read_noise": "400"},
+        {"camera.bit_depth": "8", "camera.dark_offset": "30", "camera.gain": "1",
+         "camera.read_noise": "3"},
+    ]),
+)
+def test_batched_reads_equal_one_site_reads(seed, order, pulses, overrides):
+    cfg = load_config(overrides=overrides)
+    rig = build_rig(cfg, make_streams(seed))
+    twin = twin_generator(rig.camera_rng)
+    backgrounds = [one_site_read(rig, i, twin) for i in range(N_WEIGHT_SITES + 1)]
+    clipped = [i for i, (_, flag) in enumerate(backgrounds) if flag]
+    if clipped:
+        with pytest.raises(DegenerateBackgroundError, match=f"site {SITE_LABELS[clipped[0]]} "):
+            rig.capture_backgrounds()
+        return
+    assert rig.capture_backgrounds() == [total for total, _ in backgrounds]
+    assert rig.camera_rng.bit_generator.state == twin.bit_generator.state
+    for i, n in enumerate(pulses):
+        rig.sites[i] = apply_packet(rig.sites[i], Helicity.WRITE, n)
+    expected = {i: one_site_read(rig, i, twin)[0] for i in order}  # a repeat's last read wins
+    assert rig.read_sites(order) == expected
+    assert rig.camera_rng.bit_generator.state == twin.bit_generator.state
+    assert all(rig.written_sums[i] == total for i, total in expected.items())
+    assert rig.ledger.read_events == N_WEIGHT_SITES + 1 + len(order)
+
+
+def test_clipped_background_names_the_first_clipped_site():
+    # Noiseless, with the full well between the unwritten level
+    # (147 * 200 + 600 = 30000 counts) and the brighter spots: only sites
+    # whose background gain exceeds ~1.09 clip.
+    cfg, rig = make_rig(**{
+        "synapse.site_spread": "0.2", "camera.gain": "147", "camera.bit_depth": "15",
+    })
+    flags = [one_site_read(rig, i, None)[1] for i in range(N_WEIGHT_SITES + 1)]
+    assert not flags[0] and any(flags)
+    first = SITE_LABELS[flags.index(True)]
+    with pytest.raises(DegenerateBackgroundError, match=f"site {first} clipped"):
+        rig.capture_backgrounds()
+
+
+def per_site_writes(rig, indices, helicity, n_packets):
+    """Each site's packets from its own shutter draw; returns pulses/site."""
+    applied = {}
+    for i in indices:
+        delivered = shutter_pulses(rig.shutter_rng, rig.shutter, n_packets[i])
+        rig._write_packets(i, helicity, delivered)
+        applied[i] = sum(delivered)
+    return applied
+
+
+def write_record(rig):
+    """A copy of what the rig's writes leave behind."""
+    return (
+        list(rig.sites),
+        [(e.site, e.pulses, e.per_pulse_j) for e in rig.ledger.write_events],
+        rig.shutter_rng.bit_generator.state,
+        list(rig.events),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    jitter=st.sampled_from([{"shutter.jitter_mode": "relative"}, {"shutter.jitter_mode": "time"},
+                            {"shutter.jitter_enabled": "false"}]),
+    learning_packets=st.integers(1, 4),
+    order=st.lists(st.integers(0, N_WEIGHT_SITES - 1), max_size=12),
+    direction=st.sampled_from([Action.RAISE_OUTPUT, Action.LOWER_OUTPUT]),
+)
+def test_batched_writes_equal_per_site_writes(seed, jitter, learning_packets, order, direction):
+    cfg = load_config(overrides={
+        **jitter, "rig.learning_packets": str(learning_packets), "rig.init_weight_packets": "20",
+    })
+    batched, reference = (build_rig(cfg, make_streams(seed)) for _ in range(2))
+    batched.initialize_network()
+    reference.capture_backgrounds()
+    budgets = [cfg["rig.init_weight_packets"]] * N_WEIGHT_SITES + [cfg["rig.init_threshold_packets"]]
+    per_site_writes(reference, range(N_WEIGHT_SITES + 1), Helicity.WRITE, budgets)
+    reference.read_sites(range(N_WEIGHT_SITES + 1))
+    assert write_record(batched) == write_record(reference)
+    assert batched.weight_state() == reference.weight_state()
+
+    helicity = Helicity.WRITE if direction is Action.RAISE_OUTPUT else Helicity.ERASE
+    applied = batched.apply_learning_update(order, direction)
+    assert applied == per_site_writes(reference, order, helicity, [learning_packets] * N_WEIGHT_SITES)
+    assert write_record(batched) == write_record(reference)
+
+
+def test_learning_update_on_the_threshold_site_writes_nothing():
+    cfg, rig = make_rig()
+    rig.initialize_network()
+    before = write_record(rig)
+    with pytest.raises(ValueError, match="threshold site"):
+        rig.apply_learning_update([0, THRESHOLD_SITE], Action.RAISE_OUTPUT)
+    assert write_record(rig) == before
+
+
 # -- trainer backend on the rig -------------------------------------------------
 
 def test_rig_backend_output_sums_active_contributions():
@@ -406,7 +546,9 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_
     # The benchmark's per-layer trace counts packets and renders by wrapping
     # rig.apply_packet and rig.expose_frames; a path that bypasses either
     # name would read as a speed-up instead of failing its completeness check.
-    calls = {"packets": 0, "pulses": 0, "renders": 0}
+    # A read operation draws its noise once, but renders each site's scene
+    # through the kernel, so rendered scenes and frames follow the reads.
+    calls = {"packets": 0, "pulses": 0, "renders": 0, "frames": 0}
     apply_packet, expose_frames = rig_module.apply_packet, rig_module.expose_frames
 
     def counted_apply_packet(site, helicity, pulse_count):
@@ -414,9 +556,10 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_
         calls["pulses"] += pulse_count
         return apply_packet(site, helicity, pulse_count)
 
-    def counted_expose_frames(*args, **kwargs):
+    def counted_expose_frames(n_frames, *args, **kwargs):
         calls["renders"] += 1
-        return expose_frames(*args, **kwargs)
+        calls["frames"] += n_frames
+        return expose_frames(n_frames, *args, **kwargs)
 
     monkeypatch.setattr(rig_module, "apply_packet", counted_apply_packet)
     monkeypatch.setattr(rig_module, "expose_frames", counted_expose_frames)
@@ -425,10 +568,12 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_
     assert calls["packets"] == len(ledger.write_events) > 0
     assert calls["pulses"] == ledger.total_pulses
     assert calls["renders"] == ledger.read_events > 0
-    # the full-frame export of --frames is one more render through the same name
-    calls["renders"] = 0
+    assert calls["frames"] == ledger.read_events * cfg["rig.frames_per_read"]
+    # the full-frame export of --frames is one more one-frame render through the same name
+    calls["renders"] = calls["frames"] = 0
     cfg = load_config(overrides={"trainer.max_epochs": "3", "run.dump_frames": "true"})
     run_emulate(cfg, tmp_path, 7)
     ledger_json = json.loads((tmp_path / "ledger.json").read_text())
     assert (tmp_path / "sample_final.pgm").exists()
     assert calls["renders"] == ledger_json["read_events"] + 1
+    assert calls["frames"] == ledger_json["read_events"] * cfg["rig.frames_per_read"] + 1
