@@ -27,12 +27,15 @@ from .optics import (
     spot_pixel_mask,
 )
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import Action, Pattern, UpdateRecord, pattern_output
+from .trainer import Action, Pattern, pattern_output
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
 THRESHOLD_SITE = 9  # index of the threshold area in the 10-site array
 SITE_LABELS = tuple(f"w{i + 1}" for i in range(N_WEIGHT_SITES)) + ("b",)
+
+# Read once per learning update: a module name costs a tenth of Action.RAISE_OUTPUT.
+_RAISE, _LOWER, _WRITE, _ERASE = Action.RAISE_OUTPUT, Action.LOWER_OUTPUT, Helicity.WRITE, Helicity.ERASE
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ class Rig:
         for i in range(N_WEIGHT_SITES + 1):
             if not camera.in_field(*self.site_position_um(i)):
                 raise ConfigurationError(
-                    f"site {self.label(i)} at {self.site_position_um(i)} um is outside "
+                    f"site {SITE_LABELS[i]} at {self.site_position_um(i)} um is outside "
                     "the sensor field of view; reduce rig.site_spacing_um"
                 )
 
@@ -247,9 +250,6 @@ class Rig:
             if not 0 <= i <= THRESHOLD_SITE:
                 raise ValueError(f"site index {i} outside the 10-site array")
         return idxs
-
-    def label(self, index: int) -> str:
-        return SITE_LABELS[index]
 
     # -- reads --------------------------------------------------------------
 
@@ -308,7 +308,7 @@ class Rig:
         The conjugate shutter blocks the camera for the duration; zero-cost
         sequencing events land in the run trace.
         """
-        label = self.label(index)
+        label = SITE_LABELS[index]
         events = self.events
         events.append(("stage_move", label))
         events.append(("ps2", "blocking"))
@@ -343,10 +343,10 @@ class Rig:
         self, site_indices: Iterable[int], direction: Action
     ) -> dict[int, int]:
         """Learning packets on the pattern's active sites; returns pulses/site."""
-        if direction is Action.RAISE_OUTPUT:
-            helicity = Helicity.WRITE
-        elif direction is Action.LOWER_OUTPUT:
-            helicity = Helicity.ERASE
+        if direction is _RAISE:
+            helicity = _WRITE
+        elif direction is _LOWER:
+            helicity = _ERASE
         else:
             raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
         idxs = self._check_indices(site_indices)
@@ -359,15 +359,22 @@ class Rig:
 
         Backgrounds are captured first, each weight site then receives the
         configured packet budget and the threshold site five times as many
-        (with defaults), and a full read returns the initial state.
+        (with defaults), and a full read returns the initial state. A
+        threshold read <= 0 judges no pattern, so it fails the run.
         """
         if self.background_sums is None:
             self.capture_backgrounds()
         budgets = [self.config.init_weight_packets] * N_WEIGHT_SITES
         budgets.append(self.config.init_threshold_packets)
-        self._write_sites(range(N_WEIGHT_SITES + 1), Helicity.WRITE, budgets)
+        self._write_sites(range(N_WEIGHT_SITES + 1), _WRITE, budgets)
         self.read_sites(range(N_WEIGHT_SITES + 1))
-        return self.weight_state()
+        state = self.weight_state()
+        if state.threshold <= 0:
+            raise ConfigurationError(
+                f"the threshold reads {state.threshold} after initialization: its background "
+                f"sum {state.threshold_background} minus its written sum {state.threshold_written}"
+            )
+        return state
 
     # -- state --------------------------------------------------------------
 
@@ -433,13 +440,13 @@ class RigBackend:
     def threshold(self) -> float:
         return self._state.threshold
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
+    def apply_update(self, pattern: Pattern, direction: Action) -> tuple[None, tuple[int, ...]]:
         active = pattern.active_indices
         applied = self.rig.apply_learning_update(active, direction)
         self.rig.read_sites(active)
         self._state = self.rig.weight_state()
         self._snapshot()
-        return UpdateRecord(pulses=tuple(applied[i] for i in active))
+        return None, tuple(applied[i] for i in active)
 
     def weights(self) -> tuple[float, ...]:
         return self._state.weights

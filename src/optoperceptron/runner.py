@@ -20,7 +20,7 @@ from .atomic import atomic_write, write_json
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
 from .optics import pgm_image
-from .rig import N_WEIGHT_SITES, Rig, RigBackend
+from .rig import N_WEIGHT_SITES, SITE_LABELS, Rig, RigBackend
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
@@ -253,7 +253,7 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
     yield "weight_state.json", rig.weight_state().to_json_dict()
     yield "site_params.json", [
         {
-            "site": rig.label(i),
+            "site": SITE_LABELS[i],
             "dead_zone_pulses": p.dead_zone_pulses,
             "saturation_pulses": p.saturation_pulses,
             "background_gain": p.background_gain,

@@ -147,7 +147,10 @@ class ThresholdRaise:
 
 @dataclass
 class TrainingTrace:
-    steps: list[StepRecord] = field(default_factory=list)
+    """rows holds one plain tuple per step in StepRecord field order; steps
+    builds the StepRecords on each read, so a caller that reads none builds none."""
+
+    rows: list[tuple] = field(default_factory=list)
     raises: list[ThresholdRaise] = field(default_factory=list)
     epochs: int = 0
     converged: bool = False
@@ -155,8 +158,12 @@ class TrainingTrace:
     final_threshold: float = 0.0
 
     @property
+    def steps(self) -> list[StepRecord]:
+        return [StepRecord(*row) for row in self.rows]
+
+    @property
     def total_steps(self) -> int:
-        return len(self.steps)
+        return len(self.rows)
 
     @property
     def threshold_raises(self) -> int:
@@ -180,14 +187,6 @@ class TrainingTrace:
         }
 
 
-@dataclass
-class UpdateRecord:
-    """What one weight update physically cost: eta, or delivered pulses."""
-
-    eta: float | None = None
-    pulses: tuple[int, ...] | None = None
-
-
 class WeightBackend(Protocol):
     """Where the weights live: an abstract vector or the emulation rig."""
 
@@ -195,7 +194,7 @@ class WeightBackend(Protocol):
 
     def threshold(self) -> float: ...
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord: ...
+    def apply_update(self, pattern: Pattern, direction: Action) -> tuple: ...  # (eta, pulses)
 
     def weights(self) -> tuple[float, ...]: ...
 
@@ -214,13 +213,12 @@ class VectorBackend:
     def threshold(self) -> float:
         return self.config.initial_threshold
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> UpdateRecord:
-        if self.config.eta_fixed is not None:
-            eta = self.config.eta_fixed
-        else:
+    def apply_update(self, pattern: Pattern, direction: Action) -> tuple[float, None]:
+        eta = self.config.eta_fixed
+        if eta is None:
             eta = sample_eta(self._rng, self.config.eta_max)
         self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
-        return UpdateRecord(eta=eta)
+        return eta, None
 
     def weights(self) -> tuple[float, ...]:
         return self._weights
@@ -241,9 +239,8 @@ def train(
     """
     trace = TrainingTrace()
     output_of, update_of, weights_of = backend.output, backend.apply_update, backend.weights
-    record = trace.steps.append
+    record = trace.rows.append
     target = config.target_class
-    accepted = UpdateRecord()
     threshold = backend.threshold()
     weights = weights_of()
     step = 0
@@ -254,17 +251,13 @@ def train(
             step += 1
             output = output_of(pattern)
             action = classify(output, threshold, pattern.class_label, target)
-            update = accepted
+            eta = pulses = None
             if action is not _ACCEPT:
                 clean = False
-                update = update_of(pattern, action)
+                eta, pulses = update_of(pattern, action)
                 weights = weights_of()
-            record(
-                StepRecord(
-                    step, pattern.pattern_id, pattern.class_label, output, threshold,
-                    action._value_, update.eta, update.pulses, weights,
-                )
-            )
+            record((step, pattern.pattern_id, pattern.class_label, output, threshold,
+                    action._value_, eta, pulses, weights))
         if clean:
             if min(weights) < 0:
                 old = threshold

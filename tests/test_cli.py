@@ -337,6 +337,20 @@ def test_spot_covering_no_pixel_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_threshold_reading_zero_exit_code(tmp_path, capsys):
+    # No light on a noiseless camera: the threshold site's written sum equals
+    # its background sum, so the threshold reads 0.0 and no pattern could
+    # ever be judged against it.
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("optics.intensity_in = 1e-6\ncamera.read_noise = 0\n")
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the threshold reads 0.0 after initialization" in err
+    assert "background sum 163200.0 minus its written sum 163200.0" in err
+    assert not out.exists()
+
+
 OVERLAPPING_BITMAPS = [
     # z's held-out variant flips its second input: 100 -> 110, which is v's ideal
     (

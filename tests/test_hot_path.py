@@ -1,9 +1,13 @@
 """Hot-path guards.
 
-The functions run once per trainer step or per packet read no enum member
-through its class (``Action.ACCEPT``) and no ``.value``. On Python 3.11
-either read costs over ten times a module-level name, so one such read put
-back on the step path silently undoes the saving.
+The functions and methods run once per trainer step, per learning update or
+per packet read no enum member through its class (``Action.ACCEPT``) and no
+``.value``. On Python 3.11 either read costs over ten times a module-level
+name, so one such read put back on the step path silently undoes the
+saving.
+
+The trainer's step loop builds no class instance: a step is one plain tuple,
+and a ``StepRecord`` is built only when a caller reads ``trace.steps``.
 
 A rig operation on several sites makes one camera draw (reads) or one
 shutter draw (writes), not one per site: each draw carries its own fixed
@@ -11,22 +15,44 @@ per-call cost.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import optoperceptron
+from optoperceptron import trainer
 from optoperceptron.config import load_config
 from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.trainer import Action
 
 PACKAGE = Path(optoperceptron.__file__).parent
 HOT_PATH = {
-    "trainer": ("train", "classify", "update_weights", "pattern_output"),
+    "trainer": (
+        "train", "classify", "update_weights", "pattern_output",
+        "VectorBackend.output", "VectorBackend.apply_update",
+    ),
     "synapse": ("apply_packet",),
+    "rig": (
+        "Rig.apply_learning_update", "Rig._read", "Rig._write_packets",
+        "RigBackend.output", "RigBackend.apply_update",
+    ),
 }
 
 
 def parse(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def definitions(module: str) -> dict[str, ast.FunctionDef]:
+    """A module's functions by name and its classes' methods by "Class.method"."""
+    found = {}
+    for node in parse(module).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
 
 
 def enum_classes() -> set[str]:
@@ -46,9 +72,7 @@ def test_hot_path_reads_no_enum_member_through_its_class_and_no_value():
     assert {"Action", "Helicity"} <= enums
     offending = []
     for module, names in HOT_PATH.items():
-        functions = {
-            node.name: node for node in parse(module).body if isinstance(node, ast.FunctionDef)
-        }
+        functions = definitions(module)
         for name in names:
             for node in ast.walk(functions[name]):
                 if not isinstance(node, ast.Attribute):
@@ -57,6 +81,18 @@ def test_hot_path_reads_no_enum_member_through_its_class_and_no_value():
                 if through_class or node.attr == "value":
                     offending.append(f"{module}.{name}: {ast.unparse(node)}")
     assert offending == []
+
+
+def test_train_step_loop_calls_no_class():
+    # The trace is built once per run and a threshold raise once per epoch,
+    # outside the step loop; inside it every call is a function or method.
+    train = definitions("trainer")["train"]
+    epoch_loop = next(node for node in train.body if isinstance(node, ast.For))
+    step_loop = next(node for node in epoch_loop.body if isinstance(node, ast.For))
+    names = {**vars(builtins), **vars(trainer)}
+    called = [ast.unparse(node.func) for node in ast.walk(step_loop) if isinstance(node, ast.Call)]
+    assert "classify" in called
+    assert [name for name in called if isinstance(names.get(name), type)] == []
 
 
 class CountingRng:

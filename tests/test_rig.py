@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from optoperceptron import rig as rig_module
 from optoperceptron.config import load_config
-from optoperceptron.errors import DegenerateBackgroundError
+from optoperceptron.errors import ConfigurationError, DegenerateBackgroundError
 from optoperceptron.optics import average_frames, draw_read_noise, expose_frames, integrate_roi
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import (
@@ -259,7 +259,10 @@ def test_zero_init_packets_gives_zero_weights():
     rig.config = rig.config.__class__(
         **{**rig.config.__dict__, "init_weight_packets": 0, "init_threshold_packets": 0}
     )
-    state = rig.initialize_network()
+    # an unwritten threshold site reads 0.0, which judges no pattern
+    with pytest.raises(ConfigurationError, match="the threshold reads 0.0"):
+        rig.initialize_network()
+    state = rig.weight_state()
     assert state.weights == (0.0,) * 9
     assert state.threshold == 0.0
 

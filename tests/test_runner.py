@@ -5,13 +5,16 @@ the training patterns before and after training (its bars). The
 benchmark's trace counts these calls through the same module-level names,
 so routing around them must fail here."""
 
+import dataclasses
 import json
 from collections import Counter
 
 import pytest
 
-from optoperceptron import runner
+from optoperceptron import runner, trainer
 from optoperceptron.cli import main
+from optoperceptron.config import load_config
+from optoperceptron.patterns import build_dataset
 
 
 @pytest.fixture
@@ -73,3 +76,35 @@ def test_sweep_rows_equal_single_runs_at_the_same_seeds(tmp_path, capsys, mode):
         assert {c: row[c] for c in SWEEP_COLUMNS} == {
             c: json.dumps(summary[key]) for c, key in SWEEP_COLUMNS.items()
         }
+
+
+def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):
+    """A sweep row reads the step count alone, so its seeds build no record;
+    a single run's artifacts read the steps, which builds them."""
+    built = Counter()
+    original = trainer.StepRecord
+
+    def counted(*args):
+        built["records"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(trainer, "StepRecord", counted)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep.mode = simulate\nsweep.seeds = 4\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert built["records"] == 0
+    assert main(["simulate", "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert built["records"] >= summary["total_steps"] > 0
+
+
+@pytest.mark.parametrize("run", [runner.simulate_run, runner.emulate_run])
+def test_trace_steps_equal_its_rows_field_for_field(run):
+    cfg = load_config()
+    trace = run(cfg, 7, build_dataset(cfg.bitmaps), bars=False).trace
+    fields = [f.name for f in dataclasses.fields(trainer.StepRecord)]
+    assert trace.total_steps == len(trace.rows) == len(trace.steps) > 0
+    for record, row in zip(trace.steps, trace.rows, strict=True):
+        assert len(row) == len(fields)
+        assert {f: getattr(record, f) for f in fields} == dict(zip(fields, row))
+    assert any(record.action != "accept" for record in trace.steps)
