@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigurationError
-from .optics import CameraConfig, OpticalConstants
-from .patterns import DEFAULT_BITMAPS, parse_bitmap_text
+from .optics import SMALL_ANGLE_LIMIT, CameraConfig, OpticalConstants
+from .patterns import CLASSES, DEFAULT_BITMAPS, parse_bitmap_text
 from .rig import RigConfig, ShutterModel, energy_per_pulse
 from .synapse import CURVE_FAMILIES, InhomogeneityParams
 from .trainer import TrainerConfig
@@ -108,7 +108,7 @@ KEY_TABLE: dict[str, _Key] = {
     "trainer.eta_max": _Key(_float(0.0, 1.0, lo_open=True), 0.014, "learning rates are drawn from (0, eta_max]"),
     "trainer.eta_fixed": _Key(_optional(_float(0.0, 1.0, lo_open=True)), None, "fix the learning rate (disables sampling)"),
     "trainer.max_epochs": _Key(_int(1, 1_000_000), 500, "epoch cap before giving up"),
-    "trainer.target_class": _Key(_choice("z", "v", "n"), "v", "class whose outputs must exceed the threshold"),
+    "trainer.target_class": _Key(_choice(*CLASSES), "v", "class whose outputs must exceed the threshold"),
     "trainer.threshold_raise": _Key(_float(0.0, 1.0, lo_open=True), 0.05, "relative threshold raise on negative weights"),
     "dataset.bitmaps_file": _Key(_string, "builtin", "path to a 3-block bitmap file, or 'builtin'"),
     "synapse.dead_zone_pulses": _Key(_int(0, 1_000_000), 250, "pulses with no magnetization response"),
@@ -130,7 +130,7 @@ KEY_TABLE: dict[str, _Key] = {
     "rig.roi_height_um": _Key(_float(0.0, 1e4, lo_open=True), 15.5, "readout window height on the sample"),
     "rig.spot_diameter_um": _Key(_float(0.0, 1e4, lo_open=True), 10.0, "written spot diameter"),
     "rig.site_spacing_um": _Key(_float(0.0, 1e4, lo_open=True), 48.0, "spacing of the site array layout"),
-    "optics.delta_rad": _Key(_float(0.0, 0.2, lo_open=True), 0.1, "analyzer offset from extinction"),
+    "optics.delta_rad": _Key(_float(0.0, SMALL_ANGLE_LIMIT, lo_open=True), 0.1, "analyzer offset from extinction"),
     "optics.intensity_in": _Key(_float(0.0, 1e30, lo_open=True), 4.0e6, "probe intensity at the sample"),
     "camera.width_px": _Key(_int(1, 65536), 166, "sensor window width"),
     "camera.height_px": _Key(_int(1, 65536), 128, "sensor window height"),
@@ -170,7 +170,11 @@ def parse_config_text(text: str) -> list[tuple[str, str, str]]:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration plus derived typed objects."""
+    """Fully resolved run configuration plus derived typed objects.
+
+    The accessors below are the only builders of the typed configs, which
+    carry no defaults or checks of their own: KEY_TABLE and _cross_validate
+    own every default and bound."""
 
     values: dict[str, object]
     bitmaps: dict[str, tuple[str, str, str]]
@@ -195,6 +199,7 @@ class RunConfig:
         return InhomogeneityParams(
             dead_zone_pulses=self["synapse.dead_zone_pulses"],
             saturation_pulses=self["synapse.saturation_pulses"],
+            background_gain=1.0,
             curve=self["synapse.curve"],
             margin_pulses=self["synapse.margin_pulses"],
         )

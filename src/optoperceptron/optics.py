@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .synapse import SynapseSite
 
 SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle chain is invalid
@@ -26,16 +25,8 @@ SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle chain is invalid
 class OpticalConstants:
     """Probe-side constants of the readout chain."""
 
-    delta: float = 0.1
-    intensity_in: float = 4.0e6
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= SMALL_ANGLE_LIMIT:
-            raise ConfigurationError(
-                f"analyzer offset delta must be in (0, {SMALL_ANGLE_LIMIT}] rad"
-            )
-        if self.intensity_in < 0:
-            raise ConfigurationError("intensity_in must be >= 0")
+    delta: float
+    intensity_in: float
 
     @property
     def c(self) -> float:
@@ -57,30 +48,14 @@ def analyzer_intensity(m: float, constants: OpticalConstants) -> float:
 class CameraConfig:
     """Linear monochrome camera: counts = gain * E + dark_offset (+ noise)."""
 
-    width: int = 166
-    height: int = 128
-    pixel_scale_um: float = 1.0
-    exposure_s: float = 0.010
-    gain: float = 100.0
-    dark_offset: float = 600.0
-    read_noise: float = 50.0
-    bit_depth: int = 16
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError("sensor window must be at least 1x1 pixels")
-        if self.pixel_scale_um <= 0:
-            raise ConfigurationError("pixel_scale_um must be > 0")
-        if self.exposure_s < 0:
-            raise ConfigurationError("exposure_s must be >= 0")
-        if self.gain <= 0:
-            raise ConfigurationError("gain must be > 0")
-        if self.dark_offset < 0:
-            raise ConfigurationError("dark_offset must be >= 0")
-        if self.read_noise < 0:
-            raise ConfigurationError("read_noise must be >= 0")
-        if not 8 <= self.bit_depth <= 32:
-            raise ConfigurationError("bit_depth must be in 8..32")
+    width: int
+    height: int
+    pixel_scale_um: float
+    exposure_s: float
+    gain: float
+    dark_offset: float
+    read_noise: float
+    bit_depth: int
 
     @property
     def pixel_area(self) -> float:

@@ -42,22 +42,12 @@ _RAISE, _LOWER, _WRITE, _ERASE = Action.RAISE_OUTPUT, Action.LOWER_OUTPUT, Helic
 class ShutterModel:
     """Programmable shutter gating the write beam."""
 
-    open_time_min_ms: float = 15.0
-    open_time_max_ms: float = 25.0
-    repetition_rate_hz: float = 1000.0
-    nominal_packet_pulses: int = 50
-    jitter_mode: str = "relative"
-    jitter_enabled: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.open_time_min_ms <= self.open_time_max_ms:
-            raise ConfigurationError("shutter opening range must satisfy 0 < min <= max")
-        if self.repetition_rate_hz <= 0:
-            raise ConfigurationError("repetition_rate_hz must be > 0")
-        if self.nominal_packet_pulses < 1:
-            raise ConfigurationError("nominal_packet_pulses must be >= 1")
-        if self.jitter_mode not in ("relative", "time"):
-            raise ConfigurationError("jitter_mode must be 'relative' or 'time'")
+    open_time_min_ms: float
+    open_time_max_ms: float
+    repetition_rate_hz: float
+    nominal_packet_pulses: int
+    jitter_mode: str
+    jitter_enabled: bool
 
 
 def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> list[int]:
@@ -101,7 +91,7 @@ class WriteEvent:
 class EnergyLedger:
     """Additive, order-independent energy accounting of a run."""
 
-    per_read_j: float = 0.4e-9
+    per_read_j: float
     write_events: list[WriteEvent] = field(default_factory=list)
     read_events: int = 0
 
@@ -160,26 +150,14 @@ class EnergyLedger:
 class RigConfig:
     """Site layout and write/read protocol of the emulated bench."""
 
-    init_weight_packets: int = 50
-    init_threshold_packets: int = 250
-    learning_packets: int = 2
-    frames_per_read: int = 10
-    roi_width_um: float = 16.5
-    roi_height_um: float = 15.5
-    spot_diameter_um: float = 10.0
-    site_spacing_um: float = 48.0
-
-    def __post_init__(self):
-        if min(self.init_weight_packets, self.init_threshold_packets) < 0:
-            raise ConfigurationError("packet counts must be >= 0")
-        if self.learning_packets < 1:
-            raise ConfigurationError("learning_packets must be >= 1")
-        if self.frames_per_read < 1:
-            raise ConfigurationError("frames_per_read must be >= 1")
-        if self.roi_width_um <= 0 or self.roi_height_um <= 0:
-            raise ConfigurationError("roi dimensions must be > 0")
-        if self.spot_diameter_um <= 0:
-            raise ConfigurationError("spot_diameter_um must be > 0")
+    init_weight_packets: int
+    init_threshold_packets: int
+    learning_packets: int
+    frames_per_read: int
+    roi_width_um: float
+    roi_height_um: float
+    spot_diameter_um: float
+    site_spacing_um: float
 
 
 class Rig:
@@ -194,8 +172,8 @@ class Rig:
         shutter: ShutterModel,
         shutter_rng: np.random.Generator,
         camera_rng: np.random.Generator,
-        per_pulse_write_j: float = 0.0,
-        per_read_j: float = 0.4e-9,
+        per_pulse_write_j: float,
+        per_read_j: float,
     ):
         if len(site_params) != N_WEIGHT_SITES + 1:
             raise ValueError(

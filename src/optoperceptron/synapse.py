@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-NOMINAL_DEAD_ZONE_PULSES = 250
-NOMINAL_SATURATION_PULSES = 600
-
 
 class Helicity(enum.Enum):
     """Circular polarization handedness, abstracted to its effect on m.
@@ -68,33 +65,14 @@ class InhomogeneityParams:
     """Per-site response parameters.
 
     Sites across the sample differ in onset, knee, and local illumination;
-    this captures that spread with three numbers around the nominal
-    250 / 600 / 1.0.
+    this captures that spread with three numbers around a nominal site.
     """
 
-    dead_zone_pulses: int = NOMINAL_DEAD_ZONE_PULSES
-    saturation_pulses: int = NOMINAL_SATURATION_PULSES
-    background_gain: float = 1.0
-    curve: str = "smoothstep"
-    margin_pulses: int | None = None
-
-    def __post_init__(self):
-        if self.dead_zone_pulses < 0:
-            raise ConfigurationError("dead_zone_pulses must be >= 0")
-        if self.saturation_pulses <= self.dead_zone_pulses:
-            raise ConfigurationError(
-                "saturation_pulses must exceed dead_zone_pulses "
-                f"({self.saturation_pulses} <= {self.dead_zone_pulses})"
-            )
-        if self.background_gain <= 0:
-            raise ConfigurationError("background_gain must be > 0")
-        if self.curve not in CURVE_FAMILIES:
-            raise ConfigurationError(
-                f"unknown curve family {self.curve!r}; "
-                f"choose from {sorted(CURVE_FAMILIES)}"
-            )
-        if self.margin_pulses is not None and self.margin_pulses < 0:
-            raise ConfigurationError("margin_pulses must be >= 0")
+    dead_zone_pulses: int
+    saturation_pulses: int
+    background_gain: float
+    curve: str
+    margin_pulses: int | None
 
     @property
     def exposure_ceiling(self) -> int:
@@ -138,9 +116,9 @@ class SynapseSite:
     params: InhomogeneityParams
 
 
-def fresh_site(params: InhomogeneityParams | None = None) -> SynapseSite:
+def fresh_site(params: InhomogeneityParams) -> SynapseSite:
     """An unwritten site at the background saturation."""
-    return SynapseSite(0.0, 0, params or InhomogeneityParams())
+    return SynapseSite(0.0, 0, params)
 
 
 def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> SynapseSite:
@@ -160,34 +138,34 @@ def sample_sites(
     seed,
     n_sites: int,
     spread: float,
-    nominal: InhomogeneityParams | None = None,
+    nominal: InhomogeneityParams,
 ) -> list[InhomogeneityParams]:
     """Draw per-site parameters with +-spread relative deviation from nominal.
 
-    Deterministic for a given seed. Raises if the spread is large enough to
-    let a dead zone reach its saturation knee.
+    Deterministic for a given seed. Each dead zone and saturation is
+    rounded on its own, so a spread that keeps the unrounded ranges apart
+    can still round one site's two to the same pulse count; that site
+    would have no response span, and the draw fails naming it.
     """
-    nominal = nominal or InhomogeneityParams()
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
-    worst_dead = nominal.dead_zone_pulses * (1.0 + spread)
-    worst_sat = nominal.saturation_pulses * (1.0 - spread)
-    if worst_dead >= worst_sat or spread >= 1.0:
-        raise ConfigurationError(
-            f"spread {spread} can invert the dead-zone/saturation ordering "
-            f"({nominal.dead_zone_pulses}/{nominal.saturation_pulses})"
-        )
     rng = np.random.default_rng(seed)
     sites = []
-    for _ in range(n_sites):
+    for index in range(n_sites):
         dead, sat, gain = rng.uniform(-spread, spread, size=3)
+        dead_zone = int(round(nominal.dead_zone_pulses * (1.0 + dead)))
+        saturation = int(round(nominal.saturation_pulses * (1.0 + sat)))
+        if saturation <= dead_zone:
+            raise ConfigurationError(
+                f"site index {index} rounds to dead zone {dead_zone} and saturation "
+                f"{saturation} pulses, which leaves no response span; lower "
+                f"synapse.site_spread {spread}"
+            )
         sites.append(
             replace(
                 nominal,
-                dead_zone_pulses=int(round(nominal.dead_zone_pulses * (1.0 + dead))),
-                saturation_pulses=int(round(nominal.saturation_pulses * (1.0 + sat))),
+                dead_zone_pulses=dead_zone,
+                saturation_pulses=saturation,
                 background_gain=nominal.background_gain * (1.0 + gain),
             )
         )

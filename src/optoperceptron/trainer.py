@@ -15,8 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .patterns import CLASSES, N_INPUTS, Pattern
+from .patterns import N_INPUTS, Pattern
 
 
 class Action(enum.Enum):
@@ -33,27 +32,13 @@ _ACCEPT, _RAISE, _LOWER = Action.ACCEPT, Action.RAISE_OUTPUT, Action.LOWER_OUTPU
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    initial_weight: float = 0.5
-    initial_threshold: float = 2.5
-    eta_max: float = 0.014
-    eta_fixed: float | None = None
-    max_epochs: int = 500
-    target_class: str = "v"
-    threshold_raise: float = 0.05
-
-    def __post_init__(self):
-        if self.eta_max <= 0:
-            raise ConfigurationError("eta_max must be > 0")
-        if self.eta_fixed is not None and not 0 < self.eta_fixed:
-            raise ConfigurationError("eta_fixed must be > 0 when set")
-        if self.initial_threshold <= 0:
-            raise ConfigurationError("initial_threshold must be > 0")
-        if self.max_epochs < 1:
-            raise ConfigurationError("max_epochs must be >= 1")
-        if self.target_class not in CLASSES:
-            raise ConfigurationError(f"target_class must be one of {CLASSES}")
-        if self.threshold_raise <= 0:
-            raise ConfigurationError("threshold_raise must be > 0")
+    initial_weight: float
+    initial_threshold: float
+    eta_max: float
+    eta_fixed: float | None
+    max_epochs: int
+    target_class: str
+    threshold_raise: float
 
 
 def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:

@@ -13,8 +13,6 @@ import pytest
 
 from optoperceptron.config import load_config
 from optoperceptron.optics import (
-    CameraConfig,
-    OpticalConstants,
     Roi,
     SpotGeometry,
     expose_frames,
@@ -30,9 +28,10 @@ from optoperceptron.runner import (
     run_energy,
     simulate_run,
 )
-from optoperceptron.synapse import InhomogeneityParams, SynapseSite, response_curve
+from optoperceptron.synapse import SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
 from optoperceptron.weights import extract_weight
+from typed_configs import camera_config, optical_constants, site_params
 
 N_SWEEP_SEEDS = 50
 
@@ -120,7 +119,7 @@ def test_criterion_4_class_block_structure(simulate_sweep):
 
 
 def test_criterion_5_synapse_curve():
-    nominal = InhomogeneityParams()
+    nominal = site_params()
     at_dead = response_curve(250, nominal)
     at_sat = response_curve(600, nominal)
     rng = np.random.default_rng(123)
@@ -128,7 +127,7 @@ def test_criterion_5_synapse_curve():
     for _ in range(10_000):
         dead = int(rng.integers(0, 1000))
         sat = int(rng.integers(dead + 1, dead + 5000))
-        params = InhomogeneityParams(dead_zone_pulses=dead, saturation_pulses=sat)
+        params = site_params(dead_zone_pulses=dead, saturation_pulses=sat, site_spread=0)
         n1 = float(rng.uniform(-100, sat + 1000))
         n2 = n1 + float(rng.uniform(0, 1000))
         if response_curve(n2, params) < response_curve(n1, params):
@@ -146,14 +145,14 @@ def test_criterion_5_synapse_curve():
 def test_criterion_6_readout_linearity():
     # proportional-regime camera: no dark offset, spot covering the whole
     # readout window, gain high enough that quantization sits below 1e-6
-    constants = OpticalConstants()
-    camera = CameraConfig(
-        width=17, height=16, pixel_scale_um=1.0, exposure_s=0.010,
+    constants = optical_constants()
+    camera = camera_config(
+        width_px=17, height_px=16, pixel_scale_um=1.0, exposure_ms=10.0,
         gain=10_000.0, dark_offset=0.0, read_noise=0.0, bit_depth=32,
     )
     spot = SpotGeometry(8.5, 8.0, 40.0)  # disk covers every pixel
     roi = Roi(0, 0, camera.width, camera.height)
-    params = InhomogeneityParams()
+    params = site_params()
 
     def roi_sum(m: float) -> int:
         counts, _ = expose_frames(1, [(SynapseSite(m, 0, params), spot)], constants, camera)

@@ -337,6 +337,23 @@ def test_spot_covering_no_pixel_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_site_whose_rounded_dead_zone_meets_its_saturation_exit_code(tmp_path, capsys):
+    # 100 x 1.0476 < 110 x 0.9524, so the spread check passes, yet at seed 7
+    # one site's dead zone and saturation each round to 105 pulses
+    cfg = tmp_path / "collide.cfg"
+    cfg.write_text(
+        "synapse.dead_zone_pulses = 100\n"
+        "synapse.saturation_pulses = 110\n"
+        "synapse.site_spread = 0.0476\n"
+    )
+    out = tmp_path / "o"
+    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "site index 0 rounds to dead zone 105 and saturation 105 pulses" in err
+    assert "synapse.site_spread 0.0476" in err
+    assert not out.exists()
+
+
 def test_threshold_reading_zero_exit_code(tmp_path, capsys):
     # No light on a noiseless camera: the threshold site's written sum equals
     # its background sum, so the threshold reads 0.0 and no pattern could

@@ -1,13 +1,21 @@
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
+import optoperceptron
 from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import CameraConfig, OpticalConstants
 from optoperceptron.patterns import DEFAULT_BITMAPS
-from optoperceptron.rig import RigConfig, ShutterModel
+from optoperceptron.rig import EnergyLedger, Rig, RigConfig, ShutterModel
 from optoperceptron.synapse import InhomogeneityParams
 from optoperceptron.trainer import TrainerConfig
+
+PACKAGE = Path(optoperceptron.__file__).parent
 
 
 def test_defaults_load():
@@ -30,9 +38,49 @@ def test_defaults_load():
         ("rig_config", RigConfig),
     ],
 )
-def test_typed_config_defaults_match_the_key_table(accessor, typed):
-    # Code that builds a typed config directly gets what the CLI runs with.
-    assert getattr(load_config(), accessor)() == typed()
+def test_typed_config_only_from_accessor(accessor, typed):
+    # KEY_TABLE and _cross_validate own every default and bound: a typed
+    # config is a plain field bundle, and only its RunConfig accessor builds
+    # one (dataclasses.replace of a built one is fine).
+    missing = dataclasses.MISSING
+    assert [
+        f.name for f in dataclasses.fields(typed)
+        if f.default is not missing or f.default_factory is not missing
+    ] == []
+    assert "__post_init__" not in vars(typed)
+    assert constructions(typed.__name__) == [("config", f"RunConfig.{accessor}")]
+    assert isinstance(getattr(load_config(), accessor)(), typed)
+
+
+def constructions(name: str) -> list[tuple[str, str]]:
+    """(module, enclosing Class.function or <module>) of each call to the
+    given name anywhere in the package source."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == name:
+                    found.append((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_rig_and_ledger_take_their_energy_prices_from_the_config():
+    # energy.read_nj and the pulse price reach the rig through RunConfig only
+    params = inspect.signature(Rig.__init__).parameters
+    for name in ("per_pulse_write_j", "per_read_j"):
+        assert params[name].default is inspect.Parameter.empty, name
+    ledger_read = next(f for f in dataclasses.fields(EnergyLedger) if f.name == "per_read_j")
+    assert ledger_read.default is dataclasses.MISSING
 
 
 def test_file_values_and_comments(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
-    CameraConfig,
-    OpticalConstants,
+    SMALL_ANGLE_LIMIT,
     Roi,
     SpotGeometry,
     analyzer_intensity,
@@ -19,20 +19,21 @@ from optoperceptron.optics import (
     pgm_image,
     spot_pixel_mask,
 )
-from optoperceptron.synapse import InhomogeneityParams, SynapseSite
+from optoperceptron.synapse import SynapseSite
+from typed_configs import camera_config, optical_constants, site_params
 
-CONSTANTS = OpticalConstants()  # delta 0.1, I_in 4e6
+CONSTANTS = optical_constants()  # delta 0.1, I_in 4e6
+NOMINAL_SITE = site_params()
 
 
 def site_at(m, gain=1.0):
-    return SynapseSite(m, 0, InhomogeneityParams(background_gain=gain))
+    return SynapseSite(m, 0, replace(NOMINAL_SITE, background_gain=gain))
 
 
-def window_camera(noise=0.0, dark=600.0, gain=100.0, bit_depth=16, exposure=0.010):
-    return CameraConfig(
-        width=20, height=18, pixel_scale_um=1.0, exposure_s=exposure,
-        gain=gain, dark_offset=dark, read_noise=noise, bit_depth=bit_depth,
-    )
+def window_camera(**keys):
+    """A noiseless 20 x 18 px window of the default camera, with the given
+    camera.* keys set."""
+    return camera_config(width_px=20, height_px=18, **{"read_noise": 0.0, **keys})
 
 
 def centered_spot(camera, diameter=10.0):
@@ -63,13 +64,15 @@ def test_analyzer_affine_three_point_collinear():
 
 
 def test_leakage_constant_exact():
-    c = OpticalConstants(delta=0.08)
+    c = optical_constants(delta_rad=0.08)
     assert c.c == 0.08 * 0.08 / 2.0
 
 
 def test_constants_small_angle_enforced():
-    with pytest.raises(ConfigurationError):
-        OpticalConstants(delta=0.5)
+    # optics.delta_rad is bounded by the limit of the small-angle chain
+    assert optical_constants(delta_rad=SMALL_ANGLE_LIMIT).delta == SMALL_ANGLE_LIMIT
+    with pytest.raises(ConfigurationError, match="optics.delta_rad: 0.5 is above the maximum 0.2"):
+        optical_constants(delta_rad=0.5)
 
 
 # -- frame rendering ----------------------------------------------------------
@@ -83,7 +86,7 @@ def test_fully_written_spot_reads_dark_level():
 
 
 def test_zero_exposure_reads_dark_everywhere():
-    camera = window_camera(exposure=0.0)
+    camera = replace(window_camera(), exposure_s=0.0)  # no key admits a zero exposure
     counts, _ = expose_frames(1, [(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
     assert np.all(counts == 600)
 
@@ -108,8 +111,8 @@ def test_noiseless_render_deterministic():
 
 
 def test_render_linear_in_exposure_until_clipping():
-    base = window_camera(dark=0.0)
-    doubled = window_camera(dark=0.0, exposure=0.020)
+    base = window_camera(dark_offset=0.0)
+    doubled = window_camera(dark_offset=0.0, exposure_ms=20.0)
     spot = centered_spot(base)
     c1, clipped1 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, base)
     c2, clipped2 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, doubled)
@@ -128,7 +131,7 @@ def test_monotone_in_written_fraction():
 
 
 def test_background_gain_scales_spot_region():
-    camera = window_camera(dark=0.0)
+    camera = window_camera(dark_offset=0.0)
     spot = centered_spot(camera)
     mask = spot_pixel_mask(spot, camera)
     plain, _ = expose_frames(1, [(site_at(0.0, gain=1.0), spot)], CONSTANTS, camera)
@@ -138,14 +141,16 @@ def test_background_gain_scales_spot_region():
 
 
 def test_clipping_sets_flag_not_error():
-    camera = window_camera(bit_depth=8)  # full well 255 << bright level
+    # full well 255 << bright level; the 600-count dark level is above it,
+    # which no config admits
+    camera = replace(window_camera(), bit_depth=8)
     counts, clipped = expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
     assert clipped
     assert counts.max() == camera.full_well
 
 
 def test_noise_requires_rng():
-    camera = window_camera(noise=5.0)
+    camera = window_camera(read_noise=5.0)
     with pytest.raises(ValueError):
         expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
     wrong_frames = draw_read_noise(np.random.default_rng(0), camera, 2)
@@ -160,7 +165,7 @@ def test_spot_outside_fov_rejected():
 
 
 def test_batched_frames_are_noise_independent():
-    camera = window_camera(noise=10.0)
+    camera = window_camera(read_noise=10.0)
     rng = np.random.default_rng(5)
     noise = draw_read_noise(rng, camera, 3)
     counts, _ = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, noise)
@@ -192,7 +197,7 @@ def test_average_rejects_mismatched_dimensions():
 
 def test_ten_frame_average_reduces_noise():
     sigma = 8.0
-    camera = CameraConfig(width=128, height=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
+    camera = camera_config(width_px=128, height_px=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
     rng = np.random.default_rng(11)
     counts, clipped = expose_frames(10, [], CONSTANTS, camera, draw_read_noise(rng, camera, 10))  # 25000 counts
     assert not clipped
@@ -204,9 +209,9 @@ def test_ten_frame_average_reduces_noise():
 @pytest.mark.parametrize(
     "camera",
     [
-        window_camera(noise=40.0),
+        window_camera(read_noise=40.0),
         # bright level 230 +- 40 against a full well of 255, dark spot 30 +- 40
-        window_camera(noise=40.0, dark=30.0, bit_depth=8, exposure=0.0001),
+        window_camera(read_noise=40.0, dark_offset=30.0, bit_depth=8, exposure_ms=0.1),
     ],
 )
 def test_kernel_matches_per_frame_reference(camera):
@@ -282,7 +287,11 @@ KERNEL_CASE = dict(
 def test_kernel_matches_reference_byte_for_byte(
     n_frames, fractions, gains, camera_gain, dark, bit_depth, noise, use_masks, roi
 ):
-    camera = window_camera(noise=noise, dark=dark, gain=camera_gain, bit_depth=bit_depth)
+    # a dark level at or above the full well is no config's, but the kernel
+    # must still render it
+    camera = replace(
+        window_camera(read_noise=noise, gain=camera_gain), dark_offset=dark, bit_depth=bit_depth
+    )
     spots = [SpotGeometry(6.0, 9.0, 8.0), SpotGeometry(13.0, 9.0, 8.0)]  # overlapping
     sites = [(site_at(m, g), spot) for m, g, spot in zip(fractions, gains, spots)]
     masks = [spot_pixel_mask(spot, camera) for _, spot in sites] if use_masks else None

@@ -16,7 +16,6 @@ from optoperceptron.rig import (
     N_WEIGHT_SITES,
     SITE_LABELS,
     RigBackend,
-    ShutterModel,
     THRESHOLD_SITE,
     energy_per_pulse,
     shutter_pulses,
@@ -24,6 +23,7 @@ from optoperceptron.rig import (
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate
 from optoperceptron.synapse import Helicity, apply_packet, response_curve
 from optoperceptron.trainer import Action, evaluate_patterns, train
+from typed_configs import shutter_model
 
 
 def quiet_overrides(**extra):
@@ -44,7 +44,7 @@ def make_rig(seed=0, **extra):
 # -- shutter ------------------------------------------------------------------
 
 def test_time_derived_counts_match_opening_window():
-    model = ShutterModel(jitter_mode="time")
+    model = shutter_model(jitter_mode="time")
     rng = np.random.default_rng(0)
     counts = shutter_pulses(rng, model, 500)
     assert all(15 <= c <= 25 for c in counts)
@@ -52,13 +52,13 @@ def test_time_derived_counts_match_opening_window():
 
 
 def test_degenerate_opening_window():
-    model = ShutterModel(open_time_min_ms=20, open_time_max_ms=20, jitter_mode="time")
+    model = shutter_model(open_time_min_ms=20, open_time_max_ms=20, jitter_mode="time")
     rng = np.random.default_rng(0)
     assert shutter_pulses(rng, model, 20) == [20] * 20
 
 
 def test_relative_jitter_range_and_floor():
-    model = ShutterModel(jitter_mode="relative")
+    model = shutter_model(jitter_mode="relative")
     rng = np.random.default_rng(1)
     counts = shutter_pulses(rng, model, 2000)
     assert all(1 <= c <= 50 for c in counts)
@@ -67,13 +67,13 @@ def test_relative_jitter_range_and_floor():
 
 
 def test_jitter_disabled_is_nominal():
-    model = ShutterModel(jitter_enabled=False)
+    model = shutter_model(jitter_enabled=False)
     rng = np.random.default_rng(2)
     assert shutter_pulses(rng, model, 10) == [50] * 10
 
 
 def test_shutter_deterministic_per_seed():
-    model = ShutterModel()
+    model = shutter_model()
     a = shutter_pulses(np.random.default_rng(7), model, 5)
     b = shutter_pulses(np.random.default_rng(7), model, 5)
     assert a == b
@@ -105,7 +105,7 @@ def scalar_shutter_event(rng, model):
 def test_batched_shutter_draw_equals_scalar_draws(
     seed, n, mode, enabled, nominal, open_min_ms, open_span_ms, rate_hz
 ):
-    model = ShutterModel(
+    model = shutter_model(
         open_time_min_ms=open_min_ms,
         open_time_max_ms=open_min_ms + open_span_ms,
         repetition_rate_hz=rate_hz,
@@ -159,7 +159,7 @@ def test_ledger_totals_additive_and_order_independent():
 
 
 def test_ledger_rejects_negative_writes_whole():
-    ledger = EnergyLedger()
+    ledger = EnergyLedger(per_read_j=0.4e-9)
     ledger.add_writes("w1", [3, 4], 1e-12)
     with pytest.raises(ValueError):
         ledger.add_writes("w2", [5, -1], 1e-12)

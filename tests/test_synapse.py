@@ -2,18 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optoperceptron.config import load_config
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.synapse import (
     CURVE_FAMILIES,
     Helicity,
-    InhomogeneityParams,
     apply_packet,
     fresh_site,
     response_curve,
     sample_sites,
 )
+from typed_configs import site_params
 
-NOMINAL = InhomogeneityParams()
+NOMINAL = site_params()
 
 
 def apply_all(site, packets):
@@ -22,10 +23,11 @@ def apply_all(site, packets):
     return site
 
 valid_params = st.builds(
-    InhomogeneityParams,
+    site_params,
     dead_zone_pulses=st.integers(0, 1000),
     saturation_pulses=st.integers(1001, 5000),
     curve=st.sampled_from(sorted(CURVE_FAMILIES)),
+    site_spread=st.just(0.0),  # the default spread keeps a knee 5 % clear of the dead zone
 )
 
 
@@ -47,7 +49,7 @@ def test_curve_negative_clamped():
 
 @pytest.mark.parametrize("curve", sorted(CURVE_FAMILIES))
 def test_curve_families_hit_endpoints(curve):
-    params = InhomogeneityParams(curve=curve)
+    params = site_params(curve=curve)
     assert response_curve(params.dead_zone_pulses, params) == 0.0
     assert response_curve(params.saturation_pulses, params) == 1.0
     mid = response_curve((params.dead_zone_pulses + params.saturation_pulses) // 2, params)
@@ -55,7 +57,7 @@ def test_curve_families_hit_endpoints(curve):
 
 
 def test_linear_curve_is_proportional():
-    params = InhomogeneityParams(dead_zone_pulses=0, saturation_pulses=1000, curve="linear")
+    params = site_params(dead_zone_pulses=0, saturation_pulses=1000, curve="linear")
     for n in (0, 100, 250, 999, 1000):
         assert response_curve(n, params) == pytest.approx(n / 1000)
 
@@ -66,13 +68,13 @@ def test_curve_monotone(params, n, dn):
 
 
 def test_packet_inside_dead_zone():
-    site = apply_packet(fresh_site(), Helicity.WRITE, 50)
+    site = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 50)
     assert site.accumulated_pulses == 50
     assert site.written_fraction == 0.0
 
 
 def test_erase_returns_saturated_site_to_zero():
-    site = apply_packet(fresh_site(), Helicity.WRITE, 600)
+    site = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 600)
     assert site.written_fraction == 1.0
     erased = apply_packet(site, Helicity.ERASE, 600)
     assert erased.written_fraction == 0.0
@@ -80,7 +82,7 @@ def test_erase_returns_saturated_site_to_zero():
 
 def test_full_erase_after_overdrive():
     # 50 packets x 50 pulses, then the same erase budget, as on the bench
-    site = fresh_site()
+    site = fresh_site(NOMINAL)
     for _ in range(50):
         site = apply_packet(site, Helicity.WRITE, 50)
     assert site.written_fraction == 1.0
@@ -90,9 +92,9 @@ def test_full_erase_after_overdrive():
 
 
 def test_write_erase_write_reversibility():
-    single = apply_packet(fresh_site(), Helicity.WRITE, 600)
+    single = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 600)
     cycled = apply_all(
-        fresh_site(),
+        fresh_site(NOMINAL),
         [(Helicity.WRITE, 600), (Helicity.ERASE, 600), (Helicity.WRITE, 600)],
     )
     assert abs(cycled.written_fraction - single.written_fraction) <= 0.02
@@ -106,7 +108,7 @@ def test_write_erase_write_reversibility():
     st.integers(1, 600),
 )
 def test_write_then_erase_is_identity(prefix, k):
-    site = apply_all(fresh_site(), prefix)
+    site = apply_all(fresh_site(NOMINAL), prefix)
     cycled = apply_packet(apply_packet(site, Helicity.WRITE, k), Helicity.ERASE, k)
     assert cycled.written_fraction == site.written_fraction
 
@@ -118,7 +120,7 @@ def test_write_then_erase_is_identity(prefix, k):
     )
 )
 def test_written_fraction_stays_in_unit_interval(packets):
-    site = fresh_site()
+    site = fresh_site(NOMINAL)
     for helicity, count in packets:
         site = apply_packet(site, helicity, count)
         assert 0.0 <= site.written_fraction <= 1.0
@@ -127,21 +129,21 @@ def test_written_fraction_stays_in_unit_interval(packets):
 
 def test_negative_pulse_count_rejected():
     with pytest.raises(ValueError):
-        apply_packet(fresh_site(), Helicity.WRITE, -1)
+        apply_packet(fresh_site(NOMINAL), Helicity.WRITE, -1)
 
 
 def test_sample_sites_zero_spread_is_nominal():
-    sites = sample_sites(1, 9, 0.0)
+    sites = sample_sites(1, 9, 0.0, NOMINAL)
     assert all(p == NOMINAL for p in sites)
 
 
 def test_sample_sites_deterministic():
-    assert sample_sites(42, 9, 0.1) == sample_sites(42, 9, 0.1)
-    assert sample_sites(42, 9, 0.1) != sample_sites(43, 9, 0.1)
+    assert sample_sites(42, 9, 0.1, NOMINAL) == sample_sites(42, 9, 0.1, NOMINAL)
+    assert sample_sites(42, 9, 0.1, NOMINAL) != sample_sites(43, 9, 0.1, NOMINAL)
 
 
 def test_sample_sites_bounded():
-    for params in sample_sites(7, 9, 0.1):
+    for params in sample_sites(7, 9, 0.1, NOMINAL):
         assert 225 <= params.dead_zone_pulses <= 275
         assert 540 <= params.saturation_pulses <= 660
         assert 0.9 <= params.background_gain <= 1.1
@@ -149,19 +151,25 @@ def test_sample_sites_bounded():
 
 
 def test_sample_sites_excessive_spread_rejected():
-    with pytest.raises(ConfigurationError):
-        sample_sites(7, 9, 0.6)
+    with pytest.raises(ConfigurationError, match="synapse.site_spread 0.6 lets a dead zone"):
+        load_config(overrides={"synapse.site_spread": "0.6"})
+    # 100 x 1.0476 < 110 x 0.9524 holds unrounded, yet the rounding of one
+    # site's draw can meet at 105 / 105, which leaves no response span
+    nominal = site_params(dead_zone_pulses=100, saturation_pulses=110, site_spread=0.0476)
+    with pytest.raises(
+        ConfigurationError,
+        match=r"site index 2 rounds to dead zone 105 and saturation 105 pulses.*synapse.site_spread 0.0476",
+    ):
+        sample_sites(37, 10, 0.0476, nominal)
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ConfigurationError):
-        InhomogeneityParams(dead_zone_pulses=700, saturation_pulses=600)
-    with pytest.raises(ConfigurationError):
-        InhomogeneityParams(background_gain=0.0)
-    with pytest.raises(ConfigurationError):
-        InhomogeneityParams(curve="quartic")
+    with pytest.raises(ConfigurationError, match="saturation_pulses must exceed"):
+        site_params(dead_zone_pulses=700, saturation_pulses=600)
+    with pytest.raises(ConfigurationError, match="synapse.curve: expected one of"):
+        site_params(curve="quartic")
 
 
 def test_exposure_ceiling_default_margin():
     assert NOMINAL.exposure_ceiling == 1200
-    assert InhomogeneityParams(margin_pulses=0).exposure_ceiling == 600
+    assert site_params(margin_pulses=0).exposure_ceiling == 600

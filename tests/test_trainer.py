@@ -12,7 +12,6 @@ from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import Pattern, build_dataset
 from optoperceptron.trainer import (
     Action,
-    TrainerConfig,
     VectorBackend,
     classify,
     evaluate_patterns,
@@ -21,6 +20,7 @@ from optoperceptron.trainer import (
     train,
     update_weights,
 )
+from typed_configs import trainer_config
 
 
 def pat(bits, cls="v", pid=None, variant=0):
@@ -151,7 +151,7 @@ def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, et
 
 def test_raise_turns_an_inactive_negative_zero_weight_positive():
     # trainer.initial_weight = -0.0: a raise moves every inactive input to +0.0
-    backend = VectorBackend(TrainerConfig(initial_weight=-0.0, eta_fixed=0.01), np.random.default_rng(0))
+    backend = VectorBackend(trainer_config(initial_weight=-0.0, eta_fixed=0.01), np.random.default_rng(0))
     backend.apply_update(pat([1] + [0] * 8), Action.RAISE_OUTPUT)
     raised = backend.weights()
     assert same_float(raised[0], 0.01)
@@ -194,7 +194,7 @@ def test_fixed_point_dataset_accepts_everything():
         "n": ("001", "010", "100"),
     }
     dataset = build_dataset(bitmaps)
-    config = TrainerConfig()
+    config = trainer_config()
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert trace.converged
     assert trace.total_steps == 24
@@ -204,7 +204,7 @@ def test_fixed_point_dataset_accepts_everything():
 
 def test_training_converges_and_orders_classes():
     dataset = build_dataset()
-    config = TrainerConfig()
+    config = trainer_config()
     backend = VectorBackend(config, rng=np.random.default_rng(11))
     trace = train(dataset.training, config, backend)
     assert trace.converged
@@ -216,7 +216,7 @@ def test_training_converges_and_orders_classes():
 
 def test_training_deterministic_with_fixed_eta():
     dataset = build_dataset()
-    config = TrainerConfig(eta_fixed=0.01)
+    config = trainer_config(eta_fixed=0.01)
     t1 = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     t2 = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert [(s.pattern_id, s.action, s.weights) for s in t1.steps] == [
@@ -226,14 +226,14 @@ def test_training_deterministic_with_fixed_eta():
 
 def test_training_step_indices_consecutive():
     dataset = build_dataset()
-    config = TrainerConfig()
+    config = trainer_config()
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(5)))
     assert [s.step for s in trace.steps] == list(range(1, trace.total_steps + 1))
 
 
 def test_updates_touch_only_active_indices():
     dataset = build_dataset()
-    config = TrainerConfig()
+    config = trainer_config()
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(2)))
     by_id = {p.pattern_id: p for p in dataset.training}
     previous = (config.initial_weight,) * 9
@@ -250,7 +250,7 @@ def test_updates_touch_only_active_indices():
 def test_step_records_hold_the_weights_after_each_step(initial_weight):
     # replaying the recorded updates on a fresh backend reproduces each record
     dataset = build_dataset()
-    config = TrainerConfig(initial_weight=initial_weight, max_epochs=20)
+    config = trainer_config(initial_weight=initial_weight, max_epochs=20)
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(4)))
     replay = VectorBackend(config, rng=np.random.default_rng(4))
     by_id = {p.pattern_id: p for p in dataset.training}
@@ -269,7 +269,7 @@ def test_threshold_raise_path():
         pat([1, 0, 0, 0, 0, 0, 0, 0, 0], cls="v", pid="v0"),
         pat([1, 1, 0, 0, 0, 0, 0, 0, 0], cls="z", pid="z0"),
     )
-    config = TrainerConfig(
+    config = trainer_config(
         initial_weight=0.05, initial_threshold=0.2, eta_fixed=0.3, max_epochs=30
     )
     backend = VectorBackend(config, rng=np.random.default_rng(0))
@@ -291,7 +291,7 @@ def test_threshold_raise_path():
 
 def test_max_epochs_returns_unconverged_trace():
     dataset = build_dataset()
-    config = TrainerConfig(max_epochs=1)
+    config = trainer_config(max_epochs=1)
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert not trace.converged
     assert trace.epochs == 1
@@ -299,7 +299,7 @@ def test_max_epochs_returns_unconverged_trace():
 
 def test_evaluate_test_read_only_and_correct():
     dataset = build_dataset()
-    config = TrainerConfig()
+    config = trainer_config()
     backend = VectorBackend(config, rng=np.random.default_rng(19))
     trace = train(dataset.training, config, backend)
     assert trace.converged
@@ -314,7 +314,7 @@ def test_evaluate_test_read_only_and_correct():
 
 def test_trace_json_shape():
     dataset = build_dataset()
-    config = TrainerConfig(max_epochs=2)
+    config = trainer_config(max_epochs=2)
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(1)))
     import json
 
@@ -324,11 +324,12 @@ def test_trace_json_shape():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        TrainerConfig(eta_max=0.0)
-    with pytest.raises(ConfigurationError):
-        TrainerConfig(initial_threshold=0.0)
-    with pytest.raises(ConfigurationError):
-        TrainerConfig(max_epochs=0)
-    with pytest.raises(ConfigurationError):
-        TrainerConfig(target_class="q")
+    # the trainer.* bounds are the key table's; load_config applies them
+    with pytest.raises(ConfigurationError, match="trainer.eta_max: 0.0 is below the minimum"):
+        trainer_config(eta_max=0.0)
+    with pytest.raises(ConfigurationError, match="trainer.initial_threshold: 0.0 is below"):
+        trainer_config(initial_threshold=0.0)
+    with pytest.raises(ConfigurationError, match="trainer.max_epochs: 0 is below the minimum 1"):
+        trainer_config(max_epochs=0)
+    with pytest.raises(ConfigurationError, match="trainer.target_class: expected one of"):
+        trainer_config(target_class="q")

@@ -1,0 +1,28 @@
+"""Typed configs for tests, built the one way a run builds them: from the
+key table's defaults through load_config and a RunConfig accessor.
+
+Each builder takes the names of its section's keys, so
+``trainer_config(eta_fixed=0.01)`` sets ``trainer.eta_fixed = 0.01`` and
+every bound and cross-check of load_config applies. A test that needs a
+value no key admits (a zero exposure, a site's own background gain) takes
+``dataclasses.replace`` of a built config.
+"""
+
+from optoperceptron.config import load_config
+
+
+def _builder(accessor: str, section: str):
+    def build(**keys):
+        overrides = {f"{section}.{name}": str(value) for name, value in keys.items()}
+        return getattr(load_config(overrides=overrides), accessor)()
+
+    build.__name__ = accessor
+    build.__doc__ = f"RunConfig.{accessor}() with the given {section}.* keys set."
+    return build
+
+
+trainer_config = _builder("trainer_config", "trainer")
+site_params = _builder("nominal_site_params", "synapse")
+optical_constants = _builder("optical_constants", "optics")
+camera_config = _builder("camera_config", "camera")
+shutter_model = _builder("shutter_model", "shutter")
