@@ -10,7 +10,7 @@ realization of the stochastic learning rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .optics import (
     spot_pixel_mask,
 )
 from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import Action, Pattern, pattern_output
+from .trainer import Action, Pattern
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
@@ -78,41 +78,63 @@ def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float)
 
 @dataclass
 class WriteEvent:
+    """One packet of a write, as EnergyLedger.write_events renders it."""
+
     site: str
     pulses: int
     per_pulse_j: float
 
-    @property
-    def energy_j(self) -> float:
-        return self.pulses * self.per_pulse_j
-
 
 @dataclass
 class EnergyLedger:
-    """Additive, order-independent energy accounting of a run."""
+    """Additive, order-independent energy accounting of a run, kept as its
+    op log: one entry per operation, in order.
+
+    A read entry is ("read", site labels); a write entry is ("write", site,
+    helicity tag, pulses per packet in delivery order, per-pulse energy).
+    The per-packet write events and every total are derived from the log in
+    packet order, so each float sum adds the same terms in the same order
+    as one stored event per packet would.
+    """
 
     per_read_j: float
-    write_events: list[WriteEvent] = field(default_factory=list)
-    read_events: int = 0
+    ops: list[tuple] = field(default_factory=list)
 
-    def add_writes(self, site: str, pulses: Sequence[int], per_pulse_j: float) -> None:
-        """One write event per packet, in delivery order."""
-        if per_pulse_j < 0 or any(p < 0 for p in pulses):
+    def add_writes(
+        self, site: str, helicity: str, pulses: Sequence[int], per_pulse_j: float
+    ) -> None:
+        """One write entry; the ledger keeps the pulses sequence it is given."""
+        if per_pulse_j < 0 or (pulses and min(pulses) < 0):
             raise ValueError("pulses and per-pulse energy must be >= 0")
-        self.write_events.extend(WriteEvent(site, p, per_pulse_j) for p in pulses)
+        self.ops.append(("write", site, helicity, pulses, per_pulse_j))
 
-    def add_reads(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("read count must be >= 0")
-        self.read_events += n
+    def add_reads(self, sites: Sequence[str]) -> None:
+        """One read entry billing one read per listed site."""
+        self.ops.append(("read", sites))
+
+    def _packets(self) -> Iterator[tuple[str, int, float]]:
+        """(site, pulses, per-pulse energy) of every packet, in delivery order."""
+        for op in self.ops:
+            if op[0] == "write":
+                _, site, _, pulses, per_pulse_j = op
+                for p in pulses:
+                    yield site, p, per_pulse_j
+
+    @property
+    def write_events(self) -> list[WriteEvent]:
+        return [WriteEvent(*packet) for packet in self._packets()]
+
+    @property
+    def read_events(self) -> int:
+        return sum(len(op[1]) for op in self.ops if op[0] == "read")
 
     @property
     def total_pulses(self) -> int:
-        return sum(e.pulses for e in self.write_events)
+        return sum(p for _, p, _ in self._packets())
 
     @property
     def write_energy_j(self) -> float:
-        return sum(e.energy_j for e in self.write_events)
+        return sum(p * per_pulse_j for _, p, per_pulse_j in self._packets())
 
     @property
     def read_energy_j(self) -> float:
@@ -131,8 +153,8 @@ class EnergyLedger:
             "read_energy_j": self.read_energy_j,
             "total_energy_j": self.total_energy_j,
             "write_events": [
-                {"site": e.site, "pulses": e.pulses, "per_pulse_j": e.per_pulse_j}
-                for e in self.write_events
+                {"site": site, "pulses": p, "per_pulse_j": per_pulse_j}
+                for site, p, per_pulse_j in self._packets()
             ],
         }
 
@@ -190,7 +212,6 @@ class Rig:
         self.background_sums: list[int] | None = None
         self.written_sums: list[int | None] = [None] * (N_WEIGHT_SITES + 1)
         self.ledger = EnergyLedger(per_read_j=per_read_j)
-        self.events: list[tuple] = []
 
         # Per-site readout window: ROI-sized, spot centered. All sites share
         # the window geometry, so one mask serves every read.
@@ -245,20 +266,14 @@ class Rig:
         block = draw_read_noise(self.camera_rng, camera, len(indices), n_frames)
         sites, spot, constants = self.sites, self.window_spot, self.constants
         masks = [self._window_mask]
-        events = self.events
         for i, noise in zip(indices, block):
-            label = SITE_LABELS[i]
-            events.append(("stage_move", label))
-            events.append(("mirror", "in"))
             _, clipped = expose_frames(n_frames, [(sites[i], spot)], constants, camera, noise, masks)
             if background and clipped:
                 raise DegenerateBackgroundError(
-                    f"background read of site {label} clipped at the "
+                    f"background read of site {SITE_LABELS[i]} clipped at the "
                     f"{camera.bit_depth}-bit full well {camera.full_well}"
                 )
-            events.append(("read", label))
-            events.append(("mirror", "out"))
-        self.ledger.add_reads(len(indices))
+        self.ledger.add_reads([SITE_LABELS[i] for i in indices])
         return integrate_roi(average_frames(block), self.window_roi)
 
     def capture_backgrounds(self) -> list[int]:
@@ -283,21 +298,16 @@ class Rig:
     def _write_packets(self, index: int, helicity: Helicity, delivered: Sequence[int]) -> None:
         """Deliver shutter-gated packets of the given pulse counts to one site.
 
-        The conjugate shutter blocks the camera for the duration; zero-cost
-        sequencing events land in the run trace.
+        The conjugate shutter blocks the camera for the duration; the whole
+        operation is one ledger entry, from which Rig.events renders its
+        sequencing events.
         """
-        label = SITE_LABELS[index]
-        events = self.events
-        events.append(("stage_move", label))
-        events.append(("ps2", "blocking"))
         site = self.sites[index]
-        tag = helicity._value_  # .value is a Python-level enum property
         for pulses in delivered:
             site = apply_packet(site, helicity, pulses)
-            events.append(("shutter", label, tag, pulses))
         self.sites[index] = site
-        self.ledger.add_writes(label, delivered, self.per_pulse_write_j)
-        events.append(("ps2", "open"))
+        tag = helicity._value_  # .value is a Python-level enum property
+        self.ledger.add_writes(SITE_LABELS[index], tag, delivered, self.per_pulse_write_j)
 
     def _write_sites(
         self, indices: Sequence[int], helicity: Helicity, packets: Sequence[int]
@@ -356,6 +366,26 @@ class Rig:
 
     # -- state --------------------------------------------------------------
 
+    @property
+    def events(self) -> list[tuple]:
+        """The bench sequence of every read and write so far, rendered from
+        the ledger's op log on each call. A read visits each of its sites in
+        turn (stage move, mirror in, read, mirror out); a write moves to its
+        site, blocks the camera, opens the shutter once per packet and
+        unblocks the camera."""
+        events = []
+        for op in self.ledger.ops:
+            if op[0] == "read":
+                for label in op[1]:
+                    events += (("stage_move", label), ("mirror", "in"),
+                               ("read", label), ("mirror", "out"))
+            else:
+                _, label, tag, pulses, _ = op
+                events += (("stage_move", label), ("ps2", "blocking"))
+                events += [("shutter", label, tag, p) for p in pulses]
+                events.append(("ps2", "open"))
+        return events
+
     def weight_state(self) -> WeightState:
         if self.background_sums is None or any(v is None for v in self.written_sums):
             raise ValueError("initialize the network before taking a weight state")
@@ -395,10 +425,11 @@ class Rig:
 class RigBackend:
     """Trainer backend that realizes weights as magnetization on the rig.
 
-    Outputs and the threshold live on the raw counts scale (sums of
-    I_B - I_W); the learning rate is realized as shutter-gated pulse
-    packets, never sampled. threshold() is the threshold site's read, the
-    value train() starts from. keep_snapshots keeps every weight state.
+    gate() is the weight state's count-scale contributions (I_B - I_W per
+    site), so outputs and the threshold live on the raw counts scale; the
+    learning rate is realized as shutter-gated pulse packets, never
+    sampled. threshold() is the threshold site's read, the value train()
+    starts from. keep_snapshots keeps every weight state.
     """
 
     def __init__(self, rig: Rig, keep_snapshots: bool = False):
@@ -412,8 +443,8 @@ class RigBackend:
         if self.keep_snapshots:
             self.snapshots.append(self._state.to_json_dict())
 
-    def output(self, pattern: Pattern) -> float:
-        return pattern_output(self._state.contributions, pattern)
+    def gate(self) -> tuple[float, ...]:
+        return self._state.contributions
 
     def threshold(self) -> float:
         return self._state.threshold

@@ -29,6 +29,10 @@ class Action(enum.Enum):
 # a global read, and the step path reads them on every step.
 _ACCEPT, _RAISE, _LOWER = Action.ACCEPT, Action.RAISE_OUTPUT, Action.LOWER_OUTPUT
 
+# Learning rates drawn per rng call by VectorBackend: one call's fixed cost
+# then serves many updates (a default simulate run makes about a hundred).
+ETA_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -42,7 +46,8 @@ class TrainerConfig:
 
 
 def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
-    """Weighted sum of the pattern's 0/1 inputs: the input gate of both backends.
+    """Weighted sum of the pattern's 0/1 inputs: the one input gate, applied by
+    the trainer to the vector a backend's gate() supplies.
 
     Only the active inputs are summed, in index order from 0.0. That is
     bit-identical to the full sum of w * x: w * 1 is exact, a skipped
@@ -90,11 +95,15 @@ def update_weights(
     return [w + step * x for w, x in zip(weights, pattern.inputs)]
 
 
-def sample_eta(rng: np.random.Generator, eta_max: float) -> float:
-    """Uniform draw from (0, eta_max]; deterministic per seeded rng."""
+def sample_etas(rng: np.random.Generator, eta_max: float, n: int) -> list[float]:
+    """n uniform draws from (0, eta_max]; deterministic per seeded rng.
+
+    One rng.random(n) call yields the values, and leaves the generator in
+    the state, of n scalar rng.random() draws.
+    """
     if eta_max <= 0:
         raise ValueError("eta_max must be > 0")
-    return eta_max * (1.0 - rng.random())
+    return [eta_max * (1.0 - u) for u in rng.random(n).tolist()]
 
 
 @dataclass(slots=True)
@@ -173,9 +182,13 @@ class TrainingTrace:
 
 
 class WeightBackend(Protocol):
-    """Where the weights live: an abstract vector or the emulation rig."""
+    """Where the weights live: an abstract vector or the emulation rig.
 
-    def output(self, pattern: Pattern) -> float: ...
+    gate() is the vector that pattern_output sums for the current weight
+    state; it changes only when apply_update moves the weights.
+    """
+
+    def gate(self) -> Sequence[float]: ...
 
     def threshold(self) -> float: ...
 
@@ -185,15 +198,21 @@ class WeightBackend(Protocol):
 
 
 class VectorBackend:
-    """Plain weight vector with sampled learning rates (simulation mode)."""
+    """Plain weight vector with sampled learning rates (simulation mode).
+
+    Learning rates come from rng in blocks of ETA_BLOCK, in draw order, so
+    the k-th update gets the k-th scalar draw of the stream; the unused rest
+    of the last block is never read, and rng serves nothing else.
+    """
 
     def __init__(self, config: TrainerConfig, rng: np.random.Generator):
         self.config = config
         self._weights = (config.initial_weight,) * N_INPUTS
         self._rng = rng
+        self._etas = iter(())
 
-    def output(self, pattern: Pattern) -> float:
-        return pattern_output(self._weights, pattern)
+    def gate(self) -> tuple[float, ...]:
+        return self._weights
 
     def threshold(self) -> float:
         return self.config.initial_threshold
@@ -201,7 +220,10 @@ class VectorBackend:
     def apply_update(self, pattern: Pattern, direction: Action) -> tuple[float, None]:
         eta = self.config.eta_fixed
         if eta is None:
-            eta = sample_eta(self._rng, self.config.eta_max)
+            eta = next(self._etas, None)
+            if eta is None:
+                self._etas = iter(sample_etas(self._rng, self.config.eta_max, ETA_BLOCK))
+                eta = next(self._etas)
         self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
         return eta, None
 
@@ -219,28 +241,29 @@ def train(
     backend.threshold() and only train raises it: a clean pass that ends
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
-    Only an update moves the weights, so they are read again after each
-    update alone.
+    Only an update moves the weights, so they and the backend's gate are
+    read again after each update alone, and each output is pattern_output
+    of that gate.
     """
     trace = TrainingTrace()
-    output_of, update_of, weights_of = backend.output, backend.apply_update, backend.weights
+    gate_of, update_of, weights_of = backend.gate, backend.apply_update, backend.weights
     record = trace.rows.append
     target = config.target_class
     threshold = backend.threshold()
-    weights = weights_of()
+    gate, weights = gate_of(), weights_of()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
         clean = True
         for pattern in patterns:
             step += 1
-            output = output_of(pattern)
+            output = pattern_output(gate, pattern)
             action = classify(output, threshold, pattern.class_label, target)
             eta = pulses = None
             if action is not _ACCEPT:
                 clean = False
                 eta, pulses = update_of(pattern, action)
-                weights = weights_of()
+                gate, weights = gate_of(), weights_of()
             record((step, pattern.pattern_id, pattern.class_label, output, threshold,
                     action._value_, eta, pulses, weights))
         if clean:
@@ -271,9 +294,10 @@ def evaluate_patterns(
     backend: WeightBackend, patterns: Sequence[Pattern], target_class: str, threshold: float
 ) -> list[EvalResult]:
     """Read-only pass judging every pattern against the one given threshold."""
+    gate = backend.gate()
     results = []
     for p in patterns:
-        output = backend.output(p)
+        output = pattern_output(gate, p)
         results.append(
             EvalResult(
                 pattern_id=p.pattern_id,

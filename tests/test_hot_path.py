@@ -7,33 +7,43 @@ name, so one such read put back on the step path silently undoes the
 saving.
 
 The trainer's step loop builds no class instance: a step is one plain tuple,
-and a ``StepRecord`` is built only when a caller reads ``trace.steps``.
+and a ``StepRecord`` is built only when a caller reads ``trace.steps``. It
+computes each output itself, as ``pattern_output`` of the backend's gate
+vector, with no backend call per step. A packet write builds none either:
+the ledger logs a write operation as one entry, and ``Rig.events`` and the
+ledger's per-packet ``WriteEvent``s are rendered only when read.
 
 A rig operation on several sites makes one camera draw (reads) or one
-shutter draw (writes), not one per site: each draw carries its own fixed
-per-call cost.
+shutter draw (writes), not one per site, and a simulate run draws its
+learning rates in blocks: each draw carries its own fixed per-call cost.
 """
 
 import ast
 import builtins
+import importlib
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import optoperceptron
-from optoperceptron import trainer
 from optoperceptron.config import load_config
+from optoperceptron.patterns import build_dataset
 from optoperceptron.runner import build_rig, make_streams
-from optoperceptron.trainer import Action
+from optoperceptron.trainer import ETA_BLOCK, Action, VectorBackend, train
+from typed_configs import trainer_config
 
 PACKAGE = Path(optoperceptron.__file__).parent
 HOT_PATH = {
     "trainer": (
         "train", "classify", "update_weights", "pattern_output",
-        "VectorBackend.output", "VectorBackend.apply_update",
+        "VectorBackend.gate", "VectorBackend.apply_update",
     ),
     "synapse": ("apply_packet",),
     "rig": (
         "Rig.apply_learning_update", "Rig._read", "Rig._write_packets",
-        "RigBackend.output", "RigBackend.apply_update",
+        "RigBackend.gate", "RigBackend.apply_update",
     ),
 }
 
@@ -83,16 +93,53 @@ def test_hot_path_reads_no_enum_member_through_its_class_and_no_value():
     assert offending == []
 
 
+def first_loop(body: list[ast.stmt]) -> ast.For:
+    return next(node for node in body if isinstance(node, ast.For))
+
+
+def train_step_loop() -> ast.For:
+    return first_loop(first_loop(definitions("trainer")["train"].body).body)
+
+
+def called_classes(node: ast.AST, module: str) -> list[str]:
+    """Calls under node whose callee resolves, against the builtins and the
+    module's names, to a class; the exception a raise builds is not counted."""
+    names = {**vars(builtins), **vars(importlib.import_module(f"optoperceptron.{module}"))}
+    raised = {id(n) for r in ast.walk(node) if isinstance(r, ast.Raise) for n in ast.walk(r)}
+    called = [
+        ast.unparse(n.func) for n in ast.walk(node)
+        if isinstance(n, ast.Call) and id(n) not in raised
+    ]
+    return [name for name in called if isinstance(names.get(name), type)]
+
+
 def test_train_step_loop_calls_no_class():
     # The trace is built once per run and a threshold raise once per epoch,
     # outside the step loop; inside it every call is a function or method.
-    train = definitions("trainer")["train"]
-    epoch_loop = next(node for node in train.body if isinstance(node, ast.For))
-    step_loop = next(node for node in epoch_loop.body if isinstance(node, ast.For))
-    names = {**vars(builtins), **vars(trainer)}
+    step_loop = train_step_loop()
     called = [ast.unparse(node.func) for node in ast.walk(step_loop) if isinstance(node, ast.Call)]
     assert "classify" in called
-    assert [name for name in called if isinstance(names.get(name), type)] == []
+    assert called_classes(step_loop, "trainer") == []
+
+
+def test_train_step_loop_calls_pattern_output_directly():
+    # Every step's output is pattern_output of the gate read after the last
+    # update, called by the loop itself rather than through a backend method.
+    outputs = [
+        node.value for node in train_step_loop().body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "output"
+    ]
+    assert [ast.unparse(call) for call in outputs] == ["pattern_output(gate, pattern)"]
+
+
+@pytest.mark.parametrize("where", ["Rig._write_packets", "EnergyLedger.add_writes"])
+def test_packet_write_calls_no_class(where):
+    # _write_packets is checked in its packet loop, add_writes as a whole.
+    node = definitions("rig")[where]
+    if where == "Rig._write_packets":
+        node = first_loop(node.body)
+        assert "apply_packet" in [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+    assert called_classes(node, "rig") == []
 
 
 class CountingRng:
@@ -133,3 +180,21 @@ def test_one_shutter_draw_per_write_operation():
     rig.apply_learning_update([2, 6], Action.LOWER_OUTPUT)
     assert rig.shutter_rng.draws == 3
     assert len(rig.ledger.write_events) == 9 * 50 + 250 + 5 * 2
+
+
+def test_fixed_learning_rate_draws_nothing():
+    config = trainer_config(eta_fixed=0.01)
+    rng = CountingRng(np.random.default_rng(0))
+    trace = train(build_dataset().training, config, VectorBackend(config, rng))
+    assert sum(1 for row in trace.rows if row[5] != "accept") > 0
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_sampled_learning_rates_take_one_draw_per_block(seed):
+    config = trainer_config()
+    rng = CountingRng(np.random.default_rng(seed))
+    trace = train(build_dataset().training, config, VectorBackend(config, rng))
+    updates = sum(1 for row in trace.rows if row[5] != "accept")
+    assert updates > ETA_BLOCK  # the run refills its block at least once
+    assert rng.draws == math.ceil(updates / ETA_BLOCK)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from optoperceptron.rig import (
 )
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate
 from optoperceptron.synapse import Helicity, apply_packet, response_curve
-from optoperceptron.trainer import Action, evaluate_patterns, train
+from optoperceptron.trainer import Action, evaluate_patterns, pattern_output, train
 from typed_configs import shutter_model
 
 
@@ -148,8 +149,8 @@ def test_ledger_totals_additive_and_order_independent():
     for perm in itertools.permutations(events):
         ledger = EnergyLedger(per_read_j=0.4e-9)
         for site, pulses, cost in perm:
-            ledger.add_writes(site, [pulses], cost)
-        ledger.add_reads(3)
+            ledger.add_writes(site, "write", [pulses], cost)
+        ledger.add_reads(["w1", "w2", "b"])
         totals.add((ledger.total_pulses, ledger.write_energy_j, ledger.read_energy_j))
     assert len(totals) == 1
     (pulses, write_j, read_j) = totals.pop()
@@ -160,15 +161,81 @@ def test_ledger_totals_additive_and_order_independent():
 
 def test_ledger_rejects_negative_writes_whole():
     ledger = EnergyLedger(per_read_j=0.4e-9)
-    ledger.add_writes("w1", [3, 4], 1e-12)
+    ledger.add_writes("w1", "write", [3, 4], 1e-12)
     with pytest.raises(ValueError):
-        ledger.add_writes("w2", [5, -1], 1e-12)
+        ledger.add_writes("w2", "erase", [5, -1], 1e-12)
     with pytest.raises(ValueError):
-        ledger.add_writes("w2", [5], -1e-12)
+        ledger.add_writes("w2", "erase", [5], -1e-12)
     assert [(e.site, e.pulses) for e in ledger.write_events] == [("w1", 3), ("w1", 4)]
 
 
+ledger_ops = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(SITE_LABELS), min_size=1, max_size=10).map(lambda s: ("read", s)),
+        st.tuples(
+            st.just("write"),
+            st.sampled_from(SITE_LABELS),
+            st.sampled_from(["write", "erase"]),
+            st.lists(st.integers(0, 400), max_size=60),
+            st.floats(0.0, 1e-9),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@given(ops=ledger_ops, per_read_j=st.sampled_from([0.4e-9, 0.0, 1.3e-10]))
+def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j):
+    ledger = EnergyLedger(per_read_j=per_read_j)
+    events, reads = [], 0
+    for op in ops:
+        if op[0] == "read":
+            ledger.add_reads(op[1])
+            reads += len(op[1])
+        else:
+            _, site, helicity, pulses, per_pulse_j = op
+            ledger.add_writes(site, helicity, pulses, per_pulse_j)
+            events.extend((site, p, per_pulse_j) for p in pulses)
+    # the reference: one event per packet, each billed pulses x per-pulse
+    # energy and summed in delivery order
+    pulses = sum(p for _, p, _ in events)
+    write_j = sum(p * per_pulse_j for _, p, per_pulse_j in events)
+    read_j = reads * per_read_j
+    assert ledger.to_json_dict() == {
+        "per_read_j": per_read_j,
+        "read_events": reads,
+        "total_pulses": pulses,
+        "write_energy_j": write_j,
+        "read_energy_j": read_j,
+        "total_energy_j": write_j + read_j,
+        "write_events": [{"site": s, "pulses": p, "per_pulse_j": j} for s, p, j in events],
+    }
+    assert ledger.summary_line() == (
+        f"pulses={pulses} write={write_j * 1e9:.3f}nJ reads={reads} "
+        f"read={read_j * 1e9:.3f}nJ total={(write_j + read_j) * 1e9:.3f}nJ"
+    )
+    assert [(e.site, e.pulses, e.per_pulse_j) for e in ledger.write_events] == events
+
+
 # -- rig sequencing -----------------------------------------------------------
+
+RECORDED_EVENTS = Path(__file__).parent / "golden" / "rig_events_seed7.json"
+
+
+def test_rig_events_equal_the_recorded_sequence():
+    # Recorded from the rig that appended one tuple per event as it ran:
+    # seed 7, default config, initialization plus two learning updates.
+    cfg = load_config()
+    rig = build_rig(cfg, make_streams(7))
+    backend = RigBackend(rig)
+    training = build_dataset(cfg.bitmaps).training
+    backend.apply_update(training[0], Action.RAISE_OUTPUT)
+    backend.apply_update(training[9], Action.LOWER_OUTPUT)
+    recorded = [tuple(e) for e in json.loads(RECORDED_EVENTS.read_text())]
+    assert rig.events == recorded
+    shutter = [(e[1], e[3]) for e in recorded if e[0] == "shutter"]
+    assert [(e.site, e.pulses) for e in rig.ledger.write_events] == shutter
+    assert rig.ledger.read_events == sum(1 for e in recorded if e[0] == "read")
 
 def test_initialization_saturates_weight_sites():
     cfg, rig = make_rig()
@@ -481,9 +548,10 @@ def test_rig_backend_output_sums_active_contributions():
     pattern = dataset.training[0]
     state = backend.rig.weight_state()
     expected = 0.0
-    for i in pattern.active_indices:  # the backend's summation order
+    for i in pattern.active_indices:  # the trainer's summation order
         expected += state.contributions[i]
-    assert backend.output(pattern) == expected
+    assert backend.gate() == state.contributions
+    assert pattern_output(backend.gate(), pattern) == expected
 
 
 def test_rig_backend_threshold_is_the_threshold_read_as_float():

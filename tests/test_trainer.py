@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import Pattern, build_dataset
 from optoperceptron.trainer import (
+    ETA_BLOCK,
     Action,
     VectorBackend,
     classify,
     evaluate_patterns,
     pattern_output,
-    sample_eta,
+    sample_etas,
     train,
     update_weights,
 )
@@ -167,22 +168,47 @@ def test_classify_tags_are_the_artifact_actions():
     assert tags == {"accept", "raise", "lower"}
 
 
-def test_sample_eta_in_half_open_interval():
+def test_sample_etas_in_half_open_interval():
     rng = np.random.default_rng(0)
-    draws = [sample_eta(rng, 0.014) for _ in range(1000)]
+    draws = sample_etas(rng, 0.014, 1000)
     assert all(0.0 < eta <= 0.014 for eta in draws)
 
 
-def test_sample_eta_deterministic_per_seed():
-    a = [sample_eta(np.random.default_rng(3), 0.014) for _ in range(10)]
-    b = [sample_eta(np.random.default_rng(3), 0.014) for _ in range(10)]
+def test_sample_etas_deterministic_per_seed():
+    a = sample_etas(np.random.default_rng(3), 0.014, 10)
+    b = sample_etas(np.random.default_rng(3), 0.014, 10)
     assert a == b
 
 
-def test_sample_eta_mean():
+def test_sample_etas_mean():
     rng = np.random.default_rng(1)
-    draws = np.array([sample_eta(rng, 0.014) for _ in range(100_000)])
+    draws = np.array(sample_etas(rng, 0.014, 100_000))
     assert abs(draws.mean() - 0.007) / 0.007 < 0.02
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eta_max=st.floats(1e-6, 10.0),
+    n=st.integers(0, 200),
+)
+def test_block_draw_equals_scalar_draws(seed, eta_max, n):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = sample_etas(rng, eta_max, n)
+    scalar = [eta_max * (1.0 - twin.random()) for _ in range(n)]
+    assert [eta.hex() for eta in block] == [eta.hex() for eta in scalar]
+    assert all(type(eta) is float for eta in block)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_vector_backend_takes_the_stream_in_draw_order():
+    # the k-th update gets the k-th scalar draw, across block boundaries
+    config = trainer_config(eta_max=0.3)
+    backend = VectorBackend(config, np.random.default_rng(8))
+    twin = np.random.default_rng(8)
+    p = pat([1] * 9)
+    for _ in range(2 * ETA_BLOCK + 3):
+        eta, pulses = backend.apply_update(p, Action.RAISE_OUTPUT)
+        assert eta == 0.3 * (1.0 - twin.random()) and pulses is None
 
 
 def test_fixed_point_dataset_accepts_everything():
