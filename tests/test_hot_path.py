@@ -134,11 +134,14 @@ def test_train_step_loop_calls_pattern_output_directly():
 
 @pytest.mark.parametrize("where", ["Rig._write_packets", "EnergyLedger.add_writes"])
 def test_packet_write_calls_no_class(where):
-    # _write_packets is checked in its packet loop, add_writes as a whole.
+    # _write_packets is checked in its packet loop, which does nothing but
+    # apply each packet; add_writes, called once per write, as a whole.
     node = definitions("rig")[where]
     if where == "Rig._write_packets":
         node = first_loop(node.body)
-        assert "apply_packet" in [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+        assert [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)] == [
+            "apply_packet"
+        ]
     assert called_classes(node, "rig") == []
 
 
