@@ -237,6 +237,7 @@ def test_rig_events_equal_the_recorded_sequence():
     assert [(e.site, e.pulses) for e in rig.ledger.write_events] == shutter
     assert rig.ledger.read_events == sum(1 for e in recorded if e[0] == "read")
 
+
 def test_initialization_saturates_weight_sites():
     cfg, rig = make_rig()
     state = rig.initialize_network()
