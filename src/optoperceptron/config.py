@@ -13,14 +13,18 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError
-from .optics import SMALL_ANGLE_LIMIT, CameraConfig, OpticalConstants
 from .patterns import CLASSES, DEFAULT_BITMAPS, parse_bitmap_text
-from .rig import RigConfig, ShutterModel, energy_per_pulse
 from .synapse import CURVE_FAMILIES, InhomogeneityParams
 from .trainer import TrainerConfig
+
+if TYPE_CHECKING:  # the accessors import these, so a run that renders nothing loads no numpy
+    from .optics import CameraConfig, OpticalConstants
+    from .rig import RigConfig, ShutterModel
+
+SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle readout chain is invalid
 
 
 def _bool(text: str) -> bool:
@@ -89,6 +93,12 @@ def nanojoules(value: float) -> float:
     configured cost.
     """
     return float(Decimal(repr(value)).scaleb(-9))
+
+
+def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float) -> float:
+    """Pulse energy apportioned to a written spot by its area fraction of the waist."""
+    ratio = diameter_um / waist_um
+    return pulse_energy_j * ratio * ratio
 
 
 @dataclass(frozen=True)
@@ -205,12 +215,16 @@ class RunConfig:
         )
 
     def optical_constants(self) -> OpticalConstants:
+        from .optics import OpticalConstants
+
         return OpticalConstants(
             delta=self["optics.delta_rad"],
             intensity_in=self["optics.intensity_in"],
         )
 
     def camera_config(self) -> CameraConfig:
+        from .optics import CameraConfig
+
         return CameraConfig(
             width=self["camera.width_px"],
             height=self["camera.height_px"],
@@ -223,6 +237,8 @@ class RunConfig:
         )
 
     def shutter_model(self) -> ShutterModel:
+        from .rig import ShutterModel
+
         return ShutterModel(
             open_time_min_ms=self["shutter.open_time_min_ms"],
             open_time_max_ms=self["shutter.open_time_max_ms"],
@@ -233,6 +249,8 @@ class RunConfig:
         )
 
     def rig_config(self) -> RigConfig:
+        from .rig import RigConfig
+
         return RigConfig(
             init_weight_packets=self["rig.init_weight_packets"],
             init_threshold_packets=self["rig.init_threshold_packets"],

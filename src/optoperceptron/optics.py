@@ -18,8 +18,6 @@ import numpy as np
 
 from .synapse import SynapseSite
 
-SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle chain is invalid
-
 
 @dataclass(frozen=True)
 class OpticalConstants:

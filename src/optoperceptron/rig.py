@@ -70,12 +70,6 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     return [max(c, 1) for c in counts]
 
 
-def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float) -> float:
-    """Pulse energy apportioned to a written spot by its area fraction of the waist."""
-    ratio = diameter_um / waist_um
-    return pulse_energy_j * ratio * ratio
-
-
 @dataclass
 class WriteEvent:
     """One packet of a write, as EnergyLedger.write_events renders it."""

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from statistics import median
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .atomic import atomic_write, write_json
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
-from .optics import pgm_image
-from .rig import N_WEIGHT_SITES, SITE_LABELS, Rig, RigBackend
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
@@ -32,6 +29,11 @@ from .trainer import (
     train,
 )
 
+if TYPE_CHECKING:  # numpy, rig and optics load only where a run draws or renders
+    import numpy as np
+
+    from .rig import Rig
+
 SCHEMA_PREFIX = "optoperceptron"
 
 
@@ -41,25 +43,31 @@ class Streams:
 
     shutter: np.random.Generator
     camera: np.random.Generator
-    sites: np.random.SeedSequence
+    sites: np.random.Generator
 
 
 def eta_stream(seed: int) -> np.random.Generator:
     """The learning-rate stream: child 0 of the run seed."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def make_streams(seed: int) -> Streams:
     """Children 1-3 of the run seed; child 0 is eta_stream's, left unbuilt."""
+    import numpy as np
+
     _, shutter_ss, camera_ss, sites_ss = np.random.SeedSequence(seed).spawn(4)
     return Streams(
         shutter=np.random.default_rng(shutter_ss),
         camera=np.random.default_rng(camera_ss),
-        sites=sites_ss,
+        sites=np.random.default_rng(sites_ss),
     )
 
 
 def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
+    from .rig import N_WEIGHT_SITES, Rig
+
     site_params = sample_sites(
         streams.sites,
         N_WEIGHT_SITES + 1,
@@ -111,6 +119,8 @@ def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True)
 
 
 def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True) -> RunResult:
+    from .rig import RigBackend
+
     trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, make_streams(seed))
     backend = RigBackend(rig, keep_snapshots=bars and cfg["run.trace_verbosity"] >= 2)
@@ -248,6 +258,9 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
     rig = result.rig
     if rig is None:
         return
+    from .optics import pgm_image
+    from .rig import SITE_LABELS
+
     yield "ledger.json", rig.ledger.to_json_dict()
     yield "ledger.txt", rig.ledger.summary_line() + "\n"
     yield "weight_state.json", rig.weight_state().to_json_dict()
@@ -292,8 +305,9 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 
 def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     """Per-pulse write energies and the energy ledger of the emulate run: its
-    ledger.json is byte-identical to that of emulate at the same (config, seed)."""
-    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
+    ledger.json is byte-identical to that of emulate at the same (config, seed).
+    Energy writes no bars, and bar evaluations read no sites, so it skips them."""
+    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps), bars=False)
     ledger = result.rig.ledger
     small = cfg.per_pulse_j(cfg["energy.spot_small_um"])
     large = cfg.per_pulse_j(cfg["energy.spot_large_um"])
@@ -348,7 +362,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "base_seed": seed,
         "seeds": cfg["sweep.seeds"],
         "converged": len(converged_steps),
-        "median_steps": float(np.median(converged_steps)) if converged_steps else None,
+        "median_steps": float(median(converged_steps)) if converged_steps else None,
     }
     return write_artifacts(out_dir, cfg, summary, [("sweep.csv", sweep_csv(rows))])
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Helicity(enum.Enum):
@@ -135,21 +137,20 @@ def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> Syn
 
 
 def sample_sites(
-    seed,
+    rng: np.random.Generator,
     n_sites: int,
     spread: float,
     nominal: InhomogeneityParams,
 ) -> list[InhomogeneityParams]:
     """Draw per-site parameters with +-spread relative deviation from nominal.
 
-    Deterministic for a given seed. Each dead zone and saturation is
-    rounded on its own, so a spread that keeps the unrounded ranges apart
-    can still round one site's two to the same pulse count; that site
-    would have no response span, and the draw fails naming it.
+    Deterministic for a given generator state. Each dead zone and
+    saturation is rounded on its own, so a spread that keeps the unrounded
+    ranges apart can still round one site's two to the same pulse count;
+    that site would have no response span, and the draw fails naming it.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    rng = np.random.default_rng(seed)
     sites = []
     for index in range(n_sites):
         dead, sat, gain = rng.uniform(-spread, spread, size=3)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .patterns import N_INPUTS, Pattern
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Action(enum.Enum):

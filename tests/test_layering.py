@@ -1,8 +1,14 @@
 """Layering guard: the physics modules neither touch the disk nor reach the
-run boundary, and runner is the one module that writes artifacts."""
+run boundary, runner is the one module that writes artifacts, and numpy
+loads only where a run draws or renders."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import optoperceptron
 
@@ -34,3 +40,46 @@ def test_physics_modules_stay_off_the_disk_and_runner_alone_writes():
         if path.stem != "atomic" and "atomic" in imported_modules(path.stem)
     )
     assert writers == ["runner"]
+
+
+# A fresh interpreter imports the CLI, then either resolves the default
+# config (no arguments) or runs the CLI, and prints its exit code and
+# whether numpy got loaded.
+NUMPY_PROBE = """
+import sys
+from optoperceptron.cli import main
+from optoperceptron.config import load_config
+
+try:
+    if sys.argv[1:]:
+        code = main(sys.argv[1:])
+    else:
+        load_config()
+        code = 0
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code, loads_numpy",
+    [
+        ([], 0, False),
+        (["dataset", "--out", "{dir}/out"], 0, False),
+        (["--help"], 0, False),
+        (["simulate", "--config", "{dir}/refused.cfg", "--out", "{dir}/out"], 2, False),
+        (["emulate", "--config", "{dir}/quick.cfg", "--out", "{dir}/out"], 0, True),
+    ],
+    ids=["load_config", "dataset", "help", "refused-config", "emulate"],
+)
+def test_numpy_loads_only_where_a_run_draws_or_renders(tmp_path, args, code, loads_numpy):
+    (tmp_path / "refused.cfg").write_text("trainer.no_such_key = 1\n")
+    (tmp_path / "quick.cfg").write_text("trainer.max_epochs = 1\n")
+    argv = [arg.format(dir=tmp_path) for arg in args]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == f"{code} {loads_numpy}"

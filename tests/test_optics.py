@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from optoperceptron.config import SMALL_ANGLE_LIMIT
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
-    SMALL_ANGLE_LIMIT,
     Roi,
     SpotGeometry,
     analyzer_intensity,

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron import rig as rig_module
-from optoperceptron.config import load_config
+from optoperceptron.config import energy_per_pulse, load_config
 from optoperceptron.errors import ConfigurationError, DegenerateBackgroundError
 from optoperceptron.optics import average_frames, draw_read_noise, expose_frames, integrate_roi
 from optoperceptron.patterns import build_dataset
@@ -18,7 +18,6 @@ from optoperceptron.rig import (
     SITE_LABELS,
     RigBackend,
     THRESHOLD_SITE,
-    energy_per_pulse,
     shutter_pulses,
 )
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate

@@ -9,6 +9,7 @@ import dataclasses
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from optoperceptron import runner, trainer
@@ -45,7 +46,9 @@ def test_single_run_builds_one_dataset(tmp_path, capsys, calls, mode):
     cfg.write_text("trainer.max_epochs = 1\n")
     assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     run = "simulate_run" if mode == "simulate" else "emulate_run"
-    assert calls == {"build_dataset": 1, "train": 1, "evaluate_patterns": 3, run: 1}
+    # energy writes no bars, so only its held-out patterns are evaluated
+    evaluations = 1 if mode == "energy" else 3
+    assert calls == {"build_dataset": 1, "train": 1, "evaluate_patterns": evaluations, run: 1}
 
 
 SWEEP_COLUMNS = {
@@ -76,6 +79,21 @@ def test_sweep_rows_equal_single_runs_at_the_same_seeds(tmp_path, capsys, mode):
         assert {c: row[c] for c in SWEEP_COLUMNS} == {
             c: json.dumps(summary[key]) for c, key in SWEEP_COLUMNS.items()
         }
+
+
+def test_sweep_median_steps_is_the_midpoint_of_an_even_count(tmp_path, capsys):
+    """Four converged seeds whose two middle step counts differ: the summary's
+    median is their mean, as numpy's median of the sweep.csv column gives."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep.mode = simulate\nsweep.seeds = 4\n")
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    steps = sorted(int(row["steps"]) for row in rows if row["converged"] == "true")
+    assert len(steps) == 4 and steps[1] != steps[2]
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["median_steps"] == float(np.median(steps)) == (steps[1] + steps[2]) / 2
 
 
 def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):

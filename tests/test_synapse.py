@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,17 +134,20 @@ def test_negative_pulse_count_rejected():
 
 
 def test_sample_sites_zero_spread_is_nominal():
-    sites = sample_sites(1, 9, 0.0, NOMINAL)
+    sites = sample_sites(np.random.default_rng(1), 9, 0.0, NOMINAL)
     assert all(p == NOMINAL for p in sites)
 
 
 def test_sample_sites_deterministic():
-    assert sample_sites(42, 9, 0.1, NOMINAL) == sample_sites(42, 9, 0.1, NOMINAL)
-    assert sample_sites(42, 9, 0.1, NOMINAL) != sample_sites(43, 9, 0.1, NOMINAL)
+    def draw(seed):
+        return sample_sites(np.random.default_rng(seed), 9, 0.1, NOMINAL)
+
+    assert draw(42) == draw(42)
+    assert draw(42) != draw(43)
 
 
 def test_sample_sites_bounded():
-    for params in sample_sites(7, 9, 0.1, NOMINAL):
+    for params in sample_sites(np.random.default_rng(7), 9, 0.1, NOMINAL):
         assert 225 <= params.dead_zone_pulses <= 275
         assert 540 <= params.saturation_pulses <= 660
         assert 0.9 <= params.background_gain <= 1.1
@@ -160,7 +164,7 @@ def test_sample_sites_excessive_spread_rejected():
         ConfigurationError,
         match=r"site index 2 rounds to dead zone 105 and saturation 105 pulses.*synapse.site_spread 0.0476",
     ):
-        sample_sites(37, 10, 0.0476, nominal)
+        sample_sites(np.random.default_rng(37), 10, 0.0476, nominal)
 
 
 def test_invalid_params_rejected():
