@@ -18,6 +18,7 @@ from . import __version__
 from .atomic import atomic_write, write_json
 from .config import RunConfig
 from .patterns import CLASSES, Dataset, build_dataset
+from .pcg import Pcg64
 from .synapse import sample_sites
 from .trainer import (
     EvalResult,
@@ -29,7 +30,7 @@ from .trainer import (
     train,
 )
 
-if TYPE_CHECKING:  # numpy, rig and optics load only where a run draws or renders
+if TYPE_CHECKING:  # numpy, rig and optics load only where the rig draws or renders
     import numpy as np
 
     from .rig import Rig
@@ -46,11 +47,10 @@ class Streams:
     sites: np.random.Generator
 
 
-def eta_stream(seed: int) -> np.random.Generator:
-    """The learning-rate stream: child 0 of the run seed."""
-    import numpy as np
-
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+def eta_stream(seed: int) -> Pcg64:
+    """The learning-rate stream: child 0 of the run seed, drawn without numpy
+    as np.random.default_rng(SeedSequence(seed).spawn(1)[0]) draws it."""
+    return Pcg64(seed)
 
 
 def make_streams(seed: int) -> Streams:

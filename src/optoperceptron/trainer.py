@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .patterns import N_INPUTS, Pattern
-
-if TYPE_CHECKING:
-    import numpy as np
+from .pcg import Pcg64
 
 
 class Action(enum.Enum):
@@ -29,10 +27,6 @@ class Action(enum.Enum):
 # on Python 3.11 ``Action.ACCEPT`` and ``.value`` each cost over ten times
 # a global read, and the step path reads them on every step.
 _ACCEPT, _RAISE, _LOWER = Action.ACCEPT, Action.RAISE_OUTPUT, Action.LOWER_OUTPUT
-
-# Learning rates drawn per rng call by VectorBackend: one call's fixed cost
-# then serves many updates (a default simulate run makes about a hundred).
-ETA_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -53,12 +47,9 @@ def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
     Only the active inputs are summed, in index order from 0.0. That is
     bit-identical to the full sum of w * x: w * 1 is exact, a skipped
     w * 0 is +-0.0, which leaves a nonzero partial sum unchanged, and a
-    zero partial sum is +0.0 either way because 0.0 + (-0.0) is 0.0.
+    zero partial sum is +0.0 either way because 0.0 + (-0.0) is 0.0. The
+    caller checks the vector's length once per gate read (_read_gate).
     """
-    if len(weights) != len(pattern.inputs):
-        raise ValueError(
-            f"weight vector length {len(weights)} != input length {len(pattern.inputs)}"
-        )
     total = 0.0
     for i in pattern.active_indices:
         total += weights[i]
@@ -79,11 +70,13 @@ def classify(output: float, threshold: float, pattern_class: str, target_class: 
 def update_weights(
     weights: Sequence[float], pattern: Pattern, direction: Action, eta: float
 ) -> list[float]:
-    """w_i +- eta * x_i; only the pattern's active inputs move.
+    """w_i +- eta * x_i, bit for bit; only the pattern's active inputs move.
 
-    Inactive inputs still take their +-0.0 step: a raise turns a -0.0
-    weight (trainer.initial_weight may be -0.0) into +0.0. The signed step
-    is +-eta itself, bit-identical to the product (+-1.0) * eta.
+    An active input adds +-eta, the product (+-1.0) * eta. An inactive one
+    adds the product's +-0.0, which changes a weight only on a raise:
+    -0.0 + 0.0 is +0.0 (trainer.initial_weight may be -0.0). w + 0.0 is w
+    for any other weight, so a raise maps every weight through it only when
+    some weight equals 0.0.
     """
     if direction is _RAISE:
         step = eta
@@ -93,18 +86,20 @@ def update_weights(
         raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    return [w + step * x for w, x in zip(weights, pattern.inputs)]
+    updated = list(weights)
+    if direction is _RAISE and 0.0 in updated:
+        updated = [w + 0.0 for w in updated]
+    for i in pattern.active_indices:
+        updated[i] += step
+    return updated
 
 
-def sample_etas(rng: np.random.Generator, eta_max: float, n: int) -> list[float]:
-    """n uniform draws from (0, eta_max]; deterministic per seeded rng.
-
-    One rng.random(n) call yields the values, and leaves the generator in
-    the state, of n scalar rng.random() draws.
-    """
-    if eta_max <= 0:
-        raise ValueError("eta_max must be > 0")
-    return [eta_max * (1.0 - u) for u in rng.random(n).tolist()]
+def _read_gate(backend: WeightBackend) -> Sequence[float]:
+    """The backend's gate vector, checked to have one weight per input."""
+    gate = backend.gate()
+    if len(gate) != N_INPUTS:
+        raise ValueError(f"weight vector length {len(gate)} != input length {N_INPUTS}")
+    return gate
 
 
 @dataclass(slots=True)
@@ -201,16 +196,14 @@ class WeightBackend(Protocol):
 class VectorBackend:
     """Plain weight vector with sampled learning rates (simulation mode).
 
-    Learning rates come from rng in blocks of ETA_BLOCK, in draw order, so
-    the k-th update gets the k-th scalar draw of the stream; the unused rest
-    of the last block is never read, and rng serves nothing else.
+    Each sampled learning rate takes one rng.random() draw, in order, so the
+    k-th update gets the k-th draw; rng (or a numpy Generator) serves nothing else.
     """
 
-    def __init__(self, config: TrainerConfig, rng: np.random.Generator):
+    def __init__(self, config: TrainerConfig, rng: Pcg64):
         self.config = config
         self._weights = (config.initial_weight,) * N_INPUTS
         self._rng = rng
-        self._etas = iter(())
 
     def gate(self) -> tuple[float, ...]:
         return self._weights
@@ -221,10 +214,7 @@ class VectorBackend:
     def apply_update(self, pattern: Pattern, direction: Action) -> tuple[float, None]:
         eta = self.config.eta_fixed
         if eta is None:
-            eta = next(self._etas, None)
-            if eta is None:
-                self._etas = iter(sample_etas(self._rng, self.config.eta_max, ETA_BLOCK))
-                eta = next(self._etas)
+            eta = self.config.eta_max * (1.0 - self._rng.random())
         self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
         return eta, None
 
@@ -243,15 +233,15 @@ def train(
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
     Only an update moves the weights, so they and the backend's gate are
-    read again after each update alone, and each output is pattern_output
-    of that gate.
+    read (and the gate's length checked) again after each update alone, and
+    each output is pattern_output of that gate.
     """
     trace = TrainingTrace()
-    gate_of, update_of, weights_of = backend.gate, backend.apply_update, backend.weights
+    update_of, weights_of = backend.apply_update, backend.weights
     record = trace.rows.append
     target = config.target_class
     threshold = backend.threshold()
-    gate, weights = gate_of(), weights_of()
+    gate, weights = _read_gate(backend), weights_of()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
@@ -264,7 +254,7 @@ def train(
             if action is not _ACCEPT:
                 clean = False
                 eta, pulses = update_of(pattern, action)
-                gate, weights = gate_of(), weights_of()
+                gate, weights = _read_gate(backend), weights_of()
             record((step, pattern.pattern_id, pattern.class_label, output, threshold,
                     action._value_, eta, pulses, weights))
         if clean:
@@ -295,7 +285,7 @@ def evaluate_patterns(
     backend: WeightBackend, patterns: Sequence[Pattern], target_class: str, threshold: float
 ) -> list[EvalResult]:
     """Read-only pass judging every pattern against the one given threshold."""
-    gate = backend.gate()
+    gate = _read_gate(backend)
     results = []
     for p in patterns:
         output = pattern_output(gate, p)

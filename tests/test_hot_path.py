@@ -14,14 +14,13 @@ the ledger logs a write operation as one entry, and ``Rig.events`` and the
 ledger's per-packet ``WriteEvent``s are rendered only when read.
 
 A rig operation on several sites makes one camera draw (reads) or one
-shutter draw (writes), not one per site, and a simulate run draws its
-learning rates in blocks: each draw carries its own fixed per-call cost.
+shutter draw (writes), not one per site: each draw carries its own fixed
+per-call cost. A simulate run takes one draw per learning update.
 """
 
 import ast
 import builtins
 import importlib
-import math
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,8 @@ import pytest
 import optoperceptron
 from optoperceptron.config import load_config
 from optoperceptron.patterns import build_dataset
-from optoperceptron.runner import build_rig, make_streams
-from optoperceptron.trainer import ETA_BLOCK, Action, VectorBackend, train
+from optoperceptron.runner import build_rig, eta_stream, make_streams
+from optoperceptron.trainer import Action, VectorBackend, train
 from typed_configs import trainer_config
 
 PACKAGE = Path(optoperceptron.__file__).parent
@@ -194,10 +193,10 @@ def test_fixed_learning_rate_draws_nothing():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_sampled_learning_rates_take_one_draw_per_block(seed):
+def test_sampled_learning_rates_take_one_draw_per_update(seed):
     config = trainer_config()
-    rng = CountingRng(np.random.default_rng(seed))
+    rng = CountingRng(eta_stream(seed))
     trace = train(build_dataset().training, config, VectorBackend(config, rng))
     updates = sum(1 for row in trace.rows if row[5] != "accept")
-    assert updates > ETA_BLOCK  # the run refills its block at least once
-    assert rng.draws == math.ceil(updates / ETA_BLOCK)
+    assert updates > 0
+    assert rng.draws == updates

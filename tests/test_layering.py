@@ -1,6 +1,7 @@
 """Layering guard: the physics modules neither touch the disk nor reach the
 run boundary, runner is the one module that writes artifacts, and numpy
-loads only where a run draws or renders."""
+loads only where the rig draws or renders: simulate draws its learning rates
+from a pure-Python stream."""
 
 import ast
 import os
@@ -69,13 +70,22 @@ print(code, "numpy" in sys.modules)
         (["dataset", "--out", "{dir}/out"], 0, False),
         (["--help"], 0, False),
         (["simulate", "--config", "{dir}/refused.cfg", "--out", "{dir}/out"], 2, False),
+        (["simulate", "--out", "{dir}/out"], 0, False),
+        (["sweep", "--config", "{dir}/simulate-sweep.cfg", "--out", "{dir}/out"], 0, False),
         (["emulate", "--config", "{dir}/quick.cfg", "--out", "{dir}/out"], 0, True),
+        (["sweep", "--config", "{dir}/emulate-sweep.cfg", "--out", "{dir}/out"], 0, True),
     ],
-    ids=["load_config", "dataset", "help", "refused-config", "emulate"],
+    ids=[
+        "load_config", "dataset", "help", "refused-config", "simulate", "simulate-sweep",
+        "emulate", "emulate-sweep",
+    ],
 )
 def test_numpy_loads_only_where_a_run_draws_or_renders(tmp_path, args, code, loads_numpy):
     (tmp_path / "refused.cfg").write_text("trainer.no_such_key = 1\n")
     (tmp_path / "quick.cfg").write_text("trainer.max_epochs = 1\n")
+    sweep = "sweep.seeds = 3\ntrainer.max_epochs = 1\nsweep.mode = "
+    (tmp_path / "simulate-sweep.cfg").write_text(sweep + "simulate\n")
+    (tmp_path / "emulate-sweep.cfg").write_text(sweep + "emulate\n")
     argv = [arg.format(dir=tmp_path) for arg in args]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -5,19 +5,18 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import Pattern, build_dataset
+from optoperceptron.runner import eta_stream
 from optoperceptron.trainer import (
-    ETA_BLOCK,
     Action,
     VectorBackend,
     classify,
     evaluate_patterns,
     pattern_output,
-    sample_etas,
     train,
     update_weights,
 )
@@ -42,9 +41,38 @@ def test_output_basis_vector():
     assert pattern_output([1] + [0] * 8, pat([1] * 9)) == 1.0
 
 
+class GateStub:
+    """A backend whose gate has the given lengths: the first before any
+    update, the next after each update."""
+
+    def __init__(self, *lengths):
+        self.lengths = list(lengths)
+
+    def gate(self):
+        return (0.0,) * self.lengths[0]
+
+    def threshold(self):
+        return 1.0
+
+    def apply_update(self, pattern, direction):
+        self.lengths.pop(0)
+        return 0.01, None
+
+    def weights(self):
+        return (0.0,) * 9
+
+
 def test_output_length_mismatch():
-    with pytest.raises(ValueError):
-        pattern_output([0.5] * 8, pat([0] * 9))
+    # train checks the gate at its first read and after each update,
+    # evaluate_patterns at its one read; a 0.0 gate misses every v pattern
+    config = trainer_config()
+    patterns = [pat([1] * 9, cls="v")]
+    for stub in (GateStub(8), GateStub(9, 8)):
+        with pytest.raises(ValueError, match="weight vector length 8 != input length 9"):
+            train(patterns, config, stub)
+        assert stub.lengths == [8]
+    with pytest.raises(ValueError, match="weight vector length 8 != input length 9"):
+        evaluate_patterns(GateStub(8), patterns, "v", 1.0)
 
 
 ALL_INPUT_VECTORS = [pat(bits) for bits in itertools.product((0, 1), repeat=9)]
@@ -133,6 +161,10 @@ FINITE = st.one_of(
 )
 
 
+# Mixed +-0.0 weights: a raise turns each inactive -0.0 into +0.0, a lowering keeps it.
+MIXED_ZEROS = [-0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0, -0.0, 5e-324]
+
+
 @given(
     st.lists(FINITE, min_size=9, max_size=9),
     st.sampled_from(ALL_INPUT_VECTORS),
@@ -142,6 +174,10 @@ FINITE = st.one_of(
         st.floats(min_value=5e-324, allow_infinity=False),
     ),
 )
+@example(MIXED_ZEROS, pat([1, 0, 0, 1, 1, 0, 0, 0, 0]), Action.RAISE_OUTPUT, 0.014)
+@example(MIXED_ZEROS, pat([0] * 9), Action.RAISE_OUTPUT, 0.014)
+@example(MIXED_ZEROS, pat([1] * 9), Action.RAISE_OUTPUT, 5e-324)
+@example(MIXED_ZEROS, pat([0, 1, 0, 0, 0, 0, 0, 1, 0]), Action.LOWER_OUTPUT, 0.014)
 def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, eta):
     sign = 1.0 if direction is Action.RAISE_OUTPUT else -1.0
     reference = [w + sign * eta * x for w, x in zip(weights, p.inputs)]
@@ -168,45 +204,35 @@ def test_classify_tags_are_the_artifact_actions():
     assert tags == {"accept", "raise", "lower"}
 
 
+def sample_etas(seed: int, eta_max: float, n: int) -> list[float]:
+    """The learning rates of n raises on a VectorBackend drawing from eta_stream(seed)."""
+    backend = VectorBackend(trainer_config(eta_max=eta_max), eta_stream(seed))
+    p = pat([1] * 9)
+    return [backend.apply_update(p, Action.RAISE_OUTPUT)[0] for _ in range(n)]
+
+
 def test_sample_etas_in_half_open_interval():
-    rng = np.random.default_rng(0)
-    draws = sample_etas(rng, 0.014, 1000)
+    draws = sample_etas(0, 0.014, 1000)
     assert all(0.0 < eta <= 0.014 for eta in draws)
 
 
 def test_sample_etas_deterministic_per_seed():
-    a = sample_etas(np.random.default_rng(3), 0.014, 10)
-    b = sample_etas(np.random.default_rng(3), 0.014, 10)
-    assert a == b
+    assert sample_etas(3, 0.014, 10) == sample_etas(3, 0.014, 10)
+    assert sample_etas(3, 0.014, 10) != sample_etas(4, 0.014, 10)
 
 
 def test_sample_etas_mean():
-    rng = np.random.default_rng(1)
-    draws = np.array(sample_etas(rng, 0.014, 100_000))
-    assert abs(draws.mean() - 0.007) / 0.007 < 0.02
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    eta_max=st.floats(1e-6, 10.0),
-    n=st.integers(0, 200),
-)
-def test_block_draw_equals_scalar_draws(seed, eta_max, n):
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = sample_etas(rng, eta_max, n)
-    scalar = [eta_max * (1.0 - twin.random()) for _ in range(n)]
-    assert [eta.hex() for eta in block] == [eta.hex() for eta in scalar]
-    assert all(type(eta) is float for eta in block)
-    assert rng.bit_generator.state == twin.bit_generator.state
+    draws = sample_etas(1, 0.014, 100_000)
+    assert abs(sum(draws) / len(draws) - 0.007) / 0.007 < 0.02
 
 
 def test_vector_backend_takes_the_stream_in_draw_order():
-    # the k-th update gets the k-th scalar draw, across block boundaries
+    # the k-th update gets the k-th scalar draw, from a numpy Generator too
     config = trainer_config(eta_max=0.3)
     backend = VectorBackend(config, np.random.default_rng(8))
     twin = np.random.default_rng(8)
     p = pat([1] * 9)
-    for _ in range(2 * ETA_BLOCK + 3):
+    for _ in range(131):
         eta, pulses = backend.apply_update(p, Action.RAISE_OUTPUT)
         assert eta == 0.3 * (1.0 - twin.random()) and pulses is None
 
