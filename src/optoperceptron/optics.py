@@ -90,18 +90,15 @@ class Roi:
 
 @dataclass(frozen=True)
 class SpotGeometry:
-    """Written area on the sample: a disk at center with the given diameter.
-
-    diameter_um may be 0, meaning no spot exists.
-    """
+    """Written area on the sample: a disk at center with the given diameter."""
 
     center_x_um: float
     center_y_um: float
     diameter_um: float
 
     def __post_init__(self):
-        if self.diameter_um < 0:
-            raise ValueError("diameter_um must be >= 0")
+        if self.diameter_um <= 0:
+            raise ValueError("diameter_um must be > 0")
 
 
 def spot_pixel_mask(spot: SpotGeometry, camera: CameraConfig) -> np.ndarray:
@@ -136,7 +133,7 @@ def expose_frames(
     sites: Sequence[tuple[SynapseSite, SpotGeometry]],
     constants: OpticalConstants,
     camera: CameraConfig,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, bool]:
     """The readout kernel: n noise-independent frames of one scene.
@@ -145,22 +142,17 @@ def expose_frames(
     the disk, scaled by the site's background_gain to model illumination
     inhomogeneity at that sample area); all other pixels carry the
     background state. noise is the (n_frames, height, width) read-noise
-    block of this exposure, from draw_read_noise; the frames are rendered
-    into it in place. It is required when read noise is enabled and
-    defaults to zeros otherwise. Returns the integer counts, clipped to
-    [0, full_well], as a float64 (n_frames, height, width) stack, and
-    whether any pixel clipped at the full well. The clip pass runs only
-    when the rounded stack's minimum is below 0 or its maximum above the
-    full well; otherwise the stack is already in range.
+    block of this exposure, from draw_read_noise (zeros for a noiseless
+    camera); the frames are rendered into it in place. Returns the integer
+    counts, clipped to [0, full_well], as a float64 (n_frames, height,
+    width) stack, and whether any pixel clipped at the full well. The clip
+    pass runs only when the rounded stack's minimum is below 0 or its
+    maximum above the full well; otherwise the stack is already in range.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     shape = (n_frames, camera.height, camera.width)
-    if noise is None:
-        if camera.read_noise > 0:
-            raise ValueError("a read-noise block is required when read noise is enabled")
-        noise = np.zeros(shape)
-    elif noise.shape != shape:
+    if noise.shape != shape:
         raise ValueError(f"noise block of shape {noise.shape} does not fit {shape}")
     base = np.empty(shape[1:])  # empty + fill: half the call cost of np.full
     base.fill(_noiseless_counts(analyzer_intensity(0.0, constants), camera))
@@ -170,8 +162,6 @@ def expose_frames(
                 f"spot center ({spot.center_x_um}, {spot.center_y_um}) um is "
                 "outside the sensor field of view"
             )
-        if spot.diameter_um == 0:
-            continue
         mask = masks[idx] if masks is not None else spot_pixel_mask(spot, camera)
         base[mask] = _noiseless_counts(
             site.params.background_gain

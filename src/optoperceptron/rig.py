@@ -26,16 +26,14 @@ from .optics import (
     integrate_roi,
     spot_pixel_mask,
 )
-from .synapse import Helicity, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import Action, Pattern
+from .patterns import Pattern
+from .synapse import ERASE, WRITE, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
+from .trainer import LOWER_OUTPUT, RAISE_OUTPUT
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
 THRESHOLD_SITE = 9  # index of the threshold area in the 10-site array
 SITE_LABELS = tuple(f"w{i + 1}" for i in range(N_WEIGHT_SITES)) + ("b",)
-
-# Read once per learning update: a module name costs a tenth of Action.RAISE_OUTPUT.
-_RAISE, _LOWER, _WRITE, _ERASE = Action.RAISE_OUTPUT, Action.LOWER_OUTPUT, Helicity.WRITE, Helicity.ERASE
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,6 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
         nominal = model.nominal_packet_pulses
         counts = [round(nominal * (1.0 - u)) for u in rng.random(n).tolist()]  # (0, 1]
     return [max(c, 1) for c in counts]
-
-
-@dataclass
-class WriteEvent:
-    """One packet of a write, as EnergyLedger.write_events renders it."""
-
-    site: str
-    pulses: int
-    per_pulse_j: float
 
 
 @dataclass
@@ -115,8 +104,8 @@ class EnergyLedger:
                     yield site, p, per_pulse_j
 
     @property
-    def write_events(self) -> list[WriteEvent]:
-        return [WriteEvent(*packet) for packet in self._packets()]
+    def write_events(self) -> list[tuple[str, int, float]]:
+        return list(self._packets())
 
     @property
     def read_events(self) -> int:
@@ -289,7 +278,7 @@ class Rig:
 
     # -- writes -------------------------------------------------------------
 
-    def _write_packets(self, index: int, helicity: Helicity, delivered: Sequence[int]) -> None:
+    def _write_packets(self, index: int, helicity: str, delivered: Sequence[int]) -> None:
         """Deliver shutter-gated packets of the given pulse counts to one site.
 
         The conjugate shutter blocks the camera for the duration; the whole
@@ -300,11 +289,10 @@ class Rig:
         for pulses in delivered:
             site = apply_packet(site, helicity, pulses)
         self.sites[index] = site
-        tag = helicity._value_  # .value is a Python-level enum property
-        self.ledger.add_writes(SITE_LABELS[index], tag, delivered, self.per_pulse_write_j)
+        self.ledger.add_writes(SITE_LABELS[index], helicity, delivered, self.per_pulse_write_j)
 
     def _write_sites(
-        self, indices: Sequence[int], helicity: Helicity, packets: Sequence[int]
+        self, indices: Sequence[int], helicity: str, packets: Sequence[int]
     ) -> dict[int, int]:
         """packets[k] packets on site indices[k], in order; returns pulses/site.
 
@@ -322,13 +310,13 @@ class Rig:
         return applied
 
     def apply_learning_update(
-        self, site_indices: Iterable[int], direction: Action
+        self, site_indices: Iterable[int], direction: str
     ) -> dict[int, int]:
         """Learning packets on the pattern's active sites; returns pulses/site."""
-        if direction is _RAISE:
-            helicity = _WRITE
-        elif direction is _LOWER:
-            helicity = _ERASE
+        if direction == RAISE_OUTPUT:
+            helicity = WRITE
+        elif direction == LOWER_OUTPUT:
+            helicity = ERASE
         else:
             raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
         idxs = self._check_indices(site_indices)
@@ -348,7 +336,7 @@ class Rig:
             self.capture_backgrounds()
         budgets = [self.config.init_weight_packets] * N_WEIGHT_SITES
         budgets.append(self.config.init_threshold_packets)
-        self._write_sites(range(N_WEIGHT_SITES + 1), _WRITE, budgets)
+        self._write_sites(range(N_WEIGHT_SITES + 1), WRITE, budgets)
         self.read_sites(range(N_WEIGHT_SITES + 1))
         state = self.weight_state()
         if state.threshold <= 0:
@@ -443,7 +431,7 @@ class RigBackend:
     def threshold(self) -> float:
         return self._state.threshold
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> tuple[None, tuple[int, ...]]:
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple[None, tuple[int, ...]]:
         active = pattern.active_indices
         applied = self.rig.apply_learning_update(active, direction)
         self.rig.read_sites(active)

@@ -11,7 +11,6 @@ opposite directions, which makes write/erase cycles exactly reversible.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -22,18 +21,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class Helicity(enum.Enum):
-    """Circular polarization handedness, abstracted to its effect on m.
-
-    WRITE drives m upward (darkens the readout spot), ERASE drives it back.
-    """
-
-    WRITE = "write"
-    ERASE = "erase"
-
-
-# Read once per packet: a module name costs a tenth of Helicity.WRITE.
-_WRITE = Helicity.WRITE
+# Circular polarization handedness, abstracted to its effect on m: WRITE
+# drives m upward (darkens the readout spot), ERASE drives it back.
+WRITE, ERASE = "write", "erase"
 
 
 def _smoothstep(t: float) -> float:
@@ -123,7 +113,7 @@ def fresh_site(params: InhomogeneityParams) -> SynapseSite:
     return SynapseSite(0.0, 0, params)
 
 
-def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> SynapseSite:
+def apply_packet(site: SynapseSite, helicity: str, pulse_count: int) -> SynapseSite:
     """Deliver one pulse packet; returns the updated site.
 
     The odometer is floor-clamped at 0 and ceiling-clamped at the site's
@@ -131,7 +121,7 @@ def apply_packet(site: SynapseSite, helicity: Helicity, pulse_count: int) -> Syn
     """
     if pulse_count < 0:
         raise ValueError("pulse_count must be >= 0")
-    delta = pulse_count if helicity is _WRITE else -pulse_count
+    delta = pulse_count if helicity == WRITE else -pulse_count
     accumulated = min(max(site.accumulated_pulses + delta, 0), site.params.exposure_ceiling)
     return SynapseSite(response_curve(accumulated, site.params), accumulated, site.params)
 

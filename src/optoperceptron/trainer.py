@@ -9,7 +9,6 @@ below zero the threshold is raised and training continues.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence
 
@@ -17,16 +16,8 @@ from .patterns import N_INPUTS, Pattern
 from .pcg import Pcg64
 
 
-class Action(enum.Enum):
-    ACCEPT = "accept"
-    RAISE_OUTPUT = "raise"
-    LOWER_OUTPUT = "lower"
-
-
-# The members under module names, and a member's tag read as ``_value_``:
-# on Python 3.11 ``Action.ACCEPT`` and ``.value`` each cost over ten times
-# a global read, and the step path reads them on every step.
-_ACCEPT, _RAISE, _LOWER = Action.ACCEPT, Action.RAISE_OUTPUT, Action.LOWER_OUTPUT
+# A step's action, as its trace row and the artifacts record it.
+ACCEPT, RAISE_OUTPUT, LOWER_OUTPUT = "accept", "raise", "lower"
 
 
 @dataclass(frozen=True)
@@ -56,19 +47,19 @@ def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
     return total
 
 
-def classify(output: float, threshold: float, pattern_class: str, target_class: str) -> Action:
+def classify(output: float, threshold: float, pattern_class: str, target_class: str) -> str:
     """Accept, or the update direction needed to fix the output.
 
     Target-class patterns must land strictly above the threshold, all others
     strictly below; an exact tie is never accepted.
     """
     if pattern_class == target_class:
-        return _ACCEPT if output > threshold else _RAISE
-    return _ACCEPT if output < threshold else _LOWER
+        return ACCEPT if output > threshold else RAISE_OUTPUT
+    return ACCEPT if output < threshold else LOWER_OUTPUT
 
 
 def update_weights(
-    weights: Sequence[float], pattern: Pattern, direction: Action, eta: float
+    weights: Sequence[float], pattern: Pattern, direction: str, eta: float
 ) -> list[float]:
     """w_i +- eta * x_i, bit for bit; only the pattern's active inputs move.
 
@@ -78,16 +69,16 @@ def update_weights(
     for any other weight, so a raise maps every weight through it only when
     some weight equals 0.0.
     """
-    if direction is _RAISE:
+    if direction == RAISE_OUTPUT:
         step = eta
-    elif direction is _LOWER:
+    elif direction == LOWER_OUTPUT:
         step = -eta
     else:
         raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
     if eta <= 0:
         raise ValueError("eta must be > 0")
     updated = list(weights)
-    if direction is _RAISE and 0.0 in updated:
+    if direction == RAISE_OUTPUT and 0.0 in updated:
         updated = [w + 0.0 for w in updated]
     for i in pattern.active_indices:
         updated[i] += step
@@ -188,7 +179,7 @@ class WeightBackend(Protocol):
 
     def threshold(self) -> float: ...
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> tuple: ...  # (eta, pulses)
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple: ...  # (eta, pulses)
 
     def weights(self) -> tuple[float, ...]: ...
 
@@ -211,7 +202,7 @@ class VectorBackend:
     def threshold(self) -> float:
         return self.config.initial_threshold
 
-    def apply_update(self, pattern: Pattern, direction: Action) -> tuple[float, None]:
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple[float, None]:
         eta = self.config.eta_fixed
         if eta is None:
             eta = self.config.eta_max * (1.0 - self._rng.random())
@@ -251,12 +242,12 @@ def train(
             output = pattern_output(gate, pattern)
             action = classify(output, threshold, pattern.class_label, target)
             eta = pulses = None
-            if action is not _ACCEPT:
+            if action != ACCEPT:
                 clean = False
                 eta, pulses = update_of(pattern, action)
                 gate, weights = _read_gate(backend), weights_of()
             record((step, pattern.pattern_id, pattern.class_label, output, threshold,
-                    action._value_, eta, pulses, weights))
+                    action, eta, pulses, weights))
         if clean:
             if min(weights) < 0:
                 old = threshold
@@ -297,8 +288,7 @@ def evaluate_patterns(
                 output=output,
                 threshold=threshold,
                 desired_above=p.class_label == target_class,
-                correct=classify(output, threshold, p.class_label, target_class)
-                is _ACCEPT,
+                correct=classify(output, threshold, p.class_label, target_class) == ACCEPT,
             )
         )
     return results

@@ -31,7 +31,7 @@ from optoperceptron.runner import (
 from optoperceptron.synapse import SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
 from optoperceptron.weights import extract_weight
-from typed_configs import camera_config, optical_constants, site_params
+from typed_configs import camera_config, optical_constants, site_params, zero_noise
 
 N_SWEEP_SEEDS = 50
 
@@ -155,7 +155,9 @@ def test_criterion_6_readout_linearity():
     params = site_params()
 
     def roi_sum(m: float) -> int:
-        counts, _ = expose_frames(1, [(SynapseSite(m, 0, params), spot)], constants, camera)
+        counts, _ = expose_frames(
+            1, [(SynapseSite(m, 0, params), spot)], constants, camera, zero_noise(camera)
+        )
         return integrate_roi(counts[0], roi)
 
     background = roi_sum(0.0)

@@ -1,17 +1,12 @@
 """Hot-path guards.
 
-The functions and methods run once per trainer step, per learning update or
-per packet read no enum member through its class (``Action.ACCEPT``) and no
-``.value``. On Python 3.11 either read costs over ten times a module-level
-name, so one such read put back on the step path silently undoes the
-saving.
-
-The trainer's step loop builds no class instance: a step is one plain tuple,
-and a ``StepRecord`` is built only when a caller reads ``trace.steps``. It
-computes each output itself, as ``pattern_output`` of the backend's gate
-vector, with no backend call per step. A packet write builds none either:
-the ledger logs a write operation as one entry, and ``Rig.events`` and the
-ledger's per-packet ``WriteEvent``s are rendered only when read.
+The code run once per trainer step or per packet builds no class instance.
+A trainer step is one plain tuple, and a ``StepRecord`` is built only when
+a caller reads ``trace.steps``. The step loop computes each output itself,
+as ``pattern_output`` of the backend's gate vector, with no backend call
+per step. A packet write builds none either: the ledger logs a write
+operation as one entry, and ``Rig.events`` and the ledger's per-packet
+write events are rendered only when read.
 
 A rig operation on several sites makes one camera draw (reads) or one
 shutter draw (writes), not one per site: each draw carries its own fixed
@@ -30,31 +25,17 @@ import optoperceptron
 from optoperceptron.config import load_config
 from optoperceptron.patterns import build_dataset
 from optoperceptron.runner import build_rig, eta_stream, make_streams
-from optoperceptron.trainer import Action, VectorBackend, train
+from optoperceptron.trainer import LOWER_OUTPUT, RAISE_OUTPUT, VectorBackend, train
 from typed_configs import trainer_config
 
 PACKAGE = Path(optoperceptron.__file__).parent
-HOT_PATH = {
-    "trainer": (
-        "train", "classify", "update_weights", "pattern_output",
-        "VectorBackend.gate", "VectorBackend.apply_update",
-    ),
-    "synapse": ("apply_packet",),
-    "rig": (
-        "Rig.apply_learning_update", "Rig._read", "Rig._write_packets",
-        "RigBackend.gate", "RigBackend.apply_update",
-    ),
-}
-
-
-def parse(module: str) -> ast.Module:
-    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def definitions(module: str) -> dict[str, ast.FunctionDef]:
     """A module's functions by name and its classes' methods by "Class.method"."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     found = {}
-    for node in parse(module).body:
+    for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             found[node.name] = node
         elif isinstance(node, ast.ClassDef):
@@ -62,34 +43,6 @@ def definitions(module: str) -> dict[str, ast.FunctionDef]:
                 if isinstance(item, ast.FunctionDef):
                     found[f"{node.name}.{item.name}"] = item
     return found
-
-
-def enum_classes() -> set[str]:
-    """Names of the package's classes derived from enum.Enum."""
-    names = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(parse(path.stem)):
-            if isinstance(node, ast.ClassDef) and any(
-                ast.unparse(base) in ("enum.Enum", "Enum") for base in node.bases
-            ):
-                names.add(node.name)
-    return names
-
-
-def test_hot_path_reads_no_enum_member_through_its_class_and_no_value():
-    enums = enum_classes()
-    assert {"Action", "Helicity"} <= enums
-    offending = []
-    for module, names in HOT_PATH.items():
-        functions = definitions(module)
-        for name in names:
-            for node in ast.walk(functions[name]):
-                if not isinstance(node, ast.Attribute):
-                    continue
-                through_class = isinstance(node.value, ast.Name) and node.value.id in enums
-                if through_class or node.attr == "value":
-                    offending.append(f"{module}.{name}: {ast.unparse(node)}")
-    assert offending == []
 
 
 def first_loop(body: list[ast.stmt]) -> ast.For:
@@ -178,8 +131,8 @@ def test_one_shutter_draw_per_write_operation():
     rig.initialize_network()  # ten sites' packets
     assert rig.shutter_rng.draws == 1
     assert rig.camera_rng.draws == 2  # backgrounds, then the full read
-    rig.apply_learning_update([0, 4, 8], Action.RAISE_OUTPUT)
-    rig.apply_learning_update([2, 6], Action.LOWER_OUTPUT)
+    rig.apply_learning_update([0, 4, 8], RAISE_OUTPUT)
+    rig.apply_learning_update([2, 6], LOWER_OUTPUT)
     assert rig.shutter_rng.draws == 3
     assert len(rig.ledger.write_events) == 9 * 50 + 250 + 5 * 2
 

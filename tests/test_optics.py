@@ -20,7 +20,7 @@ from optoperceptron.optics import (
     spot_pixel_mask,
 )
 from optoperceptron.synapse import SynapseSite
-from typed_configs import camera_config, optical_constants, site_params
+from typed_configs import camera_config, optical_constants, site_params, zero_noise
 
 CONSTANTS = optical_constants()  # delta 0.1, I_in 4e6
 NOMINAL_SITE = site_params()
@@ -38,6 +38,11 @@ def window_camera(**keys):
 
 def centered_spot(camera, diameter=10.0):
     return SpotGeometry(camera.width / 2.0, camera.height / 2.0, diameter)
+
+
+def render(sites, camera):
+    """One frame of the scene through the kernel, with a zero noise block."""
+    return expose_frames(1, sites, CONSTANTS, camera, zero_noise(camera))
 
 
 # -- analyzer -----------------------------------------------------------------
@@ -80,14 +85,14 @@ def test_constants_small_angle_enforced():
 def test_fully_written_spot_reads_dark_level():
     camera = window_camera()
     spot = centered_spot(camera)
-    counts, _ = expose_frames(1, [(site_at(1.0), spot)], CONSTANTS, camera)
+    counts, _ = render([(site_at(1.0), spot)], camera)
     mask = spot_pixel_mask(spot, camera)
     assert np.all(counts[0][mask] == 600)
 
 
 def test_zero_exposure_reads_dark_everywhere():
     camera = replace(window_camera(), exposure_s=0.0)  # no key admits a zero exposure
-    counts, _ = expose_frames(1, [(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
+    counts, _ = render([(site_at(0.3), centered_spot(camera))], camera)
     assert np.all(counts == 600)
 
 
@@ -95,8 +100,8 @@ def test_in_spot_contrast_closed_form():
     camera = window_camera()
     spot = centered_spot(camera)
     mask = spot_pixel_mask(spot, camera)
-    bright, _ = expose_frames(1, [(site_at(0.0), spot)], CONSTANTS, camera)
-    dark, _ = expose_frames(1, [(site_at(1.0), spot)], CONSTANTS, camera)
+    bright, _ = render([(site_at(0.0), spot)], camera)
+    dark, _ = render([(site_at(1.0), spot)], camera)
     expected = camera.gain * CONSTANTS.intensity_in * CONSTANTS.c * camera.exposure_s / camera.pixel_area
     deltas = bright[0][mask] - dark[0][mask]
     assert np.all(deltas == round(expected))
@@ -105,8 +110,8 @@ def test_in_spot_contrast_closed_form():
 def test_noiseless_render_deterministic():
     camera = window_camera()
     spot = centered_spot(camera)
-    a, _ = expose_frames(1, [(site_at(0.4), spot)], CONSTANTS, camera)
-    b, _ = expose_frames(1, [(site_at(0.4), spot)], CONSTANTS, camera)
+    a, _ = render([(site_at(0.4), spot)], camera)
+    b, _ = render([(site_at(0.4), spot)], camera)
     assert np.array_equal(a, b)
 
 
@@ -114,8 +119,8 @@ def test_render_linear_in_exposure_until_clipping():
     base = window_camera(dark_offset=0.0)
     doubled = window_camera(dark_offset=0.0, exposure_ms=20.0)
     spot = centered_spot(base)
-    c1, clipped1 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, base)
-    c2, clipped2 = expose_frames(1, [(site_at(0.5), spot)], CONSTANTS, doubled)
+    c1, clipped1 = render([(site_at(0.5), spot)], base)
+    c2, clipped2 = render([(site_at(0.5), spot)], doubled)
     assert not clipped1 and not clipped2
     assert np.array_equal(c2, 2 * c1)
 
@@ -123,9 +128,9 @@ def test_render_linear_in_exposure_until_clipping():
 def test_monotone_in_written_fraction():
     camera = window_camera()
     spot = centered_spot(camera)
-    previous, _ = expose_frames(1, [(site_at(0.0), spot)], CONSTANTS, camera)
+    previous, _ = render([(site_at(0.0), spot)], camera)
     for m in (0.2, 0.5, 0.8, 1.0):
-        current, _ = expose_frames(1, [(site_at(m), spot)], CONSTANTS, camera)
+        current, _ = render([(site_at(m), spot)], camera)
         assert np.all(current <= previous)
         previous = current
 
@@ -134,8 +139,8 @@ def test_background_gain_scales_spot_region():
     camera = window_camera(dark_offset=0.0)
     spot = centered_spot(camera)
     mask = spot_pixel_mask(spot, camera)
-    plain, _ = expose_frames(1, [(site_at(0.0, gain=1.0), spot)], CONSTANTS, camera)
-    boosted, _ = expose_frames(1, [(site_at(0.0, gain=1.1), spot)], CONSTANTS, camera)
+    plain, _ = render([(site_at(0.0, gain=1.0), spot)], camera)
+    boosted, _ = render([(site_at(0.0, gain=1.1), spot)], camera)
     assert np.all(boosted[0][mask] > plain[0][mask])
     assert np.array_equal(boosted[0][~mask], plain[0][~mask])
 
@@ -144,15 +149,13 @@ def test_clipping_sets_flag_not_error():
     # full well 255 << bright level; the 600-count dark level is above it,
     # which no config admits
     camera = replace(window_camera(), bit_depth=8)
-    counts, clipped = expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = render([(site_at(0.0), centered_spot(camera))], camera)
     assert clipped
     assert counts.max() == camera.full_well
 
 
-def test_noise_requires_rng():
+def test_noise_block_must_fit_the_frames():
     camera = window_camera(read_noise=5.0)
-    with pytest.raises(ValueError):
-        expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera)
     wrong_frames = draw_read_noise(np.random.default_rng(0), camera, 2)
     with pytest.raises(ValueError, match="does not fit"):
         expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, wrong_frames)
@@ -161,7 +164,13 @@ def test_noise_requires_rng():
 def test_spot_outside_fov_rejected():
     camera = window_camera()
     with pytest.raises(ValueError):
-        expose_frames(1, [(site_at(0.0), SpotGeometry(500.0, 5.0, 10.0))], CONSTANTS, camera)
+        render([(site_at(0.0), SpotGeometry(500.0, 5.0, 10.0))], camera)
+
+
+@pytest.mark.parametrize("diameter", [0.0, -1.0])
+def test_spot_without_area_rejected(diameter):
+    with pytest.raises(ValueError, match="diameter_um must be > 0"):
+        SpotGeometry(5.0, 5.0, diameter)
 
 
 def test_batched_frames_are_noise_independent():
@@ -178,7 +187,7 @@ def test_batched_frames_are_noise_independent():
 
 def test_average_single_frame_identity():
     camera = window_camera()
-    counts, _ = expose_frames(1, [(site_at(0.3), centered_spot(camera))], CONSTANTS, camera)
+    counts, _ = render([(site_at(0.3), centered_spot(camera))], camera)
     assert np.array_equal(average_frames(counts), counts[0])
 
 
@@ -190,7 +199,7 @@ def test_average_two_frames():
 
 
 def test_average_rejects_mismatched_dimensions():
-    counts, _ = expose_frames(1, [], CONSTANTS, window_camera())
+    counts, _ = render([], window_camera())
     with pytest.raises(ValueError):
         average_frames(counts[0])  # one frame, not a (frames, h, w) stack
 
@@ -315,7 +324,7 @@ def test_kernel_matches_reference_byte_for_byte(
 
 def test_integrate_uniform_roi():
     camera = window_camera()
-    counts, _ = expose_frames(1, [], CONSTANTS, camera)
+    counts, _ = render([], camera)
     frame = counts[0]
     frame[:] = 7
     assert integrate_roi(frame, Roi(2, 3, 5, 4)) == 7 * 20
@@ -324,7 +333,7 @@ def test_integrate_uniform_roi():
 
 def test_integrate_ramp_closed_form():
     camera = window_camera()
-    counts, _ = expose_frames(1, [], CONSTANTS, camera)
+    counts, _ = render([], camera)
     frame = counts[0]
     frame[:] = np.arange(camera.width)[None, :]
     # sum over a full-width row span: height * sum(0..width-1)
@@ -334,12 +343,12 @@ def test_integrate_ramp_closed_form():
 
 def test_integrate_whole_frame_equals_sum():
     camera = window_camera()
-    counts, _ = expose_frames(1, [(site_at(0.5), centered_spot(camera))], CONSTANTS, camera)
+    counts, _ = render([(site_at(0.5), centered_spot(camera))], camera)
     assert integrate_roi(counts[0], Roi(0, 0, camera.width, camera.height)) == counts.sum()
 
 
 def test_integrate_out_of_bounds_rejected():
-    counts, _ = expose_frames(1, [], CONSTANTS, window_camera())
+    counts, _ = render([], window_camera())
     with pytest.raises(ValueError):
         integrate_roi(counts[0], Roi(15, 15, 10, 10))
 
@@ -348,7 +357,7 @@ def test_integrate_out_of_bounds_rejected():
 
 def test_pgm_roundtrip():
     camera = window_camera()
-    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
     blob, meta = pgm_image(counts[0], clipped, camera)
     header, rest = blob.split(b"\n", 1)
     assert header == b"P5"
@@ -363,7 +372,7 @@ def test_pgm_roundtrip():
 
 def test_pgm_image_bytes_and_sidecar():
     camera = window_camera()
-    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
     blob, meta = pgm_image(counts[0], clipped, camera)
     header = f"P5\n{camera.width} {camera.height}\n65535\n".encode()
     assert blob == header + counts[0].astype(">u2").tobytes()
@@ -376,7 +385,7 @@ def test_pgm_image_bytes_and_sidecar():
 def test_pgm_sidecar_flags_counts_clipped_to_16_bits():
     # 17 bits: the 66600-count background fits the sensor but not the PGM
     camera = window_camera(gain=330.0, bit_depth=17)
-    counts, clipped = expose_frames(1, [(site_at(0.6), centered_spot(camera))], CONSTANTS, camera)
+    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
     assert not clipped
     assert counts.max() > 65535
     blob, meta = pgm_image(counts[0], clipped, camera)

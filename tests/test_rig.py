@@ -21,8 +21,15 @@ from optoperceptron.rig import (
     shutter_pulses,
 )
 from optoperceptron.runner import build_rig, emulate_run, make_streams, run_emulate
-from optoperceptron.synapse import Helicity, apply_packet, response_curve
-from optoperceptron.trainer import Action, evaluate_patterns, pattern_output, train
+from optoperceptron.synapse import ERASE, WRITE, apply_packet, response_curve
+from optoperceptron.trainer import (
+    ACCEPT,
+    LOWER_OUTPUT,
+    RAISE_OUTPUT,
+    evaluate_patterns,
+    pattern_output,
+    train,
+)
 from typed_configs import shutter_model
 
 
@@ -165,7 +172,7 @@ def test_ledger_rejects_negative_writes_whole():
         ledger.add_writes("w2", "erase", [5, -1], 1e-12)
     with pytest.raises(ValueError):
         ledger.add_writes("w2", "erase", [5], -1e-12)
-    assert [(e.site, e.pulses) for e in ledger.write_events] == [("w1", 3), ("w1", 4)]
+    assert ledger.write_events == [("w1", 3, 1e-12), ("w1", 4, 1e-12)]
 
 
 ledger_ops = st.lists(
@@ -213,7 +220,7 @@ def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j):
         f"pulses={pulses} write={write_j * 1e9:.3f}nJ reads={reads} "
         f"read={read_j * 1e9:.3f}nJ total={(write_j + read_j) * 1e9:.3f}nJ"
     )
-    assert [(e.site, e.pulses, e.per_pulse_j) for e in ledger.write_events] == events
+    assert ledger.write_events == events
 
 
 # -- rig sequencing -----------------------------------------------------------
@@ -228,12 +235,12 @@ def test_rig_events_equal_the_recorded_sequence():
     rig = build_rig(cfg, make_streams(7))
     backend = RigBackend(rig)
     training = build_dataset(cfg.bitmaps).training
-    backend.apply_update(training[0], Action.RAISE_OUTPUT)
-    backend.apply_update(training[9], Action.LOWER_OUTPUT)
+    backend.apply_update(training[0], RAISE_OUTPUT)
+    backend.apply_update(training[9], LOWER_OUTPUT)
     recorded = [tuple(e) for e in json.loads(RECORDED_EVENTS.read_text())]
     assert rig.events == recorded
     shutter = [(e[1], e[3]) for e in recorded if e[0] == "shutter"]
-    assert [(e.site, e.pulses) for e in rig.ledger.write_events] == shutter
+    assert [(site, pulses) for site, pulses, _ in rig.ledger.write_events] == shutter
     assert rig.ledger.read_events == sum(1 for e in recorded if e[0] == "read")
 
 
@@ -251,10 +258,8 @@ def test_initialization_saturates_weight_sites():
 
 
 def test_backgrounds_required_before_writing():
-    from optoperceptron.synapse import Helicity
-
     cfg, rig = make_rig()
-    rig._write_packets(0, Helicity.WRITE, [50])
+    rig._write_packets(0, WRITE, [50])
     with pytest.raises(ValueError):
         rig.capture_backgrounds()
 
@@ -269,9 +274,7 @@ def test_unwritten_site_reads_background():
 def test_fully_written_site_reads_dark_area():
     cfg, rig = make_rig()
     rig.capture_backgrounds()
-    from optoperceptron.synapse import Helicity
-
-    rig._write_packets(0, Helicity.WRITE, [50] * 50)
+    rig._write_packets(0, WRITE, [50] * 50)
     total = rig.read_sites([0])[0]
     dark = cfg["camera.dark_offset"]
     n_spot = int(rig._window_mask.sum())
@@ -285,9 +288,7 @@ def test_fully_written_covering_spot_reads_pure_dark():
     # spot larger than the readout window: no probe light reaches any pixel
     cfg, rig = make_rig(**{"rig.spot_diameter_um": 30.0})
     rig.capture_backgrounds()
-    from optoperceptron.synapse import Helicity
-
-    rig._write_packets(5, Helicity.WRITE, [50] * 50)
+    rig._write_packets(5, WRITE, [50] * 50)
     total = rig.read_sites([5])[5]
     assert total == cfg["camera.dark_offset"] * rig.window_roi.width * rig.window_roi.height
 
@@ -316,9 +317,19 @@ def test_site_addressing_is_bounded():
     with pytest.raises(ValueError):
         rig.read_sites([10])
     with pytest.raises(ValueError):
-        rig.apply_learning_update([THRESHOLD_SITE], Action.RAISE_OUTPUT)
+        rig.apply_learning_update([THRESHOLD_SITE], RAISE_OUTPUT)
     with pytest.raises(ValueError):
-        rig.apply_learning_update([-1], Action.LOWER_OUTPUT)
+        rig.apply_learning_update([-1], LOWER_OUTPUT)
+
+
+@pytest.mark.parametrize("direction", [ACCEPT, "RAISE"])
+def test_learning_update_rejects_a_non_direction(direction):
+    cfg, rig = make_rig()
+    rig.initialize_network()
+    ops = len(rig.ledger.ops)
+    with pytest.raises(ValueError, match="direction must be RAISE_OUTPUT or LOWER_OUTPUT"):
+        rig.apply_learning_update([0], direction)
+    assert len(rig.ledger.ops) == ops
 
 
 def test_zero_init_packets_gives_zero_weights():
@@ -338,7 +349,7 @@ def test_empty_learning_update_changes_nothing():
     cfg, rig = make_rig()
     rig.initialize_network()
     before = [s.accumulated_pulses for s in rig.sites]
-    assert rig.apply_learning_update([], Action.LOWER_OUTPUT) == {}
+    assert rig.apply_learning_update([], LOWER_OUTPUT) == {}
     assert [s.accumulated_pulses for s in rig.sites] == before
 
 
@@ -350,7 +361,7 @@ def test_learning_update_moves_along_response_curve():
     n0 = site.accumulated_pulses
     assert n0 == 400
     expected = response_curve(n0 + 100, site.params)
-    rig.apply_learning_update([4], Action.RAISE_OUTPUT)
+    rig.apply_learning_update([4], RAISE_OUTPUT)
     assert rig.sites[4].written_fraction == expected
 
 
@@ -358,8 +369,8 @@ def test_raise_then_lower_restores_exactly():
     cfg, rig = make_rig(**{"rig.init_weight_packets": 8})
     rig.initialize_network()
     m0 = rig.sites[1].written_fraction
-    rig.apply_learning_update([1], Action.RAISE_OUTPUT)
-    rig.apply_learning_update([1], Action.LOWER_OUTPUT)
+    rig.apply_learning_update([1], RAISE_OUTPUT)
+    rig.apply_learning_update([1], LOWER_OUTPUT)
     assert rig.sites[1].written_fraction == m0
 
 
@@ -461,7 +472,7 @@ def test_batched_reads_equal_one_site_reads(seed, order, pulses, overrides):
     assert rig.capture_backgrounds() == [total for total, _ in backgrounds]
     assert rig.camera_rng.bit_generator.state == twin.bit_generator.state
     for i, n in enumerate(pulses):
-        rig.sites[i] = apply_packet(rig.sites[i], Helicity.WRITE, n)
+        rig.sites[i] = apply_packet(rig.sites[i], WRITE, n)
     expected = {i: one_site_read(rig, i, twin)[0] for i in order}  # a repeat's last read wins
     assert rig.read_sites(order) == expected
     assert rig.camera_rng.bit_generator.state == twin.bit_generator.state
@@ -497,7 +508,7 @@ def write_record(rig):
     """A copy of what the rig's writes leave behind."""
     return (
         list(rig.sites),
-        [(e.site, e.pulses, e.per_pulse_j) for e in rig.ledger.write_events],
+        rig.ledger.write_events,
         rig.shutter_rng.bit_generator.state,
         list(rig.events),
     )
@@ -509,7 +520,7 @@ def write_record(rig):
                             {"shutter.jitter_enabled": "false"}]),
     learning_packets=st.integers(1, 4),
     order=st.lists(st.integers(0, N_WEIGHT_SITES - 1), max_size=12),
-    direction=st.sampled_from([Action.RAISE_OUTPUT, Action.LOWER_OUTPUT]),
+    direction=st.sampled_from([RAISE_OUTPUT, LOWER_OUTPUT]),
 )
 def test_batched_writes_equal_per_site_writes(seed, jitter, learning_packets, order, direction):
     cfg = load_config(overrides={
@@ -519,12 +530,12 @@ def test_batched_writes_equal_per_site_writes(seed, jitter, learning_packets, or
     batched.initialize_network()
     reference.capture_backgrounds()
     budgets = [cfg["rig.init_weight_packets"]] * N_WEIGHT_SITES + [cfg["rig.init_threshold_packets"]]
-    per_site_writes(reference, range(N_WEIGHT_SITES + 1), Helicity.WRITE, budgets)
+    per_site_writes(reference, range(N_WEIGHT_SITES + 1), WRITE, budgets)
     reference.read_sites(range(N_WEIGHT_SITES + 1))
     assert write_record(batched) == write_record(reference)
     assert batched.weight_state() == reference.weight_state()
 
-    helicity = Helicity.WRITE if direction is Action.RAISE_OUTPUT else Helicity.ERASE
+    helicity = WRITE if direction is RAISE_OUTPUT else ERASE
     applied = batched.apply_learning_update(order, direction)
     assert applied == per_site_writes(reference, order, helicity, [learning_packets] * N_WEIGHT_SITES)
     assert write_record(batched) == write_record(reference)
@@ -535,7 +546,7 @@ def test_learning_update_on_the_threshold_site_writes_nothing():
     rig.initialize_network()
     before = write_record(rig)
     with pytest.raises(ValueError, match="threshold site"):
-        rig.apply_learning_update([0, THRESHOLD_SITE], Action.RAISE_OUTPUT)
+        rig.apply_learning_update([0, THRESHOLD_SITE], RAISE_OUTPUT)
     assert write_record(rig) == before
 
 

@@ -7,7 +7,8 @@ from optoperceptron.config import load_config
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.synapse import (
     CURVE_FAMILIES,
-    Helicity,
+    ERASE,
+    WRITE,
     apply_packet,
     fresh_site,
     response_curve,
@@ -69,15 +70,15 @@ def test_curve_monotone(params, n, dn):
 
 
 def test_packet_inside_dead_zone():
-    site = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 50)
+    site = apply_packet(fresh_site(NOMINAL), WRITE, 50)
     assert site.accumulated_pulses == 50
     assert site.written_fraction == 0.0
 
 
 def test_erase_returns_saturated_site_to_zero():
-    site = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 600)
+    site = apply_packet(fresh_site(NOMINAL), WRITE, 600)
     assert site.written_fraction == 1.0
-    erased = apply_packet(site, Helicity.ERASE, 600)
+    erased = apply_packet(site, ERASE, 600)
     assert erased.written_fraction == 0.0
 
 
@@ -85,38 +86,38 @@ def test_full_erase_after_overdrive():
     # 50 packets x 50 pulses, then the same erase budget, as on the bench
     site = fresh_site(NOMINAL)
     for _ in range(50):
-        site = apply_packet(site, Helicity.WRITE, 50)
+        site = apply_packet(site, WRITE, 50)
     assert site.written_fraction == 1.0
     for _ in range(50):
-        site = apply_packet(site, Helicity.ERASE, 50)
+        site = apply_packet(site, ERASE, 50)
     assert site.written_fraction == 0.0
 
 
 def test_write_erase_write_reversibility():
-    single = apply_packet(fresh_site(NOMINAL), Helicity.WRITE, 600)
+    single = apply_packet(fresh_site(NOMINAL), WRITE, 600)
     cycled = apply_all(
         fresh_site(NOMINAL),
-        [(Helicity.WRITE, 600), (Helicity.ERASE, 600), (Helicity.WRITE, 600)],
+        [(WRITE, 600), (ERASE, 600), (WRITE, 600)],
     )
     assert abs(cycled.written_fraction - single.written_fraction) <= 0.02
 
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from([Helicity.WRITE, Helicity.ERASE]), st.integers(1, 800)),
+        st.tuples(st.sampled_from([WRITE, ERASE]), st.integers(1, 800)),
         max_size=20,
     ),
     st.integers(1, 600),
 )
 def test_write_then_erase_is_identity(prefix, k):
     site = apply_all(fresh_site(NOMINAL), prefix)
-    cycled = apply_packet(apply_packet(site, Helicity.WRITE, k), Helicity.ERASE, k)
+    cycled = apply_packet(apply_packet(site, WRITE, k), ERASE, k)
     assert cycled.written_fraction == site.written_fraction
 
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from([Helicity.WRITE, Helicity.ERASE]), st.integers(0, 5000)),
+        st.tuples(st.sampled_from([WRITE, ERASE]), st.integers(0, 5000)),
         max_size=50,
     )
 )
@@ -130,7 +131,7 @@ def test_written_fraction_stays_in_unit_interval(packets):
 
 def test_negative_pulse_count_rejected():
     with pytest.raises(ValueError):
-        apply_packet(fresh_site(NOMINAL), Helicity.WRITE, -1)
+        apply_packet(fresh_site(NOMINAL), WRITE, -1)
 
 
 def test_sample_sites_zero_spread_is_nominal():

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import Pattern, build_dataset
 from optoperceptron.runner import eta_stream
+from optoperceptron.synapse import ERASE, WRITE
 from optoperceptron.trainer import (
-    Action,
+    ACCEPT,
+    LOWER_OUTPUT,
+    RAISE_OUTPUT,
     VectorBackend,
     classify,
     evaluate_patterns,
@@ -97,18 +100,18 @@ def test_output_is_bit_identical_to_the_full_weighted_sum(weights):
 
 
 def test_classify_target_above_accepts():
-    assert classify(2.5 + 1e-9, 2.5, "v", "v") is Action.ACCEPT
-    assert classify(2.4, 2.5, "v", "v") is Action.RAISE_OUTPUT
+    assert classify(2.5 + 1e-9, 2.5, "v", "v") is ACCEPT
+    assert classify(2.4, 2.5, "v", "v") is RAISE_OUTPUT
 
 
 def test_classify_other_below_accepts():
-    assert classify(2.5 + 1e-9, 2.5, "z", "v") is Action.LOWER_OUTPUT
-    assert classify(2.4, 2.5, "z", "v") is Action.ACCEPT
+    assert classify(2.5 + 1e-9, 2.5, "z", "v") is LOWER_OUTPUT
+    assert classify(2.4, 2.5, "z", "v") is ACCEPT
 
 
 def test_classify_tie_never_accepts():
-    assert classify(2.5, 2.5, "v", "v") is Action.RAISE_OUTPUT
-    assert classify(2.5, 2.5, "z", "v") is Action.LOWER_OUTPUT
+    assert classify(2.5, 2.5, "v", "v") is RAISE_OUTPUT
+    assert classify(2.5, 2.5, "z", "v") is LOWER_OUTPUT
 
 
 @given(
@@ -124,13 +127,13 @@ def test_classify_scale_invariant(output, threshold, k, cls):
 
 
 def test_update_leaves_inactive_weights():
-    w = update_weights([0.5] * 9, pat([0] * 9), Action.RAISE_OUTPUT, 0.01)
+    w = update_weights([0.5] * 9, pat([0] * 9), RAISE_OUTPUT, 0.01)
     assert w == [0.5] * 9
 
 
 def test_update_single_active_input():
     p = pat([1] + [0] * 8)
-    w = update_weights([0.5] * 9, p, Action.RAISE_OUTPUT, 0.01)
+    w = update_weights([0.5] * 9, p, RAISE_OUTPUT, 0.01)
     assert w[0] == pytest.approx(0.51)
     assert w[1:] == [0.5] * 8
 
@@ -138,16 +141,18 @@ def test_update_single_active_input():
 def test_update_raise_then_lower_restores():
     p = pat([1, 0, 1, 0, 1, 0, 1, 0, 1])
     w0 = [0.37] * 9
-    w1 = update_weights(w0, p, Action.RAISE_OUTPUT, 0.013)
-    w2 = update_weights(w1, p, Action.LOWER_OUTPUT, 0.013)
+    w1 = update_weights(w0, p, RAISE_OUTPUT, 0.013)
+    w2 = update_weights(w1, p, LOWER_OUTPUT, 0.013)
     assert w2 == w0
 
 
 def test_update_rejects_bad_eta_and_direction():
     with pytest.raises(ValueError):
-        update_weights([0.5] * 9, pat([1] * 9), Action.RAISE_OUTPUT, 0.0)
+        update_weights([0.5] * 9, pat([1] * 9), RAISE_OUTPUT, 0.0)
     with pytest.raises(ValueError):
-        update_weights([0.5] * 9, pat([1] * 9), Action.ACCEPT, 0.01)
+        update_weights([0.5] * 9, pat([1] * 9), ACCEPT, 0.01)
+    with pytest.raises(ValueError):
+        update_weights([0.5] * 9, pat([1] * 9), "RAISE", 0.01)
 
 
 def same_float(a: float, b: float) -> bool:
@@ -168,18 +173,18 @@ MIXED_ZEROS = [-0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0, -0.0, 5e-324]
 @given(
     st.lists(FINITE, min_size=9, max_size=9),
     st.sampled_from(ALL_INPUT_VECTORS),
-    st.sampled_from([Action.RAISE_OUTPUT, Action.LOWER_OUTPUT]),
+    st.sampled_from([RAISE_OUTPUT, LOWER_OUTPUT]),
     st.one_of(
         st.sampled_from([0.014, 5e-324, 1e300]),
         st.floats(min_value=5e-324, allow_infinity=False),
     ),
 )
-@example(MIXED_ZEROS, pat([1, 0, 0, 1, 1, 0, 0, 0, 0]), Action.RAISE_OUTPUT, 0.014)
-@example(MIXED_ZEROS, pat([0] * 9), Action.RAISE_OUTPUT, 0.014)
-@example(MIXED_ZEROS, pat([1] * 9), Action.RAISE_OUTPUT, 5e-324)
-@example(MIXED_ZEROS, pat([0, 1, 0, 0, 0, 0, 0, 1, 0]), Action.LOWER_OUTPUT, 0.014)
+@example(MIXED_ZEROS, pat([1, 0, 0, 1, 1, 0, 0, 0, 0]), RAISE_OUTPUT, 0.014)
+@example(MIXED_ZEROS, pat([0] * 9), RAISE_OUTPUT, 0.014)
+@example(MIXED_ZEROS, pat([1] * 9), RAISE_OUTPUT, 5e-324)
+@example(MIXED_ZEROS, pat([0, 1, 0, 0, 0, 0, 0, 1, 0]), LOWER_OUTPUT, 0.014)
 def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, eta):
-    sign = 1.0 if direction is Action.RAISE_OUTPUT else -1.0
+    sign = 1.0 if direction is RAISE_OUTPUT else -1.0
     reference = [w + sign * eta * x for w, x in zip(weights, p.inputs)]
     updated = update_weights(weights, p, direction, eta)
     assert len(updated) == 9
@@ -189,18 +194,19 @@ def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, et
 def test_raise_turns_an_inactive_negative_zero_weight_positive():
     # trainer.initial_weight = -0.0: a raise moves every inactive input to +0.0
     backend = VectorBackend(trainer_config(initial_weight=-0.0, eta_fixed=0.01), np.random.default_rng(0))
-    backend.apply_update(pat([1] + [0] * 8), Action.RAISE_OUTPUT)
+    backend.apply_update(pat([1] + [0] * 8), RAISE_OUTPUT)
     raised = backend.weights()
     assert same_float(raised[0], 0.01)
     assert all(same_float(w, 0.0) for w in raised[1:])
-    lowered = update_weights([-0.0] * 9, pat([1] + [0] * 8), Action.LOWER_OUTPUT, 0.01)
+    lowered = update_weights([-0.0] * 9, pat([1] + [0] * 8), LOWER_OUTPUT, 0.01)
     assert same_float(lowered[0], -0.01)
     assert all(same_float(w, -0.0) for w in lowered[1:])
 
 
 def test_classify_tags_are_the_artifact_actions():
-    assert [a.value for a in Action] == ["accept", "raise", "lower"]
-    tags = {classify(o, 2.5, c, "v").value for o in (2.4, 2.6) for c in ("v", "z")}
+    assert (ACCEPT, RAISE_OUTPUT, LOWER_OUTPUT) == ("accept", "raise", "lower")
+    assert (WRITE, ERASE) == ("write", "erase")
+    tags = {classify(o, 2.5, c, "v") for o in (2.4, 2.6) for c in ("v", "z")}
     assert tags == {"accept", "raise", "lower"}
 
 
@@ -208,7 +214,7 @@ def sample_etas(seed: int, eta_max: float, n: int) -> list[float]:
     """The learning rates of n raises on a VectorBackend drawing from eta_stream(seed)."""
     backend = VectorBackend(trainer_config(eta_max=eta_max), eta_stream(seed))
     p = pat([1] * 9)
-    return [backend.apply_update(p, Action.RAISE_OUTPUT)[0] for _ in range(n)]
+    return [backend.apply_update(p, RAISE_OUTPUT)[0] for _ in range(n)]
 
 
 def test_sample_etas_in_half_open_interval():
@@ -233,7 +239,7 @@ def test_vector_backend_takes_the_stream_in_draw_order():
     twin = np.random.default_rng(8)
     p = pat([1] * 9)
     for _ in range(131):
-        eta, pulses = backend.apply_update(p, Action.RAISE_OUTPUT)
+        eta, pulses = backend.apply_update(p, RAISE_OUTPUT)
         assert eta == 0.3 * (1.0 - twin.random()) and pulses is None
 
 
@@ -308,7 +314,7 @@ def test_step_records_hold_the_weights_after_each_step(initial_weight):
     by_id = {p.pattern_id: p for p in dataset.training}
     for record in trace.steps:
         if record.action != "accept":
-            eta, pulses = replay.apply_update(by_id[record.pattern_id], Action(record.action))
+            eta, pulses = replay.apply_update(by_id[record.pattern_id], record.action)
             assert (eta, pulses) == (record.eta, None)
         assert [w.hex() for w in record.weights] == [w.hex() for w in replay.weights()]
     assert replay.weights() == trace.final_weights

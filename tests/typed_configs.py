@@ -6,7 +6,12 @@ Each builder takes the names of its section's keys, so
 every bound and cross-check of load_config applies. A test that needs a
 value no key admits (a zero exposure, a site's own background gain) takes
 ``dataclasses.replace`` of a built config.
+
+zero_noise is the read-noise block of a noiseless render, the zeros that
+draw_read_noise returns for a camera without read noise.
 """
+
+import numpy as np
 
 from optoperceptron.config import load_config
 
@@ -26,3 +31,8 @@ site_params = _builder("nominal_site_params", "synapse")
 optical_constants = _builder("optical_constants", "optics")
 camera_config = _builder("camera_config", "camera")
 shutter_model = _builder("shutter_model", "shutter")
+
+
+def zero_noise(camera):
+    """An all-zero read-noise block for one frame of camera."""
+    return np.zeros((1, camera.height, camera.width))
