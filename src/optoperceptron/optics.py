@@ -5,8 +5,9 @@ an intensity I_out = I_in * c * (1 - m) with c = delta^2 / 2, and a strictly
 linear camera (additive dark offset, optional Gaussian read noise) converts
 intensity into pixel counts. One kernel renders every camera read as a
 stack of frames into a read-noise block; one draw may cover the blocks of
-several reads. The rest is frame averaging and ROI integration, which
-reduce the trailing axes and so serve one read or several at once.
+several reads of (site, mask) scenes, whose geometry the caller owns. The
+rest is frame averaging and integration of the readout window (the ROI),
+which reduce the trailing axes and so serve one read or several at once.
 """
 
 from __future__ import annotations
@@ -72,43 +73,17 @@ class CameraConfig:
         )
 
 
-@dataclass(frozen=True)
-class Roi:
-    """Rectangular pixel region; must lie fully inside the frame it reads."""
-
-    x: int
-    y: int
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("roi must be at least 1x1 pixels")
-        if self.x < 0 or self.y < 0:
-            raise ValueError("roi origin must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpotGeometry:
-    """Written area on the sample: a disk at center with the given diameter."""
-
-    center_x_um: float
-    center_y_um: float
-    diameter_um: float
-
-    def __post_init__(self):
-        if self.diameter_um <= 0:
-            raise ValueError("diameter_um must be > 0")
-
-
-def spot_pixel_mask(spot: SpotGeometry, camera: CameraConfig) -> np.ndarray:
-    """Boolean (height, width) mask of pixels whose centers fall in the spot."""
+def spot_pixel_mask(
+    x_um: float, y_um: float, diameter_um: float, camera: CameraConfig
+) -> np.ndarray:
+    """Boolean (height, width) mask of the pixels whose centers fall in the
+    disk of the given diameter centered at (x_um, y_um) on the sample."""
     scale = camera.pixel_scale_um
     ys, xs = np.mgrid[0 : camera.height, 0 : camera.width]
     px = (xs + 0.5) * scale
     py = (ys + 0.5) * scale
-    r = spot.diameter_um / 2.0
-    return (px - spot.center_x_um) ** 2 + (py - spot.center_y_um) ** 2 <= r * r
+    r = diameter_um / 2.0
+    return (px - x_um) ** 2 + (py - y_um) ** 2 <= r * r
 
 
 def draw_read_noise(rng: np.random.Generator, camera: CameraConfig, *leading: int) -> np.ndarray:
@@ -130,24 +105,25 @@ def draw_read_noise(rng: np.random.Generator, camera: CameraConfig, *leading: in
 
 def expose_frames(
     n_frames: int,
-    sites: Sequence[tuple[SynapseSite, SpotGeometry]],
+    scene: Sequence[tuple[SynapseSite, np.ndarray]],
     constants: OpticalConstants,
     camera: CameraConfig,
     noise: np.ndarray,
-    masks: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, bool]:
     """The readout kernel: n noise-independent frames of one scene.
 
-    Pixels inside a written spot carry that site's intensity (uniform over
-    the disk, scaled by the site's background_gain to model illumination
-    inhomogeneity at that sample area); all other pixels carry the
-    background state. noise is the (n_frames, height, width) read-noise
-    block of this exposure, from draw_read_noise (zeros for a noiseless
-    camera); the frames are rendered into it in place. Returns the integer
-    counts, clipped to [0, full_well], as a float64 (n_frames, height,
-    width) stack, and whether any pixel clipped at the full well. The clip
-    pass runs only when the rounded stack's minimum is below 0 or its
-    maximum above the full well; otherwise the stack is already in range.
+    The scene lists (site, mask) pairs, each mask the spot_pixel_mask of the
+    site's written spot. Pixels under a mask carry that site's intensity
+    (uniform over the disk, scaled by the site's background_gain to model
+    illumination inhomogeneity at that sample area), a later pair painting
+    over an earlier one; all other pixels carry the background state. noise
+    is the (n_frames, height, width) read-noise block of this exposure, from
+    draw_read_noise (zeros for a noiseless camera); the frames are rendered
+    into it in place. Returns the integer counts, clipped to [0, full_well],
+    as a float64 (n_frames, height, width) stack, and whether any pixel
+    clipped at the full well. The clip pass runs only when the rounded
+    stack's minimum is below 0 or its maximum above the full well; otherwise
+    the stack is already in range.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -156,13 +132,7 @@ def expose_frames(
         raise ValueError(f"noise block of shape {noise.shape} does not fit {shape}")
     base = np.empty(shape[1:])  # empty + fill: half the call cost of np.full
     base.fill(_noiseless_counts(analyzer_intensity(0.0, constants), camera))
-    for idx, (site, spot) in enumerate(sites):
-        if not camera.in_field(spot.center_x_um, spot.center_y_um):
-            raise ValueError(
-                f"spot center ({spot.center_x_um}, {spot.center_y_um}) um is "
-                "outside the sensor field of view"
-            )
-        mask = masks[idx] if masks is not None else spot_pixel_mask(spot, camera)
+    for site, mask in scene:
         base[mask] = _noiseless_counts(
             site.params.background_gain
             * analyzer_intensity(site.written_fraction, constants),
@@ -200,15 +170,11 @@ def average_frames(counts: np.ndarray) -> np.ndarray:
     return mean.astype(np.int64)
 
 
-def integrate_roi(counts: np.ndarray, roi: Roi) -> int | list:
-    """Exact sum of the pixel counts inside the ROI of each trailing
-    (height, width) frame: an int for one frame, a list of ints for a
-    stack of frames."""
-    height, width = counts.shape[-2:]
-    if roi.x + roi.width > width or roi.y + roi.height > height:
-        raise ValueError(f"roi {roi} does not fit in a {width}x{height} frame")
-    region = counts[..., roi.y : roi.y + roi.height, roi.x : roi.x + roi.width]
-    return region.sum(axis=(-2, -1)).tolist()
+def integrate_roi(counts: np.ndarray) -> int | list:
+    """Exact sum of the pixel counts of each trailing (height, width) frame,
+    which is the whole readout window: an int for one frame, a list of ints
+    for a stack of frames."""
+    return counts.sum(axis=(-2, -1)).tolist()
 
 
 def pgm_image(counts: np.ndarray, clipped: bool, camera: CameraConfig) -> tuple[bytes, dict]:

@@ -4,7 +4,9 @@ Sequencing mirrors the physical bench: shutter-gated pulse packets write a
 site, the probe path renders a stack of ten ROI frames that is averaged and
 integrated, and every write/read lands in an energy ledger. The shutter
 delivers a jittered pulse count per packet; that jitter is the hardware
-realization of the stochastic learning rate.
+realization of the stochastic learning rate. The rig owns the readout
+geometry: it places every spot, builds each pixel mask and checks that every
+site lands on the sensor, and hands the optics kernel (site, mask) scenes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .errors import ConfigurationError, DegenerateBackgroundError
 from .optics import (
     CameraConfig,
     OpticalConstants,
-    Roi,
-    SpotGeometry,
     average_frames,
     draw_read_noise,
     expose_frames,
@@ -196,19 +196,16 @@ class Rig:
         self.written_sums: list[int | None] = [None] * (N_WEIGHT_SITES + 1)
         self.ledger = EnergyLedger(per_read_j=per_read_j)
 
-        # Per-site readout window: ROI-sized, spot centered. All sites share
+        # Per-site readout window: the ROI, spot centered. All sites share
         # the window geometry, so one mask serves every read.
         scale = camera.pixel_scale_um
         win_w = max(1, int(rig_config.roi_width_um / scale + 0.5))
         win_h = max(1, int(rig_config.roi_height_um / scale + 0.5))
         self.window_camera = replace(camera, width=win_w, height=win_h)
-        self.window_spot = SpotGeometry(
-            center_x_um=win_w * scale / 2.0,
-            center_y_um=win_h * scale / 2.0,
-            diameter_um=rig_config.spot_diameter_um,
+        self._window_mask = spot_pixel_mask(
+            win_w * scale / 2.0, win_h * scale / 2.0, rig_config.spot_diameter_um,
+            self.window_camera,
         )
-        self.window_roi = Roi(0, 0, win_w, win_h)
-        self._window_mask = spot_pixel_mask(self.window_spot, self.window_camera)
         if not self._window_mask.any():
             raise ConfigurationError(
                 f"a {rig_config.spot_diameter_um} um spot covers no pixel center of the "
@@ -247,17 +244,16 @@ class Rig:
         camera = self.window_camera
         n_frames = self.config.frames_per_read
         block = draw_read_noise(self.camera_rng, camera, len(indices), n_frames)
-        sites, spot, constants = self.sites, self.window_spot, self.constants
-        masks = [self._window_mask]
+        sites, mask, constants = self.sites, self._window_mask, self.constants
         for i, noise in zip(indices, block):
-            _, clipped = expose_frames(n_frames, [(sites[i], spot)], constants, camera, noise, masks)
+            _, clipped = expose_frames(n_frames, [(sites[i], mask)], constants, camera, noise)
             if background and clipped:
                 raise DegenerateBackgroundError(
                     f"background read of site {SITE_LABELS[i]} clipped at the "
                     f"{camera.bit_depth}-bit full well {camera.full_well}"
                 )
         self.ledger.add_reads([SITE_LABELS[i] for i in indices])
-        return integrate_roi(average_frames(block), self.window_roi)
+        return integrate_roi(average_frames(block))
 
     def capture_backgrounds(self) -> list[int]:
         """Snapshot and cache I_B for all ten sites; sites must be fresh."""
@@ -380,15 +376,13 @@ class Rig:
 
     def full_frame(self) -> tuple[np.ndarray, bool]:
         """All ten sites on the full sensor, for image export: counts and clip flag."""
-        placed = []
-        for i, site in enumerate(self.sites):
-            x, y = self.site_position_um(i)
-            placed.append(
-                (site, SpotGeometry(x, y, self.config.spot_diameter_um))
-            )
-        camera = self.sensor_camera
+        camera, diameter = self.sensor_camera, self.config.spot_diameter_um
+        scene = [
+            (site, spot_pixel_mask(*self.site_position_um(i), diameter, camera))
+            for i, site in enumerate(self.sites)
+        ]
         noise = draw_read_noise(self.camera_rng, camera, 1)
-        counts, clipped = expose_frames(1, placed, self.constants, camera, noise)
+        counts, clipped = expose_frames(1, scene, self.constants, camera, noise)
         return counts[0].astype(np.int64), clipped
 
     def site_position_um(self, index: int) -> tuple[float, float]:

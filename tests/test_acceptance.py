@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from optoperceptron.config import load_config
-from optoperceptron.optics import (
-    Roi,
-    SpotGeometry,
-    expose_frames,
-    integrate_roi,
-)
+from optoperceptron.optics import expose_frames, integrate_roi, spot_pixel_mask
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import RigBackend
 from optoperceptron.runner import (
@@ -150,15 +145,14 @@ def test_criterion_6_readout_linearity():
         width_px=17, height_px=16, pixel_scale_um=1.0, exposure_ms=10.0,
         gain=10_000.0, dark_offset=0.0, read_noise=0.0, bit_depth=32,
     )
-    spot = SpotGeometry(8.5, 8.0, 40.0)  # disk covers every pixel
-    roi = Roi(0, 0, camera.width, camera.height)
+    mask = spot_pixel_mask(8.5, 8.0, 40.0, camera)  # disk covers every pixel
     params = site_params()
 
     def roi_sum(m: float) -> int:
         counts, _ = expose_frames(
-            1, [(SynapseSite(m, 0, params), spot)], constants, camera, zero_noise(camera)
+            1, [(SynapseSite(m, 0, params), mask)], constants, camera, zero_noise(camera)
         )
-        return integrate_roi(counts[0], roi)
+        return integrate_roi(counts[0])
 
     background = roi_sum(0.0)
     worst = 0.0

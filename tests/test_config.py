@@ -164,6 +164,13 @@ def test_cross_validation_spot_vs_waist():
     assert cfg["rig.spot_diameter_um"] == cfg["energy.waist_um"]
 
 
+@pytest.mark.parametrize("diameter", ["0", "-1"])
+def test_spot_without_area_refused(diameter):
+    # the open lower bound is the only check that a written spot has an area
+    with pytest.raises(ConfigurationError, match=r"rig\.spot_diameter_um: -?[01]\.0 is below"):
+        load_config(overrides={"rig.spot_diameter_um": diameter})
+
+
 def test_bitmaps_file_loading(tmp_path):
     path = tmp_path / "glyphs.txt"
     path.write_text("111\n000\n111\n\n100\n100\n100\n\n001\n001\n001\n")

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from optoperceptron.config import SMALL_ANGLE_LIMIT
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
-    Roi,
-    SpotGeometry,
     analyzer_intensity,
     average_frames,
     draw_read_noise,
@@ -36,8 +34,9 @@ def window_camera(**keys):
     return camera_config(width_px=20, height_px=18, **{"read_noise": 0.0, **keys})
 
 
-def centered_spot(camera, diameter=10.0):
-    return SpotGeometry(camera.width / 2.0, camera.height / 2.0, diameter)
+def centered_mask(camera, diameter=10.0):
+    """Pixel mask of a spot centered on the window (1 um pixels)."""
+    return spot_pixel_mask(camera.width / 2.0, camera.height / 2.0, diameter, camera)
 
 
 def render(sites, camera):
@@ -84,24 +83,22 @@ def test_constants_small_angle_enforced():
 
 def test_fully_written_spot_reads_dark_level():
     camera = window_camera()
-    spot = centered_spot(camera)
-    counts, _ = render([(site_at(1.0), spot)], camera)
-    mask = spot_pixel_mask(spot, camera)
+    mask = centered_mask(camera)
+    counts, _ = render([(site_at(1.0), mask)], camera)
     assert np.all(counts[0][mask] == 600)
 
 
 def test_zero_exposure_reads_dark_everywhere():
     camera = replace(window_camera(), exposure_s=0.0)  # no key admits a zero exposure
-    counts, _ = render([(site_at(0.3), centered_spot(camera))], camera)
+    counts, _ = render([(site_at(0.3), centered_mask(camera))], camera)
     assert np.all(counts == 600)
 
 
 def test_in_spot_contrast_closed_form():
     camera = window_camera()
-    spot = centered_spot(camera)
-    mask = spot_pixel_mask(spot, camera)
-    bright, _ = render([(site_at(0.0), spot)], camera)
-    dark, _ = render([(site_at(1.0), spot)], camera)
+    mask = centered_mask(camera)
+    bright, _ = render([(site_at(0.0), mask)], camera)
+    dark, _ = render([(site_at(1.0), mask)], camera)
     expected = camera.gain * CONSTANTS.intensity_in * CONSTANTS.c * camera.exposure_s / camera.pixel_area
     deltas = bright[0][mask] - dark[0][mask]
     assert np.all(deltas == round(expected))
@@ -109,38 +106,37 @@ def test_in_spot_contrast_closed_form():
 
 def test_noiseless_render_deterministic():
     camera = window_camera()
-    spot = centered_spot(camera)
-    a, _ = render([(site_at(0.4), spot)], camera)
-    b, _ = render([(site_at(0.4), spot)], camera)
+    mask = centered_mask(camera)
+    a, _ = render([(site_at(0.4), mask)], camera)
+    b, _ = render([(site_at(0.4), mask)], camera)
     assert np.array_equal(a, b)
 
 
 def test_render_linear_in_exposure_until_clipping():
     base = window_camera(dark_offset=0.0)
     doubled = window_camera(dark_offset=0.0, exposure_ms=20.0)
-    spot = centered_spot(base)
-    c1, clipped1 = render([(site_at(0.5), spot)], base)
-    c2, clipped2 = render([(site_at(0.5), spot)], doubled)
+    mask = centered_mask(base)
+    c1, clipped1 = render([(site_at(0.5), mask)], base)
+    c2, clipped2 = render([(site_at(0.5), mask)], doubled)
     assert not clipped1 and not clipped2
     assert np.array_equal(c2, 2 * c1)
 
 
 def test_monotone_in_written_fraction():
     camera = window_camera()
-    spot = centered_spot(camera)
-    previous, _ = render([(site_at(0.0), spot)], camera)
+    mask = centered_mask(camera)
+    previous, _ = render([(site_at(0.0), mask)], camera)
     for m in (0.2, 0.5, 0.8, 1.0):
-        current, _ = render([(site_at(m), spot)], camera)
+        current, _ = render([(site_at(m), mask)], camera)
         assert np.all(current <= previous)
         previous = current
 
 
 def test_background_gain_scales_spot_region():
     camera = window_camera(dark_offset=0.0)
-    spot = centered_spot(camera)
-    mask = spot_pixel_mask(spot, camera)
-    plain, _ = render([(site_at(0.0, gain=1.0), spot)], camera)
-    boosted, _ = render([(site_at(0.0, gain=1.1), spot)], camera)
+    mask = centered_mask(camera)
+    plain, _ = render([(site_at(0.0, gain=1.0), mask)], camera)
+    boosted, _ = render([(site_at(0.0, gain=1.1), mask)], camera)
     assert np.all(boosted[0][mask] > plain[0][mask])
     assert np.array_equal(boosted[0][~mask], plain[0][~mask])
 
@@ -149,7 +145,7 @@ def test_clipping_sets_flag_not_error():
     # full well 255 << bright level; the 600-count dark level is above it,
     # which no config admits
     camera = replace(window_camera(), bit_depth=8)
-    counts, clipped = render([(site_at(0.0), centered_spot(camera))], camera)
+    counts, clipped = render([(site_at(0.0), centered_mask(camera))], camera)
     assert clipped
     assert counts.max() == camera.full_well
 
@@ -158,26 +154,14 @@ def test_noise_block_must_fit_the_frames():
     camera = window_camera(read_noise=5.0)
     wrong_frames = draw_read_noise(np.random.default_rng(0), camera, 2)
     with pytest.raises(ValueError, match="does not fit"):
-        expose_frames(1, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, wrong_frames)
-
-
-def test_spot_outside_fov_rejected():
-    camera = window_camera()
-    with pytest.raises(ValueError):
-        render([(site_at(0.0), SpotGeometry(500.0, 5.0, 10.0))], camera)
-
-
-@pytest.mark.parametrize("diameter", [0.0, -1.0])
-def test_spot_without_area_rejected(diameter):
-    with pytest.raises(ValueError, match="diameter_um must be > 0"):
-        SpotGeometry(5.0, 5.0, diameter)
+        expose_frames(1, [(site_at(0.0), centered_mask(camera))], CONSTANTS, camera, wrong_frames)
 
 
 def test_batched_frames_are_noise_independent():
     camera = window_camera(read_noise=10.0)
     rng = np.random.default_rng(5)
     noise = draw_read_noise(rng, camera, 3)
-    counts, _ = expose_frames(3, [(site_at(0.0), centered_spot(camera))], CONSTANTS, camera, noise)
+    counts, _ = expose_frames(3, [(site_at(0.0), centered_mask(camera))], CONSTANTS, camera, noise)
     assert counts.shape == (3, camera.height, camera.width)
     assert not np.array_equal(counts[0], counts[1])
     assert not np.array_equal(counts[1], counts[2])
@@ -187,7 +171,7 @@ def test_batched_frames_are_noise_independent():
 
 def test_average_single_frame_identity():
     camera = window_camera()
-    counts, _ = render([(site_at(0.3), centered_spot(camera))], camera)
+    counts, _ = render([(site_at(0.3), centered_mask(camera))], camera)
     assert np.array_equal(average_frames(counts), counts[0])
 
 
@@ -224,13 +208,12 @@ def test_ten_frame_average_reduces_noise():
     ],
 )
 def test_kernel_matches_per_frame_reference(camera):
-    spot = centered_spot(camera)
+    mask = centered_mask(camera)
     counts, clipped = expose_frames(
-        10, [(site_at(1.0), spot)], CONSTANTS, camera,
+        10, [(site_at(1.0), mask)], CONSTANTS, camera,
         draw_read_noise(np.random.default_rng(3), camera, 10),
     )
     # The per-frame loop the kernel replaced, on the same noise draw.
-    mask = spot_pixel_mask(spot, camera)
     intensity = np.where(mask, 0.0, analyzer_intensity(0.0, CONSTANTS))
     base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
     noise = np.random.default_rng(3).normal(0.0, camera.read_noise, size=counts.shape)
@@ -245,14 +228,15 @@ def test_kernel_matches_per_frame_reference(camera):
         assert clipped and (counts == 0).any()
 
 
-def reference_expose_frames(n_frames, sites, constants, camera, rng):
+def reference_expose_frames(n_frames, spots, constants, camera, rng):
     """The kernel before its scalar base image and conditional clip: an
-    intensity image, four full-array passes to counts, an unconditional clip."""
+    intensity image, four full-array passes to counts, an unconditional clip.
+    Each spot is a (site, (x_um, y_um, diameter_um)) pair, masked here."""
     intensity = np.full(
         (camera.height, camera.width), analyzer_intensity(0.0, constants), dtype=np.float64
     )
-    for site, spot in sites:
-        intensity[spot_pixel_mask(spot, camera)] = (
+    for site, disk in spots:
+        intensity[spot_pixel_mask(*disk, camera)] = (
             site.params.background_gain * analyzer_intensity(site.written_fraction, constants)
         )
     base = camera.gain * intensity * camera.exposure_s / camera.pixel_area + camera.dark_offset
@@ -274,14 +258,14 @@ def reference_average_frames(counts):
 
 KERNEL_CASE = dict(
     n_frames=10, fractions=[1.0, 0.4], gains=[1.0, 1.1], camera_gain=100.0,
-    dark=600.0, bit_depth=16, noise=50.0, use_masks=True, roi=(0, 0, 20, 18),
+    dark=600.0, bit_depth=16, noise=50.0,
 )
 
 
 @example(**KERNEL_CASE)
 @example(**{**KERNEL_CASE, "dark": 0.0})  # saturated spots clip at 0 counts
 @example(**{**KERNEL_CASE, "bit_depth": 8, "dark": 30.0, "camera_gain": 1.0})
-@example(**{**KERNEL_CASE, "noise": 0.0, "use_masks": False})
+@example(**{**KERNEL_CASE, "noise": 0.0})
 @given(
     n_frames=st.integers(1, 12),
     fractions=st.lists(st.floats(0.0, 1.0), max_size=2),
@@ -290,24 +274,22 @@ KERNEL_CASE = dict(
     dark=st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
     bit_depth=st.sampled_from([8, 12, 16]),
     noise=st.one_of(st.just(0.0), st.floats(0.1, 200.0)),
-    use_masks=st.booleans(),
-    roi=st.tuples(st.integers(0, 9), st.integers(0, 8), st.integers(1, 11), st.integers(1, 10)),
 )
 def test_kernel_matches_reference_byte_for_byte(
-    n_frames, fractions, gains, camera_gain, dark, bit_depth, noise, use_masks, roi
+    n_frames, fractions, gains, camera_gain, dark, bit_depth, noise
 ):
     # a dark level at or above the full well is no config's, but the kernel
     # must still render it
     camera = replace(
         window_camera(read_noise=noise, gain=camera_gain), dark_offset=dark, bit_depth=bit_depth
     )
-    spots = [SpotGeometry(6.0, 9.0, 8.0), SpotGeometry(13.0, 9.0, 8.0)]  # overlapping
-    sites = [(site_at(m, g), spot) for m, g, spot in zip(fractions, gains, spots)]
-    masks = [spot_pixel_mask(spot, camera) for _, spot in sites] if use_masks else None
+    disks = [(6.0, 9.0, 8.0), (13.0, 9.0, 8.0)]  # overlapping
+    spots = [(site_at(m, g), disk) for m, g, disk in zip(fractions, gains, disks)]
+    scene = [(site, spot_pixel_mask(*disk, camera)) for site, disk in spots]
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
     noise = draw_read_noise(rng, camera, n_frames)
-    counts, clipped = expose_frames(n_frames, sites, CONSTANTS, camera, noise, masks=masks)
-    ref_counts, ref_clipped = reference_expose_frames(n_frames, sites, CONSTANTS, camera, ref_rng)
+    counts, clipped = expose_frames(n_frames, scene, CONSTANTS, camera, noise)
+    ref_counts, ref_clipped = reference_expose_frames(n_frames, spots, CONSTANTS, camera, ref_rng)
     assert counts.dtype == ref_counts.dtype and counts.shape == ref_counts.shape
     assert counts.tobytes() == ref_counts.tobytes()
     assert clipped == ref_clipped
@@ -316,19 +298,8 @@ def test_kernel_matches_reference_byte_for_byte(
         mean = average_frames(stack)
         ref_mean = reference_average_frames(stack)
         assert mean.dtype == ref_mean.dtype and mean.tobytes() == ref_mean.tobytes()
-    region = Roi(*roi)
-    total = integrate_roi(mean, region)
-    ref_total = int(mean[region.y : region.y + region.height, region.x : region.x + region.width].sum())
-    assert type(total) is int and total == ref_total
-
-
-def test_integrate_uniform_roi():
-    camera = window_camera()
-    counts, _ = render([], camera)
-    frame = counts[0]
-    frame[:] = 7
-    assert integrate_roi(frame, Roi(2, 3, 5, 4)) == 7 * 20
-    assert integrate_roi(frame, Roi(0, 0, 1, 1)) == 7
+    total = integrate_roi(mean)
+    assert type(total) is int and total == int(mean.sum())
 
 
 def test_integrate_ramp_closed_form():
@@ -337,27 +308,21 @@ def test_integrate_ramp_closed_form():
     frame = counts[0]
     frame[:] = np.arange(camera.width)[None, :]
     # sum over a full-width row span: height * sum(0..width-1)
-    total = integrate_roi(frame, Roi(0, 0, camera.width, camera.height))
+    total = integrate_roi(frame)
     assert total == camera.height * (camera.width - 1) * camera.width // 2
 
 
 def test_integrate_whole_frame_equals_sum():
     camera = window_camera()
-    counts, _ = render([(site_at(0.5), centered_spot(camera))], camera)
-    assert integrate_roi(counts[0], Roi(0, 0, camera.width, camera.height)) == counts.sum()
-
-
-def test_integrate_out_of_bounds_rejected():
-    counts, _ = render([], window_camera())
-    with pytest.raises(ValueError):
-        integrate_roi(counts[0], Roi(15, 15, 10, 10))
+    counts, _ = render([(site_at(0.5), centered_mask(camera))], camera)
+    assert integrate_roi(counts[0]) == counts.sum()
 
 
 # -- export -------------------------------------------------------------------
 
 def test_pgm_roundtrip():
     camera = window_camera()
-    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
+    counts, clipped = render([(site_at(0.6), centered_mask(camera))], camera)
     blob, meta = pgm_image(counts[0], clipped, camera)
     header, rest = blob.split(b"\n", 1)
     assert header == b"P5"
@@ -372,7 +337,7 @@ def test_pgm_roundtrip():
 
 def test_pgm_image_bytes_and_sidecar():
     camera = window_camera()
-    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
+    counts, clipped = render([(site_at(0.6), centered_mask(camera))], camera)
     blob, meta = pgm_image(counts[0], clipped, camera)
     header = f"P5\n{camera.width} {camera.height}\n65535\n".encode()
     assert blob == header + counts[0].astype(">u2").tobytes()
@@ -385,7 +350,7 @@ def test_pgm_image_bytes_and_sidecar():
 def test_pgm_sidecar_flags_counts_clipped_to_16_bits():
     # 17 bits: the 66600-count background fits the sensor but not the PGM
     camera = window_camera(gain=330.0, bit_depth=17)
-    counts, clipped = render([(site_at(0.6), centered_spot(camera))], camera)
+    counts, clipped = render([(site_at(0.6), centered_mask(camera))], camera)
     assert not clipped
     assert counts.max() > 65535
     blob, meta = pgm_image(counts[0], clipped, camera)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from optoperceptron import rig as rig_module
 from optoperceptron.config import energy_per_pulse, load_config
 from optoperceptron.errors import ConfigurationError, DegenerateBackgroundError
-from optoperceptron.optics import average_frames, draw_read_noise, expose_frames, integrate_roi
+from optoperceptron.optics import (
+    average_frames,
+    draw_read_noise,
+    expose_frames,
+    integrate_roi,
+    spot_pixel_mask,
+)
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import (
     EnergyLedger,
@@ -278,7 +284,7 @@ def test_fully_written_site_reads_dark_area():
     total = rig.read_sites([0])[0]
     dark = cfg["camera.dark_offset"]
     n_spot = int(rig._window_mask.sum())
-    n_px = rig.window_roi.width * rig.window_roi.height
+    n_px = rig.window_camera.width * rig.window_camera.height
     n_out = n_px - n_spot
     bright = rig.background_sums[0] / n_px
     assert total == n_spot * dark + n_out * bright
@@ -290,7 +296,7 @@ def test_fully_written_covering_spot_reads_pure_dark():
     rig.capture_backgrounds()
     rig._write_packets(5, WRITE, [50] * 50)
     total = rig.read_sites([5])[5]
-    assert total == cfg["camera.dark_offset"] * rig.window_roi.width * rig.window_roi.height
+    assert total == cfg["camera.dark_offset"] * rig.window_camera.width * rig.window_camera.height
 
 
 def test_read_is_pure_without_writes():
@@ -398,9 +404,13 @@ def test_full_frame_renders_all_sites():
     counts, clipped = rig.full_frame()
     assert counts.shape == (cfg["camera.height_px"], cfg["camera.width_px"])
     assert counts.dtype == np.int64 and not clipped
-    # ten written spots must appear as dark disks on the bright background
-    dark_pixels = int((counts < 1000).sum())
-    assert dark_pixels > 10 * 0.8 * rig._window_mask.sum()
+    # the ten written spots, and only they, appear dark on the bright
+    # background of the noiseless camera
+    camera, diameter = rig.sensor_camera, cfg["rig.spot_diameter_um"]
+    spots = np.zeros(counts.shape, dtype=bool)
+    for i in range(N_WEIGHT_SITES + 1):
+        spots |= spot_pixel_mask(*rig.site_position_um(i), diameter, camera)
+    assert np.array_equal(counts < 1000, spots)
 
 
 def test_rig_ledger_counts_expected_events():
@@ -426,12 +436,12 @@ def one_site_read(rig, index, rng):
     camera, n_frames = rig.window_camera, rig.config.frames_per_read
     counts, clipped = expose_frames(
         n_frames,
-        [(rig.sites[index], rig.window_spot)],
+        [(rig.sites[index], rig._window_mask)],
         rig.constants,
         camera,
         draw_read_noise(rng, camera, n_frames),
     )
-    return integrate_roi(average_frames(counts), rig.window_roi), clipped
+    return integrate_roi(average_frames(counts)), clipped
 
 
 READ_CASE = dict(
@@ -535,7 +545,7 @@ def test_batched_writes_equal_per_site_writes(seed, jitter, learning_packets, or
     assert write_record(batched) == write_record(reference)
     assert batched.weight_state() == reference.weight_state()
 
-    helicity = WRITE if direction is RAISE_OUTPUT else ERASE
+    helicity = WRITE if direction == RAISE_OUTPUT else ERASE
     applied = batched.apply_learning_update(order, direction)
     assert applied == per_site_writes(reference, order, helicity, [learning_packets] * N_WEIGHT_SITES)
     assert write_record(batched) == write_record(reference)

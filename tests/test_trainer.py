@@ -184,7 +184,7 @@ MIXED_ZEROS = [-0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0, -0.0, 5e-324]
 @example(MIXED_ZEROS, pat([1] * 9), RAISE_OUTPUT, 5e-324)
 @example(MIXED_ZEROS, pat([0, 1, 0, 0, 0, 0, 0, 1, 0]), LOWER_OUTPUT, 0.014)
 def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, eta):
-    sign = 1.0 if direction is RAISE_OUTPUT else -1.0
+    sign = 1.0 if direction == RAISE_OUTPUT else -1.0
     reference = [w + sign * eta * x for w, x in zip(weights, p.inputs)]
     updated = update_weights(weights, p, direction, eta)
     assert len(updated) == 9
