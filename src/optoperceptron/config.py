@@ -54,7 +54,7 @@ def _float(lo=None, hi=None, lo_open=False) -> Callable[[str], float]:
         if math.isnan(value):  # every bound comparison below is false for NaN
             raise ValueError(f"expected a number, got {text!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
-            raise ValueError(f"{value} is below the minimum {lo}")
+            raise ValueError(f"{value} must be above {lo}" if lo_open else f"{value} is below the minimum {lo}")
         if hi is not None and value > hi:
             raise ValueError(f"{value} is above the maximum {hi}")
         return value

@@ -7,6 +7,8 @@ delivers a jittered pulse count per packet; that jitter is the hardware
 realization of the stochastic learning rate. The rig owns the readout
 geometry: it places every spot, builds each pixel mask and checks that every
 site lands on the sensor, and hands the optics kernel (site, mask) scenes.
+In emulate the rig itself is the trainer's weight backend: it holds the
+current weight state and, when asked, keeps a snapshot of every state.
 """
 
 from __future__ import annotations
@@ -166,7 +168,14 @@ class RigConfig:
 
 
 class Rig:
-    """One logical actor owning the 10-site sample array and the beams."""
+    """One logical actor owning the 10-site sample array and the beams, and
+    in emulate the trainer's WeightBackend. gate() is the current weight
+    state's count-scale contributions (I_B - I_W per site), so outputs and
+    the threshold live on the raw counts scale; threshold() is the threshold
+    site's read, the value train() starts from. The learning rate is realized
+    as shutter-gated pulse packets, never sampled. initialize_network and
+    apply_update set state, and append its JSON form to snapshots if a list.
+    """
 
     def __init__(
         self,
@@ -195,6 +204,8 @@ class Rig:
         self.background_sums: list[int] | None = None
         self.written_sums: list[int | None] = [None] * (N_WEIGHT_SITES + 1)
         self.ledger = EnergyLedger(per_read_j=per_read_j)
+        self.state: WeightState | None = None
+        self.snapshots: list[dict] | None = None
 
         # Per-site readout window: the ROI, spot centered. All sites share
         # the window geometry, so one mask serves every read.
@@ -334,13 +345,31 @@ class Rig:
         budgets.append(self.config.init_threshold_packets)
         self._write_sites(range(N_WEIGHT_SITES + 1), WRITE, budgets)
         self.read_sites(range(N_WEIGHT_SITES + 1))
-        state = self.weight_state()
+        state = self._take_state()
         if state.threshold <= 0:
             raise ConfigurationError(
                 f"the threshold reads {state.threshold} after initialization: its background "
                 f"sum {state.threshold_background} minus its written sum {state.threshold_written}"
             )
         return state
+
+    # -- trainer backend ------------------------------------------------------
+
+    def gate(self) -> tuple[float, ...]:
+        return self.state.contributions
+
+    def threshold(self) -> float:
+        return self.state.threshold
+
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple[None, tuple[int, ...]]:
+        active = pattern.active_indices
+        applied = self.apply_learning_update(active, direction)
+        self.read_sites(active)
+        self._take_state()
+        return None, tuple(applied[i] for i in active)
+
+    def weights(self) -> tuple[float, ...]:
+        return self.state.weights
 
     # -- state --------------------------------------------------------------
 
@@ -363,6 +392,13 @@ class Rig:
                 events += [("shutter", label, tag, p) for p in pulses]
                 events.append(("ps2", "open"))
         return events
+
+    def _take_state(self) -> WeightState:
+        """The weight state of the cached sums, kept as state (and snapshotted)."""
+        self.state = self.weight_state()
+        if self.snapshots is not None:
+            self.snapshots.append(self.state.to_json_dict())
+        return self.state
 
     def weight_state(self) -> WeightState:
         if self.background_sums is None or any(v is None for v in self.written_sums):
@@ -396,42 +432,3 @@ class Rig:
             return (min(x0 + 2 * spacing + spacing * 0.6, width_um - x0 / 2), height_um / 2.0)
         row, col = divmod(index, 3)
         return (x0 + col * spacing * 0.85, y0 + row * spacing * 0.85)
-
-
-class RigBackend:
-    """Trainer backend that realizes weights as magnetization on the rig.
-
-    gate() is the weight state's count-scale contributions (I_B - I_W per
-    site), so outputs and the threshold live on the raw counts scale; the
-    learning rate is realized as shutter-gated pulse packets, never
-    sampled. threshold() is the threshold site's read, the value train()
-    starts from. keep_snapshots keeps every weight state.
-    """
-
-    def __init__(self, rig: Rig, keep_snapshots: bool = False):
-        self.rig = rig
-        self._state = rig.initialize_network()
-        self.keep_snapshots = keep_snapshots
-        self.snapshots: list[dict] = []
-        self._snapshot()
-
-    def _snapshot(self) -> None:
-        if self.keep_snapshots:
-            self.snapshots.append(self._state.to_json_dict())
-
-    def gate(self) -> tuple[float, ...]:
-        return self._state.contributions
-
-    def threshold(self) -> float:
-        return self._state.threshold
-
-    def apply_update(self, pattern: Pattern, direction: str) -> tuple[None, tuple[int, ...]]:
-        active = pattern.active_indices
-        applied = self.rig.apply_learning_update(active, direction)
-        self.rig.read_sites(active)
-        self._state = self.rig.weight_state()
-        self._snapshot()
-        return None, tuple(applied[i] for i in active)
-
-    def weights(self) -> tuple[float, ...]:
-        return self._state.weights

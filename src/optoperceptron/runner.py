@@ -95,7 +95,6 @@ class RunResult:
     pre_eval: list[EvalResult] | None  # None when the run skipped its bars
     post_train_eval: list[EvalResult] | None
     post_test_eval: list[EvalResult]
-    backend: WeightBackend
     rig: Rig | None = None
 
     @property
@@ -119,12 +118,12 @@ def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True)
 
 
 def emulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True) -> RunResult:
-    from .rig import RigBackend
-
     trainer_cfg = cfg.trainer_config()
     rig = build_rig(cfg, make_streams(seed))
-    backend = RigBackend(rig, keep_snapshots=bars and cfg["run.trace_verbosity"] >= 2)
-    return _train_and_evaluate("emulate", seed, trainer_cfg, backend, dataset, bars, rig)
+    if bars and cfg["run.trace_verbosity"] >= 2:
+        rig.snapshots = []
+    rig.initialize_network()
+    return _train_and_evaluate("emulate", seed, trainer_cfg, rig, dataset, bars, rig)
 
 
 def _train_and_evaluate(
@@ -133,10 +132,10 @@ def _train_and_evaluate(
 ) -> RunResult:
     """The run body of both modes. Pre-training bars are judged against the
     backend's starting threshold, post-training ones against the trained
-    threshold; bars=False skips both evaluations of the training patterns
-    (and the weight snapshots), which only the bars artifacts show. The
-    held-out evaluation always runs. train and evaluate_patterns are looked
-    up by this module's names, which the benchmark's tracer wraps."""
+    threshold; bars=False skips both evaluations of the training patterns,
+    which only the bars artifacts show. The held-out evaluation always runs.
+    train and evaluate_patterns are looked up by this module's names, which
+    the benchmark's tracer wraps."""
     target = trainer_cfg.target_class
     pre = post_train = None
     if bars:
@@ -146,7 +145,7 @@ def _train_and_evaluate(
     if bars:
         post_train = evaluate_patterns(backend, dataset.training, target, final)
     post_test = evaluate_patterns(backend, dataset.testing, target, final)
-    return RunResult(mode, seed, trace, pre, post_train, post_test, backend, rig)
+    return RunResult(mode, seed, trace, pre, post_train, post_test, rig)
 
 
 # -- artifact writing ---------------------------------------------------------
@@ -263,7 +262,7 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
 
     yield "ledger.json", rig.ledger.to_json_dict()
     yield "ledger.txt", rig.ledger.summary_line() + "\n"
-    yield "weight_state.json", rig.weight_state().to_json_dict()
+    yield "weight_state.json", rig.state.to_json_dict()
     yield "site_params.json", [
         {
             "site": SITE_LABELS[i],
@@ -274,8 +273,8 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
         }
         for i, p in enumerate(s.params for s in rig.sites)
     ]
-    if result.backend.snapshots:  # a run with a rig has a RigBackend
-        yield "weight_snapshots.json", result.backend.snapshots
+    if rig.snapshots:
+        yield "weight_snapshots.json", rig.snapshots
     if cfg["run.dump_frames"]:
         image, sidecar = pgm_image(*rig.full_frame(), rig.sensor_camera)
         yield "sample_final.pgm", image

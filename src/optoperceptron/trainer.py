@@ -169,7 +169,8 @@ class TrainingTrace:
 
 
 class WeightBackend(Protocol):
-    """Where the weights live: an abstract vector or the emulation rig.
+    """Where the weights live: an abstract vector (VectorBackend) or, in
+    emulate, the rig itself, which also keeps the weight snapshots.
 
     gate() is the vector that pattern_output sums for the current weight
     state; it changes only when apply_update moves the weights.

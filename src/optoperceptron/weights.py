@@ -16,7 +16,9 @@ from .errors import DegenerateBackgroundError
 
 @dataclass
 class ClampDiagnostics:
-    """Counts of weight values pushed back into [0, 1] by noise."""
+    """Counts of weight values pushed back into [0, 1] by noise. Only low
+    counts: with b > 0 and w >= 0, (b - w) / b rounds to at most 1.0, so high
+    stays 0; weight_state.json prints it as clamped_high and total sums it."""
 
     low: int = 0
     high: int = 0
@@ -33,8 +35,8 @@ def extract_weight(
 ) -> float:
     """(I_B - I_W) / I_B, clamped to [0, 1].
 
-    Clamping events (noise pushing the raw ratio outside the unit interval)
-    are tallied in diagnostics when given.
+    Clamping events (noise pushing the raw ratio below 0) are tallied in
+    diagnostics when given; a non-negative written sum keeps it at most 1.
     """
     if background_sum <= 0:
         raise DegenerateBackgroundError(
@@ -47,10 +49,6 @@ def extract_weight(
         if diagnostics is not None:
             diagnostics.low += 1
         return 0.0
-    if w > 1.0:
-        if diagnostics is not None:
-            diagnostics.high += 1
-        return 1.0
     return w
 
 

@@ -14,7 +14,6 @@ import pytest
 from optoperceptron.config import load_config
 from optoperceptron.optics import expose_frames, integrate_roi, spot_pixel_mask
 from optoperceptron.patterns import build_dataset
-from optoperceptron.rig import RigBackend
 from optoperceptron.runner import (
     build_rig,
     emulate_run,
@@ -193,7 +192,8 @@ def test_criterion_7_mode_equivalence():
     sim_backend = VectorBackend(trainer_cfg, rng=np.random.default_rng(3))
     sim_trace = train(reduced, trainer_cfg, sim_backend)
     rig = build_rig(cfg, make_streams(3))
-    emu_trace = train(reduced, trainer_cfg, RigBackend(rig))
+    rig.initialize_network()
+    emu_trace = train(reduced, trainer_cfg, rig)
 
     sim_decisions = [(s.pattern_id, s.action) for s in sim_trace.steps]
     emu_decisions = [(s.pattern_id, s.action) for s in emu_trace.steps]

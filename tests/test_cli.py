@@ -79,7 +79,10 @@ def test_emulate_mode_artifacts(tmp_path, config_file=None):
     state = json.loads((out / "weight_state.json").read_text())
     assert len(state["weights"]) == 9
     snapshots = json.loads((out / "weight_snapshots.json").read_text())
-    assert len(snapshots) >= 1
+    steps = json.loads((out / "trace.json").read_text())["steps"]
+    updates = sum(1 for s in steps if s["action"] != "accept")
+    assert len(snapshots) == updates + 1  # initialization, then one per update
+    assert snapshots[-1] == state
     site_params = json.loads((out / "site_params.json").read_text())
     assert len(site_params) == 10
     assert {p["site"] for p in site_params} == {f"w{i}" for i in range(1, 10)} | {"b"}

@@ -167,8 +167,22 @@ def test_cross_validation_spot_vs_waist():
 @pytest.mark.parametrize("diameter", ["0", "-1"])
 def test_spot_without_area_refused(diameter):
     # the open lower bound is the only check that a written spot has an area
-    with pytest.raises(ConfigurationError, match=r"rig\.spot_diameter_um: -?[01]\.0 is below"):
+    with pytest.raises(ConfigurationError, match=r"rig\.spot_diameter_um: -?[01]\.0 must be above"):
         load_config(overrides={"rig.spot_diameter_um": diameter})
+
+
+def test_open_lower_bound_says_the_value_must_be_above_it():
+    # the bound itself is refused, so "below the minimum" would misstate it
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(overrides={"camera.gain": "0"})
+    assert str(exc.value).endswith("camera.gain: 0.0 must be above 0.0")
+
+
+def test_closed_lower_bound_says_the_value_is_below_the_minimum():
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(overrides={"camera.read_noise": "-1"})
+    assert str(exc.value).endswith("camera.read_noise: -1.0 is below the minimum 0.0")
+    assert load_config(overrides={"camera.read_noise": "0"})["camera.read_noise"] == 0.0
 
 
 def test_bitmaps_file_loading(tmp_path):

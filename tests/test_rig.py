@@ -22,7 +22,6 @@ from optoperceptron.rig import (
     EnergyLedger,
     N_WEIGHT_SITES,
     SITE_LABELS,
-    RigBackend,
     THRESHOLD_SITE,
     shutter_pulses,
 )
@@ -239,10 +238,10 @@ def test_rig_events_equal_the_recorded_sequence():
     # seed 7, default config, initialization plus two learning updates.
     cfg = load_config()
     rig = build_rig(cfg, make_streams(7))
-    backend = RigBackend(rig)
+    rig.initialize_network()
     training = build_dataset(cfg.bitmaps).training
-    backend.apply_update(training[0], RAISE_OUTPUT)
-    backend.apply_update(training[9], LOWER_OUTPUT)
+    rig.apply_update(training[0], RAISE_OUTPUT)
+    rig.apply_update(training[9], LOWER_OUTPUT)
     recorded = [tuple(e) for e in json.loads(RECORDED_EVENTS.read_text())]
     assert rig.events == recorded
     shutter = [(e[1], e[3]) for e in recorded if e[0] == "shutter"]
@@ -562,23 +561,24 @@ def test_learning_update_on_the_threshold_site_writes_nothing():
 
 # -- trainer backend on the rig -------------------------------------------------
 
-def test_rig_backend_output_sums_active_contributions():
+def test_rig_output_sums_active_contributions():
     cfg, rig = make_rig()
-    backend = RigBackend(rig)
+    rig.initialize_network()
     dataset = build_dataset(cfg.bitmaps)
     pattern = dataset.training[0]
-    state = backend.rig.weight_state()
+    state = rig.weight_state()
     expected = 0.0
     for i in pattern.active_indices:  # the trainer's summation order
         expected += state.contributions[i]
-    assert backend.gate() == state.contributions
-    assert pattern_output(backend.gate(), pattern) == expected
+    assert rig.gate() == state.contributions
+    assert pattern_output(rig.gate(), pattern) == expected
 
 
-def test_rig_backend_threshold_is_the_threshold_read_as_float():
+def test_rig_threshold_is_the_threshold_read_as_float():
     # the count sum becomes the float that every artifact prints
     cfg, rig = make_rig()
-    threshold = RigBackend(rig).threshold()
+    rig.initialize_network()
+    threshold = rig.threshold()
     assert type(threshold) is float and threshold == rig.weight_state().threshold
 
 
@@ -587,12 +587,12 @@ def test_rig_evaluation_is_read_only():
     cfg = load_config()
     rig = build_rig(cfg, make_streams(7))
     config = cfg.trainer_config()
-    backend = RigBackend(rig)
+    rig.initialize_network()
     reads, writes = rig.ledger.read_events, len(rig.ledger.write_events)
     camera_state = rig.camera_rng.bit_generator.state
-    threshold = backend.threshold()
+    threshold = rig.threshold()
     results = evaluate_patterns(
-        backend, build_dataset(cfg.bitmaps).training, config.target_class, threshold
+        rig, build_dataset(cfg.bitmaps).training, config.target_class, threshold
     )
     assert rig.ledger.read_events == reads
     assert len(rig.ledger.write_events) == writes
@@ -606,12 +606,12 @@ def test_emulated_training_converges_full_default_set():
     cfg = load_config(overrides={"camera.read_noise": "0"})
     rig = build_rig(cfg, make_streams(4))
     config = cfg.trainer_config()
-    backend = RigBackend(rig)
+    rig.initialize_network()
     dataset = build_dataset(cfg.bitmaps)
-    trace = train(dataset.training, config, backend)
+    trace = train(dataset.training, config, rig)
     assert trace.converged
     assert all(s.action == "accept" for s in trace.steps[-24:])
-    assert min(backend.weights()) >= 0.0
+    assert min(rig.weights()) >= 0.0
 
 
 def test_emulated_training_converges_on_reduced_linear_set():
@@ -623,13 +623,13 @@ def test_emulated_training_converges_on_reduced_linear_set():
         }
     )
     config = cfg.trainer_config()
-    backend = RigBackend(rig)
+    rig.initialize_network()
     dataset = build_dataset(cfg.bitmaps)
     reduced = tuple(p for p in dataset.training if p.variant_index in (0, 2))
-    trace = train(reduced, config, backend)
+    trace = train(reduced, config, rig)
     assert trace.converged
     assert all(s.action == "accept" for s in trace.steps[-len(reduced):])
-    assert min(backend.weights()) >= 0.0
+    assert min(rig.weights()) >= 0.0
 
 
 # -- trace contract ---------------------------------------------------------------

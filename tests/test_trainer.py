@@ -383,9 +383,9 @@ def test_trace_json_shape():
 
 def test_config_validation():
     # the trainer.* bounds are the key table's; load_config applies them
-    with pytest.raises(ConfigurationError, match="trainer.eta_max: 0.0 is below the minimum"):
+    with pytest.raises(ConfigurationError, match="trainer.eta_max: 0.0 must be above 0.0"):
         trainer_config(eta_max=0.0)
-    with pytest.raises(ConfigurationError, match="trainer.initial_threshold: 0.0 is below"):
+    with pytest.raises(ConfigurationError, match="trainer.initial_threshold: 0.0 must be above"):
         trainer_config(initial_threshold=0.0)
     with pytest.raises(ConfigurationError, match="trainer.max_epochs: 0 is below the minimum 1"):
         trainer_config(max_epochs=0)

@@ -39,6 +39,18 @@ def test_clamping_counted():
 
 
 @given(
+    st.lists(st.tuples(st.integers(1, 2**53), st.integers(0, 2**54)), min_size=1, max_size=9)
+)
+def test_integer_sums_never_clamp_high(pairs):
+    # b - w rounds to at most b and (b - w) / b to at most 1.0, so no
+    # weight read from camera sums can sit above 1
+    backgrounds, writtens = zip(*pairs)
+    state = WeightState.from_sums(backgrounds, writtens, 2000, 100)
+    assert all(0.0 <= w <= 1.0 for w in state.weights)
+    assert state.clamp_diagnostics.high == 0
+
+
+@given(
     st.floats(1.0, 1e9),
     st.floats(0.0, 1e9),
     st.floats(0.001, 1e6),
