@@ -128,7 +128,7 @@ KEY_TABLE: dict[str, _Key] = {
     "synapse.site_spread": _Key(_float(0.0, 0.9), 0.05, "relative site-to-site parameter spread"),
     "shutter.open_time_min_ms": _Key(_float(0.0, 1e4, lo_open=True), 15.0, "shortest shutter opening"),
     "shutter.open_time_max_ms": _Key(_float(0.0, 1e4, lo_open=True), 25.0, "longest shutter opening"),
-    "shutter.repetition_rate_hz": _Key(_float(0.0, 1e9, lo_open=True), 1000.0, "write laser repetition rate (also sets pulse energy)"),
+    "shutter.repetition_rate_hz": _Key(_float(1.0, 1e9), 1000.0, "write laser repetition rate (also sets pulse energy)"),
     "shutter.nominal_packet_pulses": _Key(_int(1, 1_000_000), 50, "nominal pulses per packet"),
     "shutter.jitter_mode": _Key(_choice("relative", "time"), "relative", "packet jitter model"),
     "shutter.jitter_enabled": _Key(_bool, True, "disable for exactly nominal packets"),
@@ -331,6 +331,12 @@ def load_config(
 
 
 def _cross_validate(values: dict[str, object]) -> None:
+    # a sampled learning rate is eta_max * (1 - u), and 1 - u can be 2**-53
+    if values["trainer.eta_max"] * 2.0**-53 == 0.0:
+        raise ConfigurationError(
+            f"trainer.eta_max {values['trainer.eta_max']!r} is too small: "
+            "the smallest learning rate, eta_max * 2**-53, rounds to 0"
+        )
     if values["synapse.saturation_pulses"] <= values["synapse.dead_zone_pulses"]:
         raise ConfigurationError(
             "synapse.saturation_pulses must exceed synapse.dead_zone_pulses"

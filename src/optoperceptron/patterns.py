@@ -4,6 +4,11 @@ and the 24/3 train/test split used to supervise the network.
 Each class contributes its ideal glyph plus eight variants obtained by
 flipping one input at a time, starting from the second input (row-wise).
 The first variant of every class is held out for testing.
+
+parse_bitmap_text is the one check of a bitmap file: three blocks of three
+rows of three '0'/'1' characters. build_dataset trusts that shape (and that
+of DEFAULT_BITMAPS) and checks only what depends on the glyphs together: it
+refuses a bank whose patterns collide across classes or across the split.
 """
 
 from __future__ import annotations
@@ -29,25 +34,6 @@ DEFAULT_BITMAPS: dict[str, tuple[str, str, str]] = {
 }
 
 
-def flatten_grid(grid) -> tuple[int, ...]:
-    """Row-wise flattening of a 3x3 grid of 0/1 values."""
-    rows = list(grid)
-    if len(rows) != GRID_SIDE:
-        raise ConfigurationError(f"bitmap must have {GRID_SIDE} rows, got {len(rows)}")
-    flat = []
-    for row in rows:
-        cells = [int(c) for c in row]
-        if len(cells) != GRID_SIDE:
-            raise ConfigurationError(
-                f"bitmap row must have {GRID_SIDE} cells, got {len(cells)}"
-            )
-        for c in cells:
-            if c not in (0, 1):
-                raise ConfigurationError(f"bitmap cells must be 0 or 1, got {c}")
-            flat.append(c)
-    return tuple(flat)
-
-
 @dataclass(frozen=True)
 class Pattern:
     """One 9-input binary pattern with its provenance.
@@ -63,19 +49,6 @@ class Pattern:
     role: str
     inputs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.class_label not in CLASSES:
-            raise ValueError(f"unknown class label {self.class_label!r}")
-        if not 0 <= self.variant_index <= 8:
-            raise ValueError(f"variant_index must be in 0..8, got {self.variant_index}")
-        if len(self.inputs) != N_INPUTS or any(x not in (0, 1) for x in self.inputs):
-            raise ValueError("inputs must be 9 values, each 0 or 1")
-        expected_role = TEST_ROLE if self.variant_index == 1 else TRAIN_ROLE
-        if self.role != expected_role:
-            raise ValueError(
-                f"variant {self.variant_index} must have role {expected_role!r}"
-            )
-
     @cached_property
     def active_indices(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.inputs) if x == 1)
@@ -88,83 +61,40 @@ class Dataset:
     training: tuple[Pattern, ...]
     testing: tuple[Pattern, ...]
 
-    def __post_init__(self):
-        if len(self.training) != 24 or len(self.testing) != 3:
-            raise ValueError("dataset must hold 24 training and 3 testing patterns")
-        for cls in CLASSES:
-            n_train = sum(1 for p in self.training if p.class_label == cls)
-            n_test = sum(1 for p in self.testing if p.class_label == cls)
-            if n_train != 8 or n_test != 1:
-                raise ValueError(f"class {cls!r} must have 8 train + 1 test patterns")
-        train_ids: dict[tuple[int, ...], Pattern] = {}
-        for p in self.training:
-            first = train_ids.setdefault(p.inputs, p)
-            if first.class_label != p.class_label:
-                raise ConfigurationError(
-                    f"training pattern {p.pattern_id} equals training pattern "
-                    f"{first.pattern_id}: one input vector carries two class labels"
-                )
-        for p in self.testing:
-            if p.inputs in train_ids:
-                raise ConfigurationError(
-                    f"held-out pattern {p.pattern_id} equals training pattern "
-                    f"{train_ids[p.inputs].pattern_id}: a pattern appears in both "
-                    "training and testing"
-                )
-
-
-def ideal_patterns(bitmaps=None) -> list[Pattern]:
-    """One ideal Pattern per class, in z, v, n order."""
-    bitmaps = dict(DEFAULT_BITMAPS if bitmaps is None else bitmaps)
-    if set(bitmaps) != set(CLASSES):
-        raise ConfigurationError(
-            f"bitmaps must define exactly the classes {CLASSES}, got {sorted(bitmaps)}"
-        )
-    return [
-        Pattern(
-            pattern_id=f"{cls}0",
-            class_label=cls,
-            variant_index=0,
-            role=TRAIN_ROLE,
-            inputs=flatten_grid(bitmaps[cls]),
-        )
-        for cls in CLASSES
-    ]
-
-
-def generate_variants(ideal: Pattern) -> list[Pattern]:
-    """The 8 single-bit variants of an ideal pattern, k = 1..8.
-
-    Variant k flips input position k+1 (0-based index k). Variant 1 is the
-    test pattern; variants 2..8 train.
-    """
-    if ideal.variant_index != 0:
-        raise ValueError("variants are generated from an ideal pattern only")
-    variants = []
-    for k in range(1, 9):
-        flipped = list(ideal.inputs)
-        flipped[k] ^= 1
-        variants.append(
-            Pattern(
-                pattern_id=f"{ideal.class_label}{k}",
-                class_label=ideal.class_label,
-                variant_index=k,
-                role=TEST_ROLE if k == 1 else TRAIN_ROLE,
-                inputs=tuple(flipped),
-            )
-        )
-    return variants
-
 
 def build_dataset(bitmaps=None) -> Dataset:
-    """Full 27-pattern dataset with the class-blocked training order."""
+    """Full 27-pattern dataset with the class-blocked training order.
+
+    bitmaps maps each class to three rows of three '0'/'1' characters, as
+    parse_bitmap_text returns them. Variant k of a class is its ideal (k = 0)
+    with input k (0-based, row-wise) flipped. Refuses a bank in which one
+    input vector carries two class labels or a held-out pattern repeats a
+    training pattern.
+    """
+    bitmaps = DEFAULT_BITMAPS if bitmaps is None else bitmaps
     training: list[Pattern] = []
     testing: list[Pattern] = []
-    for ideal in ideal_patterns(bitmaps):
-        variants = generate_variants(ideal)
-        training.append(ideal)
-        training.extend(v for v in variants if v.role == TRAIN_ROLE)
-        testing.extend(v for v in variants if v.role == TEST_ROLE)
+    for cls in CLASSES:
+        ideal = tuple(int(c) for row in bitmaps[cls] for c in row)
+        for k in range(N_INPUTS):
+            inputs = ideal if k == 0 else ideal[:k] + (1 - ideal[k],) + ideal[k + 1 :]
+            pattern = Pattern(f"{cls}{k}", cls, k, TEST_ROLE if k == 1 else TRAIN_ROLE, inputs)
+            (testing if k == 1 else training).append(pattern)
+    train_ids: dict[tuple[int, ...], Pattern] = {}
+    for p in training:
+        first = train_ids.setdefault(p.inputs, p)
+        if first.class_label != p.class_label:
+            raise ConfigurationError(
+                f"training pattern {p.pattern_id} equals training pattern "
+                f"{first.pattern_id}: one input vector carries two class labels"
+            )
+    for p in testing:
+        if p.inputs in train_ids:
+            raise ConfigurationError(
+                f"held-out pattern {p.pattern_id} equals training pattern "
+                f"{train_ids[p.inputs].pattern_id}: a pattern appears in both "
+                "training and testing"
+            )
     return Dataset(training=tuple(training), testing=tuple(testing))
 
 

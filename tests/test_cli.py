@@ -303,6 +303,45 @@ def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
     assert doubled["per_pulse_network_spot_pj"] == base["per_pulse_network_spot_pj"] / 2
 
 
+def test_eta_max_whose_smallest_rate_underflows_exit_code(tmp_path, capsys):
+    # a learning rate is eta_max * (1 - u) with 1 - u down to 2**-53: at
+    # 5e-324 that product rounds to 0.0 on about half the draws
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text("trainer.eta_max = 5e-324\ntrainer.max_epochs = 3\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    assert "trainer.eta_max 5e-324 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repetition_rate_below_one_hertz_exit_code(tmp_path, capsys):
+    # the pulse energy is the write power over the rate: at 5e-324 Hz it is
+    # Infinity, which summary.json and ledger.json cannot hold as JSON
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("shutter.repetition_rate_hz = 5e-324\n")
+    out = tmp_path / "o"
+    assert main(["energy", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "shutter.repetition_rate_hz: 5e-324 is below the minimum 1.0" in err
+    assert not out.exists()
+
+
+def test_repetition_rate_floor_at_full_write_power_reports_finite_energies(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("shutter.repetition_rate_hz = 1\nenergy.write_power_uw = 1e9\n")
+    out = tmp_path / "o"
+    assert main(["energy", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    json.loads((out / "ledger.json").read_text(), parse_constant=refuse)
+    assert summary["per_pulse_spot_large_pj"] == pytest.approx(1e15 * (40.0 / 100.0) ** 2)
+    assert summary["write_energy_nj"] > 0
+
+
 @pytest.mark.parametrize(
     "config_text, message",
     [

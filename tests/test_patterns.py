@@ -1,37 +1,63 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optoperceptron.config import load_config
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.patterns import (
     CLASSES,
     DEFAULT_BITMAPS,
     Pattern,
     build_dataset,
-    flatten_grid,
-    generate_variants,
-    ideal_patterns,
     parse_bitmap_text,
 )
 
-grids = st.lists(
-    st.lists(st.integers(0, 1), min_size=3, max_size=3), min_size=3, max_size=3
+
+def glyph(bits: int) -> tuple[str, str, str]:
+    """The 3x3 glyph whose row-major reading is the 9-bit number bits."""
+    flat = format(bits, "09b")
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
+# Three glyphs at pairwise Hamming distance >= 3: one or two flips cannot
+# carry one class's glyph onto another's, so no two patterns collide.
+banks = (
+    st.lists(st.integers(0, 511), min_size=3, max_size=3)
+    .filter(lambda g: all(bin(a ^ b).count("1") >= 3 for a, b in combinations(g, 2)))
+    .map(lambda g: dict(zip(CLASSES, map(glyph, g))))
 )
 
 
+# z is a single cell at grid row 2, column 1; v is all ones.
+SPARSE_BANK = {"z": ("000", "100", "000"), "v": ("111", "111", "111"), "n": ("011", "011", "011")}
+
+
+def families(dataset):
+    """Each class's nine patterns, by variant index."""
+    found = {cls: {} for cls in CLASSES}
+    for p in dataset.training + dataset.testing:
+        found[p.class_label][p.variant_index] = p
+    return found
+
+
 def test_flatten_all_ones():
-    assert flatten_grid(["111", "111", "111"]) == (1,) * 9
+    assert families(build_dataset(SPARSE_BANK))["v"][0].inputs == (1,) * 9
 
 
 def test_flatten_single_cell_row2_col1():
     # grid row 2, column 1 (1-based) lands at flat index 4 (x_4, 0-based 3)
-    assert flatten_grid(["000", "100", "000"]) == (0, 0, 0, 1, 0, 0, 0, 0, 0)
+    z0 = families(build_dataset(SPARSE_BANK))["z"][0]
+    assert z0.inputs == (0, 0, 0, 1, 0, 0, 0, 0, 0)
 
 
-@given(grids)
-def test_flatten_unflatten_roundtrip(grid):
-    flat = flatten_grid(grid)
-    assert tuple(flat[r * 3 : r * 3 + 3] for r in range(3)) == tuple(tuple(r) for r in grid)
+@given(banks)
+def test_flatten_unflatten_roundtrip(bitmaps):
+    for cls, family in families(build_dataset(bitmaps)).items():
+        flat = family[0].inputs
+        rows = tuple("".join(map(str, flat[r * 3 : r * 3 + 3])) for r in range(3))
+        assert rows == bitmaps[cls]
 
 
 @pytest.mark.parametrize(
@@ -39,45 +65,46 @@ def test_flatten_unflatten_roundtrip(grid):
     [["111", "111"], ["111", "111", "11"], ["111", "121", "111"]],
 )
 def test_bad_bitmap_rejected(bad):
+    # a file whose z block is the bad grid, followed by two good blocks
     with pytest.raises(ConfigurationError):
-        flatten_grid(bad)
+        parse_bitmap_text("\n".join(bad) + "\n\n000\n010\n000\n\n101\n101\n101\n")
 
 
-def test_ideal_patterns_default():
-    ideals = ideal_patterns()
+def test_default_bank_ideals():
+    ds = build_dataset()
+    ideals = [p for p in ds.training if p.variant_index == 0]
     assert [p.class_label for p in ideals] == list(CLASSES)
     for p in ideals:
-        assert p.variant_index == 0
         assert p.role == "train"
-        assert p.inputs == flatten_grid(DEFAULT_BITMAPS[p.class_label])
-
-
-def test_ideal_patterns_wrong_classes():
-    with pytest.raises(ConfigurationError):
-        ideal_patterns({"a": ("111",) * 3, "b": ("111",) * 3, "c": ("111",) * 3})
+        assert p.inputs == tuple(int(c) for row in DEFAULT_BITMAPS[p.class_label] for c in row)
 
 
 def test_variants_flip_positions():
-    ideal = Pattern("z0", "z", 0, "train", (0,) * 9)
-    variants = generate_variants(ideal)
-    assert variants[0].inputs == (0, 1, 0, 0, 0, 0, 0, 0, 0)
-    assert variants[0].role == "test"
-    ones = Pattern("z0", "z", 0, "train", (1,) * 9)
-    assert generate_variants(ones)[7].inputs == (1,) * 8 + (0,)
+    bitmaps = {"z": ("000", "000", "000"), "v": ("111", "111", "111"), "n": ("000", "111", "111")}
+    found = families(build_dataset(bitmaps))
+    assert found["z"][1].inputs == (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    assert found["z"][1].role == "test"
+    assert found["v"][8].inputs == (1,) * 8 + (0,)
 
 
-def test_variants_hamming_distance_one():
-    for ideal in ideal_patterns():
-        for k, variant in enumerate(generate_variants(ideal), start=1):
+@given(banks)
+def test_variants_hamming_distance_one(bitmaps):
+    for family in families(build_dataset(bitmaps)).values():
+        ideal = family[0]
+        for k in range(1, 9):
+            variant = family[k]
             assert variant.variant_index == k
             diffs = [i for i in range(9) if variant.inputs[i] != ideal.inputs[i]]
             assert diffs == [k]
 
 
-def test_variants_require_ideal():
-    variant = generate_variants(ideal_patterns()[0])[2]
-    with pytest.raises(ValueError):
-        generate_variants(variant)
+@given(banks)
+def test_roles_and_ids(bitmaps):
+    ds = build_dataset(bitmaps)
+    assert all(p.role == "train" and p.variant_index != 1 for p in ds.training)
+    assert [(p.pattern_id, p.role) for p in ds.testing] == [(f"{cls}1", "test") for cls in CLASSES]
+    for p in ds.training + ds.testing:
+        assert p.pattern_id == f"{p.class_label}{p.variant_index}"
 
 
 def test_dataset_shape():
@@ -111,24 +138,11 @@ def test_dataset_deterministic():
     assert a == b
 
 
-def test_class_family_has_nine_members():
-    for ideal in ideal_patterns():
-        family = {ideal.inputs} | {v.inputs for v in generate_variants(ideal)}
-        assert len(family) == 9
-
-
-def test_pattern_role_invariant():
-    with pytest.raises(ValueError):
-        Pattern("z1", "z", 1, "train", (0,) * 9)
-    with pytest.raises(ValueError):
-        Pattern("z2", "z", 2, "test", (0,) * 9)
-
-
-def test_pattern_validates_inputs():
-    with pytest.raises(ValueError):
-        Pattern("z0", "z", 0, "train", (0,) * 8)
-    with pytest.raises(ValueError):
-        Pattern("z0", "z", 0, "train", (0,) * 8 + (2,))
+@given(banks)
+def test_class_family_has_nine_members(bitmaps):
+    for family in families(build_dataset(bitmaps)).values():
+        assert sorted(family) == list(range(9))
+        assert len({p.inputs for p in family.values()}) == 9
 
 
 def test_bitmap_text_roundtrip():
@@ -141,6 +155,36 @@ def test_bitmap_text_errors():
         parse_bitmap_text("110\n010\n011\n")  # one block only
     with pytest.raises(ConfigurationError):
         parse_bitmap_text("abc\n010\n011\n\n101\n101\n010\n\n010\n101\n101\n")
+
+
+# Texts over "01# \n2": raw, as free lines, and as three blocks of three
+# lines that are mostly glyph rows, so that some of them parse.
+junk_lines = st.text(alphabet="01# 2", max_size=5)
+lines = st.integers(0, 9).flatmap(
+    lambda i: junk_lines if i == 0 else st.text(alphabet="01", min_size=3, max_size=3)
+)
+bitmap_texts = st.one_of(
+    st.text(alphabet="01# \n2", max_size=60),
+    st.lists(lines, max_size=14).map("\n".join),
+    st.lists(st.lists(lines, min_size=3, max_size=3), min_size=3, max_size=3).map(
+        lambda blocks: "\n\n".join("\n".join(block) for block in blocks)
+    ),
+)
+
+
+@given(bitmap_texts)
+def test_any_bitmap_file_builds_the_bank_or_is_refused(tmp_path_factory, text):
+    # parse_bitmap_text is the one check of the file: whatever it passes,
+    # build_dataset turns into the 24/3 bank or refuses as a collision
+    path = tmp_path_factory.getbasetemp() / "bitmaps.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        ds = build_dataset(load_config(overrides={"dataset.bitmaps_file": str(path)}).bitmaps)
+    except ConfigurationError:
+        return
+    assert (len(ds.training), len(ds.testing)) == (24, 3)
+    for p in ds.training + ds.testing:
+        assert len(p.inputs) == 9 and set(p.inputs) <= {0, 1}
 
 
 def test_active_indices():
