@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # the accessors import these, so a run that renders nothing l
     from .rig import RigConfig, ShutterModel
 
 SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle readout chain is invalid
+MEMORY_BUDGET_BYTES = 1 << 27  # the largest block a run may allocate at once
+FULL_FRAME_BYTES_PER_PX = 64  # tracemalloc peak of Rig.full_frame + pgm_image, measured 57
 
 
 def _bool(text: str) -> bool:
@@ -350,10 +352,25 @@ def _cross_validate(values: dict[str, object]) -> None:
         raise ConfigurationError(
             f"synapse.site_spread {spread} lets a dead zone reach the saturation knee"
         )
-    roi_px_w = values["rig.roi_width_um"] / values["camera.pixel_scale_um"]
-    roi_px_h = values["rig.roi_height_um"] / values["camera.pixel_scale_um"]
+    scale = values["camera.pixel_scale_um"]
+    if scale * scale == 0.0:  # counts are light density over the pixel area
+        raise ConfigurationError(f"camera.pixel_scale_um {scale!r} is too small: its area rounds to 0")
+    roi_px_w = values["rig.roi_width_um"] / scale
+    roi_px_h = values["rig.roi_height_um"] / scale
     if roi_px_w > values["camera.width_px"] or roi_px_h > values["camera.height_px"]:
         raise ConfigurationError("the readout window exceeds the sensor size")
+    # Rig.__init__'s window; a read renders its frames of all ten sites into one float64 block
+    win_w, win_h = max(1, int(roi_px_w + 0.5)), max(1, int(roi_px_h + 0.5))
+    frames = values["rig.frames_per_read"]
+    blocks = [(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
+               "px window (rig.roi_*_um / camera.pixel_scale_um)", 10 * frames * win_w * win_h * 8)]
+    if values["run.dump_frames"]:
+        w, h = values["camera.width_px"], values["camera.height_px"]
+        blocks.append((f"the run.dump_frames render of the {w}x{h} px sensor "
+                       "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h))
+    for what, size in blocks:
+        if size > MEMORY_BUDGET_BYTES:
+            raise ConfigurationError(f"{what} needs {size} B, over the {MEMORY_BUDGET_BYTES} B budget")
     full_well = 2 ** values["camera.bit_depth"] - 1
     if values["camera.dark_offset"] >= full_well:
         raise ConfigurationError(

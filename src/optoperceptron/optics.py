@@ -38,8 +38,6 @@ def analyzer_intensity(m: float, constants: OpticalConstants) -> float:
 
     Maximum at m = 0 (bright background), zero at m = 1 (fully written spot).
     """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError("written fraction must be in [0, 1]")
     return constants.intensity_in * constants.c * (1.0 - m)
 
 
@@ -116,17 +114,17 @@ def expose_frames(
     site's written spot. Pixels under a mask carry that site's intensity
     (uniform over the disk, scaled by the site's background_gain to model
     illumination inhomogeneity at that sample area), a later pair painting
-    over an earlier one; all other pixels carry the background state. noise
+    over an earlier one; all other pixels carry the background state.
+    n_frames is rig.frames_per_read (at least 1) or 1 for a full frame. noise
     is the (n_frames, height, width) read-noise block of this exposure, from
     draw_read_noise (zeros for a noiseless camera); the frames are rendered
-    into it in place. Returns the integer counts, clipped to [0, full_well],
-    as a float64 (n_frames, height, width) stack, and whether any pixel
-    clipped at the full well. The clip pass runs only when the rounded
-    stack's minimum is below 0 or its maximum above the full well; otherwise
-    the stack is already in range.
+    into it in place, and a block of any other shape is refused, which is
+    what ties it to n_frames. Returns the integer counts, clipped to
+    [0, full_well], as a float64 (n_frames, height, width) stack, and
+    whether any pixel clipped at the full well. The clip pass runs only when
+    the rounded stack's minimum is below 0 or its maximum above the full
+    well; otherwise the stack is already in range.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
     shape = (n_frames, camera.height, camera.width)
     if noise.shape != shape:
         raise ValueError(f"noise block of shape {noise.shape} does not fit {shape}")
@@ -162,8 +160,6 @@ def average_frames(counts: np.ndarray) -> np.ndarray:
     stack of several reads at once equals averaging each alone. Integer
     stacks are accepted too.
     """
-    if counts.ndim < 3:
-        raise ValueError(f"expected a (frames, height, width) stack, got shape {counts.shape}")
     mean = counts.sum(axis=-3, dtype=np.float64)
     mean /= counts.shape[-3]
     np.rint(mean, out=mean)

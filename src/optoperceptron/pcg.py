@@ -10,8 +10,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def _state_words(seed: int) -> list[int]:
     """SeedSequence(seed).spawn(1)[0]'s eight uint32 state words for PCG64."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     entropy = [seed >> 32 * k & _M32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
     entropy += [0] * (4 - len(entropy)) + [0]  # padded to the 4-word pool, then spawn key (0,)
     h = 0x43B0D7E5

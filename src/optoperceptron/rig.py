@@ -14,7 +14,7 @@ current weight state and, when asked, keeps a snapshot of every state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .optics import (
 )
 from .patterns import Pattern
 from .synapse import ERASE, WRITE, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
-from .trainer import LOWER_OUTPUT, RAISE_OUTPUT
+from .trainer import RAISE_OUTPUT
 from .weights import WeightState
 
 N_WEIGHT_SITES = 9
@@ -89,8 +89,6 @@ class EnergyLedger:
         self, site: str, helicity: str, pulses: Sequence[int], per_pulse_j: float
     ) -> None:
         """One write entry; the ledger keeps the pulses sequence it is given."""
-        if per_pulse_j < 0 or (pulses and min(pulses) < 0):
-            raise ValueError("pulses and per-pulse energy must be >= 0")
         self.ops.append(("write", site, helicity, pulses, per_pulse_j))
 
     def add_reads(self, sites: Sequence[str]) -> None:
@@ -189,10 +187,6 @@ class Rig:
         per_pulse_write_j: float,
         per_read_j: float,
     ):
-        if len(site_params) != N_WEIGHT_SITES + 1:
-            raise ValueError(
-                f"need {N_WEIGHT_SITES + 1} site parameter sets, got {len(site_params)}"
-            )
         self.constants = constants
         self.sensor_camera = camera
         self.config = rig_config
@@ -232,15 +226,6 @@ class Rig:
                     "the sensor field of view; reduce rig.site_spacing_um"
                 )
 
-    # -- addressing ---------------------------------------------------------
-
-    def _check_indices(self, indices: Iterable[int]) -> list[int]:
-        idxs = list(indices)
-        for i in idxs:
-            if not 0 <= i <= THRESHOLD_SITE:
-                raise ValueError(f"site index {i} outside the 10-site array")
-        return idxs
-
     # -- reads --------------------------------------------------------------
 
     def _read(self, indices: Sequence[int], background: bool = False) -> list[int]:
@@ -267,18 +252,13 @@ class Rig:
         return integrate_roi(average_frames(block))
 
     def capture_backgrounds(self) -> list[int]:
-        """Snapshot and cache I_B for all ten sites; sites must be fresh."""
-        if any(s.accumulated_pulses != 0 for s in self.sites):
-            raise ValueError("backgrounds must be captured before any writing")
+        """Snapshot and cache I_B for all ten sites, before any write."""
         self.background_sums = self._read(range(N_WEIGHT_SITES + 1), background=True)
         return list(self.background_sums)
 
-    def read_sites(self, site_indices: Iterable[int]) -> dict[int, int]:
+    def read_sites(self, site_indices: Sequence[int]) -> dict[int, int]:
         """Re-read only the listed sites; updates the cached written sums."""
-        if self.background_sums is None:
-            raise ValueError("capture backgrounds before reading weights")
-        idxs = self._check_indices(site_indices)
-        sums = dict(zip(idxs, self._read(idxs)))
+        sums = dict(zip(site_indices, self._read(site_indices)))
         for i, value in sums.items():
             self.written_sums[i] = value
         return sums
@@ -317,19 +297,12 @@ class Rig:
         return applied
 
     def apply_learning_update(
-        self, site_indices: Iterable[int], direction: str
+        self, site_indices: Sequence[int], direction: str
     ) -> dict[int, int]:
         """Learning packets on the pattern's active sites; returns pulses/site."""
-        if direction == RAISE_OUTPUT:
-            helicity = WRITE
-        elif direction == LOWER_OUTPUT:
-            helicity = ERASE
-        else:
-            raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
-        idxs = self._check_indices(site_indices)
-        if THRESHOLD_SITE in idxs:
-            raise ValueError("learning updates never address the threshold site")
-        return self._write_sites(idxs, helicity, [self.config.learning_packets] * len(idxs))
+        helicity = WRITE if direction == RAISE_OUTPUT else ERASE
+        packets = [self.config.learning_packets] * len(site_indices)
+        return self._write_sites(site_indices, helicity, packets)
 
     def initialize_network(self) -> WeightState:
         """Write pre-weights and threshold from a fresh sample, read all sites.
@@ -401,8 +374,6 @@ class Rig:
         return self.state
 
     def weight_state(self) -> WeightState:
-        if self.background_sums is None or any(v is None for v in self.written_sums):
-            raise ValueError("initialize the network before taking a weight state")
         return WeightState.from_sums(
             self.background_sums[:N_WEIGHT_SITES],
             self.written_sums[:N_WEIGHT_SITES],

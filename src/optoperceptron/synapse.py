@@ -119,8 +119,6 @@ def apply_packet(site: SynapseSite, helicity: str, pulse_count: int) -> SynapseS
     The odometer is floor-clamped at 0 and ceiling-clamped at the site's
     exposure ceiling, then m is recomputed from the response curve.
     """
-    if pulse_count < 0:
-        raise ValueError("pulse_count must be >= 0")
     delta = pulse_count if helicity == WRITE else -pulse_count
     accumulated = min(max(site.accumulated_pulses + delta, 0), site.params.exposure_ceiling)
     return SynapseSite(response_curve(accumulated, site.params), accumulated, site.params)
@@ -139,8 +137,6 @@ def sample_sites(
     ranges apart can still round one site's two to the same pulse count;
     that site would have no response span, and the draw fails naming it.
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
     sites = []
     for index in range(n_sites):
         dead, sat, gain = rng.uniform(-spread, spread, size=3)

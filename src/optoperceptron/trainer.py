@@ -38,8 +38,8 @@ def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
     Only the active inputs are summed, in index order from 0.0. That is
     bit-identical to the full sum of w * x: w * 1 is exact, a skipped
     w * 0 is +-0.0, which leaves a nonzero partial sum unchanged, and a
-    zero partial sum is +0.0 either way because 0.0 + (-0.0) is 0.0. The
-    caller checks the vector's length once per gate read (_read_gate).
+    zero partial sum is +0.0 either way because 0.0 + (-0.0) is 0.0. Both
+    backends build their gate with one entry per input.
     """
     total = 0.0
     for i in pattern.active_indices:
@@ -69,28 +69,13 @@ def update_weights(
     for any other weight, so a raise maps every weight through it only when
     some weight equals 0.0.
     """
-    if direction == RAISE_OUTPUT:
-        step = eta
-    elif direction == LOWER_OUTPUT:
-        step = -eta
-    else:
-        raise ValueError("direction must be RAISE_OUTPUT or LOWER_OUTPUT")
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
+    step = eta if direction == RAISE_OUTPUT else -eta
     updated = list(weights)
     if direction == RAISE_OUTPUT and 0.0 in updated:
         updated = [w + 0.0 for w in updated]
     for i in pattern.active_indices:
         updated[i] += step
     return updated
-
-
-def _read_gate(backend: WeightBackend) -> Sequence[float]:
-    """The backend's gate vector, checked to have one weight per input."""
-    gate = backend.gate()
-    if len(gate) != N_INPUTS:
-        raise ValueError(f"weight vector length {len(gate)} != input length {N_INPUTS}")
-    return gate
 
 
 @dataclass(slots=True)
@@ -225,15 +210,15 @@ def train(
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
     Only an update moves the weights, so they and the backend's gate are
-    read (and the gate's length checked) again after each update alone, and
-    each output is pattern_output of that gate.
+    read again after each update alone, and each output is pattern_output
+    of that gate.
     """
     trace = TrainingTrace()
-    update_of, weights_of = backend.apply_update, backend.weights
+    update_of, gate_of, weights_of = backend.apply_update, backend.gate, backend.weights
     record = trace.rows.append
     target = config.target_class
     threshold = backend.threshold()
-    gate, weights = _read_gate(backend), weights_of()
+    gate, weights = gate_of(), weights_of()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
@@ -246,7 +231,7 @@ def train(
             if action != ACCEPT:
                 clean = False
                 eta, pulses = update_of(pattern, action)
-                gate, weights = _read_gate(backend), weights_of()
+                gate, weights = gate_of(), weights_of()
             record((step, pattern.pattern_id, pattern.class_label, output, threshold,
                     action, eta, pulses, weights))
         if clean:
@@ -277,7 +262,7 @@ def evaluate_patterns(
     backend: WeightBackend, patterns: Sequence[Pattern], target_class: str, threshold: float
 ) -> list[EvalResult]:
     """Read-only pass judging every pattern against the one given threshold."""
-    gate = _read_gate(backend)
+    gate = backend.gate()
     results = []
     for p in patterns:
         output = pattern_output(gate, p)

@@ -29,25 +29,21 @@ class ClampDiagnostics:
 
 
 def extract_weight(
-    background_sum: float,
-    written_sum: float,
-    diagnostics: ClampDiagnostics | None = None,
+    background_sum: float, written_sum: float, diagnostics: ClampDiagnostics
 ) -> float:
     """(I_B - I_W) / I_B, clamped to [0, 1].
 
     Clamping events (noise pushing the raw ratio below 0) are tallied in
-    diagnostics when given; a non-negative written sum keeps it at most 1.
+    diagnostics. The written sum is a sum of counts clipped at 0, so it is
+    never negative and keeps the ratio at most 1.
     """
     if background_sum <= 0:
         raise DegenerateBackgroundError(
             f"background sum must be positive, got {background_sum}"
         )
-    if written_sum < 0:
-        raise ValueError("written sum must be >= 0")
     w = (background_sum - written_sum) / background_sum
     if w < 0.0:
-        if diagnostics is not None:
-            diagnostics.low += 1
+        diagnostics.low += 1
         return 0.0
     return w
 
@@ -86,8 +82,6 @@ class WeightState:
         writtens = tuple(float(v) for v in written_sums)
         threshold_background = float(threshold_background)
         threshold_written = float(threshold_written)
-        if len(backgrounds) != len(writtens):
-            raise ValueError("background and written sums must pair up")
         diagnostics = ClampDiagnostics()
         weights = tuple(
             extract_weight(b, w, diagnostics) for b, w in zip(backgrounds, writtens)

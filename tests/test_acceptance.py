@@ -24,7 +24,7 @@ from optoperceptron.runner import (
 )
 from optoperceptron.synapse import SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
-from optoperceptron.weights import extract_weight
+from optoperceptron.weights import ClampDiagnostics, extract_weight
 from typed_configs import camera_config, optical_constants, site_params, zero_noise
 
 N_SWEEP_SEEDS = 50
@@ -156,7 +156,7 @@ def test_criterion_6_readout_linearity():
     background = roi_sum(0.0)
     worst = 0.0
     for m in np.linspace(0.0, 1.0, 100):
-        recovered = extract_weight(background, roi_sum(float(m)))
+        recovered = extract_weight(background, roi_sum(float(m)), ClampDiagnostics())
         worst = max(worst, abs(recovered - float(m)))
     report(
         "6 readout-linearity",

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from optoperceptron import config
 from optoperceptron.cli import main
 
 EXPECTED_HEADERS = {
@@ -436,3 +442,80 @@ def test_held_out_variant_repeating_a_training_pattern_exit_code(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}")
         assert not out.exists()
+
+
+# -- exit-code fuzz -------------------------------------------------------------
+
+# Sub-ranges of the parser bounds, which keep each fuzzed run short: one
+# epoch, at most two sweep seeds, few packets, and a small sensor (which
+# bounds the readout window) read over few frames.
+FUZZ_SUB_RANGES = {
+    "trainer.max_epochs": (1, 1),
+    "sweep.seeds": (1, 2),
+    "rig.init_weight_packets": (0, 200),
+    "rig.init_threshold_packets": (0, 1000),
+    "rig.learning_packets": (1, 20),
+    "camera.width_px": (1, 256),
+    "camera.height_px": (1, 256),
+    "rig.frames_per_read": (1, 20),
+}
+
+
+def values_within_the_parser_bounds(key, parse):
+    """Config values of one key drawn from its own parser's bounds, read
+    from the closure that config's _int/_float/_choice/_optional build."""
+    cells = parse.__closure__ or ()
+    bound = dict(zip(parse.__code__.co_freevars, (c.cell_contents for c in cells)))
+    if parse is config._bool:
+        return st.sampled_from(["true", "false"])
+    if "options" in bound:
+        return st.sampled_from(bound["options"])
+    if "inner" in bound:
+        return st.just("none") | values_within_the_parser_bounds(key, bound["inner"])
+    if "lo_open" in bound:
+        return st.floats(bound["lo"], bound["hi"], exclude_min=bound["lo_open"]).map(repr)
+    if "lo" in bound:
+        hi = 2**64 if bound["hi"] is None else bound["hi"]
+        lo_sub, hi_sub = FUZZ_SUB_RANGES.get(key, (bound["lo"], hi))
+        assert bound["lo"] <= lo_sub <= hi_sub <= hi
+        return st.integers(lo_sub, hi_sub).map(str)
+    return st.just(config.KEY_TABLE[key].default)  # dataset.bitmaps_file: the builtin bank
+
+
+fuzzed_configs = st.lists(
+    st.sampled_from(sorted(config.KEY_TABLE)).flatmap(
+        lambda key: st.tuples(st.just(key), values_within_the_parser_bounds(key, config.KEY_TABLE[key].parse))
+    ),
+    max_size=8,
+    unique_by=lambda entry: entry[0],
+).map(lambda entries: dict([("trainer.max_epochs", "1"), ("sweep.seeds", "2"), *entries]))
+
+
+# Every length at its smallest float: the 1-px window holds the spot and the
+# sites fit the sensor, but the pixel area rounds to 0 and a render divided
+# by it (ZeroDivisionError, exit 1) before load_config refused it.
+UNDERFLOWING_PIXEL = {
+    key: "5e-324"
+    for key in ("camera.pixel_scale_um", "rig.roi_width_um", "rig.roi_height_um",
+                "rig.spot_diameter_um", "rig.site_spacing_um")
+}
+
+
+@pytest.mark.parametrize("mode", ["simulate", "emulate", "dataset", "energy", "sweep"])
+@settings(max_examples=25, deadline=None)
+@given(values=fuzzed_configs)
+@example(values={"trainer.max_epochs": "1", **UNDERFLOWING_PIXEL})
+def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
+    # the config and the runs' own refusals are the one boundary: whatever
+    # the parsers admit either runs or exits 2, never another exception
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "fuzz.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([mode, "--config", str(cfg), "--out", str(Path(work) / "o")])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("configuration error: ")
+    else:
+        json.loads(out.getvalue())

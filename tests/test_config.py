@@ -1,17 +1,20 @@
 import ast
 import dataclasses
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import optoperceptron
+from optoperceptron import config
 from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.errors import ConfigurationError
-from optoperceptron.optics import CameraConfig, OpticalConstants
+from optoperceptron.optics import CameraConfig, OpticalConstants, pgm_image
 from optoperceptron.patterns import DEFAULT_BITMAPS
 from optoperceptron.rig import EnergyLedger, Rig, RigConfig, ShutterModel
+from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.synapse import InhomogeneityParams
 from optoperceptron.trainer import TrainerConfig
 
@@ -169,6 +172,89 @@ def test_spot_without_area_refused(diameter):
     # the open lower bound is the only check that a written spot has an area
     with pytest.raises(ConfigurationError, match=r"rig\.spot_diameter_um: -?[01]\.0 must be above"):
         load_config(overrides={"rig.spot_diameter_um": diameter})
+
+
+# -- memory budget: the refusal tests only load the config, so none allocates a block
+
+def test_read_block_over_the_memory_budget_is_refused():
+    # a 16000 x 16000 sensor at 0.01 um per pixel holds a 1650 x 1550 px window
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(overrides={
+            "camera.pixel_scale_um": "0.01", "camera.width_px": "16000", "camera.height_px": "16000",
+        })
+    assert str(exc.value) == (
+        "a read of 10 sites x 10 frames (rig.frames_per_read) of the 1650x1550 px window "
+        "(rig.roi_*_um / camera.pixel_scale_um) needs 2046000000 B, over the 134217728 B budget"
+    )
+
+
+def test_memory_budget_admits_the_last_read_block_under_it():
+    # a 160 x 128 px window reads 10 x 20480 px x 8 B = 1638400 B per frame
+    window = {"rig.roi_width_um": "160", "rig.roi_height_um": "128"}
+    assert load_config(overrides={**window, "rig.frames_per_read": "81"})
+    with pytest.raises(ConfigurationError, match="needs 134348800 B, over the 134217728 B budget"):
+        load_config(overrides={**window, "rig.frames_per_read": "82"})
+    assert 10 * 1000 * 17 * 16 * 8 <= config.MEMORY_BUDGET_BYTES  # 1000 frames of the default window
+
+
+def test_full_frame_render_over_the_budget_is_refused_only_when_dumped():
+    # 64 B per sensor pixel: 2048 x 1024 px is exactly the budget
+    assert load_config(overrides={
+        "camera.width_px": "2048", "camera.height_px": "1024", "run.dump_frames": "true",
+    })
+    big = {"camera.width_px": "2048", "camera.height_px": "1025"}
+    assert load_config(overrides=big)
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(overrides={**big, "run.dump_frames": "true"})
+    assert str(exc.value) == (
+        "the run.dump_frames render of the 2048x1025 px sensor (camera.width_px x camera.height_px) "
+        "needs 134348800 B, over the 134217728 B budget"
+    )
+
+
+def test_memory_budget_keeps_every_roi_sum_exact():
+    # an admitted read block holds at most budget / 80 B window pixels, each
+    # at most the 32-bit full well: integrate_roi's int64 sums stay below
+    # 2**53, so they neither wrap nor round when WeightState takes them as floats
+    largest_window_px = config.MEMORY_BUDGET_BYTES // (10 * 1 * 8)  # 10 sites x 1 frame x 8 B
+    assert largest_window_px * (2**32 - 1) < 2**53 < 2**63
+
+
+def test_full_frame_render_allocates_at_most_its_stated_bytes_per_pixel():
+    # the budget charges a full frame FULL_FRAME_BYTES_PER_PX per sensor pixel
+    cfg = load_config(overrides={"camera.width_px": "500", "camera.height_px": "400"})
+    rig = build_rig(cfg, make_streams(7))
+    tracemalloc.start()
+    try:
+        pgm_image(*rig.full_frame(), rig.sensor_camera)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= config.FULL_FRAME_BYTES_PER_PX * 500 * 400
+
+
+def test_pixel_area_that_rounds_to_zero_is_refused():
+    with pytest.raises(ConfigurationError, match="camera.pixel_scale_um 1e-200 is too small"):
+        load_config(overrides={"camera.pixel_scale_um": "1e-200", "rig.roi_width_um": "1e-200",
+                               "rig.roi_height_um": "1e-200"})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("run.seed", "-1"),  # Pcg64 and SeedSequence take seeds >= 0
+        ("trainer.eta_fixed", "0"),  # update_weights moves by a positive eta
+        ("rig.frames_per_read", "0"),  # expose_frames renders at least one frame
+        ("rig.learning_packets", "0"),
+        ("shutter.nominal_packet_pulses", "0"),  # shutter_pulses' counts
+        ("shutter.repetition_rate_hz", "0.5"),
+        ("energy.write_power_uw", "-1"),  # the ledger bills energies >= 0
+        ("energy.read_nj", "-1"),
+    ],
+)
+def test_key_bounds_that_the_runs_rely_on(key, value):
+    with pytest.raises(ConfigurationError, match=f"override: {key}: "):
+        load_config(overrides={key: value})
 
 
 def test_open_lower_bound_says_the_value_must_be_above_it():

@@ -1,6 +1,8 @@
 """Hot-path guards.
 
-The code run once per trainer step or per packet builds no class instance.
+The code run once per trainer step or per packet builds no class instance,
+an exception included: what it could check, the config and its callers
+guarantee (``tests/test_layering.py``).
 A trainer step is one plain tuple, and a ``StepRecord`` is built only when
 a caller reads ``trace.steps``. The step loop computes each output itself,
 as ``pattern_output`` of the backend's gate vector, with no backend call
@@ -55,13 +57,9 @@ def train_step_loop() -> ast.For:
 
 def called_classes(node: ast.AST, module: str) -> list[str]:
     """Calls under node whose callee resolves, against the builtins and the
-    module's names, to a class; the exception a raise builds is not counted."""
+    module's names, to a class (an exception a raise builds counts too)."""
     names = {**vars(builtins), **vars(importlib.import_module(f"optoperceptron.{module}"))}
-    raised = {id(n) for r in ast.walk(node) if isinstance(r, ast.Raise) for n in ast.walk(r)}
-    called = [
-        ast.unparse(n.func) for n in ast.walk(node)
-        if isinstance(n, ast.Call) and id(n) not in raised
-    ]
+    called = [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
     return [name for name in called if isinstance(names.get(name), type)]
 
 

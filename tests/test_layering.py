@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import optoperceptron
+from optoperceptron import errors
 
 PACKAGE = Path(optoperceptron.__file__).parent
 PHYSICS = ("optics", "synapse", "weights", "trainer", "patterns", "rig")
@@ -93,3 +94,37 @@ def test_numpy_loads_only_where_a_run_draws_or_renders(tmp_path, args, code, loa
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
+
+
+# Where a ValueError other than a ConfigurationError may be raised: config's
+# value parsers (load_config names the line and key of what they refuse) and
+# expose_frames' noise-shape check, which ties the noise block to n_frames.
+PLAIN_VALUE_ERRORS = {
+    ("config", "_bool"), ("config", "_int"), ("config", "_float"), ("config", "_choice"),
+    ("optics", "expose_frames"),
+}
+
+
+def raises(module: str):
+    """(enclosing top-level name, raised name, line) of each raise in a module."""
+    for top in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                yield getattr(top, "name", None), getattr(exc, "id", None), node.lineno
+
+
+def test_only_configuration_errors_are_raised_past_the_parsers():
+    # the config and the runs' own refusals are checked once, where they
+    # enter; everything below relies on what they guarantee
+    offending, allowed_seen = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, name, line in raises(path.stem):
+            if (path.stem, scope) in PLAIN_VALUE_ERRORS:
+                allowed_seen.add((path.stem, scope))
+                continue
+            raised = getattr(errors, str(name), None)
+            if not (isinstance(raised, type) and issubclass(raised, errors.ConfigurationError)):
+                offending.append(f"{path.name}:{line} in {scope} raises {name}")
+    assert offending == []
+    assert allowed_seen == PLAIN_VALUE_ERRORS

@@ -182,12 +182,6 @@ def test_average_two_frames():
     assert np.all(average_frames(stack) == 150)
 
 
-def test_average_rejects_mismatched_dimensions():
-    counts, _ = render([], window_camera())
-    with pytest.raises(ValueError):
-        average_frames(counts[0])  # one frame, not a (frames, h, w) stack
-
-
 def test_ten_frame_average_reduces_noise():
     sigma = 8.0
     camera = camera_config(width_px=128, height_px=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)

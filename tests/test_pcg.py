@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -16,10 +15,3 @@ def test_stream_draws_numpys_first_child_values(seed, n):
     stream = Pcg64(seed)
     reference = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).random(n).tolist()
     assert [stream.random().hex() for _ in range(n)] == [u.hex() for u in reference]
-
-
-def test_negative_seed_is_refused_as_numpy_refuses_it():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(-1)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        Pcg64(-1)

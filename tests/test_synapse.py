@@ -129,11 +129,6 @@ def test_written_fraction_stays_in_unit_interval(packets):
         assert 0 <= site.accumulated_pulses <= site.params.exposure_ceiling
 
 
-def test_negative_pulse_count_rejected():
-    with pytest.raises(ValueError):
-        apply_packet(fresh_site(NOMINAL), WRITE, -1)
-
-
 def test_sample_sites_zero_spread_is_nominal():
     sites = sample_sites(np.random.default_rng(1), 9, 0.0, NOMINAL)
     assert all(p == NOMINAL for p in sites)
