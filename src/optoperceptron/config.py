@@ -359,11 +359,12 @@ def _cross_validate(values: dict[str, object]) -> None:
     roi_px_h = values["rig.roi_height_um"] / scale
     if roi_px_w > values["camera.width_px"] or roi_px_h > values["camera.height_px"]:
         raise ConfigurationError("the readout window exceeds the sensor size")
-    # Rig.__init__'s window; a read renders its frames of all ten sites into one float64 block
+    # Rig.__init__'s window; a read renders its frames of all ten sites into one float64
+    # block, and average_frames adds a float64 sum and an int64 copy of one frame per site
     win_w, win_h = max(1, int(roi_px_w + 0.5)), max(1, int(roi_px_h + 0.5))
     frames = values["rig.frames_per_read"]
     blocks = [(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
-               "px window (rig.roi_*_um / camera.pixel_scale_um)", 10 * frames * win_w * win_h * 8)]
+               "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)]
     if values["run.dump_frames"]:
         w, h = values["camera.width_px"], values["camera.height_px"]
         blocks.append((f"the run.dump_frames render of the {w}x{h} px sensor "

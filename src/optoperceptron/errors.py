@@ -6,5 +6,6 @@ class ConfigurationError(ValueError):
 
 
 class DegenerateBackgroundError(ConfigurationError):
-    """A background read cannot reference a weight: its sum is zero or
-    negative (dead readout region), or its frames clipped at the full well."""
+    """A background read cannot reference a weight: its frames clipped at the
+    full well, or its sum is zero or negative (dead readout region). Raised
+    only by Rig.capture_backgrounds, before the first write."""

@@ -228,37 +228,51 @@ class Rig:
 
     # -- reads --------------------------------------------------------------
 
-    def _read(self, indices: Sequence[int], background: bool = False) -> list[int]:
-        """Ten-frame averaged ROI sums of the listed sites, one read event each.
+    def _read(self, indices: Sequence[int]) -> tuple[list[int], list[bool]]:
+        """Ten-frame averaged ROI sums of the listed sites, one read event
+        each, and per site whether any of its frames clipped at the full well.
 
         One read-noise draw covers every frame of every listed site. Each
         site is rendered into its slice of that block, and the block is
-        averaged and integrated at once. A background read whose frames
-        clipped at the full well cannot reference a weight, so it fails the
-        run, naming the first such site in the listed order.
+        averaged and integrated at once.
         """
         camera = self.window_camera
         n_frames = self.config.frames_per_read
         block = draw_read_noise(self.camera_rng, camera, len(indices), n_frames)
         sites, mask, constants = self.sites, self._window_mask, self.constants
-        for i, noise in zip(indices, block):
-            _, clipped = expose_frames(n_frames, [(sites[i], mask)], constants, camera, noise)
-            if background and clipped:
-                raise DegenerateBackgroundError(
-                    f"background read of site {SITE_LABELS[i]} clipped at the "
-                    f"{camera.bit_depth}-bit full well {camera.full_well}"
-                )
+        clipped = [
+            expose_frames(n_frames, [(sites[i], mask)], constants, camera, noise)[1]
+            for i, noise in zip(indices, block)
+        ]
         self.ledger.add_reads([SITE_LABELS[i] for i in indices])
-        return integrate_roi(average_frames(block))
+        return integrate_roi(average_frames(block)), clipped
 
     def capture_backgrounds(self) -> list[int]:
-        """Snapshot and cache I_B for all ten sites, before any write."""
-        self.background_sums = self._read(range(N_WEIGHT_SITES + 1), background=True)
-        return list(self.background_sums)
+        """Snapshot and cache I_B for all ten sites, before any write.
+
+        This is the one place a background is judged. One that clipped at the
+        full well, or that sums to 0 or less, cannot reference a weight, so
+        it fails the run: the first clipped site in site order, else the
+        first site summing to 0 or less. Every cached background is > 0.
+        """
+        sums, clipped = self._read(range(N_WEIGHT_SITES + 1))
+        camera = self.window_camera
+        if True in clipped:
+            raise DegenerateBackgroundError(
+                f"background read of site {SITE_LABELS[clipped.index(True)]} clipped at the "
+                f"{camera.bit_depth}-bit full well {camera.full_well}"
+            )
+        for label, total in zip(SITE_LABELS, sums):
+            if total <= 0:
+                raise DegenerateBackgroundError(
+                    f"background read of site {label}: background sum must be positive, got {total}"
+                )
+        self.background_sums = sums
+        return list(sums)
 
     def read_sites(self, site_indices: Sequence[int]) -> dict[int, int]:
         """Re-read only the listed sites; updates the cached written sums."""
-        sums = dict(zip(site_indices, self._read(site_indices)))
+        sums = dict(zip(site_indices, self._read(site_indices)[0]))
         for i, value in sums.items():
             self.written_sums[i] = value
         return sums
@@ -312,8 +326,7 @@ class Rig:
         (with defaults), and a full read returns the initial state. A
         threshold read <= 0 judges no pattern, so it fails the run.
         """
-        if self.background_sums is None:
-            self.capture_backgrounds()
+        self.capture_backgrounds()
         budgets = [self.config.init_weight_packets] * N_WEIGHT_SITES
         budgets.append(self.config.init_threshold_packets)
         self._write_sites(range(N_WEIGHT_SITES + 1), WRITE, budgets)

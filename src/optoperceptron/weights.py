@@ -4,57 +4,42 @@ A network weight is the fractional darkening of a readout region relative to
 its cached background: w = (I_B - I_W) / I_B. On the raw count scale each
 site contributes I_B - I_W; the input gate is trainer.pattern_output, which
 adds the contributions of the active inputs only (an inactive input reads
-B - B = 0).
+B - B = 0). This module is arithmetic only: every background it is given is
+> 0, because Rig.capture_backgrounds refuses any other before the first write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DegenerateBackgroundError
-
 
 @dataclass
 class ClampDiagnostics:
-    """Counts of weight values pushed back into [0, 1] by noise. Only low
-    counts: with b > 0 and w >= 0, (b - w) / b rounds to at most 1.0, so high
-    stays 0; weight_state.json prints it as clamped_high and total sums it."""
+    """Counts of weight values pushed below 0 by noise and clamped to 0. None
+    is pushed above 1: with b > 0 and w >= 0, (b - w) / b rounds to at most
+    1.0, so weight_state.json prints clamped_high as 0."""
 
     low: int = 0
-    high: int = 0
 
     @property
     def total(self) -> int:
-        return self.low + self.high
+        return self.low
 
 
 def extract_weight(
     background_sum: float, written_sum: float, diagnostics: ClampDiagnostics
 ) -> float:
-    """(I_B - I_W) / I_B, clamped to [0, 1].
+    """(I_B - I_W) / I_B, clamped to [0, 1], for a background sum > 0.
 
     Clamping events (noise pushing the raw ratio below 0) are tallied in
     diagnostics. The written sum is a sum of counts clipped at 0, so it is
     never negative and keeps the ratio at most 1.
     """
-    if background_sum <= 0:
-        raise DegenerateBackgroundError(
-            f"background sum must be positive, got {background_sum}"
-        )
     w = (background_sum - written_sum) / background_sum
     if w < 0.0:
         diagnostics.low += 1
         return 0.0
     return w
-
-
-def extract_threshold(threshold_background_sum: float, threshold_written_sum: float) -> float:
-    """Classification threshold on the same counts scale as gated inputs."""
-    if threshold_background_sum <= 0:
-        raise DegenerateBackgroundError(
-            f"threshold background sum must be positive, got {threshold_background_sum}"
-        )
-    return threshold_background_sum - threshold_written_sum
 
 
 @dataclass
@@ -66,7 +51,7 @@ class WeightState:
     weights: tuple[float, ...]
     threshold_background: float
     threshold_written: float
-    threshold: float
+    threshold: float  # on the same counts scale as the gated inputs
     contributions: tuple[float, ...]  # I_B - I_W per site, unclamped
     clamp_diagnostics: ClampDiagnostics = field(default_factory=ClampDiagnostics)
 
@@ -86,7 +71,6 @@ class WeightState:
         weights = tuple(
             extract_weight(b, w, diagnostics) for b, w in zip(backgrounds, writtens)
         )
-        # extract_weight has rejected every b <= 0 of these pairs already.
         contributions = tuple(b - w for b, w in zip(backgrounds, writtens))
         return cls(
             background_sums=backgrounds,
@@ -94,7 +78,7 @@ class WeightState:
             weights=weights,
             threshold_background=threshold_background,
             threshold_written=threshold_written,
-            threshold=extract_threshold(threshold_background, threshold_written),
+            threshold=threshold_background - threshold_written,
             contributions=contributions,
             clamp_diagnostics=diagnostics,
         )
@@ -108,5 +92,5 @@ class WeightState:
             "threshold_written": self.threshold_written,
             "threshold": self.threshold,
             "clamped_low": self.clamp_diagnostics.low,
-            "clamped_high": self.clamp_diagnostics.high,
+            "clamped_high": 0,
         }

@@ -184,17 +184,17 @@ def test_read_block_over_the_memory_budget_is_refused():
         })
     assert str(exc.value) == (
         "a read of 10 sites x 10 frames (rig.frames_per_read) of the 1650x1550 px window "
-        "(rig.roi_*_um / camera.pixel_scale_um) needs 2046000000 B, over the 134217728 B budget"
+        "(rig.roi_*_um / camera.pixel_scale_um) needs 2455200000 B, over the 134217728 B budget"
     )
 
 
 def test_memory_budget_admits_the_last_read_block_under_it():
-    # a 160 x 128 px window reads 10 x 20480 px x 8 B = 1638400 B per frame
+    # a 160 x 128 px window reads (10 x frames + 20) x 20480 px x 8 B
     window = {"rig.roi_width_um": "160", "rig.roi_height_um": "128"}
-    assert load_config(overrides={**window, "rig.frames_per_read": "81"})
+    assert load_config(overrides={**window, "rig.frames_per_read": "79"})
     with pytest.raises(ConfigurationError, match="needs 134348800 B, over the 134217728 B budget"):
-        load_config(overrides={**window, "rig.frames_per_read": "82"})
-    assert 10 * 1000 * 17 * 16 * 8 <= config.MEMORY_BUDGET_BYTES  # 1000 frames of the default window
+        load_config(overrides={**window, "rig.frames_per_read": "80"})
+    assert (10 * 1000 + 20) * 17 * 16 * 8 <= config.MEMORY_BUDGET_BYTES  # 1000 frames, default window
 
 
 def test_full_frame_render_over_the_budget_is_refused_only_when_dumped():
@@ -213,10 +213,10 @@ def test_full_frame_render_over_the_budget_is_refused_only_when_dumped():
 
 
 def test_memory_budget_keeps_every_roi_sum_exact():
-    # an admitted read block holds at most budget / 80 B window pixels, each
+    # an admitted read holds at most budget / 240 B window pixels, each
     # at most the 32-bit full well: integrate_roi's int64 sums stay below
     # 2**53, so they neither wrap nor round when WeightState takes them as floats
-    largest_window_px = config.MEMORY_BUDGET_BYTES // (10 * 1 * 8)  # 10 sites x 1 frame x 8 B
+    largest_window_px = config.MEMORY_BUDGET_BYTES // ((10 * 1 + 20) * 8)  # 1 frame a read
     assert largest_window_px * (2**32 - 1) < 2**53 < 2**63
 
 
@@ -231,6 +231,27 @@ def test_full_frame_render_allocates_at_most_its_stated_bytes_per_pixel():
     finally:
         tracemalloc.stop()
     assert peak <= config.FULL_FRAME_BYTES_PER_PX * 500 * 400
+
+
+@pytest.mark.parametrize("frames", [1, 10])
+def test_site_read_allocates_at_most_its_charge(monkeypatch, frames):
+    # a read holds the ten sites' float64 frame block, then average_frames'
+    # float64 sum and int64 copy of one frame per site; 4 KiB covers the
+    # read's small Python objects. A zero budget makes the config name its charge.
+    overrides = {"rig.frames_per_read": str(frames)}
+    with monkeypatch.context() as patched:
+        patched.setattr(config, "MEMORY_BUDGET_BYTES", 0)
+        with pytest.raises(ConfigurationError, match="a read of 10 sites") as exc:
+            load_config(overrides=overrides)
+    charge = int(str(exc.value).split(" needs ")[1].split(" B,")[0])
+    rig = build_rig(load_config(overrides=overrides), make_streams(7))
+    tracemalloc.start()
+    try:
+        rig._read(range(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge + 4096
 
 
 def test_pixel_area_that_rounds_to_zero_is_refused():

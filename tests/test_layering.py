@@ -128,3 +128,14 @@ def test_only_configuration_errors_are_raised_past_the_parsers():
                 offending.append(f"{path.name}:{line} in {scope} raises {name}")
     assert offending == []
     assert allowed_seen == PLAIN_VALUE_ERRORS
+
+
+def test_backgrounds_are_judged_only_where_they_are_captured():
+    # weights is arithmetic on the backgrounds Rig.capture_backgrounds admitted
+    assert "errors" not in imported_modules("weights")
+    assert list(raises("weights")) == []
+    raisers = {
+        path.stem for path in PACKAGE.glob("*.py")
+        for _, name, _ in raises(path.stem) if name == "DegenerateBackgroundError"
+    }
+    assert raisers == {"rig"}

@@ -499,6 +499,17 @@ def test_clipped_background_names_the_first_clipped_site():
         rig.capture_backgrounds()
 
 
+def test_dead_background_is_refused_at_its_capture_before_any_write():
+    # noiseless, no dark level, almost no light: every background sums to 0
+    cfg = load_config(overrides={
+        "camera.dark_offset": "0", "camera.read_noise": "0", "optics.intensity_in": "1e-3",
+    })
+    rig = build_rig(cfg, make_streams(7))
+    with pytest.raises(DegenerateBackgroundError, match="site w1: background sum must be positive"):
+        rig.initialize_network()
+    assert rig.ledger.ops == [("read", list(SITE_LABELS))]
+
+
 def per_site_writes(rig, indices, helicity, n_packets):
     """Each site's packets from its own shutter draw; returns pulses/site."""
     applied = {}
