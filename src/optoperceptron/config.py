@@ -185,8 +185,8 @@ class RunConfig:
     """Fully resolved run configuration plus derived typed objects.
 
     The accessors below are the only builders of the typed configs, which
-    carry no defaults or checks of their own: KEY_TABLE and _cross_validate
-    own every default and bound."""
+    carry no defaults or checks of their own: KEY_TABLE, _cross_validate and
+    check_rig own every default and bound."""
 
     values: dict[str, object]
     bitmaps: dict[str, tuple[str, str, str]]
@@ -264,6 +264,52 @@ class RunConfig:
             site_spacing_um=self["rig.site_spacing_um"],
         )
 
+    def check_rig(self) -> None:
+        """Judge the keys only the rig reads. runner.build_rig calls this before it draws or
+        allocates, so only a mode that builds a rig (emulate, energy, an emulate sweep) refuses them."""
+        values = self.values
+        if values["synapse.saturation_pulses"] <= values["synapse.dead_zone_pulses"]:
+            raise ConfigurationError("synapse.saturation_pulses must exceed synapse.dead_zone_pulses")
+        if values["shutter.open_time_min_ms"] > values["shutter.open_time_max_ms"]:
+            raise ConfigurationError("shutter.open_time_min_ms must be <= open_time_max_ms")
+        spread = values["synapse.site_spread"]
+        dead = values["synapse.dead_zone_pulses"]
+        sat = values["synapse.saturation_pulses"]
+        if dead * (1 + spread) >= sat * (1 - spread):
+            raise ConfigurationError(f"synapse.site_spread {spread} lets a dead zone reach the saturation knee")
+        camera = self.camera_config()
+        scale = camera.pixel_scale_um
+        if camera.pixel_area == 0.0:  # counts are light density over the pixel area
+            raise ConfigurationError(f"camera.pixel_scale_um {scale!r} is too small: its area rounds to 0")
+        roi_w, roi_h = values["rig.roi_width_um"], values["rig.roi_height_um"]
+        if roi_w / scale > camera.width or roi_h / scale > camera.height:
+            raise ConfigurationError("the readout window exceeds the sensor size")
+        # a read renders its frames of all ten sites into Rig.__init__'s window as one float64
+        # block, and average_frames adds a float64 sum and an int64 copy of one frame per site
+        window = camera.window(roi_w, roi_h)
+        frames, win_w, win_h = values["rig.frames_per_read"], window.width, window.height
+        blocks = [(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
+                   "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)]
+        if values["run.dump_frames"]:
+            w, h = camera.width, camera.height
+            blocks.append((f"the run.dump_frames render of the {w}x{h} px sensor "
+                           "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h))
+        for what, size in blocks:
+            if size > MEMORY_BUDGET_BYTES:
+                raise ConfigurationError(f"{what} needs {size} B, over the {MEMORY_BUDGET_BYTES} B budget")
+        if camera.dark_offset >= camera.full_well:
+            raise ConfigurationError(
+                f"camera.dark_offset {camera.dark_offset} reaches the "
+                f"{camera.bit_depth}-bit full well {camera.full_well}: every read would clip"
+            )
+        if values["energy.spot_small_um"] > values["energy.spot_large_um"]:
+            raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
+        # a spot bills (d / waist)^2 of a pulse, so a wider one would bill more than it
+        waist = values["energy.waist_um"]
+        for key in ("rig.spot_diameter_um", "energy.spot_large_um"):
+            if values[key] > waist:
+                raise ConfigurationError(f"{key} {values[key]} exceeds energy.waist_um {waist}")
+
     def per_read_j(self) -> float:
         return nanojoules(self["energy.read_nj"])
 
@@ -339,49 +385,3 @@ def _cross_validate(values: dict[str, object]) -> None:
             f"trainer.eta_max {values['trainer.eta_max']!r} is too small: "
             "the smallest learning rate, eta_max * 2**-53, rounds to 0"
         )
-    if values["synapse.saturation_pulses"] <= values["synapse.dead_zone_pulses"]:
-        raise ConfigurationError(
-            "synapse.saturation_pulses must exceed synapse.dead_zone_pulses"
-        )
-    if values["shutter.open_time_min_ms"] > values["shutter.open_time_max_ms"]:
-        raise ConfigurationError("shutter.open_time_min_ms must be <= open_time_max_ms")
-    spread = values["synapse.site_spread"]
-    dead = values["synapse.dead_zone_pulses"]
-    sat = values["synapse.saturation_pulses"]
-    if dead * (1 + spread) >= sat * (1 - spread):
-        raise ConfigurationError(
-            f"synapse.site_spread {spread} lets a dead zone reach the saturation knee"
-        )
-    scale = values["camera.pixel_scale_um"]
-    if scale * scale == 0.0:  # counts are light density over the pixel area
-        raise ConfigurationError(f"camera.pixel_scale_um {scale!r} is too small: its area rounds to 0")
-    roi_px_w = values["rig.roi_width_um"] / scale
-    roi_px_h = values["rig.roi_height_um"] / scale
-    if roi_px_w > values["camera.width_px"] or roi_px_h > values["camera.height_px"]:
-        raise ConfigurationError("the readout window exceeds the sensor size")
-    # Rig.__init__'s window; a read renders its frames of all ten sites into one float64
-    # block, and average_frames adds a float64 sum and an int64 copy of one frame per site
-    win_w, win_h = max(1, int(roi_px_w + 0.5)), max(1, int(roi_px_h + 0.5))
-    frames = values["rig.frames_per_read"]
-    blocks = [(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
-               "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)]
-    if values["run.dump_frames"]:
-        w, h = values["camera.width_px"], values["camera.height_px"]
-        blocks.append((f"the run.dump_frames render of the {w}x{h} px sensor "
-                       "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h))
-    for what, size in blocks:
-        if size > MEMORY_BUDGET_BYTES:
-            raise ConfigurationError(f"{what} needs {size} B, over the {MEMORY_BUDGET_BYTES} B budget")
-    full_well = 2 ** values["camera.bit_depth"] - 1
-    if values["camera.dark_offset"] >= full_well:
-        raise ConfigurationError(
-            f"camera.dark_offset {values['camera.dark_offset']} reaches the "
-            f"{values['camera.bit_depth']}-bit full well {full_well}: every read would clip"
-        )
-    if values["energy.spot_small_um"] > values["energy.spot_large_um"]:
-        raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
-    # a spot bills (d / waist)^2 of a pulse, so a wider one would bill more than it
-    waist = values["energy.waist_um"]
-    for key in ("rig.spot_diameter_um", "energy.spot_large_um"):
-        if values[key] > waist:
-            raise ConfigurationError(f"{key} {values[key]} exceeds energy.waist_um {waist}")

@@ -12,7 +12,7 @@ which reduce the trailing axes and so serve one read or several at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,11 @@ class CameraConfig:
     @property
     def full_well(self) -> int:
         return (1 << self.bit_depth) - 1
+
+    def window(self, width_um: float, height_um: float) -> CameraConfig:
+        """This camera cropped to a sample-plane window, each side rounded to whole pixels, at least one."""
+        width, height = (max(1, int(um / self.pixel_scale_um + 0.5)) for um in (width_um, height_um))
+        return replace(self, width=width, height=height)
 
     def in_field(self, x_um: float, y_um: float) -> bool:
         """Whether a sample-plane point lies on the sensor."""

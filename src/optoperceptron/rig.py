@@ -13,7 +13,7 @@ current weight state and, when asked, keeps a snapshot of every state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -204,17 +204,14 @@ class Rig:
         # Per-site readout window: the ROI, spot centered. All sites share
         # the window geometry, so one mask serves every read.
         scale = camera.pixel_scale_um
-        win_w = max(1, int(rig_config.roi_width_um / scale + 0.5))
-        win_h = max(1, int(rig_config.roi_height_um / scale + 0.5))
-        self.window_camera = replace(camera, width=win_w, height=win_h)
+        self.window_camera = window = camera.window(rig_config.roi_width_um, rig_config.roi_height_um)
         self._window_mask = spot_pixel_mask(
-            win_w * scale / 2.0, win_h * scale / 2.0, rig_config.spot_diameter_um,
-            self.window_camera,
+            window.width * scale / 2.0, window.height * scale / 2.0, rig_config.spot_diameter_um, window,
         )
         if not self._window_mask.any():
             raise ConfigurationError(
                 f"a {rig_config.spot_diameter_um} um spot covers no pixel center of the "
-                f"{win_w}x{win_h} readout window at {scale} um per pixel, so no read "
+                f"{window.width}x{window.height} readout window at {scale} um per pixel, so no read "
                 "could see a weight; increase rig.spot_diameter_um"
             )
 

@@ -68,6 +68,7 @@ def make_streams(seed: int) -> Streams:
 def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
     from .rig import N_WEIGHT_SITES, Rig
 
+    cfg.check_rig()
     site_params = sample_sites(
         streams.sites,
         N_WEIGHT_SITES + 1,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -116,6 +117,43 @@ def test_sweep_mode(tmp_path):
     assert lines[2].startswith("100,")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seeds"] == 5
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_artifact_rows():
+    """(file names, modes cell) of each row of README's artifact table."""
+    table = README.read_text(encoding="utf-8").split("| file | modes | content |\n")[1].split("\n\n")[0]
+    for line in table.splitlines()[1:]:
+        files, modes, _ = line.strip("|").split(" | ", 2)
+        yield re.findall(r"`([^`]+)`", files), modes.strip()
+
+
+def readme_lists(modes: str, mode: str, flags: tuple) -> bool:
+    """Whether a modes cell ("all", "emulate, energy", "emulate `--frames`") covers a run."""
+    if modes == "all":
+        return True
+    for entry in modes.split(", "):
+        name, *needed = entry.split()
+        if name == mode and {flag.strip("`") for flag in needed} <= set(flags):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "mode, flags",
+    [("simulate", ()), ("emulate", ()), ("emulate", ("--verbose", "--frames")),
+     ("dataset", ()), ("energy", ()), ("sweep", ())],
+)
+def test_each_mode_writes_the_files_the_readme_lists(tmp_path, capsys, mode, flags):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("trainer.max_epochs = 2\nsweep.seeds = 2\n")
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--seed", "7", "--out", str(out), *flags]) == 0
+    rows = readme_artifact_rows()
+    listed = {name for names, modes in rows if readme_lists(modes, mode, flags) for name in names}
+    assert sorted(path.name for path in out.iterdir()) == sorted(listed)
 
 
 @pytest.mark.parametrize("mode", ["simulate", "dataset", "energy", "sweep"])
@@ -416,6 +454,81 @@ def test_threshold_reading_zero_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+# One config per relation between keys that only the rig reads, with the
+# refusal it gets where a rig is built.
+RIG_ONLY_RELATIONS = {
+    "saturation": (
+        "synapse.dead_zone_pulses = 700\n",
+        "synapse.saturation_pulses must exceed synapse.dead_zone_pulses",
+    ),
+    "shutter-window": (
+        "shutter.open_time_min_ms = 30\n",
+        "shutter.open_time_min_ms must be <= open_time_max_ms",
+    ),
+    "spread-knee": (
+        "synapse.site_spread = 0.5\n",
+        "synapse.site_spread 0.5 lets a dead zone reach the saturation knee",
+    ),
+    "pixel-area": (
+        "camera.pixel_scale_um = 1e-200\n",
+        "camera.pixel_scale_um 1e-200 is too small: its area rounds to 0",
+    ),
+    "roi-vs-sensor": ("rig.roi_width_um = 500\n", "the readout window exceeds the sensor size"),
+    "read-block": (
+        "camera.pixel_scale_um = 0.01\ncamera.width_px = 16000\ncamera.height_px = 16000\n",
+        "a read of 10 sites x 10 frames (rig.frames_per_read) of the 1650x1550 px window "
+        "(rig.roi_*_um / camera.pixel_scale_um) needs 2455200000 B, over the 134217728 B budget",
+    ),
+    "dumped-frame": (
+        "camera.width_px = 4000\ncamera.height_px = 4000\nrun.dump_frames = true\n",
+        "the run.dump_frames render of the 4000x4000 px sensor (camera.width_px x camera.height_px) "
+        "needs 1024000000 B, over the 134217728 B budget",
+    ),
+    "dark-offset": (
+        "camera.dark_offset = 70000\n",
+        "camera.dark_offset 70000.0 reaches the 16-bit full well 65535: every read would clip",
+    ),
+    "reference-spots": (
+        "energy.spot_small_um = 50\n",
+        "energy.spot_small_um must be <= energy.spot_large_um",
+    ),
+    "spot-vs-waist": (
+        "rig.spot_diameter_um = 200\n",
+        "rig.spot_diameter_um 200.0 exceeds energy.waist_um 100.0",
+    ),
+}
+
+
+def run_cli(tmp_path, mode, config_text):
+    """main(mode) on a config file of the given text, into tmp_path/o."""
+    cfg = tmp_path / "rig-only.cfg"
+    cfg.write_text(config_text)
+    return main([mode, "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("relation", sorted(RIG_ONLY_RELATIONS))
+@pytest.mark.parametrize("mode, sweep_mode", [("simulate", ""), ("dataset", ""), ("sweep", "simulate")])
+def test_rig_only_relation_leaves_a_mode_without_a_rig_running(tmp_path, capsys, mode, sweep_mode, relation):
+    # none of these modes reads a rig key, so none is refused for one
+    config_text = RIG_ONLY_RELATIONS[relation][0]
+    if sweep_mode:
+        config_text += f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n"
+    assert run_cli(tmp_path, mode, config_text) == 0
+    assert (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("relation", sorted(RIG_ONLY_RELATIONS))
+@pytest.mark.parametrize("mode, sweep_mode", [("emulate", ""), ("energy", ""), ("sweep", "emulate")])
+def test_rig_only_relation_refuses_a_mode_that_builds_a_rig(tmp_path, capsys, mode, sweep_mode, relation):
+    # the check runs where the rig is built, before any draw or output
+    config_text, message = RIG_ONLY_RELATIONS[relation]
+    if sweep_mode:
+        config_text += f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n"
+    assert run_cli(tmp_path, mode, config_text) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 OVERLAPPING_BITMAPS = [
     # z's held-out variant flips its second input: 100 -> 110, which is v's ideal
     (
@@ -493,7 +606,7 @@ fuzzed_configs = st.lists(
 
 # Every length at its smallest float: the 1-px window holds the spot and the
 # sites fit the sensor, but the pixel area rounds to 0 and a render divided
-# by it (ZeroDivisionError, exit 1) before load_config refused it.
+# by it (ZeroDivisionError, exit 1) before the config refused it.
 UNDERFLOWING_PIXEL = {
     key: "5e-324"
     for key in ("camera.pixel_scale_um", "rig.roi_width_um", "rig.roi_height_um",
@@ -507,7 +620,9 @@ UNDERFLOWING_PIXEL = {
 @example(values={"trainer.max_epochs": "1", **UNDERFLOWING_PIXEL})
 def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
     # the config and the runs' own refusals are the one boundary: whatever
-    # the parsers admit either runs or exits 2, never another exception
+    # the parsers admit either runs or exits 2, never another exception. A
+    # mode without a rig reads only trainer.* and dataset.* (and sweep.*), so
+    # with those at their defaults (and the one fuzzed epoch) it always runs.
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "fuzz.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
@@ -515,6 +630,10 @@ def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([mode, "--config", str(cfg), "--out", str(Path(work) / "o")])
     assert code in (0, 2), err.getvalue()
+    without_rig = mode in ("simulate", "dataset") or (mode == "sweep" and values.get("sweep.mode") != "emulate")
+    drawn_sections = {key.split(".")[0] for key in values if key != "trainer.max_epochs"}
+    if without_rig and not drawn_sections & {"trainer", "dataset"}:
+        assert code == 0, err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("configuration error: ")
     else:

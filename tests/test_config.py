@@ -42,7 +42,7 @@ def test_defaults_load():
     ],
 )
 def test_typed_config_only_from_accessor(accessor, typed):
-    # KEY_TABLE and _cross_validate own every default and bound: a typed
+    # KEY_TABLE, _cross_validate and check_rig own every default and bound: a typed
     # config is a plain field bundle, and only its RunConfig accessor builds
     # one (dataclasses.replace of a built one is fine).
     missing = dataclasses.MISSING
@@ -130,40 +130,43 @@ def test_override_unknown_key():
         load_config(overrides={"nope.nope": "1"})
 
 
+def load_rig_config(overrides):
+    """load_config, then the checks that runner.build_rig runs before it draws."""
+    cfg = load_config(overrides=overrides)
+    cfg.check_rig()
+    return cfg
+
+
 def test_cross_validation_dead_zone_vs_saturation():
     with pytest.raises(ConfigurationError, match="saturation"):
-        load_config(
-            overrides={"synapse.dead_zone_pulses": "700", "synapse.saturation_pulses": "600"}
-        )
+        load_rig_config({"synapse.dead_zone_pulses": "700", "synapse.saturation_pulses": "600"})
 
 
 def test_cross_validation_roi_vs_sensor():
     with pytest.raises(ConfigurationError, match="sensor"):
-        load_config(overrides={"rig.roi_width_um": "500"})
+        load_rig_config({"rig.roi_width_um": "500"})
 
 
 def test_cross_validation_shutter_window():
     with pytest.raises(ConfigurationError, match="open_time"):
-        load_config(
-            overrides={"shutter.open_time_min_ms": "30", "shutter.open_time_max_ms": "20"}
-        )
+        load_rig_config({"shutter.open_time_min_ms": "30", "shutter.open_time_max_ms": "20"})
 
 
 def test_cross_validation_dark_offset_vs_full_well():
     # 10 bits: full well 1023
     with pytest.raises(ConfigurationError, match="full well"):
-        load_config(overrides={"camera.bit_depth": "10", "camera.dark_offset": "1023"})
-    cfg = load_config(overrides={"camera.bit_depth": "10", "camera.dark_offset": "1022"})
+        load_rig_config({"camera.bit_depth": "10", "camera.dark_offset": "1023"})
+    cfg = load_rig_config({"camera.bit_depth": "10", "camera.dark_offset": "1022"})
     assert cfg["camera.dark_offset"] == 1022.0
 
 
 def test_cross_validation_spot_vs_waist():
     # the area fraction (d / waist)^2 would bill more than the whole pulse
     with pytest.raises(ConfigurationError, match="rig.spot_diameter_um 300.0 exceeds"):
-        load_config(overrides={"rig.spot_diameter_um": "300"})
+        load_rig_config({"rig.spot_diameter_um": "300"})
     with pytest.raises(ConfigurationError, match="energy.spot_large_um 200.0 exceeds"):
-        load_config(overrides={"energy.spot_large_um": "200"})
-    cfg = load_config(overrides={"rig.spot_diameter_um": "100", "energy.spot_large_um": "100"})
+        load_rig_config({"energy.spot_large_um": "200"})
+    cfg = load_rig_config({"rig.spot_diameter_um": "100", "energy.spot_large_um": "100"})
     assert cfg["rig.spot_diameter_um"] == cfg["energy.waist_um"]
 
 
@@ -174,12 +177,12 @@ def test_spot_without_area_refused(diameter):
         load_config(overrides={"rig.spot_diameter_um": diameter})
 
 
-# -- memory budget: the refusal tests only load the config, so none allocates a block
+# -- memory budget: the refusal tests only check the config, so none allocates a block
 
 def test_read_block_over_the_memory_budget_is_refused():
     # a 16000 x 16000 sensor at 0.01 um per pixel holds a 1650 x 1550 px window
     with pytest.raises(ConfigurationError) as exc:
-        load_config(overrides={
+        load_rig_config({
             "camera.pixel_scale_um": "0.01", "camera.width_px": "16000", "camera.height_px": "16000",
         })
     assert str(exc.value) == (
@@ -191,21 +194,21 @@ def test_read_block_over_the_memory_budget_is_refused():
 def test_memory_budget_admits_the_last_read_block_under_it():
     # a 160 x 128 px window reads (10 x frames + 20) x 20480 px x 8 B
     window = {"rig.roi_width_um": "160", "rig.roi_height_um": "128"}
-    assert load_config(overrides={**window, "rig.frames_per_read": "79"})
+    assert load_rig_config({**window, "rig.frames_per_read": "79"})
     with pytest.raises(ConfigurationError, match="needs 134348800 B, over the 134217728 B budget"):
-        load_config(overrides={**window, "rig.frames_per_read": "80"})
+        load_rig_config({**window, "rig.frames_per_read": "80"})
     assert (10 * 1000 + 20) * 17 * 16 * 8 <= config.MEMORY_BUDGET_BYTES  # 1000 frames, default window
 
 
 def test_full_frame_render_over_the_budget_is_refused_only_when_dumped():
     # 64 B per sensor pixel: 2048 x 1024 px is exactly the budget
-    assert load_config(overrides={
+    assert load_rig_config({
         "camera.width_px": "2048", "camera.height_px": "1024", "run.dump_frames": "true",
     })
     big = {"camera.width_px": "2048", "camera.height_px": "1025"}
-    assert load_config(overrides=big)
+    assert load_rig_config(big)
     with pytest.raises(ConfigurationError) as exc:
-        load_config(overrides={**big, "run.dump_frames": "true"})
+        load_rig_config({**big, "run.dump_frames": "true"})
     assert str(exc.value) == (
         "the run.dump_frames render of the 2048x1025 px sensor (camera.width_px x camera.height_px) "
         "needs 134348800 B, over the 134217728 B budget"
@@ -242,7 +245,7 @@ def test_site_read_allocates_at_most_its_charge(monkeypatch, frames):
     with monkeypatch.context() as patched:
         patched.setattr(config, "MEMORY_BUDGET_BYTES", 0)
         with pytest.raises(ConfigurationError, match="a read of 10 sites") as exc:
-            load_config(overrides=overrides)
+            load_rig_config(overrides)
     charge = int(str(exc.value).split(" needs ")[1].split(" B,")[0])
     rig = build_rig(load_config(overrides=overrides), make_streams(7))
     tracemalloc.start()
@@ -256,8 +259,8 @@ def test_site_read_allocates_at_most_its_charge(monkeypatch, frames):
 
 def test_pixel_area_that_rounds_to_zero_is_refused():
     with pytest.raises(ConfigurationError, match="camera.pixel_scale_um 1e-200 is too small"):
-        load_config(overrides={"camera.pixel_scale_um": "1e-200", "rig.roi_width_um": "1e-200",
-                               "rig.roi_height_um": "1e-200"})
+        load_rig_config({"camera.pixel_scale_um": "1e-200", "rig.roi_width_um": "1e-200",
+                         "rig.roi_height_um": "1e-200"})
 
 
 @pytest.mark.parametrize(

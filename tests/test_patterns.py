@@ -157,6 +157,14 @@ def test_bitmap_text_errors():
         parse_bitmap_text("abc\n010\n011\n\n101\n101\n010\n\n010\n101\n101\n")
 
 
+def test_bitmap_error_names_its_line_in_the_file(tmp_path):
+    # comment lines count: the bad row is the file's third line
+    bitmaps = tmp_path / "glyphs.txt"
+    bitmaps.write_text("# z\n111\n1x0\n111\n\n000\n010\n000\n\n101\n101\n101\n")
+    with pytest.raises(ConfigurationError, match=r"^bitmap line 3: expected only '0'/'1', got '1x0'$"):
+        load_config(overrides={"dataset.bitmaps_file": str(bitmaps)})
+
+
 # Texts over "01# \n2": raw, as free lines, and as three blocks of three
 # lines that are mostly glyph rows, so that some of them parse.
 junk_lines = st.text(alphabet="01# 2", max_size=5)

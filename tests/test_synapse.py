@@ -58,6 +58,17 @@ def test_curve_families_hit_endpoints(curve):
     assert 0.0 < mid < 1.0
 
 
+@pytest.mark.parametrize("curve", sorted(CURVE_FAMILIES))
+def test_each_curve_meets_its_endpoints_continuously(curve):
+    # called directly: response_curve's branches answer t <= 0 and t >= 1
+    # before any curve is asked, so only this reaches a curve's own ends
+    f = CURVE_FAMILIES[curve]
+    assert f(0.0) == 0.0
+    assert f(1.0) == 1.0
+    assert f(1e-9) < 1e-8
+    assert 1.0 - f(1.0 - 1e-9) < 1e-8
+
+
 def test_linear_curve_is_proportional():
     params = site_params(dead_zone_pulses=0, saturation_pulses=1000, curve="linear")
     for n in (0, 100, 250, 999, 1000):
@@ -152,7 +163,7 @@ def test_sample_sites_bounded():
 
 def test_sample_sites_excessive_spread_rejected():
     with pytest.raises(ConfigurationError, match="synapse.site_spread 0.6 lets a dead zone"):
-        load_config(overrides={"synapse.site_spread": "0.6"})
+        load_config(overrides={"synapse.site_spread": "0.6"}).check_rig()
     # 100 x 1.0476 < 110 x 0.9524 holds unrounded, yet the rounding of one
     # site's draw can meet at 105 / 105, which leaves no response span
     nominal = site_params(dead_zone_pulses=100, saturation_pulses=110, site_spread=0.0476)

@@ -3,9 +3,10 @@ key table's defaults through load_config and a RunConfig accessor.
 
 Each builder takes the names of its section's keys, so
 ``trainer_config(eta_fixed=0.01)`` sets ``trainer.eta_fixed = 0.01`` and
-every bound and cross-check of load_config applies. A test that needs a
-value no key admits (a zero exposure, a site's own background gain) takes
-``dataclasses.replace`` of a built config.
+every bound and cross-check of load_config and RunConfig.check_rig
+applies. A test that needs a value no key admits (a zero exposure, a
+site's own background gain) takes ``dataclasses.replace`` of a built
+config.
 
 zero_noise is the read-noise block of a noiseless render, the zeros that
 draw_read_noise returns for a camera without read noise.
@@ -19,7 +20,9 @@ from optoperceptron.config import load_config
 def _builder(accessor: str, section: str):
     def build(**keys):
         overrides = {f"{section}.{name}": str(value) for name, value in keys.items()}
-        return getattr(load_config(overrides=overrides), accessor)()
+        cfg = load_config(overrides=overrides)
+        cfg.check_rig()
+        return getattr(cfg, accessor)()
 
     build.__name__ = accessor
     build.__doc__ = f"RunConfig.{accessor}() with the given {section}.* keys set."
