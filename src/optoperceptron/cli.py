@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: simulate | emulate | dataset | energy | sweep. Exit codes:
-0 success (including unconverged training runs), 2 configuration error,
-3 I/O error.
+Subcommands: simulate | emulate | dataset | energy | sweep. Each flag but
+--config and --out is shorthand for a config key: its argparse dest is the
+key it overrides. Exit codes: 0 success (including unconverged training
+runs), 2 configuration error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -36,30 +37,22 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", type=Path, default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
+        p.add_argument("--seed", dest="run.seed", type=int, metavar="SEED", help="override run.seed")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         if mode == "emulate":
             # Only emulate writes these artifacts; other modes reject the flags.
-            p.add_argument("--frames", action="store_true", help="dump PGM frames")
-            p.add_argument(
-                "--verbose", action="store_true", help="full trace plus weight snapshots"
-            )
+            p.add_argument("--frames", dest="run.dump_frames", action="store_const", const="true",
+                           help="dump PGM frames")
+            p.add_argument("--verbose", dest="run.trace_verbosity", action="store_const", const="2",
+                           help="full trace plus weight snapshots")
         if mode == "sweep":
-            p.add_argument("--seeds", type=int, default=None, help="override sweep.seeds")
+            p.add_argument("--seeds", dest="sweep.seeds", type=int, metavar="SEEDS", help="override sweep.seeds")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if getattr(args, "frames", False):
-        overrides["run.dump_frames"] = "true"
-    if getattr(args, "verbose", False):
-        overrides["run.trace_verbosity"] = "2"
-    if getattr(args, "seeds", None) is not None:
-        overrides["sweep.seeds"] = str(args.seeds)
+    overrides = {key: str(value) for key, value in vars(args).items() if "." in key and value is not None}
     try:
         cfg = load_config(args.config, overrides)
         summary = MODE_RUNNERS[args.mode](cfg, args.out, cfg["run.seed"])

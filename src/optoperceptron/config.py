@@ -162,6 +162,20 @@ KEY_TABLE: dict[str, _Key] = {
 }
 
 
+# (name, key) of each key of a section, grouped once: RunConfig._section
+# builds a typed config whose fields are its section's key names from them.
+SECTION_KEYS: dict[str, list[tuple[str, str]]] = {
+    section: [(key.partition(".")[2], key) for key in KEY_TABLE if key.partition(".")[0] == section]
+    for section in {key.partition(".")[0] for key in KEY_TABLE}
+}
+
+
+def check_budget(what: str, size: int) -> None:
+    """Refuse a block of size bytes over the memory budget, naming what it holds."""
+    if size > MEMORY_BUDGET_BYTES:
+        raise ConfigurationError(f"{what} needs {size} B, over the {MEMORY_BUDGET_BYTES} B budget")
+
+
 def parse_config_text(text: str) -> list[tuple[str, str, str]]:
     """(key, raw value, "line n") per setting; syntax errors carry the line."""
     entries: dict[str, tuple[str, str, str]] = {}
@@ -185,8 +199,9 @@ class RunConfig:
     """Fully resolved run configuration plus derived typed objects.
 
     The accessors below are the only builders of the typed configs, which
-    carry no defaults or checks of their own: KEY_TABLE, _cross_validate and
-    check_rig own every default and bound."""
+    carry no defaults or checks of their own: KEY_TABLE owns every default
+    and bound, and each relation between keys is judged by the run that
+    reads them (check_rig for the rig's, runner for the rest)."""
 
     values: dict[str, object]
     bitmaps: dict[str, tuple[str, str, str]]
@@ -196,16 +211,12 @@ class RunConfig:
 
     # -- derived objects ----------------------------------------------------
 
+    def _section(self, name: str) -> dict[str, object]:
+        """The values of one section's keys, by key name: the fields of its typed config."""
+        return {field: self.values[key] for field, key in SECTION_KEYS[name]}
+
     def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            initial_weight=self["trainer.initial_weight"],
-            initial_threshold=self["trainer.initial_threshold"],
-            eta_max=self["trainer.eta_max"],
-            eta_fixed=self["trainer.eta_fixed"],
-            max_epochs=self["trainer.max_epochs"],
-            target_class=self["trainer.target_class"],
-            threshold_raise=self["trainer.threshold_raise"],
-        )
+        return TrainerConfig(**self._section("trainer"))
 
     def nominal_site_params(self) -> InhomogeneityParams:
         return InhomogeneityParams(
@@ -241,32 +252,17 @@ class RunConfig:
     def shutter_model(self) -> ShutterModel:
         from .rig import ShutterModel
 
-        return ShutterModel(
-            open_time_min_ms=self["shutter.open_time_min_ms"],
-            open_time_max_ms=self["shutter.open_time_max_ms"],
-            repetition_rate_hz=self["shutter.repetition_rate_hz"],
-            nominal_packet_pulses=self["shutter.nominal_packet_pulses"],
-            jitter_mode=self["shutter.jitter_mode"],
-            jitter_enabled=self["shutter.jitter_enabled"],
-        )
+        return ShutterModel(**self._section("shutter"))
 
     def rig_config(self) -> RigConfig:
         from .rig import RigConfig
 
-        return RigConfig(
-            init_weight_packets=self["rig.init_weight_packets"],
-            init_threshold_packets=self["rig.init_threshold_packets"],
-            learning_packets=self["rig.learning_packets"],
-            frames_per_read=self["rig.frames_per_read"],
-            roi_width_um=self["rig.roi_width_um"],
-            roi_height_um=self["rig.roi_height_um"],
-            spot_diameter_um=self["rig.spot_diameter_um"],
-            site_spacing_um=self["rig.site_spacing_um"],
-        )
+        return RigConfig(**self._section("rig"))
 
     def check_rig(self) -> None:
-        """Judge the keys only the rig reads. runner.build_rig calls this before it draws or
-        allocates, so only a mode that builds a rig (emulate, energy, an emulate sweep) refuses them."""
+        """Judge the relations between keys the rig reads. runner.build_rig calls this before it
+        draws or allocates, so only a mode that builds a rig (emulate, energy, an emulate sweep)
+        refuses them. The relations of keys that one mode alone reads are judged by its runner."""
         values = self.values
         if values["synapse.saturation_pulses"] <= values["synapse.dead_zone_pulses"]:
             raise ConfigurationError("synapse.saturation_pulses must exceed synapse.dead_zone_pulses")
@@ -288,27 +284,17 @@ class RunConfig:
         # block, and average_frames adds a float64 sum and an int64 copy of one frame per site
         window = camera.window(roi_w, roi_h)
         frames, win_w, win_h = values["rig.frames_per_read"], window.width, window.height
-        blocks = [(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
-                   "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)]
-        if values["run.dump_frames"]:
-            w, h = camera.width, camera.height
-            blocks.append((f"the run.dump_frames render of the {w}x{h} px sensor "
-                           "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h))
-        for what, size in blocks:
-            if size > MEMORY_BUDGET_BYTES:
-                raise ConfigurationError(f"{what} needs {size} B, over the {MEMORY_BUDGET_BYTES} B budget")
+        check_budget(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
+                     "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)
         if camera.dark_offset >= camera.full_well:
             raise ConfigurationError(
                 f"camera.dark_offset {camera.dark_offset} reaches the "
                 f"{camera.bit_depth}-bit full well {camera.full_well}: every read would clip"
             )
-        if values["energy.spot_small_um"] > values["energy.spot_large_um"]:
-            raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
         # a spot bills (d / waist)^2 of a pulse, so a wider one would bill more than it
-        waist = values["energy.waist_um"]
-        for key in ("rig.spot_diameter_um", "energy.spot_large_um"):
-            if values[key] > waist:
-                raise ConfigurationError(f"{key} {values[key]} exceeds energy.waist_um {waist}")
+        spot, waist = values["rig.spot_diameter_um"], values["energy.waist_um"]
+        if spot > waist:
+            raise ConfigurationError(f"rig.spot_diameter_um {spot} exceeds energy.waist_um {waist}")
 
     def per_read_j(self) -> float:
         return nanojoules(self["energy.read_nj"])
@@ -365,8 +351,6 @@ def load_config(
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {key}: {exc}") from exc
 
-    _cross_validate(values)
-
     bitmaps_file = values["dataset.bitmaps_file"]
     if bitmaps_file == "builtin":
         bitmaps = dict(DEFAULT_BITMAPS)
@@ -376,12 +360,3 @@ def load_config(
             raise ConfigurationError(f"dataset.bitmaps_file: no such file {bitmaps_file!r}")
         bitmaps = parse_bitmap_text(_read_text(path))
     return RunConfig(values=values, bitmaps=bitmaps)
-
-
-def _cross_validate(values: dict[str, object]) -> None:
-    # a sampled learning rate is eta_max * (1 - u), and 1 - u can be 2**-53
-    if values["trainer.eta_max"] * 2.0**-53 == 0.0:
-        raise ConfigurationError(
-            f"trainer.eta_max {values['trainer.eta_max']!r} is too small: "
-            "the smallest learning rate, eta_max * 2**-53, rounds to 0"
-        )

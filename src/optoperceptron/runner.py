@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .atomic import atomic_write, write_json
-from .config import RunConfig
+from .config import FULL_FRAME_BYTES_PER_PX, RunConfig, check_budget
+from .errors import ConfigurationError
 from .patterns import CLASSES, Dataset, build_dataset
 from .pcg import Pcg64
 from .synapse import sample_sites
@@ -114,6 +115,12 @@ class RunResult:
 
 def simulate_run(cfg: RunConfig, seed: int, dataset: Dataset, bars: bool = True) -> RunResult:
     trainer_cfg = cfg.trainer_config()
+    # a sampled learning rate is eta_max * (1 - u), and 1 - u can be 2**-53
+    if trainer_cfg.eta_fixed is None and trainer_cfg.eta_max * 2.0**-53 == 0.0:
+        raise ConfigurationError(
+            f"trainer.eta_max {trainer_cfg.eta_max!r} is too small: "
+            "the smallest learning rate, eta_max * 2**-53, rounds to 0"
+        )
     backend = VectorBackend(trainer_cfg, rng=eta_stream(seed))
     return _train_and_evaluate("simulate", seed, trainer_cfg, backend, dataset, bars)
 
@@ -288,6 +295,10 @@ def run_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
 
 
 def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
+    if cfg["run.dump_frames"]:  # only emulate renders the full frame, for sample_final.pgm
+        w, h = cfg["camera.width_px"], cfg["camera.height_px"]
+        check_budget(f"the run.dump_frames render of the {w}x{h} px sensor "
+                     "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h)
     result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
     return write_artifacts(out_dir, cfg, result.summary(), run_files(result, cfg))
 
@@ -307,10 +318,15 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     """Per-pulse write energies and the energy ledger of the emulate run: its
     ledger.json is byte-identical to that of emulate at the same (config, seed).
     Energy writes no bars, and bar evaluations read no sites, so it skips them."""
+    small_um, large_um, waist_um = cfg["energy.spot_small_um"], cfg["energy.spot_large_um"], cfg["energy.waist_um"]
+    if small_um > large_um:
+        raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
+    if large_um > waist_um:  # a spot bills (d / waist)^2 of a pulse
+        raise ConfigurationError(f"energy.spot_large_um {large_um} exceeds energy.waist_um {waist_um}")
     result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps), bars=False)
     ledger = result.rig.ledger
-    small = cfg.per_pulse_j(cfg["energy.spot_small_um"])
-    large = cfg.per_pulse_j(cfg["energy.spot_large_um"])
+    small = cfg.per_pulse_j(small_um)
+    large = cfg.per_pulse_j(large_um)
     summary = {
         "mode": "energy",
         "seed": seed,
@@ -324,8 +340,8 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "read_energy_nj": ledger.read_energy_j * 1e9,
     }
     energy_txt = (
-        f"per-pulse energy: {small * 1e12:.1f} pJ ({cfg['energy.spot_small_um']} um spot), "
-        f"{large * 1e12:.1f} pJ ({cfg['energy.spot_large_um']} um spot)\n"
+        f"per-pulse energy: {small * 1e12:.1f} pJ ({small_um} um spot), "
+        f"{large * 1e12:.1f} pJ ({large_um} um spot)\n"
         f"ledger: {ledger.summary_line()}\n"
     )
     files = [("ledger.json", ledger.to_json_dict()), ("energy.txt", energy_txt)]

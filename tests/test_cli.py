@@ -156,6 +156,42 @@ def test_each_mode_writes_the_files_the_readme_lists(tmp_path, capsys, mode, fla
     assert sorted(path.name for path in out.iterdir()) == sorted(listed)
 
 
+@pytest.mark.parametrize(
+    "mode, flags, config_text",
+    [
+        ("simulate", ("--seed", "8"), "run.seed = 8\n"),
+        ("emulate", ("--frames", "--verbose"), "run.dump_frames = true\nrun.trace_verbosity = 2\n"),
+        ("sweep", ("--seeds", "3"), "sweep.seeds = 3\n"),
+    ],
+    ids=["seed", "frames-verbose", "seeds"],
+)
+def test_each_flag_is_its_config_key(tmp_path, capsys, mode, flags, config_text):
+    # a flag sets the key it names, so the two runs are one run, echo included
+    base = "trainer.max_epochs = 3\n"
+    runs = {"flag": (base, flags), "key": (base + config_text, ())}
+    for out, (text, argv) in runs.items():
+        cfg = tmp_path / f"{out}.cfg"
+        cfg.write_text(text)
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / out), *argv]) == 0
+    flag_run, key_run = artifact_bytes(tmp_path / "flag"), artifact_bytes(tmp_path / "key")
+    assert "config.resolved.txt" in flag_run
+    assert flag_run == key_run
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--seed", "-1"], "override: run.seed: -1 is below the minimum 0"),
+        (["sweep", "--seeds", "0"], "override: sweep.seeds: 0 is below the minimum 1"),
+    ],
+)
+def test_flag_value_out_of_its_key_bounds_exit_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["simulate", "dataset", "energy", "sweep"])
 def test_emulate_only_flags_rejected_by_other_modes(mode, tmp_path, capsys):
     # only emulate writes PGM frames and weight snapshots
@@ -358,6 +394,34 @@ def test_eta_max_whose_smallest_rate_underflows_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, config_text, code",
+    [
+        ("dataset", "", 0),
+        ("emulate", "", 0),
+        ("energy", "", 0),
+        ("sweep", "sweep.mode = emulate\nsweep.seeds = 2\n", 0),
+        ("simulate", "trainer.eta_fixed = 0.01\n", 0),  # a fixed rate samples none
+        ("simulate", "", 2),
+        ("sweep", "sweep.seeds = 2\n", 2),
+    ],
+    ids=["dataset", "emulate", "energy", "emulate-sweep", "simulate-fixed-eta", "simulate", "simulate-sweep"],
+)
+def test_eta_max_is_judged_only_where_learning_rates_are_sampled(tmp_path, capsys, mode, config_text, code):
+    # only a simulate run without trainer.eta_fixed draws rates from eta_max
+    config_text += "trainer.eta_max = 5e-324\ntrainer.max_epochs = 3\n"
+    assert run_cli(tmp_path, mode, config_text) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            "configuration error: trainer.eta_max 5e-324 is too small: "
+            "the smallest learning rate, eta_max * 2**-53, rounds to 0\n"
+        )
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+
+
 def test_repetition_rate_below_one_hertz_exit_code(tmp_path, capsys):
     # the pulse energy is the write power over the rate: at 5e-324 Hz it is
     # Infinity, which summary.json and ledger.json cannot hold as JSON
@@ -454,77 +518,121 @@ def test_threshold_reading_zero_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-# One config per relation between keys that only the rig reads, with the
-# refusal it gets where a rig is built.
-RIG_ONLY_RELATIONS = {
+MODES = [("simulate", ""), ("dataset", ""), ("sweep", "simulate"), ("emulate", ""), ("energy", ""), ("sweep", "emulate")]
+RIG_MODES = MODES[3:]
+
+# One config per relation between keys, the refusal it gets, and the modes
+# that read its keys: each relation is judged only by a run that reads it.
+RELATIONS = {
     "saturation": (
         "synapse.dead_zone_pulses = 700\n",
         "synapse.saturation_pulses must exceed synapse.dead_zone_pulses",
+        RIG_MODES,
     ),
     "shutter-window": (
         "shutter.open_time_min_ms = 30\n",
         "shutter.open_time_min_ms must be <= open_time_max_ms",
+        RIG_MODES,
     ),
     "spread-knee": (
         "synapse.site_spread = 0.5\n",
         "synapse.site_spread 0.5 lets a dead zone reach the saturation knee",
+        RIG_MODES,
     ),
     "pixel-area": (
         "camera.pixel_scale_um = 1e-200\n",
         "camera.pixel_scale_um 1e-200 is too small: its area rounds to 0",
+        RIG_MODES,
     ),
-    "roi-vs-sensor": ("rig.roi_width_um = 500\n", "the readout window exceeds the sensor size"),
+    "roi-vs-sensor": ("rig.roi_width_um = 500\n", "the readout window exceeds the sensor size", RIG_MODES),
     "read-block": (
         "camera.pixel_scale_um = 0.01\ncamera.width_px = 16000\ncamera.height_px = 16000\n",
         "a read of 10 sites x 10 frames (rig.frames_per_read) of the 1650x1550 px window "
         "(rig.roi_*_um / camera.pixel_scale_um) needs 2455200000 B, over the 134217728 B budget",
+        RIG_MODES,
     ),
-    "dumped-frame": (
+    "dumped-frame": (  # only emulate renders the full frame
         "camera.width_px = 4000\ncamera.height_px = 4000\nrun.dump_frames = true\n",
         "the run.dump_frames render of the 4000x4000 px sensor (camera.width_px x camera.height_px) "
         "needs 1024000000 B, over the 134217728 B budget",
+        [("emulate", "")],
     ),
     "dark-offset": (
         "camera.dark_offset = 70000\n",
         "camera.dark_offset 70000.0 reaches the 16-bit full well 65535: every read would clip",
+        RIG_MODES,
     ),
-    "reference-spots": (
+    "reference-spots": (  # only energy prices the two reference spots
         "energy.spot_small_um = 50\n",
         "energy.spot_small_um must be <= energy.spot_large_um",
+        [("energy", "")],
+    ),
+    "reference-spot-vs-waist": (
+        "energy.spot_large_um = 150\n",
+        "energy.spot_large_um 150.0 exceeds energy.waist_um 100.0",
+        [("energy", "")],
     ),
     "spot-vs-waist": (
         "rig.spot_diameter_um = 200\n",
         "rig.spot_diameter_um 200.0 exceeds energy.waist_um 100.0",
+        RIG_MODES,
     ),
 }
 
 
-def run_cli(tmp_path, mode, config_text):
-    """main(mode) on a config file of the given text, into tmp_path/o."""
-    cfg = tmp_path / "rig-only.cfg"
+def relation_cases(modes, reads: bool):
+    """(mode, sweep mode, relation) of each of the given modes that reads, or
+    does not read, each relation's keys."""
+    return [
+        (mode, sweep_mode, relation)
+        for relation, (_, _, readers) in sorted(RELATIONS.items())
+        for mode, sweep_mode in modes
+        if ((mode, sweep_mode) in readers) == reads
+    ]
+
+
+def run_cli(tmp_path, mode, config_text, *flags, out="o"):
+    """main(mode) on a config file of the given text, into tmp_path/out."""
+    cfg = tmp_path / f"{out}.cfg"
     cfg.write_text(config_text)
-    return main([mode, "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "o")])
+    return main([mode, "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / out), *flags])
 
 
-@pytest.mark.parametrize("relation", sorted(RIG_ONLY_RELATIONS))
-@pytest.mark.parametrize("mode, sweep_mode", [("simulate", ""), ("dataset", ""), ("sweep", "simulate")])
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file of a run's output directory, by name."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def sweep_text(sweep_mode):
+    return f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n" if sweep_mode else ""
+
+
+@pytest.mark.parametrize("mode, sweep_mode, relation", relation_cases(MODES[:3], reads=False))
 def test_rig_only_relation_leaves_a_mode_without_a_rig_running(tmp_path, capsys, mode, sweep_mode, relation):
     # none of these modes reads a rig key, so none is refused for one
-    config_text = RIG_ONLY_RELATIONS[relation][0]
-    if sweep_mode:
-        config_text += f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n"
+    config_text = RELATIONS[relation][0] + sweep_text(sweep_mode)
     assert run_cli(tmp_path, mode, config_text) == 0
     assert (tmp_path / "o" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("relation", sorted(RIG_ONLY_RELATIONS))
-@pytest.mark.parametrize("mode, sweep_mode", [("emulate", ""), ("energy", ""), ("sweep", "emulate")])
+@pytest.mark.parametrize("mode, sweep_mode, relation", relation_cases(RIG_MODES, reads=False))
+def test_unread_relation_changes_no_artifact(tmp_path, capsys, mode, sweep_mode, relation):
+    # the mode builds a rig but reads none of the relation's keys: the run is
+    # the same run as without them, but for the config echo
+    flags = ("--verbose", "--frames") if mode == "emulate" else ()
+    config_text = "trainer.max_epochs = 3\n" + sweep_text(sweep_mode)
+    assert run_cli(tmp_path, mode, config_text + RELATIONS[relation][0], *flags, out="with") == 0
+    assert run_cli(tmp_path, mode, config_text, *flags, out="without") == 0
+    with_key, without_key = artifact_bytes(tmp_path / "with"), artifact_bytes(tmp_path / "without")
+    assert with_key.pop("config.resolved.txt") != without_key.pop("config.resolved.txt")
+    assert with_key == without_key
+
+
+@pytest.mark.parametrize("mode, sweep_mode, relation", relation_cases(MODES, reads=True))
 def test_rig_only_relation_refuses_a_mode_that_builds_a_rig(tmp_path, capsys, mode, sweep_mode, relation):
-    # the check runs where the rig is built, before any draw or output
-    config_text, message = RIG_ONLY_RELATIONS[relation]
-    if sweep_mode:
-        config_text += f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n"
-    assert run_cli(tmp_path, mode, config_text) == 2
+    # the check runs where the relation's keys are read, before any draw or output
+    config_text, message, _ = RELATIONS[relation]
+    assert run_cli(tmp_path, mode, config_text + sweep_text(sweep_mode)) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
@@ -618,11 +726,13 @@ UNDERFLOWING_PIXEL = {
 @settings(max_examples=25, deadline=None)
 @given(values=fuzzed_configs)
 @example(values={"trainer.max_epochs": "1", **UNDERFLOWING_PIXEL})
+@example(values={"trainer.max_epochs": "1", "trainer.eta_max": "5e-324"})
 def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
     # the config and the runs' own refusals are the one boundary: whatever
     # the parsers admit either runs or exits 2, never another exception. A
-    # mode without a rig reads only trainer.* and dataset.* (and sweep.*), so
-    # with those at their defaults (and the one fuzzed epoch) it always runs.
+    # mode without a rig reads only trainer.* and dataset.* (and sweep.*), and
+    # dataset only dataset.*, so with those at their defaults (and the one
+    # fuzzed epoch) it always runs.
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "fuzz.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
@@ -632,7 +742,8 @@ def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
     assert code in (0, 2), err.getvalue()
     without_rig = mode in ("simulate", "dataset") or (mode == "sweep" and values.get("sweep.mode") != "emulate")
     drawn_sections = {key.split(".")[0] for key in values if key != "trainer.max_epochs"}
-    if without_rig and not drawn_sections & {"trainer", "dataset"}:
+    read_sections = {"dataset"} if mode == "dataset" else {"trainer", "dataset"}
+    if without_rig and not drawn_sections & read_sections:
         assert code == 0, err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("configuration error: ")

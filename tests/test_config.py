@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import optoperceptron
-from optoperceptron import config
+from optoperceptron import config, runner
 from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.errors import ConfigurationError
@@ -42,9 +42,9 @@ def test_defaults_load():
     ],
 )
 def test_typed_config_only_from_accessor(accessor, typed):
-    # KEY_TABLE, _cross_validate and check_rig own every default and bound: a typed
-    # config is a plain field bundle, and only its RunConfig accessor builds
-    # one (dataclasses.replace of a built one is fine).
+    # KEY_TABLE owns every default and bound, and the runs judge every
+    # relation: a typed config is a plain field bundle, and only its RunConfig
+    # accessor builds one (dataclasses.replace of a built one is fine).
     missing = dataclasses.MISSING
     assert [
         f.name for f in dataclasses.fields(typed)
@@ -160,14 +160,31 @@ def test_cross_validation_dark_offset_vs_full_well():
     assert cfg["camera.dark_offset"] == 1022.0
 
 
-def test_cross_validation_spot_vs_waist():
+class Admitted(Exception):
+    """Raised by the stand-in for emulate_run that a runner's checks reached."""
+
+
+def admitted_by(monkeypatch, run_mode, overrides) -> bool:
+    """Whether runner.run_<mode> admits the config: its own checks pass and
+    it reaches emulate_run, which is stubbed out, so nothing is drawn."""
+    def reached(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(runner, "emulate_run", reached)
+    with pytest.raises(Admitted):
+        getattr(runner, f"run_{run_mode}")(load_config(overrides=overrides), Path("unwritten"), 7)
+    return True
+
+
+def test_cross_validation_spot_vs_waist(monkeypatch):
     # the area fraction (d / waist)^2 would bill more than the whole pulse
     with pytest.raises(ConfigurationError, match="rig.spot_diameter_um 300.0 exceeds"):
         load_rig_config({"rig.spot_diameter_um": "300"})
     with pytest.raises(ConfigurationError, match="energy.spot_large_um 200.0 exceeds"):
-        load_rig_config({"energy.spot_large_um": "200"})
-    cfg = load_rig_config({"rig.spot_diameter_um": "100", "energy.spot_large_um": "100"})
+        admitted_by(monkeypatch, "energy", {"energy.spot_large_um": "200"})
+    cfg = load_rig_config({"rig.spot_diameter_um": "100"})
     assert cfg["rig.spot_diameter_um"] == cfg["energy.waist_um"]
+    assert admitted_by(monkeypatch, "energy", {"energy.spot_large_um": "100"})
 
 
 @pytest.mark.parametrize("diameter", ["0", "-1"])
@@ -200,15 +217,15 @@ def test_memory_budget_admits_the_last_read_block_under_it():
     assert (10 * 1000 + 20) * 17 * 16 * 8 <= config.MEMORY_BUDGET_BYTES  # 1000 frames, default window
 
 
-def test_full_frame_render_over_the_budget_is_refused_only_when_dumped():
+def test_full_frame_render_over_the_budget_is_refused_only_when_dumped(monkeypatch):
     # 64 B per sensor pixel: 2048 x 1024 px is exactly the budget
-    assert load_rig_config({
+    assert admitted_by(monkeypatch, "emulate", {
         "camera.width_px": "2048", "camera.height_px": "1024", "run.dump_frames": "true",
     })
     big = {"camera.width_px": "2048", "camera.height_px": "1025"}
-    assert load_rig_config(big)
+    assert admitted_by(monkeypatch, "emulate", big)
     with pytest.raises(ConfigurationError) as exc:
-        load_rig_config({**big, "run.dump_frames": "true"})
+        admitted_by(monkeypatch, "emulate", {**big, "run.dump_frames": "true"})
     assert str(exc.value) == (
         "the run.dump_frames render of the 2048x1025 px sensor (camera.width_px x camera.height_px) "
         "needs 134348800 B, over the 134217728 B budget"

@@ -3,7 +3,7 @@ key table's defaults through load_config and a RunConfig accessor.
 
 Each builder takes the names of its section's keys, so
 ``trainer_config(eta_fixed=0.01)`` sets ``trainer.eta_fixed = 0.01`` and
-every bound and cross-check of load_config and RunConfig.check_rig
+every bound of load_config and every relation of RunConfig.check_rig
 applies. A test that needs a value no key admits (a zero exposure, a
 site's own background gain) takes ``dataclasses.replace`` of a built
 config.
