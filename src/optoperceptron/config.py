@@ -1,9 +1,9 @@
 """Run configuration: flat key-value text with section prefixes.
 
 Example line: ``trainer.eta_max = 0.014``. Unknown keys are rejected with
-the offending line number; every numeric value is range-checked. The
-resolved configuration can be echoed back to text, which is what run
-outputs ship so a run is reproducible from (config, seed) alone.
+the offending line number; every numeric value is range-checked. This
+module only parses: runner renders the resolved values back to text as
+config.resolved.txt, so a run is reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -305,21 +305,6 @@ class RunConfig:
         pulse_energy_j = self["energy.write_power_uw"] * 1e-6 / self["shutter.repetition_rate_hz"]
         return energy_per_pulse(pulse_energy_j, self["energy.waist_um"], diameter_um)
 
-    # -- echo ---------------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = ["# resolved configuration"]
-        for key in sorted(self.values):
-            value = self.values[key]
-            if value is None:
-                rendered = "none"
-            elif isinstance(value, bool):
-                rendered = "true" if value else "false"
-            else:
-                rendered = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{key} = {rendered}")
-        return "\n".join(lines) + "\n"
-
 
 def _read_text(path: str | Path) -> str:
     """A config or bitmap file as UTF-8 text, whatever the host locale. A
@@ -359,4 +344,6 @@ def load_config(
         if not path.exists():
             raise ConfigurationError(f"dataset.bitmaps_file: no such file {bitmaps_file!r}")
         bitmaps = parse_bitmap_text(_read_text(path))
+        if not path.is_absolute():  # the echo names the file read, wherever it is replayed
+            values["dataset.bitmaps_file"] = str(path.absolute())
     return RunConfig(values=values, bitmaps=bitmaps)

@@ -22,6 +22,7 @@ from .patterns import CLASSES, Dataset, build_dataset
 from .pcg import Pcg64
 from .synapse import sample_sites
 from .trainer import (
+    STEP_KEYS,
     EvalResult,
     TrainerConfig,
     TrainingTrace,
@@ -160,6 +161,7 @@ def _train_and_evaluate(
 
 
 def _fmt(value) -> str:
+    """The one value format of every CSV cell and config echo value; None is an empty cell."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -169,7 +171,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(schema: str, header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def config_text(cfg: RunConfig) -> str:
+    """config.resolved.txt, which load_config reads back: every key sorted, None as none."""
+    lines = [f"{key} = {'none' if value is None else _fmt(value)}" for key, value in sorted(cfg.values.items())]
+    return "\n".join(["# resolved configuration", *lines]) + "\n"
+
+
+def _csv_text(schema: str, header: Iterable[str], rows: Sequence[Sequence]) -> str:
     lines = [f"# schema={SCHEMA_PREFIX}.{schema}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -191,20 +199,9 @@ def dataset_csv(dataset: Dataset) -> str:
 
 
 def learning_curve_csv(trace: TrainingTrace) -> str:
-    header = ["step", "pattern_id", "class", "output", "threshold", "action", "eta", "pulses_total"]
-    rows = [
-        [
-            s.step,
-            s.pattern_id,
-            s.class_label,
-            s.output,
-            s.threshold,
-            s.action,
-            s.eta,
-            sum(s.pulses) if s.pulses is not None else None,
-        ]
-        for s in trace.steps
-    ]
+    """Each step row with its pulses summed and its weights left out."""
+    header = [*STEP_KEYS[:-2], "pulses_total"]
+    rows = [(*fields, None if pulses is None else sum(pulses)) for *fields, pulses, _ in trace.rows]
     return _csv_text("learning_curve.v1", header, rows)
 
 
@@ -228,20 +225,12 @@ def interleave_post_results(
     return ordered
 
 
-def sweep_csv(rows: Sequence[Sequence]) -> str:
-    header = [
-        "seed", "converged", "steps", "epochs", "threshold_raises",
-        "test_correct", "test_total", "final_threshold",
-    ]
-    return _csv_text("sweep.v1", header, rows)
-
-
 def write_artifacts(out_dir: Path, cfg: RunConfig, summary: dict, files: Iterable) -> dict:
     """The one artifact writer, atomic per file: config.resolved.txt, each
     (name, payload) of files (a .json name as JSON), then summary.json,
     stamped with the package version, last. Returns the stamped summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "config.resolved.txt", cfg.to_text())
+    atomic_write(out_dir / "config.resolved.txt", config_text(cfg))
     for name, payload in files:
         if name.endswith(".json"):
             write_json(out_dir / name, payload)
@@ -348,31 +337,27 @@ def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     return write_artifacts(out_dir, cfg, summary, files)
 
 
+# Each sweep.csv column and the key of the run summary that it shows.
+SWEEP_COLUMNS = {
+    "seed": "seed", "converged": "converged", "steps": "total_steps", "epochs": "epochs",
+    "threshold_raises": "threshold_raises", "test_correct": "test_correct",
+    "test_total": "test_total", "final_threshold": "final_threshold",
+}
+
+
 def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    """Per-seed convergence summaries; seeds are base_seed + i. A row needs
-    the trace and the held-out evaluation only, so each run skips its bars."""
+    """One sweep.csv row per seed, base_seed + i, from its run summary. A row
+    needs the trace and the held-out evaluation only, so each run skips its bars."""
     mode = cfg["sweep.mode"]
     runner = simulate_run if mode == "simulate" else emulate_run
     dataset = build_dataset(cfg.bitmaps)
     rows = []
     converged_steps = []
     for i in range(cfg["sweep.seeds"]):
-        run_seed = seed + i
-        result = runner(cfg, run_seed, dataset, bars=False)
-        rows.append(
-            [
-                run_seed,
-                result.trace.converged,
-                result.trace.total_steps,
-                result.trace.epochs,
-                result.trace.threshold_raises,
-                result.test_correct,
-                len(result.post_test_eval),
-                result.trace.final_threshold,
-            ]
-        )
-        if result.trace.converged:
-            converged_steps.append(result.trace.total_steps)
+        run = runner(cfg, seed + i, dataset, bars=False).summary()
+        rows.append([run[key] for key in SWEEP_COLUMNS.values()])
+        if run["converged"]:
+            converged_steps.append(run["total_steps"])
     summary = {
         "mode": f"sweep-{mode}",
         "base_seed": seed,
@@ -380,7 +365,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
         "converged": len(converged_steps),
         "median_steps": float(median(converged_steps)) if converged_steps else None,
     }
-    return write_artifacts(out_dir, cfg, summary, [("sweep.csv", sweep_csv(rows))])
+    return write_artifacts(out_dir, cfg, summary, [("sweep.csv", _csv_text("sweep.v1", SWEEP_COLUMNS, rows))])
 
 
 MODE_RUNNERS = {

@@ -78,8 +78,14 @@ def update_weights(
     return updated
 
 
+# The artifact name of each field of a step row, in row order.
+STEP_KEYS = ("step", "pattern_id", "class", "output", "threshold", "action", "eta", "pulses", "weights")
+
+
 @dataclass(slots=True)
 class StepRecord:
+    """A step row by field name; no artifact writer builds one, they read the rows."""
+
     step: int
     pattern_id: str
     class_label: str
@@ -89,19 +95,6 @@ class StepRecord:
     eta: float | None
     pulses: tuple[int, ...] | None
     weights: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "pattern_id": self.pattern_id,
-            "class": self.class_label,
-            "output": self.output,
-            "threshold": self.threshold,
-            "action": self.action,
-            "eta": self.eta,
-            "pulses": list(self.pulses) if self.pulses is not None else None,
-            "weights": list(self.weights),
-        }
 
 
 @dataclass
@@ -113,7 +106,7 @@ class ThresholdRaise:
 
 @dataclass
 class TrainingTrace:
-    """rows holds one plain tuple per step in StepRecord field order; steps
+    """rows holds one plain tuple per step, in STEP_KEYS order; steps
     builds the StepRecords on each read, so a caller that reads none builds none."""
 
     rows: list[tuple] = field(default_factory=list)
@@ -149,7 +142,7 @@ class TrainingTrace:
         return {
             "summary": self.summary(),
             "raises": [asdict(r) for r in self.raises],
-            "steps": [s.to_json_dict() for s in self.steps],
+            "steps": [dict(zip(STEP_KEYS, row)) for row in self.rows],
         }
 
 

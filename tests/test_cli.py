@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from optoperceptron import config
 from optoperceptron.cli import main
+from optoperceptron.patterns import DEFAULT_BITMAPS
 
 EXPECTED_HEADERS = {
     "dataset.csv": (
@@ -286,6 +287,26 @@ def test_non_utf8_bitmap_file_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {bitmaps}: not UTF-8 text (")
     assert not out.exists()
+
+
+def test_relative_bitmaps_file_replays_from_another_directory(tmp_path, capsys, monkeypatch):
+    """The echo names the bitmap file the run read, so a replay from a
+    directory that holds another bank of the same name reads the first."""
+    banks = {"first": "\n\n".join("\n".join(rows) for rows in DEFAULT_BITMAPS.values()),
+             "second": "111\n000\n111\n\n101\n101\n010\n\n010\n101\n101\n"}
+    for name, text in banks.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "glyphs.txt").write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset.bitmaps_file = glyphs.txt\n")
+    runs = {}
+    for name, where, config_file in [("first", "first", cfg), ("second", "second", cfg),
+                                     ("replay", "second", tmp_path / "first-out" / "config.resolved.txt")]:
+        monkeypatch.chdir(tmp_path / where)
+        out = tmp_path / f"{name}-out"
+        assert main(["dataset", "--config", str(config_file), "--out", str(out)]) == 0
+        runs[name] = (out / "dataset.csv").read_bytes()
+    assert runs["replay"] == runs["first"] != runs["second"]
 
 
 def test_config_file_with_byte_order_mark(tmp_path, capsys):

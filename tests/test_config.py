@@ -1,10 +1,13 @@
 import ast
 import dataclasses
 import inspect
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_cli import fuzzed_configs
 
 import optoperceptron
 from optoperceptron import config, runner
@@ -328,9 +331,23 @@ def test_bitmaps_file_missing():
 def test_echo_roundtrip(tmp_path):
     cfg = load_config(overrides={"trainer.eta_max": "0.01", "run.seed": "9"})
     echoed = tmp_path / "echo.cfg"
-    echoed.write_text(cfg.to_text())
+    echoed.write_text(runner.config_text(cfg))
     cfg2 = load_config(echoed)
     assert cfg2.values == cfg.values
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=fuzzed_configs)
+def test_echo_reads_back_every_key(values):
+    # each key at its parser's bounds, none and subnormal floats included
+    cfg = load_config(overrides=values)
+    text = runner.config_text(cfg)
+    with tempfile.TemporaryDirectory() as work:
+        echoed = Path(work) / "echo.cfg"
+        echoed.write_text(text)
+        replayed = load_config(echoed)
+    assert replayed.values == cfg.values
+    assert runner.config_text(replayed) == text
 
 
 def test_optional_keys_accept_none():

@@ -1,18 +1,25 @@
 """Invariances the physics guarantees.
 
 A run's outputs depend on its lengths only through their ratio to the
-camera's pixel scale, and its counts on gain over pixel area. So doubling
-every length key and quadrupling the gain moves no artifact byte but the
-config echo and the fields that state a length or an area. At a factor of
-2 every float operation scales exactly, so equality holds bit for bit.
+camera's pixel scale, and its counts on gain x intensity x exposure over
+pixel area. So doubling every length key and quadrupling the gain, or
+doubling the gain and halving the intensity or the exposure, moves no
+artifact byte but the config echo and the fields that state a length, an
+area or a time. A simulate run's decisions depend on the ratios of its
+weights, threshold and learning rates alone, so doubling all three doubles
+every value of its trace. At a factor of 2 every float operation scales
+exactly, so equality holds bit for bit.
 """
 
 import json
 
 import pytest
+from test_golden import CASES
 
 from optoperceptron.cli import main
-from optoperceptron.config import KEY_TABLE
+from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
+from optoperceptron.patterns import build_dataset
+from optoperceptron.runner import simulate_run
 
 LENGTH_KEYS = (
     "camera.pixel_scale_um", "rig.roi_width_um", "rig.roi_height_um", "rig.spot_diameter_um",
@@ -22,6 +29,12 @@ SHORT = {"trainer.max_epochs": 3}
 # every length x 2 and the gain x 4, which keeps the counts of a pixel
 DOUBLED = {**SHORT, **{key: 2 * KEY_TABLE[key].default for key in LENGTH_KEYS},
            "camera.gain": 4 * KEY_TABLE["camera.gain"].default}
+# the gain x 2 and one light input / 2, which keeps every count
+HALF_THE_LIGHT = {
+    key: {**SHORT, "camera.gain": 2 * KEY_TABLE["camera.gain"].default, key: KEY_TABLE[key].default / 2}
+    for key in ("optics.intensity_in", "camera.exposure_ms")
+}
+RUNS = pytest.mark.parametrize("argv", [["emulate", "--verbose", "--frames"], ["energy"]], ids=["emulate", "energy"])
 
 
 def artifacts(tmp_path, name, values, argv) -> dict[str, bytes]:
@@ -32,7 +45,7 @@ def artifacts(tmp_path, name, values, argv) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
-@pytest.mark.parametrize("argv", [["emulate", "--verbose", "--frames"], ["energy"]], ids=["emulate", "energy"])
+@RUNS
 def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(tmp_path, capsys, argv):
     base = artifacts(tmp_path, "base", SHORT, argv)
     double = artifacts(tmp_path, "double", DOUBLED, argv)
@@ -46,3 +59,45 @@ def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(tmp_pa
         stated = base.pop("energy.txt").replace(b"(25.0 um spot)", b"(50.0 um spot)")
         assert double.pop("energy.txt") == stated.replace(b"(40.0 um spot)", b"(80.0 um spot)")
     assert [name for name in base if base[name] != double[name]] == []
+
+
+@pytest.mark.parametrize("halved", HALF_THE_LIGHT)
+@RUNS
+def test_doubling_the_gain_with_half_the_light_moves_no_artifact(tmp_path, capsys, argv, halved):
+    base = artifacts(tmp_path, "base", SHORT, argv)
+    scaled = artifacts(tmp_path, "scaled", HALF_THE_LIGHT[halved], argv)
+    assert sorted(base) == sorted(scaled)
+    assert base.pop("config.resolved.txt") != scaled.pop("config.resolved.txt")
+    if "sample_final.pgm.json" in base:
+        sidecar, scaled_sidecar = (json.loads(d.pop("sample_final.pgm.json")) for d in (base, scaled))
+        factor = 0.5 if halved == "camera.exposure_ms" else 1.0
+        assert scaled_sidecar.pop("exposure_s") == factor * sidecar.pop("exposure_s")
+        assert scaled_sidecar == sidecar
+    assert [name for name in base if base[name] != scaled[name]] == []
+
+
+TRAINER_SCALES = ("trainer.initial_weight", "trainer.initial_threshold", "trainer.eta_max", "trainer.eta_fixed")
+
+
+@pytest.mark.parametrize("case", ["simulate", "simulate-raises"])
+@pytest.mark.parametrize("seed", [3, 7, 8])
+def test_doubling_weights_threshold_and_rates_doubles_every_simulate_value(case, seed):
+    overrides = {key: raw for key, raw, _ in parse_config_text(CASES[case][1] or "")}
+    base_cfg = load_config(overrides=overrides)
+    doubled = {key: repr(2 * base_cfg[key]) for key in TRAINER_SCALES if base_cfg[key] is not None}
+    scaled_cfg = load_config(overrides=overrides | doubled)
+    dataset = build_dataset(base_cfg.bitmaps)
+    base = simulate_run(base_cfg, seed, dataset, bars=False).trace
+    scaled = simulate_run(scaled_cfg, seed, dataset, bars=False).trace
+    assert base.total_steps == scaled.total_steps > 0
+    assert (base.threshold_raises > 0) == (case == "simulate-raises")
+    for row, scaled_row in zip(base.rows, scaled.rows, strict=True):
+        step, pattern_id, cls, output, threshold, action, eta, pulses, weights = row
+        assert scaled_row == (
+            step, pattern_id, cls, 2 * output, 2 * threshold, action,
+            None if eta is None else 2 * eta, pulses, tuple(2 * w for w in weights),
+        )
+    assert scaled.final_threshold == 2 * base.final_threshold
+    assert scaled.final_weights == tuple(2 * w for w in base.final_weights)
+    assert (scaled.converged, scaled.epochs, scaled.threshold_raises) == (
+        base.converged, base.epochs, base.threshold_raises)

@@ -97,8 +97,8 @@ def test_sweep_median_steps_is_the_midpoint_of_an_even_count(tmp_path, capsys):
 
 
 def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):
-    """A sweep row reads the step count alone, so its seeds build no record;
-    a single run's artifacts read the steps, which builds them."""
+    """A sweep row reads its run summary, and a single run's artifacts read
+    the step rows, so no run builds a record."""
     built = Counter()
     original = trainer.StepRecord
 
@@ -111,9 +111,11 @@ def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):
     cfg.write_text("sweep.mode = simulate\nsweep.seeds = 4\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
     assert built["records"] == 0
-    assert main(["simulate", "--seed", "7", "--out", str(tmp_path / "o")]) == 0
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert built["records"] >= summary["total_steps"] > 0
+    for mode in ("simulate", "emulate"):
+        out = tmp_path / mode
+        assert main([mode, "--seed", "7", "--out", str(out)]) == 0
+        assert (out / "trace.json").exists() and (out / "learning_curve.csv").exists()
+    assert built["records"] == 0
 
 
 @pytest.mark.parametrize("run", [runner.simulate_run, runner.emulate_run])
