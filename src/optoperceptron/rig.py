@@ -117,7 +117,11 @@ class EnergyLedger:
 
     @property
     def write_energy_j(self) -> float:
-        return sum(p * per_pulse_j for _, p, per_pulse_j in self._packets())
+        # a left fold from the int 0: sum() compensates float rounding from Python 3.12
+        total = 0
+        for _, p, per_pulse_j in self._packets():
+            total += p * per_pulse_j
+        return total
 
     @property
     def read_energy_j(self) -> float:

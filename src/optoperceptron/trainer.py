@@ -32,8 +32,8 @@ class TrainerConfig:
 
 
 def pattern_output(weights: Sequence[float], pattern: Pattern) -> float:
-    """Weighted sum of the pattern's 0/1 inputs: the one input gate, applied by
-    the trainer to the vector a backend's gate() supplies.
+    """Weighted sum of the pattern's 0/1 inputs: the one input gate, which
+    evaluate_patterns calls and train inlines on a backend's gate() vector.
 
     Only the active inputs are summed, in index order from 0.0. That is
     bit-identical to the full sum of w * x: w * 1 is exact, a skipped
@@ -203,30 +203,35 @@ def train(
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
     Only an update moves the weights, so they and the backend's gate are
-    read again after each update alone, and each output is pattern_output
-    of that gate.
+    read again after each update alone. Each step inlines pattern_output of
+    that gate (the active inputs added in index order from 0.0, never with
+    sum(), whose float algorithm varies by Python version) and classify's
+    strict test, so an accepted step calls nothing but record.
     """
     trace = TrainingTrace()
     update_of, gate_of, weights_of = backend.apply_update, backend.gate, backend.weights
     record = trace.rows.append
     target = config.target_class
+    plan = [(p, p.pattern_id, p.class_label, p.active_indices, p.class_label == target) for p in patterns]
     threshold = backend.threshold()
     gate, weights = gate_of(), weights_of()
     step = 0
     for epoch in range(1, config.max_epochs + 1):
         trace.epochs = epoch
         clean = True
-        for pattern in patterns:
+        for pattern, pattern_id, class_label, active, is_target in plan:
             step += 1
-            output = pattern_output(gate, pattern)
-            action = classify(output, threshold, pattern.class_label, target)
-            eta = pulses = None
-            if action != ACCEPT:
-                clean = False
-                eta, pulses = update_of(pattern, action)
-                gate, weights = gate_of(), weights_of()
-            record((step, pattern.pattern_id, pattern.class_label, output, threshold,
-                    action, eta, pulses, weights))
+            output = 0.0
+            for i in active:
+                output += gate[i]
+            if output > threshold if is_target else output < threshold:
+                record((step, pattern_id, class_label, output, threshold, ACCEPT, None, None, weights))
+                continue
+            clean = False
+            action = RAISE_OUTPUT if is_target else LOWER_OUTPUT
+            eta, pulses = update_of(pattern, action)
+            gate, weights = gate_of(), weights_of()
+            record((step, pattern_id, class_label, output, threshold, action, eta, pulses, weights))
         if clean:
             if min(weights) < 0:
                 old = threshold

@@ -2,10 +2,10 @@
 
 A network weight is the fractional darkening of a readout region relative to
 its cached background: w = (I_B - I_W) / I_B. On the raw count scale each
-site contributes I_B - I_W; the input gate is trainer.pattern_output, which
-adds the contributions of the active inputs only (an inactive input reads
-B - B = 0). This module is arithmetic only: every background it is given is
-> 0, because Rig.capture_backgrounds refuses any other before the first write.
+site contributes I_B - I_W; the input gate, trainer.pattern_output (inlined
+in train), adds those of the active inputs only, in index order (an inactive
+input reads B - B = 0). This module is arithmetic only: every background it
+is given is > 0: Rig.capture_backgrounds refuses any other before the first write.
 """
 
 from __future__ import annotations

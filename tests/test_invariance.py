@@ -5,9 +5,12 @@ camera's pixel scale, and its counts on gain x intensity x exposure over
 pixel area. So doubling every length key and quadrupling the gain, or
 doubling the gain and halving the intensity or the exposure, moves no
 artifact byte but the config echo and the fields that state a length, an
-area or a time. A simulate run's decisions depend on the ratios of its
-weights, threshold and learning rates alone, so doubling all three doubles
-every value of its trace. At a factor of 2 every float operation scales
+area or a time. With time jitter a packet's pulses depend on the laser's
+repetition rate x the shutter's opening and a pulse's energy on write power
+/ rate, so doubling rate and power and halving both openings moves none.
+A simulate run's decisions depend on the ratios of its weights, threshold
+and learning rates alone, so doubling all three doubles every value of its
+trace. At a factor of 2 every float operation scales
 exactly, so equality holds bit for bit.
 """
 
@@ -34,12 +37,20 @@ HALF_THE_LIGHT = {
     key: {**SHORT, "camera.gain": 2 * KEY_TABLE["camera.gain"].default, key: KEY_TABLE[key].default / 2}
     for key in ("optics.intensity_in", "camera.exposure_ms")
 }
+# at jitter_mode = time a packet's pulses are rate x opening and a pulse's
+# energy power / rate: the rate and the power x 2 with both openings / 2 keep both
+TIME_JITTER = {**SHORT, "shutter.jitter_mode": "time"}
+FASTER_SHUTTER = {
+    **TIME_JITTER,
+    **{key: 2 * KEY_TABLE[key].default for key in ("shutter.repetition_rate_hz", "energy.write_power_uw")},
+    **{key: KEY_TABLE[key].default / 2 for key in ("shutter.open_time_min_ms", "shutter.open_time_max_ms")},
+}
 RUNS = pytest.mark.parametrize("argv", [["emulate", "--verbose", "--frames"], ["energy"]], ids=["emulate", "energy"])
 
 
 def artifacts(tmp_path, name, values, argv) -> dict[str, bytes]:
     cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     out = tmp_path / name
     assert main([*argv, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     return {path.name: path.read_bytes() for path in out.iterdir()}
@@ -73,6 +84,15 @@ def test_doubling_the_gain_with_half_the_light_moves_no_artifact(tmp_path, capsy
         factor = 0.5 if halved == "camera.exposure_ms" else 1.0
         assert scaled_sidecar.pop("exposure_s") == factor * sidecar.pop("exposure_s")
         assert scaled_sidecar == sidecar
+    assert [name for name in base if base[name] != scaled[name]] == []
+
+
+@RUNS
+def test_doubling_the_rate_and_power_with_half_the_opening_moves_no_artifact(tmp_path, capsys, argv):
+    base = artifacts(tmp_path, "base", TIME_JITTER, argv)
+    scaled = artifacts(tmp_path, "scaled", FASTER_SHUTTER, argv)
+    assert sorted(base) == sorted(scaled)
+    assert base.pop("config.resolved.txt") != scaled.pop("config.resolved.txt")
     assert [name for name in base if base[name] != scaled[name]] == []
 
 

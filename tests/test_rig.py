@@ -232,9 +232,11 @@ def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j):
             ledger.add_writes(site, helicity, pulses, per_pulse_j)
             events.extend((site, p, per_pulse_j) for p in pulses)
     # the reference: one event per packet, each billed pulses x per-pulse
-    # energy and summed in delivery order
+    # energy and summed left to right in delivery order, from the int 0
     pulses = sum(p for _, p, _ in events)
-    write_j = sum(p * per_pulse_j for _, p, per_pulse_j in events)
+    write_j = 0
+    for _, p, per_pulse_j in events:
+        write_j += p * per_pulse_j
     read_j = reads * per_read_j
     assert ledger.to_json_dict() == {
         "per_read_j": per_read_j,

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
-from optoperceptron.patterns import Pattern, build_dataset
+from optoperceptron.patterns import CLASSES, Pattern, build_dataset
 from optoperceptron.runner import eta_stream
 from optoperceptron.synapse import ERASE, WRITE
 from optoperceptron.trainer import (
@@ -310,6 +311,68 @@ def test_max_epochs_returns_unconverged_trace():
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(0)))
     assert not trace.converged
     assert trace.epochs == 1
+
+
+def reference_train(patterns, config, rng):
+    """train spelled out from its one definition of each operation: every
+    output is pattern_output, every action classify, every update
+    update_weights with the next eta VectorBackend would draw."""
+    weights, threshold = (config.initial_weight,) * 9, config.initial_threshold
+    rows, raises, step, converged = [], [], 0, False
+    for epoch in range(1, config.max_epochs + 1):
+        clean = True
+        for p in patterns:
+            step += 1
+            output = pattern_output(weights, p)
+            action = classify(output, threshold, p.class_label, config.target_class)
+            eta = None
+            if action != ACCEPT:
+                clean = False
+                eta = config.eta_fixed
+                if eta is None:
+                    eta = config.eta_max * (1.0 - rng.random())
+                weights = tuple(update_weights(weights, p, action, eta))
+            rows.append((step, p.pattern_id, p.class_label, output, threshold, action, eta, None, weights))
+        if clean:
+            if min(weights) < 0:
+                raises.append((step, threshold, threshold * (1.0 + config.threshold_raise)))
+                threshold = raises[-1][2]
+            else:
+                converged = True
+                break
+    return rows, raises, epoch, converged, weights, threshold
+
+
+@given(
+    initial_weight=st.one_of(st.sampled_from([0.5, 0.0, -0.0, -0.25]), st.floats(-1.0, 1.0)),
+    eta=st.one_of(
+        st.tuples(st.floats(1e-3, 0.5), st.none()),
+        st.tuples(st.just(0.014), st.floats(1e-3, 0.5)),
+    ),
+    threshold_raise=st.floats(1e-3, 0.5),
+    max_epochs=st.integers(1, 6),
+    target_class=st.sampled_from(CLASSES),
+    seed=st.integers(0, 2**32),
+)
+# the defaults at target z: the first pattern, z0, has five active inputs,
+# so its output ties the threshold at 2.5 and must be raised
+@example(initial_weight=0.5, eta=(0.014, None), threshold_raise=0.05, max_epochs=6,
+         target_class="z", seed=7)
+def test_train_equals_the_reference_loop(initial_weight, eta, threshold_raise, max_epochs,
+                                         target_class, seed):
+    # repr keeps -0.0 apart from 0.0, which == would not
+    config = replace(
+        trainer_config(), initial_weight=initial_weight, eta_max=eta[0], eta_fixed=eta[1],
+        threshold_raise=threshold_raise, max_epochs=max_epochs, target_class=target_class,
+    )
+    patterns = build_dataset().training
+    trace = train(patterns, config, VectorBackend(config, rng=eta_stream(seed)))
+    rows, raises, epochs, converged, weights, threshold = reference_train(
+        patterns, config, eta_stream(seed))
+    assert repr(trace.rows) == repr(rows)
+    assert [(r.after_step, r.old_threshold, r.new_threshold) for r in trace.raises] == raises
+    assert (trace.epochs, trace.converged) == (epochs, converged)
+    assert repr((trace.final_weights, trace.final_threshold)) == repr((weights, threshold))
 
 
 def test_evaluate_test_read_only_and_correct():
