@@ -72,24 +72,24 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
 
 @dataclass
 class EnergyLedger:
-    """Additive, order-independent energy accounting of a run, kept as its
-    op log: one entry per operation, in order.
+    """Energy accounting of a run at one read and one per-pulse write price,
+    kept as its op log: one entry per operation, in order.
 
     A read entry is ("read", site labels); a write entry is ("write", site,
-    helicity tag, pulses per packet in delivery order, per-pulse energy).
-    The per-packet write events and every total are derived from the log in
-    packet order, so each float sum adds the same terms in the same order
-    as one stored event per packet would.
+    helicity tag, pulses per packet in delivery order). The counts are
+    order-independent. The energies are not, since float addition is not
+    associative: each is the fold of its terms in delivery order, which is
+    what keeps them byte-stable. The per-packet write events and every
+    total are derived from the log in packet order.
     """
 
     per_read_j: float
+    per_pulse_j: float
     ops: list[tuple] = field(default_factory=list)
 
-    def add_writes(
-        self, site: str, helicity: str, pulses: Sequence[int], per_pulse_j: float
-    ) -> None:
+    def add_writes(self, site: str, helicity: str, pulses: Sequence[int]) -> None:
         """One write entry; the ledger keeps the pulses sequence it is given."""
-        self.ops.append(("write", site, helicity, pulses, per_pulse_j))
+        self.ops.append(("write", site, helicity, pulses))
 
     def add_reads(self, sites: Sequence[str]) -> None:
         """One read entry billing one read per listed site."""
@@ -99,9 +99,9 @@ class EnergyLedger:
         """(site, pulses, per-pulse energy) of every packet, in delivery order."""
         for op in self.ops:
             if op[0] == "write":
-                _, site, _, pulses, per_pulse_j = op
+                _, site, _, pulses = op
                 for p in pulses:
-                    yield site, p, per_pulse_j
+                    yield site, p, self.per_pulse_j
 
     @property
     def write_events(self) -> list[tuple[str, int, float]]:
@@ -188,8 +188,7 @@ class Rig:
         shutter: ShutterModel,
         shutter_rng: np.random.Generator,
         camera_rng: np.random.Generator,
-        per_pulse_write_j: float,
-        per_read_j: float,
+        ledger: EnergyLedger,
     ):
         self.constants = constants
         self.sensor_camera = camera
@@ -197,11 +196,10 @@ class Rig:
         self.shutter = shutter
         self.shutter_rng = shutter_rng
         self.camera_rng = camera_rng
-        self.per_pulse_write_j = per_pulse_write_j
         self.sites: list[SynapseSite] = [fresh_site(p) for p in site_params]
         self.background_sums: list[int] | None = None
         self.written_sums: list[int | None] = [None] * (N_WEIGHT_SITES + 1)
-        self.ledger = EnergyLedger(per_read_j=per_read_j)
+        self.ledger = ledger
         self.state: WeightState | None = None
         self.snapshots: list[dict] | None = None
 
@@ -291,7 +289,7 @@ class Rig:
         for pulses in delivered:
             site = apply_packet(site, helicity, pulses)
         self.sites[index] = site
-        self.ledger.add_writes(SITE_LABELS[index], helicity, delivered, self.per_pulse_write_j)
+        self.ledger.add_writes(SITE_LABELS[index], helicity, delivered)
 
     def _write_sites(
         self, indices: Sequence[int], helicity: str, packets: Sequence[int]
@@ -374,7 +372,7 @@ class Rig:
                     events += (("stage_move", label), ("mirror", "in"),
                                ("read", label), ("mirror", "out"))
             else:
-                _, label, tag, pulses, _ = op
+                _, label, tag, pulses = op
                 events += (("stage_move", label), ("ps2", "blocking"))
                 events += [("shutter", label, tag, p) for p in pulses]
                 events.append(("ps2", "open"))

@@ -22,8 +22,8 @@ from .patterns import CLASSES, Dataset, build_dataset
 from .pcg import Pcg64
 from .synapse import sample_sites
 from .trainer import (
+    EVAL_KEYS,
     STEP_KEYS,
-    EvalResult,
     TrainerConfig,
     TrainingTrace,
     VectorBackend,
@@ -68,7 +68,7 @@ def make_streams(seed: int) -> Streams:
 
 
 def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
-    from .rig import N_WEIGHT_SITES, Rig
+    from .rig import N_WEIGHT_SITES, EnergyLedger, Rig
 
     cfg.check_rig()
     site_params = sample_sites(
@@ -85,8 +85,7 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
         shutter=cfg.shutter_model(),
         shutter_rng=streams.shutter,
         camera_rng=streams.camera,
-        per_pulse_write_j=cfg.per_pulse_j(cfg["rig.spot_diameter_um"]),
-        per_read_j=cfg.per_read_j(),
+        ledger=EnergyLedger(cfg.per_read_j(), cfg.per_pulse_j(cfg["rig.spot_diameter_um"])),
     )
 
 
@@ -95,14 +94,14 @@ class RunResult:
     mode: str
     seed: int
     trace: TrainingTrace
-    pre_eval: list[EvalResult] | None  # None when the run skipped its bars
-    post_train_eval: list[EvalResult] | None
-    post_test_eval: list[EvalResult]
+    pre_eval: list[tuple] | None  # EVAL_KEYS rows; None when the run skipped its bars
+    post_train_eval: list[tuple] | None
+    post_test_eval: list[tuple]
     rig: Rig | None = None
 
     @property
     def test_correct(self) -> int:
-        return sum(1 for r in self.post_test_eval if r.correct)
+        return sum(1 for *_, correct in self.post_test_eval if correct)
 
     def summary(self) -> dict:
         return {
@@ -205,23 +204,16 @@ def learning_curve_csv(trace: TrainingTrace) -> str:
     return _csv_text("learning_curve.v1", header, rows)
 
 
-def bars_csv(results: Sequence[EvalResult]) -> str:
-    header = ["index", "pattern_id", "class", "role", "output", "threshold", "desired_above", "correct"]
-    rows = [
-        [i + 1, r.pattern_id, r.class_label, r.role, r.output, r.threshold, r.desired_above, r.correct]
-        for i, r in enumerate(results)
-    ]
-    return _csv_text("bars.v1", header, rows)
+def bars_csv(results: Sequence[tuple]) -> str:
+    return _csv_text("bars.v1", ["index", *EVAL_KEYS], [(i, *r) for i, r in enumerate(results, 1)])
 
 
-def interleave_post_results(
-    post_train: Sequence[EvalResult], post_test: Sequence[EvalResult]
-) -> list[EvalResult]:
-    """Class blocks with each held-out pattern appended after its block."""
+def interleave_post_results(post_train: Sequence[tuple], post_test: Sequence[tuple]) -> list[tuple]:
+    """Class blocks, by each row's class r[1], with each held-out pattern appended after its block."""
     ordered = []
     for cls in CLASSES:
-        ordered.extend(r for r in post_train if r.class_label == cls)
-        ordered.extend(r for r in post_test if r.class_label == cls)
+        ordered.extend(r for r in post_train if r[1] == cls)
+        ordered.extend(r for r in post_test if r[1] == cls)
     return ordered
 
 

@@ -9,7 +9,7 @@ below zero the threshold is raised and training continues.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .patterns import N_INPUTS, Pattern
@@ -78,8 +78,10 @@ def update_weights(
     return updated
 
 
-# The artifact name of each field of a step row, in row order.
+# The artifact name of each field of a step, threshold raise and evaluation row, in row order.
 STEP_KEYS = ("step", "pattern_id", "class", "output", "threshold", "action", "eta", "pulses", "weights")
+RAISE_KEYS = ("after_step", "old_threshold", "new_threshold")
+EVAL_KEYS = ("pattern_id", "class", "role", "output", "threshold", "desired_above", "correct")
 
 
 @dataclass(slots=True)
@@ -98,19 +100,13 @@ class StepRecord:
 
 
 @dataclass
-class ThresholdRaise:
-    after_step: int
-    old_threshold: float
-    new_threshold: float
-
-
-@dataclass
 class TrainingTrace:
-    """rows holds one plain tuple per step, in STEP_KEYS order; steps
-    builds the StepRecords on each read, so a caller that reads none builds none."""
+    """rows holds one plain tuple per step, in STEP_KEYS order, and raises
+    one per threshold raise, in RAISE_KEYS order; steps builds the
+    StepRecords on each read, so a caller that reads none builds none."""
 
     rows: list[tuple] = field(default_factory=list)
-    raises: list[ThresholdRaise] = field(default_factory=list)
+    raises: list[tuple] = field(default_factory=list)
     epochs: int = 0
     converged: bool = False
     final_weights: tuple[float, ...] = ()
@@ -141,7 +137,7 @@ class TrainingTrace:
     def to_json_dict(self) -> dict:
         return {
             "summary": self.summary(),
-            "raises": [asdict(r) for r in self.raises],
+            "raises": [dict(zip(RAISE_KEYS, r)) for r in self.raises],
             "steps": [dict(zip(STEP_KEYS, row)) for row in self.rows],
         }
 
@@ -236,7 +232,7 @@ def train(
             if min(weights) < 0:
                 old = threshold
                 threshold *= 1.0 + config.threshold_raise
-                trace.raises.append(ThresholdRaise(step, old, threshold))
+                trace.raises.append((step, old, threshold))
             else:
                 trace.converged = True
                 break
@@ -245,35 +241,16 @@ def train(
     return trace
 
 
-@dataclass
-class EvalResult:
-    pattern_id: str
-    class_label: str
-    role: str
-    output: float
-    threshold: float
-    desired_above: bool
-    correct: bool
-
-
 def evaluate_patterns(
     backend: WeightBackend, patterns: Sequence[Pattern], target_class: str, threshold: float
-) -> list[EvalResult]:
-    """Read-only pass judging every pattern against the one given threshold."""
+) -> list[tuple]:
+    """Read-only pass judging every pattern against the one given threshold:
+    one plain tuple per pattern, in EVAL_KEYS order."""
     gate = backend.gate()
     results = []
     for p in patterns:
         output = pattern_output(gate, p)
-        results.append(
-            EvalResult(
-                pattern_id=p.pattern_id,
-                class_label=p.class_label,
-                role=p.role,
-                output=output,
-                threshold=threshold,
-                desired_above=p.class_label == target_class,
-                correct=classify(output, threshold, p.class_label, target_class) == ACCEPT,
-            )
-        )
+        label = p.class_label
+        correct = classify(output, threshold, label, target_class) == ACCEPT
+        results.append((p.pattern_id, label, p.role, output, threshold, label == target_class, correct))
     return results
-

@@ -99,8 +99,8 @@ def test_criterion_4_class_block_structure(simulate_sweep):
         if not r.trace.converged:
             continue
         ordered = r.post_train_eval  # training order is the z, v, n blocks
-        sides = ["above" if e.output > e.threshold else "below" for e in ordered]
-        assert [e.class_label for e in ordered] == ["z"] * 8 + ["v"] * 8 + ["n"] * 8
+        sides = ["above" if output > threshold else "below" for _, _, _, output, threshold, _, _ in ordered]
+        assert [label for _, label, *_ in ordered] == ["z"] * 8 + ["v"] * 8 + ["n"] * 8
         if sides != ["below"] * 8 + ["above"] * 8 + ["below"] * 8:
             report("4 class-block-structure", False, f"seed {r.seed} produced {sides}")
         checked += 1

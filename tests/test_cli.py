@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -184,12 +187,26 @@ def test_each_flag_is_its_config_key(tmp_path, capsys, mode, flags, config_text)
     [
         (["simulate", "--seed", "-1"], "override: run.seed: -1 is below the minimum 0"),
         (["sweep", "--seeds", "0"], "override: sweep.seeds: 0 is below the minimum 1"),
+        (["sweep", "--seeds", "100001"], "override: sweep.seeds: 100001 is above the maximum 100000"),
     ],
 )
 def test_flag_value_out_of_its_key_bounds_exit_code(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_module_entry_point_exits_with_the_code_main_returns(tmp_path):
+    src = str(Path(config.__file__).parents[1])
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "optoperceptron.cli", "sweep", "--seeds", "100001", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "configuration error: override: sweep.seeds: 100001 is above the maximum 100000\n"
     assert not out.exists()
 
 
@@ -263,6 +280,22 @@ def test_nan_float_value_exit_code(tmp_path, capsys, key):
     assert main(["emulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"line 1: {key}: expected a number, got 'nan'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("run.dump_frames = maybe", "line 1: run.dump_frames: expected a boolean, got 'maybe'"),
+        ("run.trace_verbosity = 3", "line 1: run.trace_verbosity: 3 is above the maximum 2"),
+    ],
+)
+def test_config_file_value_its_key_parser_refuses_exit_code(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

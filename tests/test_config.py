@@ -82,11 +82,9 @@ def constructions(name: str) -> list[tuple[str, str]]:
 
 def test_rig_and_ledger_take_their_energy_prices_from_the_config():
     # energy.read_nj and the pulse price reach the rig through RunConfig only
-    params = inspect.signature(Rig.__init__).parameters
-    for name in ("per_pulse_write_j", "per_read_j"):
-        assert params[name].default is inspect.Parameter.empty, name
-    ledger_read = next(f for f in dataclasses.fields(EnergyLedger) if f.name == "per_read_j")
-    assert ledger_read.default is dataclasses.MISSING
+    assert inspect.signature(Rig.__init__).parameters["ledger"].default is inspect.Parameter.empty
+    prices = {f.name: f.default for f in dataclasses.fields(EnergyLedger) if f.name != "ops"}
+    assert prices == {"per_read_j": dataclasses.MISSING, "per_pulse_j": dataclasses.MISSING}
 
 
 def test_file_values_and_comments(tmp_path):

@@ -1,16 +1,19 @@
 """Hot-path guards.
 
-The code run once per trainer step or per packet builds no class instance,
-an exception included: what it could check, the config and its callers
-guarantee (``tests/test_layering.py``).
+Two loops call no class, an exception included (what they could check, the
+config and its callers guarantee: ``tests/test_layering.py``): ``train``'s
+step loop, and the rig's packet loop in ``Rig._write_packets`` together with
+``EnergyLedger.add_writes``. The guards read those bodies only, not the
+functions they call: ``synapse.apply_packet`` builds a new ``SynapseSite``
+for every packet, and an emulate miss builds a ``WeightState``.
 A trainer step is one plain tuple, and a ``StepRecord`` is built only when
 a caller reads ``trace.steps``. The step loop inlines ``pattern_output``
 of the backend's gate vector and ``classify``'s accept test, so an accepted
 step calls nothing but the row append; that it computes exactly what those
 two functions would is checked by behaviour, against a reference loop, in
-``tests/test_trainer.py``. A packet write builds no instance either: the
-ledger logs a write operation as one entry, and ``Rig.events`` and the
-ledger's per-packet write events are rendered only when read.
+``tests/test_trainer.py``. The ledger logs a write operation as one entry,
+and ``Rig.events`` and the ledger's per-packet write events are rendered
+only when read.
 
 A rig operation on several sites makes one camera draw (reads) or one
 shutter draw (writes), not one per site: each draw carries its own fixed

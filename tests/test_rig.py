@@ -188,20 +188,25 @@ def test_per_pulse_energy_is_finite_and_never_negative_across_the_energy_bounds(
             assert 0.0 <= cfg.per_pulse_j(cfg[key]) < float("inf")
 
 
-def test_ledger_totals_additive_and_order_independent():
-    events = [("w1", 100, 50e-12), ("w2", 40, 50e-12), ("b", 7, 10e-12)]
-    totals = set()
-    for perm in itertools.permutations(events):
-        ledger = EnergyLedger(per_read_j=0.4e-9)
-        for site, pulses, cost in perm:
-            ledger.add_writes(site, "write", [pulses], cost)
+def test_ledger_counts_are_order_free_and_write_energy_is_the_delivery_order_fold():
+    # float addition is not associative: at one price, writes of 100, 40 and
+    # 7 pulses bill 7.35e-09 J in some orders and 7.3500000000000005e-09 J in
+    # others, so the ledger bills each order's own left fold from the int 0
+    writes = [("w1", 100), ("w2", 40), ("b", 7)]
+    counts, energies = set(), set()
+    for perm in itertools.permutations(writes):
+        ledger = EnergyLedger(0.4e-9, 50e-12)
+        for site, pulses in perm:
+            ledger.add_writes(site, "write", [pulses])
         ledger.add_reads(["w1", "w2", "b"])
-        totals.add((ledger.total_pulses, ledger.write_energy_j, ledger.read_energy_j))
-    assert len(totals) == 1
-    (pulses, write_j, read_j) = totals.pop()
-    assert pulses == 147
-    assert write_j == pytest.approx(140 * 50e-12 + 7 * 10e-12)
-    assert read_j == 3 * 0.4e-9
+        counts.add((ledger.total_pulses, ledger.read_events, ledger.read_energy_j))
+        fold = 0
+        for _, pulses in perm:
+            fold += pulses * 50e-12
+        assert ledger.write_energy_j == fold
+        energies.add(fold)
+    assert counts == {(147, 3, 3 * 0.4e-9)}
+    assert energies == {7.35e-09, 7.3500000000000005e-09}
 
 
 ledger_ops = st.lists(
@@ -212,30 +217,30 @@ ledger_ops = st.lists(
             st.sampled_from(SITE_LABELS),
             st.sampled_from(["write", "erase"]),
             st.lists(st.integers(0, 400), max_size=60),
-            st.floats(0.0, 1e-9),
         ),
     ),
     max_size=30,
 )
 
 
-@given(ops=ledger_ops, per_read_j=st.sampled_from([0.4e-9, 0.0, 1.3e-10]))
-def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j):
-    ledger = EnergyLedger(per_read_j=per_read_j)
+@given(ops=ledger_ops, per_read_j=st.sampled_from([0.4e-9, 0.0, 1.3e-10]),
+       per_pulse_j=st.floats(0.0, 1e-9))
+def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j, per_pulse_j):
+    ledger = EnergyLedger(per_read_j, per_pulse_j)
     events, reads = [], 0
     for op in ops:
         if op[0] == "read":
             ledger.add_reads(op[1])
             reads += len(op[1])
         else:
-            _, site, helicity, pulses, per_pulse_j = op
-            ledger.add_writes(site, helicity, pulses, per_pulse_j)
+            _, site, helicity, pulses = op
+            ledger.add_writes(site, helicity, pulses)
             events.extend((site, p, per_pulse_j) for p in pulses)
     # the reference: one event per packet, each billed pulses x per-pulse
     # energy and summed left to right in delivery order, from the int 0
     pulses = sum(p for _, p, _ in events)
     write_j = 0
-    for _, p, per_pulse_j in events:
+    for _, p, _ in events:
         write_j += p * per_pulse_j
     read_j = reads * per_read_j
     assert ledger.to_json_dict() == {
@@ -612,7 +617,7 @@ def test_rig_evaluation_is_read_only():
     assert rig.ledger.read_events == reads
     assert len(rig.ledger.write_events) == writes
     assert rig.camera_rng.bit_generator.state == camera_state
-    assert {r.threshold for r in results} == {threshold}
+    assert {row_threshold for _, _, _, _, row_threshold, _, _ in results} == {threshold}
 
 
 def test_emulated_training_converges_full_default_set():

@@ -227,7 +227,7 @@ def test_training_converges_and_orders_classes():
     # converged means the last full pass was 24 accepts
     assert all(s.action == "accept" for s in trace.steps[-24:])
     results = evaluate_patterns(backend, dataset.training, "v", trace.final_threshold)
-    assert [r.correct for r in results] == [True] * 24
+    assert [correct for *_, correct in results] == [True] * 24
 
 
 def test_training_deterministic_with_fixed_eta():
@@ -298,10 +298,10 @@ def test_threshold_raise_path():
     assert thresholds == sorted(thresholds)
     # each raise compounds the last: the same float operation every time
     previous = config.initial_threshold
-    for r in trace.raises:
-        assert r.old_threshold == previous
-        assert r.new_threshold == r.old_threshold * (1.0 + config.threshold_raise)
-        previous = r.new_threshold
+    for _, old_threshold, new_threshold in trace.raises:
+        assert old_threshold == previous
+        assert new_threshold == old_threshold * (1.0 + config.threshold_raise)
+        previous = new_threshold
     assert trace.final_threshold == previous
 
 
@@ -370,7 +370,7 @@ def test_train_equals_the_reference_loop(initial_weight, eta, threshold_raise, m
     rows, raises, epochs, converged, weights, threshold = reference_train(
         patterns, config, eta_stream(seed))
     assert repr(trace.rows) == repr(rows)
-    assert [(r.after_step, r.old_threshold, r.new_threshold) for r in trace.raises] == raises
+    assert trace.raises == raises
     assert (trace.epochs, trace.converged) == (epochs, converged)
     assert repr((trace.final_weights, trace.final_threshold)) == repr((weights, threshold))
 
@@ -385,9 +385,9 @@ def test_evaluate_test_read_only_and_correct():
     second = evaluate_patterns(backend, dataset.testing, "v", trace.final_threshold)
     assert first == second
     assert backend.weights() == trace.final_weights
-    assert all(r.correct for r in first)
-    v_test = next(r for r in first if r.class_label == "v")
-    assert v_test.output > trace.final_threshold
+    assert all(correct for *_, correct in first)
+    v_output = next(output for _, label, _, output, *_ in first if label == "v")
+    assert v_output > trace.final_threshold
 
 
 def test_trace_json_shape():
