@@ -230,10 +230,7 @@ class RunConfig:
     def optical_constants(self) -> OpticalConstants:
         from .optics import OpticalConstants
 
-        return OpticalConstants(
-            delta=self["optics.delta_rad"],
-            intensity_in=self["optics.intensity_in"],
-        )
+        return OpticalConstants(**self._section("optics"))
 
     def camera_config(self) -> CameraConfig:
         from .optics import CameraConfig

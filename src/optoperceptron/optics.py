@@ -24,13 +24,13 @@ from .synapse import SynapseSite
 class OpticalConstants:
     """Probe-side constants of the readout chain."""
 
-    delta: float
+    delta_rad: float
     intensity_in: float
 
     @property
     def c(self) -> float:
         """Analyzer leakage constant, exactly delta^2 / 2."""
-        return self.delta * self.delta / 2.0
+        return self.delta_rad * self.delta_rad / 2.0
 
 
 def analyzer_intensity(m: float, constants: OpticalConstants) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from cli_runs import artifacts, run_cli
 from optoperceptron.config import load_config
 from optoperceptron.optics import expose_frames, integrate_roi, spot_pixel_mask
 from optoperceptron.patterns import build_dataset
@@ -253,8 +254,6 @@ def test_criterion_8_energy_ledger(tmp_path):
 
 
 def test_criterion_9_determinism(tmp_path):
-    from optoperceptron.cli import main
-
     compared = 0
     mismatched = []
     for mode, extra in [
@@ -264,20 +263,13 @@ def test_criterion_9_determinism(tmp_path):
         ("sweep", ["--seeds", "3"]),
         ("emulate", []),
     ]:
-        config_file = tmp_path / f"{mode}.cfg"
-        config_file.write_text("trainer.max_epochs = 3\n" if mode == "emulate" else "")
+        config_text = "trainer.max_epochs = 3\n" if mode == "emulate" else ""
         dirs = [tmp_path / f"{mode}_a", tmp_path / f"{mode}_b"]
         for out in dirs:
-            code = main(
-                [mode, "--config", str(config_file), "--seed", "7", "--out", str(out)]
-                + extra
-            )
-            assert code == 0
-        for artifact in sorted(dirs[0].iterdir()):
-            twin = dirs[1] / artifact.name
-            compared += 1
-            if artifact.read_bytes() != twin.read_bytes():
-                mismatched.append(f"{mode}/{artifact.name}")
+            assert run_cli(out, mode, "--seed", "7", *extra, config=config_text) == 0
+        first, second = (artifacts(out) for out in dirs)
+        compared += len(first)
+        mismatched += [f"{mode}/{name}" for name in first if first[name] != second.get(name)]
     report(
         "9 determinism",
         not mismatched,

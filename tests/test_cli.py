@@ -9,11 +9,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from cli_runs import csv_rows, run_cli
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optoperceptron import config
-from optoperceptron.cli import main
+from optoperceptron.atomic import atomic_write
 from optoperceptron.patterns import DEFAULT_BITMAPS
 
 EXPECTED_HEADERS = {
@@ -36,53 +37,32 @@ EXPECTED_HEADERS = {
 }
 
 
-def read_lines(path: Path):
-    return path.read_text().splitlines()
-
-
 def test_dataset_mode(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["dataset", "--out", str(out)]) == 0
-    lines = read_lines(out / "dataset.csv")
+    assert run_cli(out, "dataset") == 0
+    lines = (out / "dataset.csv").read_text().splitlines()
     assert tuple(lines[:2]) == EXPECTED_HEADERS["dataset.csv"]
     assert len(lines) == 2 + 27
     summary = json.loads(capsys.readouterr().out)
     assert summary["patterns"] == 27
 
 
-def test_simulate_mode_artifacts(tmp_path):
-    out = tmp_path / "out"
-    assert main(["simulate", "--seed", "7", "--out", str(out)]) == 0
-    assert (out / "config.resolved.txt").exists()
-    assert (out / "summary.json").exists()
-    curve = read_lines(out / "learning_curve.csv")
-    assert tuple(curve[:2]) == EXPECTED_HEADERS["learning_curve.csv"]
-    bars = read_lines(out / "bars_post.csv")
-    assert tuple(bars[:2]) == EXPECTED_HEADERS["bars_post.csv"]
-    assert len(bars) == 2 + 27  # 24 training + 3 held-out
-    pre = read_lines(out / "bars_pre.csv")
-    assert len(pre) == 2 + 24
-    summary = json.loads((out / "summary.json").read_text())
+def test_simulate_mode_artifacts(files_of):
+    files = files_of("simulate", "--seed", "7")
+    assert "config.resolved.txt" in files
+    for name in ("learning_curve.csv", "bars_post.csv"):
+        assert tuple(files[name].decode().splitlines()[:2]) == EXPECTED_HEADERS[name]
+    assert len(csv_rows(files["bars_post.csv"])) == 27  # 24 training + 3 held-out
+    assert len(csv_rows(files["bars_pre.csv"])) == 24
+    summary = json.loads(files["summary.json"])
     assert summary["converged"] is True
-    trace = json.loads((out / "trace.json").read_text())
+    trace = json.loads(files["trace.json"])
     assert trace["summary"]["total_steps"] == summary["total_steps"]
 
 
-def test_simulate_repeat_is_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--seed", "7", "--out", str(out1)]) == 0
-    assert main(["simulate", "--seed", "7", "--out", str(out2)]) == 0
-    for name in ("summary.json", "learning_curve.csv", "bars_pre.csv", "bars_post.csv", "trace.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
-def test_emulate_mode_artifacts(tmp_path, config_file=None):
+def test_emulate_mode_artifacts(tmp_path):
     out = tmp_path / "out"
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text("trainer.max_epochs = 2\n")
-    assert main(
-        ["emulate", "--config", str(cfg), "--seed", "3", "--out", str(out), "--frames", "--verbose"]
-    ) == 0
+    assert run_cli(out, "emulate", "--seed", "3", "--frames", "--verbose", config="trainer.max_epochs = 2\n") == 0
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["read_events"] >= 20
     assert ledger["total_pulses"] > 0
@@ -103,7 +83,7 @@ def test_emulate_mode_artifacts(tmp_path, config_file=None):
 
 def test_energy_mode(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["energy", "--seed", "1", "--out", str(out)]) == 0
+    assert run_cli(out, "energy", "--seed", "1") == 0
     summary = json.loads(capsys.readouterr().out)
     assert 33.0 <= summary["per_pulse_spot_small_pj"] <= 96.0
     assert 33.0 <= summary["per_pulse_spot_large_pj"] <= 96.0
@@ -112,14 +92,11 @@ def test_energy_mode(tmp_path, capsys):
     assert "per-pulse energy" in (out / "energy.txt").read_text()
 
 
-def test_sweep_mode(tmp_path):
-    out = tmp_path / "out"
-    assert main(["sweep", "--seeds", "5", "--seed", "100", "--out", str(out)]) == 0
-    lines = read_lines(out / "sweep.csv")
-    assert tuple(lines[:2]) == EXPECTED_HEADERS["sweep.csv"]
-    assert len(lines) == 2 + 5
-    assert lines[2].startswith("100,")
-    summary = json.loads((out / "summary.json").read_text())
+def test_sweep_mode(files_of):
+    files = files_of("sweep", "--seeds", "5", "--seed", "100")
+    assert tuple(files["sweep.csv"].decode().splitlines()[:2]) == EXPECTED_HEADERS["sweep.csv"]
+    assert [row["seed"] for row in csv_rows(files["sweep.csv"])] == ["100", "101", "102", "103", "104"]
+    summary = json.loads(files["summary.json"])
     assert summary["seeds"] == 5
 
 
@@ -151,10 +128,8 @@ def readme_lists(modes: str, mode: str, flags: tuple) -> bool:
      ("dataset", ()), ("energy", ()), ("sweep", ())],
 )
 def test_each_mode_writes_the_files_the_readme_lists(tmp_path, capsys, mode, flags):
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("trainer.max_epochs = 2\nsweep.seeds = 2\n")
     out = tmp_path / "out"
-    assert main([mode, "--config", str(cfg), "--seed", "7", "--out", str(out), *flags]) == 0
+    assert run_cli(out, mode, "--seed", "7", *flags, config="trainer.max_epochs = 2\nsweep.seeds = 2\n") == 0
     rows = readme_artifact_rows()
     listed = {name for names, modes in rows if readme_lists(modes, mode, flags) for name in names}
     assert sorted(path.name for path in out.iterdir()) == sorted(listed)
@@ -169,15 +144,10 @@ def test_each_mode_writes_the_files_the_readme_lists(tmp_path, capsys, mode, fla
     ],
     ids=["seed", "frames-verbose", "seeds"],
 )
-def test_each_flag_is_its_config_key(tmp_path, capsys, mode, flags, config_text):
+def test_each_flag_is_its_config_key(files_of, mode, flags, config_text):
     # a flag sets the key it names, so the two runs are one run, echo included
     base = "trainer.max_epochs = 3\n"
-    runs = {"flag": (base, flags), "key": (base + config_text, ())}
-    for out, (text, argv) in runs.items():
-        cfg = tmp_path / f"{out}.cfg"
-        cfg.write_text(text)
-        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / out), *argv]) == 0
-    flag_run, key_run = artifact_bytes(tmp_path / "flag"), artifact_bytes(tmp_path / "key")
+    flag_run, key_run = files_of(mode, *flags, config=base), files_of(mode, config=base + config_text)
     assert "config.resolved.txt" in flag_run
     assert flag_run == key_run
 
@@ -192,7 +162,7 @@ def test_each_flag_is_its_config_key(tmp_path, capsys, mode, flags, config_text)
 )
 def test_flag_value_out_of_its_key_bounds_exit_code(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
-    assert main([*argv, "--out", str(out)]) == 2
+    assert run_cli(out, *argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
@@ -216,52 +186,84 @@ def test_emulate_only_flags_rejected_by_other_modes(mode, tmp_path, capsys):
     out = tmp_path / "out"
     for flag in ("--verbose", "--frames"):
         with pytest.raises(SystemExit) as exc:
-            main([mode, flag, "--out", str(out)])
+            run_cli(out, mode, flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("trainer.eta_max = -1\n")
-    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-
-
-def test_sensor_clipping_at_dark_level_exit_code(tmp_path, capsys):
+# Each config that a run refuses with exit 2 before it writes a file, by
+# case: the mode, the config text, and the message after "configuration error: ".
+REFUSALS = {
+    "config-error": ("simulate", "trainer.eta_max = -1\n", "line 1: trainer.eta_max: -1.0 must be above 0.0"),
     # 8 bits: full well 255, below the default dark offset of 600
-    cfg = tmp_path / "clip.cfg"
-    cfg.write_text("camera.bit_depth = 8\n")
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "full well" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_unknown_key_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nope = 1\n")
-    assert main(["dataset", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-
-
-def test_missing_config_file_is_io_error(tmp_path):
-    assert main(["simulate", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o")]) == 3
-
-
-def test_output_path_that_is_a_file_is_io_error(tmp_path, capsys):
-    # the config loads; the artifact writer then cannot create the directory
-    out = tmp_path / "taken"
-    out.write_text("not a directory\n")
-    assert main(["dataset", "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("i/o error: ")
-    assert out.read_text() == "not a directory\n"
-
-
-@pytest.mark.parametrize(
-    "key",
-    [
+    "sensor-clipping-at-dark-level": (
+        "emulate", "camera.bit_depth = 8\n",
+        "camera.dark_offset 600.0 reaches the 8-bit full well 255: every read would clip",
+    ),
+    "unknown-key": ("dataset", "nope = 1\n", "line 1: unknown key 'nope'"),
+    # a learning rate is eta_max * (1 - u) with 1 - u down to 2**-53: at
+    # 5e-324 that product rounds to 0.0 on about half the draws
+    "eta-max-whose-smallest-rate-underflows": (
+        "simulate", "trainer.eta_max = 5e-324\ntrainer.max_epochs = 3\n",
+        "trainer.eta_max 5e-324 is too small: the smallest learning rate, eta_max * 2**-53, rounds to 0",
+    ),
+    # the pulse energy is the write power over the rate: at 5e-324 Hz it is
+    # Infinity, which summary.json and ledger.json cannot hold as JSON
+    "repetition-rate-below-one-hertz": (
+        "energy", "shutter.repetition_rate_hz = 5e-324\n",
+        "line 1: shutter.repetition_rate_hz: 5e-324 is below the minimum 1.0",
+    ),
+    # A 0.01 um spot holds no pixel center of the readout window, so every
+    # weight read would be background noise alone.
+    "spot-covering-no-pixel": (
+        "emulate", "rig.spot_diameter_um = 0.01\n",
+        "a 0.01 um spot covers no pixel center of the 17x16 readout window at 1.0 um per pixel, "
+        "so no read could see a weight; increase rig.spot_diameter_um",
+    ),
+    # 100 x 1.0476 < 110 x 0.9524, so the spread check passes, yet at seed 7
+    # one site's dead zone and saturation each round to 105 pulses
+    "site-whose-rounded-dead-zone-meets-its-saturation": (
+        "emulate", "synapse.dead_zone_pulses = 100\nsynapse.saturation_pulses = 110\nsynapse.site_spread = 0.0476\n",
+        "site index 0 rounds to dead zone 105 and saturation 105 pulses, which leaves no response span; "
+        "lower synapse.site_spread 0.0476",
+    ),
+    # No light on a noiseless camera: the threshold site's written sum equals
+    # its background sum, so the threshold reads 0.0 and no pattern could
+    # ever be judged against it.
+    "threshold-reading-zero": (
+        "emulate", "optics.intensity_in = 1e-6\ncamera.read_noise = 0\n",
+        "the threshold reads 0.0 after initialization: its background sum 163200.0 minus its written sum 163200.0",
+    ),
+    "file-value-run.dump_frames": (
+        "simulate", "run.dump_frames = maybe\n", "line 1: run.dump_frames: expected a boolean, got 'maybe'",
+    ),
+    "file-value-run.trace_verbosity": (
+        "simulate", "run.trace_verbosity = 3\n", "line 1: run.trace_verbosity: 3 is above the maximum 2",
+    ),
+    # every pixel at full well: the background sums would all read 65535 x ROI
+    "degenerate-clipped": (
+        "emulate", "camera.gain = 1e6\n", "background read of site w1 clipped at the 16-bit full well 65535",
+    ),
+    # noiseless, no dark level, almost no light: every background sums to 0
+    "degenerate-dead": (
+        "emulate", "camera.dark_offset = 0\ncamera.read_noise = 0\noptics.intensity_in = 1e-3\n",
+        "background read of site w1: background sum must be positive, got 0",
+    ),
+    # no light at all: every read would be the dark level plus noise
+    "degenerate-zero-exposure": (
+        "emulate", "camera.exposure_ms = 0\n", "line 1: camera.exposure_ms: 0.0 must be above 0.0",
+    ),
+    # the 3x3 grid reaches x = 186.5 um on a 166 um wide sensor
+    "degenerate-off-sensor": (
+        "emulate", "rig.site_spacing_um = 100\n",
+        "site w3 at (186.5, 15.5) um is outside the sensor field of view; reduce rig.site_spacing_um",
+    ),
+}
+# every bound comparison with NaN is false, so NaN must be refused by name
+REFUSALS |= {
+    f"nan-{key}": ("emulate", f"{key} = nan\n", f"line 1: {key}: expected a number, got 'nan'")
+    for key in (
         "camera.read_noise",  # NaN > 0 is false: a silently noiseless run
         "trainer.eta_max",
         "trainer.initial_weight",
@@ -270,40 +272,60 @@ def test_output_path_that_is_a_file_is_io_error(tmp_path, capsys):
         "synapse.site_spread",
         "camera.gain",
         "optics.intensity_in",
-    ],
-)
-def test_nan_float_value_exit_code(tmp_path, capsys, key):
-    # every bound comparison with NaN is false, so NaN must be refused by name
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(f"{key} = nan\n")
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"line 1: {key}: expected a number, got 'nan'" in err
-    assert not out.exists()
+    )
+}
+# each removed key was deleted with the code it reached, so the parser rejects it
+REFUSALS |= {
+    f"removed-{key}": ("energy", f"{key} = {value}\n", f"line 1: unknown key {key!r}")
+    for key, value in (
+        ("optics.wavelength_nm", "800"), ("energy.repetition_rate_hz", "1000"), ("energy.profile", "gaussian"),
+        ("energy.flattop_order", "5"), ("energy.threshold_fluence_j_cm2", "0.05"), ("optics.gamma", "0.01"),
+        ("rig.write_polarization", "left"), ("rig.reread_threshold", "true"),
+        ("trainer.reset_weights_on_raise", "true"), ("energy.include_initialization", "true"),
+    )
+}
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("run.dump_frames = maybe", "line 1: run.dump_frames: expected a boolean, got 'maybe'"),
-        ("run.trace_verbosity = 3", "line 1: run.trace_verbosity: 3 is above the maximum 2"),
-    ],
-)
-def test_config_file_value_its_key_parser_refuses_exit_code(tmp_path, capsys, line, message):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{line}\n")
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused_config_exit_code(tmp_path, capsys, case):
+    mode, config_text, message = REFUSALS[case]
     out = tmp_path / "o"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(out, mode, "--seed", "7", config=config_text) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
+
+
+def test_missing_config_file_is_io_error(tmp_path):
+    assert run_cli(tmp_path / "o", "simulate", "--config", str(tmp_path / "absent.cfg")) == 3
+
+
+def test_output_path_that_is_a_file_is_io_error(tmp_path, capsys):
+    # the config loads; the artifact writer then cannot create the directory
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli(out, "dataset") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert out.read_text() == "not a directory\n"
+
+
+def test_artifact_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the temp file is written, then os.replace cannot move it over a directory
+    (tmp_path / "o" / "dataset.csv").mkdir(parents=True)
+    with pytest.raises(OSError):
+        atomic_write(tmp_path / "o" / "dataset.csv", "pattern_id\n")
+    assert not (tmp_path / "o" / "dataset.csv.tmp").exists()
+    assert run_cli(tmp_path / "o", "dataset") == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["config.resolved.txt", "dataset.csv"]
 
 
 def test_non_utf8_config_file_exit_code(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes("# caf\u00e9\nrun.seed = 1\n".encode("latin-1"))
     out = tmp_path / "o"
-    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(out, "dataset", "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {cfg}: not UTF-8 text (")
     assert "at byte 5)" in err
@@ -313,10 +335,8 @@ def test_non_utf8_config_file_exit_code(tmp_path, capsys):
 def test_non_utf8_bitmap_file_exit_code(tmp_path, capsys):
     bitmaps = tmp_path / "glyphs.txt"
     bitmaps.write_bytes(b"\xff00\n000\n000\n")
-    cfg = tmp_path / "glyphs.cfg"
-    cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
     out = tmp_path / "o"
-    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli(out, "dataset", config=f"dataset.bitmaps_file = {bitmaps}\n") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {bitmaps}: not UTF-8 text (")
     assert not out.exists()
@@ -337,7 +357,7 @@ def test_relative_bitmaps_file_replays_from_another_directory(tmp_path, capsys, 
                                      ("replay", "second", tmp_path / "first-out" / "config.resolved.txt")]:
         monkeypatch.chdir(tmp_path / where)
         out = tmp_path / f"{name}-out"
-        assert main(["dataset", "--config", str(config_file), "--out", str(out)]) == 0
+        assert run_cli(out, "dataset", "--config", str(config_file)) == 0
         runs[name] = (out / "dataset.csv").read_bytes()
     assert runs["replay"] == runs["first"] != runs["second"]
 
@@ -346,74 +366,40 @@ def test_config_file_with_byte_order_mark(tmp_path, capsys):
     cfg = tmp_path / "bom.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfrun.seed = 1\n")
     out = tmp_path / "o"
-    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "run.seed = 1" in read_lines(out / "config.resolved.txt")
+    assert run_cli(out, "dataset", "--config", str(cfg)) == 0
+    assert "run.seed = 1" in (out / "config.resolved.txt").read_text().splitlines()
 
 
 def test_bitmap_file_with_byte_order_mark(tmp_path, capsys):
     bitmaps = tmp_path / "glyphs.txt"
     bitmaps.write_bytes(b"\xef\xbb\xbf111\n000\n111\n\n100\n100\n100\n\n001\n001\n001\n")
-    cfg = tmp_path / "glyphs.cfg"
-    cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
     out = tmp_path / "o"
-    assert main(["dataset", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = read_lines(out / "dataset.csv")[2:]
-    assert rows[0] == "z0,z,0,train,1,1,1,0,0,0,1,1,1"
+    assert run_cli(out, "dataset", config=f"dataset.bitmaps_file = {bitmaps}\n") == 0
+    assert (out / "dataset.csv").read_text().splitlines()[2] == "z0,z,0,train,1,1,1,0,0,0,1,1,1"
 
 
 def test_non_utf8_byte_offset_counts_the_byte_order_mark(tmp_path, capsys):
     cfg = tmp_path / "bom-latin1.cfg"
     cfg.write_bytes(b"\xef\xbb\xbf" + "# caf\u00e9\n".encode("latin-1"))
-    assert main(["dataset", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert run_cli(tmp_path / "o", "dataset", "--config", str(cfg)) == 2
     assert "at byte 8)" in capsys.readouterr().err
 
 
 def test_unconverged_run_still_exits_zero(tmp_path, capsys):
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("trainer.max_epochs = 1\n")
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(tmp_path / "out", "simulate", config="trainer.max_epochs = 1\n") == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is False
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "optics.wavelength_nm = 800",
-        "energy.repetition_rate_hz = 1000",
-        "energy.profile = gaussian",
-        "energy.flattop_order = 5",
-        "energy.threshold_fluence_j_cm2 = 0.05",
-        "optics.gamma = 0.01",
-        "rig.write_polarization = left",
-        "rig.reread_threshold = true",
-        "trainer.reset_weights_on_raise = true",
-        "energy.include_initialization = true",
-    ],
-    ids=lambda line: line.split(" =")[0],
-)
-def test_removed_keys_are_unknown(tmp_path, capsys, line):
-    # each was deleted with the code it reached, so the parser rejects it
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(line + "\n")
-    assert main(["energy", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("seed", [7, 8, 9])
-def test_energy_ledger_reconciles_with_the_emulate_run(tmp_path, capsys, seed):
+def test_energy_ledger_reconciles_with_the_emulate_run(files_of, seed):
     # energy's ledger bills exactly the packets and reads of the emulate run
-    assert main(["energy", "--seed", str(seed), "--out", str(tmp_path / "energy")]) == 0
-    assert main(["emulate", "--seed", str(seed), "--out", str(tmp_path / "emulate")]) == 0
-    ledger = json.loads((tmp_path / "energy" / "ledger.json").read_text())
-    summary = json.loads((tmp_path / "energy" / "summary.json").read_text())
-    resolved = dict(
-        line.split(" = ")
-        for line in read_lines(tmp_path / "energy" / "config.resolved.txt")[1:]
-    )
-    trace = json.loads((tmp_path / "emulate" / "trace.json").read_text())
-    curve = read_lines(tmp_path / "emulate" / "learning_curve.csv")[2:]
+    energy, emulate = (files_of(mode, "--seed", str(seed)) for mode in ("energy", "emulate"))
+    ledger = json.loads(energy["ledger.json"])
+    summary = json.loads(energy["summary.json"])
+    resolved = dict(line.split(" = ") for line in energy["config.resolved.txt"].decode().splitlines()[1:])
+    trace = json.loads(emulate["trace.json"])
+    curve = csv_rows(emulate["learning_curve.csv"])
 
     updates = [s["pulses"] for s in trace["steps"] if s["pulses"]]
     assert summary["training_steps"] == len(trace["steps"])
@@ -422,30 +408,17 @@ def test_energy_ledger_reconciles_with_the_emulate_run(tmp_path, capsys, seed):
     learning = int(resolved["rig.learning_packets"]) * sum(map(len, updates))
     assert len(ledger["write_events"]) == n_init + learning
     init_pulses = sum(e["pulses"] for e in ledger["write_events"][:n_init])
-    training_pulses = sum(int(row.split(",")[-1]) for row in curve if row.split(",")[-1])
+    training_pulses = sum(int(row["pulses_total"]) for row in curve if row["pulses_total"])
     assert ledger["total_pulses"] == summary["total_pulses"] == init_pulses + training_pulses
 
 
 def test_shutter_repetition_rate_sets_pulse_energy(tmp_path, capsys):
     # one write laser: the shutter's repetition rate divides the calibrated power
-    assert main(["energy", "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(tmp_path / "a", "energy") == 0
     base = json.loads(capsys.readouterr().out)
-    cfg = tmp_path / "rate.cfg"
-    cfg.write_text("shutter.repetition_rate_hz = 2000\n")
-    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert run_cli(tmp_path / "b", "energy", config="shutter.repetition_rate_hz = 2000\n") == 0
     doubled = json.loads(capsys.readouterr().out)
     assert doubled["per_pulse_network_spot_pj"] == base["per_pulse_network_spot_pj"] / 2
-
-
-def test_eta_max_whose_smallest_rate_underflows_exit_code(tmp_path, capsys):
-    # a learning rate is eta_max * (1 - u) with 1 - u down to 2**-53: at
-    # 5e-324 that product rounds to 0.0 on about half the draws
-    cfg = tmp_path / "eta.cfg"
-    cfg.write_text("trainer.eta_max = 5e-324\ntrainer.max_epochs = 3\n")
-    out = tmp_path / "o"
-    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    assert "trainer.eta_max 5e-324 is too small" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -464,35 +437,19 @@ def test_eta_max_whose_smallest_rate_underflows_exit_code(tmp_path, capsys):
 def test_eta_max_is_judged_only_where_learning_rates_are_sampled(tmp_path, capsys, mode, config_text, code):
     # only a simulate run without trainer.eta_fixed draws rates from eta_max
     config_text += "trainer.eta_max = 5e-324\ntrainer.max_epochs = 3\n"
-    assert run_cli(tmp_path, mode, config_text) == code
+    assert run_cli(tmp_path / "o", mode, "--seed", "7", config=config_text) == code
     err = capsys.readouterr().err
     if code:
-        assert err == (
-            "configuration error: trainer.eta_max 5e-324 is too small: "
-            "the smallest learning rate, eta_max * 2**-53, rounds to 0\n"
-        )
+        assert err == f"configuration error: {REFUSALS['eta-max-whose-smallest-rate-underflows'][2]}\n"
         assert not (tmp_path / "o").exists()
     else:
         assert err == ""
 
 
-def test_repetition_rate_below_one_hertz_exit_code(tmp_path, capsys):
-    # the pulse energy is the write power over the rate: at 5e-324 Hz it is
-    # Infinity, which summary.json and ledger.json cannot hold as JSON
-    cfg = tmp_path / "rate.cfg"
-    cfg.write_text("shutter.repetition_rate_hz = 5e-324\n")
-    out = tmp_path / "o"
-    assert main(["energy", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "shutter.repetition_rate_hz: 5e-324 is below the minimum 1.0" in err
-    assert not out.exists()
-
-
 def test_repetition_rate_floor_at_full_write_power_reports_finite_energies(tmp_path, capsys):
-    cfg = tmp_path / "rate.cfg"
-    cfg.write_text("shutter.repetition_rate_hz = 1\nenergy.write_power_uw = 1e9\n")
     out = tmp_path / "o"
-    assert main(["energy", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    config_text = "shutter.repetition_rate_hz = 1\nenergy.write_power_uw = 1e9\n"
+    assert run_cli(out, "energy", "--seed", "7", config=config_text) == 0
     capsys.readouterr()
 
     def refuse(constant):
@@ -502,74 +459,6 @@ def test_repetition_rate_floor_at_full_write_power_reports_finite_energies(tmp_p
     json.loads((out / "ledger.json").read_text(), parse_constant=refuse)
     assert summary["per_pulse_spot_large_pj"] == pytest.approx(1e15 * (40.0 / 100.0) ** 2)
     assert summary["write_energy_nj"] > 0
-
-
-@pytest.mark.parametrize(
-    "config_text, message",
-    [
-        # every pixel at full well: the background sums would all read 65535 x ROI
-        ("camera.gain = 1e6\n", "clipped at the 16-bit full well"),
-        # noiseless, no dark level, almost no light: every background sums to 0
-        (
-            "camera.dark_offset = 0\ncamera.read_noise = 0\noptics.intensity_in = 1e-3\n",
-            "background sum must be positive",
-        ),
-        # no light at all: every read would be the dark level plus noise
-        ("camera.exposure_ms = 0\n", "camera.exposure_ms"),
-        # the 3x3 grid reaches x = 186.5 um on a 166 um wide sensor
-        ("rig.site_spacing_um = 100\n", "outside the sensor"),
-    ],
-    ids=["clipped", "dead", "zero-exposure", "off-sensor"],
-)
-def test_degenerate_background_exit_code(tmp_path, capsys, config_text, message):
-    cfg = tmp_path / "degenerate.cfg"
-    cfg.write_text(config_text)
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_spot_covering_no_pixel_exit_code(tmp_path, capsys):
-    # A 0.01 um spot holds no pixel center of the readout window, so every
-    # weight read would be background noise alone.
-    cfg = tmp_path / "tiny_spot.cfg"
-    cfg.write_text("rig.spot_diameter_um = 0.01\n")
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    assert "covers no pixel center" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_site_whose_rounded_dead_zone_meets_its_saturation_exit_code(tmp_path, capsys):
-    # 100 x 1.0476 < 110 x 0.9524, so the spread check passes, yet at seed 7
-    # one site's dead zone and saturation each round to 105 pulses
-    cfg = tmp_path / "collide.cfg"
-    cfg.write_text(
-        "synapse.dead_zone_pulses = 100\n"
-        "synapse.saturation_pulses = 110\n"
-        "synapse.site_spread = 0.0476\n"
-    )
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "site index 0 rounds to dead zone 105 and saturation 105 pulses" in err
-    assert "synapse.site_spread 0.0476" in err
-    assert not out.exists()
-
-
-def test_threshold_reading_zero_exit_code(tmp_path, capsys):
-    # No light on a noiseless camera: the threshold site's written sum equals
-    # its background sum, so the threshold reads 0.0 and no pattern could
-    # ever be judged against it.
-    cfg = tmp_path / "dark.cfg"
-    cfg.write_text("optics.intensity_in = 1e-6\ncamera.read_noise = 0\n")
-    out = tmp_path / "o"
-    assert main(["emulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "the threshold reads 0.0 after initialization" in err
-    assert "background sum 163200.0 minus its written sum 163200.0" in err
-    assert not out.exists()
 
 
 MODES = [("simulate", ""), ("dataset", ""), ("sweep", "simulate"), ("emulate", ""), ("energy", ""), ("sweep", "emulate")]
@@ -599,7 +488,7 @@ RELATIONS = {
         RIG_MODES,
     ),
     "roi-vs-sensor": ("rig.roi_width_um = 500\n", "the readout window exceeds the sensor size", RIG_MODES),
-    "read-block": (
+    "read-block": (  # a 16000 x 16000 sensor at 0.01 um per pixel holds a 1650 x 1550 px window
         "camera.pixel_scale_um = 0.01\ncamera.width_px = 16000\ncamera.height_px = 16000\n",
         "a read of 10 sites x 10 frames (rig.frames_per_read) of the 1650x1550 px window "
         "(rig.roi_*_um / camera.pixel_scale_um) needs 2455200000 B, over the 134217728 B budget",
@@ -645,18 +534,6 @@ def relation_cases(modes, reads: bool):
     ]
 
 
-def run_cli(tmp_path, mode, config_text, *flags, out="o"):
-    """main(mode) on a config file of the given text, into tmp_path/out."""
-    cfg = tmp_path / f"{out}.cfg"
-    cfg.write_text(config_text)
-    return main([mode, "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / out), *flags])
-
-
-def artifact_bytes(out: Path) -> dict[str, bytes]:
-    """Every file of a run's output directory, by name."""
-    return {path.name: path.read_bytes() for path in out.iterdir()}
-
-
 def sweep_text(sweep_mode):
     return f"sweep.mode = {sweep_mode}\nsweep.seeds = 2\n" if sweep_mode else ""
 
@@ -665,19 +542,18 @@ def sweep_text(sweep_mode):
 def test_rig_only_relation_leaves_a_mode_without_a_rig_running(tmp_path, capsys, mode, sweep_mode, relation):
     # none of these modes reads a rig key, so none is refused for one
     config_text = RELATIONS[relation][0] + sweep_text(sweep_mode)
-    assert run_cli(tmp_path, mode, config_text) == 0
+    assert run_cli(tmp_path / "o", mode, "--seed", "7", config=config_text) == 0
     assert (tmp_path / "o" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("mode, sweep_mode, relation", relation_cases(RIG_MODES, reads=False))
-def test_unread_relation_changes_no_artifact(tmp_path, capsys, mode, sweep_mode, relation):
+def test_unread_relation_changes_no_artifact(files_of, mode, sweep_mode, relation):
     # the mode builds a rig but reads none of the relation's keys: the run is
     # the same run as without them, but for the config echo
-    flags = ("--verbose", "--frames") if mode == "emulate" else ()
+    argv = (mode, "--seed", "7", *(("--verbose", "--frames") if mode == "emulate" else ()))
     config_text = "trainer.max_epochs = 3\n" + sweep_text(sweep_mode)
-    assert run_cli(tmp_path, mode, config_text + RELATIONS[relation][0], *flags, out="with") == 0
-    assert run_cli(tmp_path, mode, config_text, *flags, out="without") == 0
-    with_key, without_key = artifact_bytes(tmp_path / "with"), artifact_bytes(tmp_path / "without")
+    with_key = files_of(*argv, config=config_text + RELATIONS[relation][0])
+    without_key = files_of(*argv, config=config_text)
     assert with_key.pop("config.resolved.txt") != without_key.pop("config.resolved.txt")
     assert with_key == without_key
 
@@ -686,7 +562,7 @@ def test_unread_relation_changes_no_artifact(tmp_path, capsys, mode, sweep_mode,
 def test_rig_only_relation_refuses_a_mode_that_builds_a_rig(tmp_path, capsys, mode, sweep_mode, relation):
     # the check runs where the relation's keys are read, before any draw or output
     config_text, message, _ = RELATIONS[relation]
-    assert run_cli(tmp_path, mode, config_text + sweep_text(sweep_mode)) == 2
+    assert run_cli(tmp_path / "o", mode, "--seed", "7", config=config_text + sweep_text(sweep_mode)) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "o").exists()
 
@@ -710,10 +586,8 @@ def test_held_out_variant_repeating_a_training_pattern_exit_code(tmp_path, capsy
     for i, (bitmap_text, message) in enumerate(OVERLAPPING_BITMAPS):
         bitmaps = tmp_path / f"overlap{i}.txt"
         bitmaps.write_text(bitmap_text)
-        cfg = tmp_path / f"overlap{i}.cfg"
-        cfg.write_text(f"dataset.bitmaps_file = {bitmaps}\n")
         out = tmp_path / f"o{i}"
-        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert run_cli(out, mode, config=f"dataset.bitmaps_file = {bitmaps}\n") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}")
         assert not out.exists()
@@ -788,11 +662,9 @@ def test_any_config_within_the_key_bounds_exits_zero_or_two(mode, values):
     # dataset only dataset.*, so with those at their defaults (and the one
     # fuzzed epoch) it always runs.
     with tempfile.TemporaryDirectory() as work:
-        cfg = Path(work) / "fuzz.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([mode, "--config", str(cfg), "--out", str(Path(work) / "o")])
+            code = run_cli(Path(work) / "o", mode, config=values)
     assert code in (0, 2), err.getvalue()
     without_rig = mode in ("simulate", "dataset") or (mode == "sweep" and values.get("sweep.mode") != "emulate")
     drawn_sections = {key.split(".")[0] for key in values if key != "trainer.max_epochs"}

@@ -17,9 +17,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-from optoperceptron.cli import main
+from cli_runs import artifacts, run_cli
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -69,19 +69,9 @@ CASES = {
 def run_case(name: str, work: Path) -> dict[str, str]:
     """sha256 of every file the case writes, keyed by its relative path."""
     argv, config_text = CASES[name]
-    out = work / "out"
-    argv = argv + ["--out", str(out)]
-    if config_text is not None:
-        config = work / "case.cfg"
-        config.write_text(config_text)
-        argv += ["--config", str(config)]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    return {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
+        assert run_cli(work / "out", *argv, config=config_text) == 0
+    return {path: hashlib.sha256(data).hexdigest() for path, data in artifacts(work / "out").items()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -94,6 +84,41 @@ def test_energy_ledger_is_the_emulate_ledger():
     # energy writes the ledger of the emulate run at the same (config, seed)
     golden = json.loads(GOLDEN.read_text())
     assert golden["energy"]["ledger.json"] == golden["emulate"]["ledger.json"]
+
+
+# The first two draws of each Generator method the rig calls, from children
+# 1-3 of a SeedSequence (runner.make_streams' shutter, camera and site
+# streams), as float hex, recorded with numpy 2.4.6. NEP 19 keeps the bit
+# streams stable but lets a release change how a method turns bits into values.
+NUMPY_DRAWS = {
+    (1, "standard_normal"): ("0x1.66e394e80b81bp+0", "0x1.b4f3826dea40dp-1"),
+    (1, "uniform"): ("-0x1.3e24f89464020p-5", "-0x1.c30778fe67652p-1"),
+    (1, "random"): ("0x1.ec1db076b9bfep-2", "0x1.e7c4380cc4d70p-5"),
+    (2, "standard_normal"): ("0x1.437614d289c65p-5", "0x1.1b9c6182b42f4p+0"),
+    (2, "uniform"): ("0x1.0e6d354b2c4fcp-2", "-0x1.b13fe29b776c0p-6"),
+    (2, "random"): ("0x1.439b4d52cb13fp-1", "0x1.f27600eb2444ap-2"),
+    (3, "standard_normal"): ("-0x1.0409002692a7cp+0", "-0x1.d2e052b1be8fbp-1"),
+    (3, "uniform"): ("0x1.ede60725eb0bcp-1", "-0x1.c195f862b3eb8p-1"),
+    (3, "random"): ("0x1.f6f30392f585ep-1", "0x1.f3503cea60a40p-5"),
+}
+DRAW_ARGS = {"standard_normal": (), "uniform": (-1.0, 1.0), "random": ()}
+
+
+def test_numpy_draws_the_values_the_digests_were_recorded_with():
+    children = np.random.SeedSequence(7).spawn(4)
+    drawn = {
+        (child, method): tuple(
+            float(value).hex()
+            for value in getattr(np.random.default_rng(children[child]), method)(*DRAW_ARGS[method], size=2)
+        )
+        for child, method in NUMPY_DRAWS
+    }
+    numpy_cases = [name for name, (argv, config_text) in CASES.items()
+                   if argv[0] in ("emulate", "energy") or "sweep.mode = emulate" in (config_text or "")]
+    assert drawn == NUMPY_DRAWS, (
+        f"numpy {np.__version__} draws other values from these streams than numpy 2.4.6, which recorded "
+        f"the golden digests; the {len(numpy_cases)} cases that draw from them will fail: {', '.join(numpy_cases)}"
+    )
 
 
 if __name__ == "__main__":

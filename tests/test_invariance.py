@@ -19,7 +19,6 @@ import json
 import pytest
 from test_golden import CASES
 
-from optoperceptron.cli import main
 from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
 from optoperceptron.patterns import build_dataset
 from optoperceptron.runner import simulate_run
@@ -48,18 +47,9 @@ FASTER_SHUTTER = {
 RUNS = pytest.mark.parametrize("argv", [["emulate", "--verbose", "--frames"], ["energy"]], ids=["emulate", "energy"])
 
 
-def artifacts(tmp_path, name, values, argv) -> dict[str, bytes]:
-    cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
-    out = tmp_path / name
-    assert main([*argv, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
-    return {path.name: path.read_bytes() for path in out.iterdir()}
-
-
 @RUNS
-def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(tmp_path, capsys, argv):
-    base = artifacts(tmp_path, "base", SHORT, argv)
-    double = artifacts(tmp_path, "double", DOUBLED, argv)
+def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(files_of, argv):
+    base, double = (files_of(*argv, "--seed", "7", config=values) for values in (SHORT, DOUBLED))
     assert sorted(base) == sorted(double)
     assert base.pop("config.resolved.txt") != double.pop("config.resolved.txt")
     if "sample_final.pgm.json" in base:
@@ -74,9 +64,8 @@ def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(tmp_pa
 
 @pytest.mark.parametrize("halved", HALF_THE_LIGHT)
 @RUNS
-def test_doubling_the_gain_with_half_the_light_moves_no_artifact(tmp_path, capsys, argv, halved):
-    base = artifacts(tmp_path, "base", SHORT, argv)
-    scaled = artifacts(tmp_path, "scaled", HALF_THE_LIGHT[halved], argv)
+def test_doubling_the_gain_with_half_the_light_moves_no_artifact(files_of, argv, halved):
+    base, scaled = (files_of(*argv, "--seed", "7", config=values) for values in (SHORT, HALF_THE_LIGHT[halved]))
     assert sorted(base) == sorted(scaled)
     assert base.pop("config.resolved.txt") != scaled.pop("config.resolved.txt")
     if "sample_final.pgm.json" in base:
@@ -88,9 +77,8 @@ def test_doubling_the_gain_with_half_the_light_moves_no_artifact(tmp_path, capsy
 
 
 @RUNS
-def test_doubling_the_rate_and_power_with_half_the_opening_moves_no_artifact(tmp_path, capsys, argv):
-    base = artifacts(tmp_path, "base", TIME_JITTER, argv)
-    scaled = artifacts(tmp_path, "scaled", FASTER_SHUTTER, argv)
+def test_doubling_the_rate_and_power_with_half_the_opening_moves_no_artifact(files_of, argv):
+    base, scaled = (files_of(*argv, "--seed", "7", config=values) for values in (TIME_JITTER, FASTER_SHUTTER))
     assert sorted(base) == sorted(scaled)
     assert base.pop("config.resolved.txt") != scaled.pop("config.resolved.txt")
     assert [name for name in base if base[name] != scaled[name]] == []

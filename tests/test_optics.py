@@ -74,7 +74,7 @@ def test_leakage_constant_exact():
 
 def test_constants_small_angle_enforced():
     # optics.delta_rad is bounded by the limit of the small-angle chain
-    assert optical_constants(delta_rad=SMALL_ANGLE_LIMIT).delta == SMALL_ANGLE_LIMIT
+    assert optical_constants(delta_rad=SMALL_ANGLE_LIMIT).delta_rad == SMALL_ANGLE_LIMIT
     with pytest.raises(ConfigurationError, match="optics.delta_rad: 0.5 is above the maximum 0.2"):
         optical_constants(delta_rad=0.5)
 

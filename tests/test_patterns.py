@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.config import load_config
@@ -42,22 +42,24 @@ def families(dataset):
     return found
 
 
-def test_flatten_all_ones():
-    assert families(build_dataset(SPARSE_BANK))["v"][0].inputs == (1,) * 9
-
-
-def test_flatten_single_cell_row2_col1():
-    # grid row 2, column 1 (1-based) lands at flat index 4 (x_4, 0-based 3)
-    z0 = families(build_dataset(SPARSE_BANK))["z"][0]
-    assert z0.inputs == (0, 0, 0, 1, 0, 0, 0, 0, 0)
-
-
 @given(banks)
-def test_flatten_unflatten_roundtrip(bitmaps):
-    for cls, family in families(build_dataset(bitmaps)).items():
+@example(SPARSE_BANK)  # z's grid row 2, column 1 (1-based) lands at flat index 4 (x_4, 0-based 3)
+def test_any_bank_builds_each_glyph_its_one_bit_variants_roles_and_ids(bitmaps):
+    # per class: nine distinct patterns, the ideal reading back as its glyph's
+    # rows and variant k flipping input k alone; variant 1 held out, ids cls+k
+    ds = build_dataset(bitmaps)
+    assert all(p.role == "train" and p.variant_index != 1 for p in ds.training)
+    assert [(p.pattern_id, p.role) for p in ds.testing] == [(f"{cls}1", "test") for cls in CLASSES]
+    for p in ds.training + ds.testing:
+        assert p.pattern_id == f"{p.class_label}{p.variant_index}"
+    for cls, family in families(ds).items():
+        assert sorted(family) == list(range(9))
+        assert len({p.inputs for p in family.values()}) == 9
         flat = family[0].inputs
-        rows = tuple("".join(map(str, flat[r * 3 : r * 3 + 3])) for r in range(3))
-        assert rows == bitmaps[cls]
+        assert tuple("".join(map(str, flat[r * 3 : r * 3 + 3])) for r in range(3)) == bitmaps[cls]
+        for k in range(1, 9):
+            assert family[k].variant_index == k
+            assert [i for i in range(9) if family[k].inputs[i] != flat[i]] == [k]
 
 
 @pytest.mark.parametrize(
@@ -85,26 +87,6 @@ def test_variants_flip_positions():
     assert found["z"][1].inputs == (0, 1, 0, 0, 0, 0, 0, 0, 0)
     assert found["z"][1].role == "test"
     assert found["v"][8].inputs == (1,) * 8 + (0,)
-
-
-@given(banks)
-def test_variants_hamming_distance_one(bitmaps):
-    for family in families(build_dataset(bitmaps)).values():
-        ideal = family[0]
-        for k in range(1, 9):
-            variant = family[k]
-            assert variant.variant_index == k
-            diffs = [i for i in range(9) if variant.inputs[i] != ideal.inputs[i]]
-            assert diffs == [k]
-
-
-@given(banks)
-def test_roles_and_ids(bitmaps):
-    ds = build_dataset(bitmaps)
-    assert all(p.role == "train" and p.variant_index != 1 for p in ds.training)
-    assert [(p.pattern_id, p.role) for p in ds.testing] == [(f"{cls}1", "test") for cls in CLASSES]
-    for p in ds.training + ds.testing:
-        assert p.pattern_id == f"{p.class_label}{p.variant_index}"
 
 
 def test_dataset_shape():
@@ -136,13 +118,6 @@ def test_dataset_deterministic():
     a = build_dataset()
     b = build_dataset()
     assert a == b
-
-
-@given(banks)
-def test_class_family_has_nine_members(bitmaps):
-    for family in families(build_dataset(bitmaps)).values():
-        assert sorted(family) == list(range(9))
-        assert len({p.inputs for p in family.values()}) == 9
 
 
 def test_bitmap_text_roundtrip():

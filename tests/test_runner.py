@@ -11,9 +11,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from cli_runs import csv_rows, run_cli
 
 from optoperceptron import runner, trainer
-from optoperceptron.cli import main
 from optoperceptron.config import load_config
 from optoperceptron.patterns import build_dataset
 
@@ -34,17 +34,14 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["simulate", "emulate"])
 def test_sweep_builds_one_dataset_and_trains_once_per_seed(tmp_path, capsys, calls, mode):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"sweep.mode = {mode}\nsweep.seeds = 5\ntrainer.max_epochs = 1\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    config_text = f"sweep.mode = {mode}\nsweep.seeds = 5\ntrainer.max_epochs = 1\n"
+    assert run_cli(tmp_path / "o", "sweep", config=config_text) == 0
     assert calls == {"build_dataset": 1, "train": 5, "evaluate_patterns": 5, f"{mode}_run": 5}
 
 
 @pytest.mark.parametrize("mode", ["simulate", "emulate", "energy"])
 def test_single_run_builds_one_dataset(tmp_path, capsys, calls, mode):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("trainer.max_epochs = 1\n")
-    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert run_cli(tmp_path / "o", mode, config="trainer.max_epochs = 1\n") == 0
     run = "simulate_run" if mode == "simulate" else "emulate_run"
     # energy writes no bars, so only its held-out patterns are evaluated
     evaluations = 1 if mode == "energy" else 3
@@ -63,36 +60,24 @@ SWEEP_COLUMNS = {
 
 
 @pytest.mark.parametrize("mode", ["simulate", "emulate"])
-def test_sweep_rows_equal_single_runs_at_the_same_seeds(tmp_path, capsys, mode):
+def test_sweep_rows_equal_single_runs_at_the_same_seeds(files_of, mode):
     """A sweep seed skips the bars, yet its row is the single run's summary."""
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"sweep.mode = {mode}\nsweep.seeds = 3\n")
-    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "s")]) == 0
-    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    rows = csv_rows(files_of("sweep", "--seed", "7", config=f"sweep.mode = {mode}\nsweep.seeds = 3\n")["sweep.csv"])
     assert [row["seed"] for row in rows] == ["7", "8", "9"]
     for row in rows:
-        out = tmp_path / f"{mode}-{row['seed']}"
-        assert main([mode, "--seed", row["seed"], "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads(files_of(mode, "--seed", row["seed"])["summary.json"])
         assert {c: row[c] for c in SWEEP_COLUMNS} == {
             c: json.dumps(summary[key]) for c, key in SWEEP_COLUMNS.items()
         }
 
 
-def test_sweep_median_steps_is_the_midpoint_of_an_even_count(tmp_path, capsys):
+def test_sweep_median_steps_is_the_midpoint_of_an_even_count(files_of):
     """Four converged seeds whose two middle step counts differ: the summary's
     median is their mean, as numpy's median of the sweep.csv column gives."""
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("sweep.mode = simulate\nsweep.seeds = 4\n")
-    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "s")]) == 0
-    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
-    steps = sorted(int(row["steps"]) for row in rows if row["converged"] == "true")
+    files = files_of("sweep", "--seed", "7", config="sweep.mode = simulate\nsweep.seeds = 4\n")
+    steps = sorted(int(row["steps"]) for row in csv_rows(files["sweep.csv"]) if row["converged"] == "true")
     assert len(steps) == 4 and steps[1] != steps[2]
-    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    summary = json.loads(files["summary.json"])
     assert summary["median_steps"] == float(np.median(steps)) == (steps[1] + steps[2]) / 2
 
 
@@ -107,13 +92,11 @@ def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(trainer, "StepRecord", counted)
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("sweep.mode = simulate\nsweep.seeds = 4\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert run_cli(tmp_path / "s", "sweep", config="sweep.mode = simulate\nsweep.seeds = 4\n") == 0
     assert built["records"] == 0
     for mode in ("simulate", "emulate"):
         out = tmp_path / mode
-        assert main([mode, "--seed", "7", "--out", str(out)]) == 0
+        assert run_cli(out, mode, "--seed", "7") == 0
         assert (out / "trace.json").exists() and (out / "learning_curve.csv").exists()
     assert built["records"] == 0
 
