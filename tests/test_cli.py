@@ -180,15 +180,15 @@ def test_module_entry_point_exits_with_the_code_main_returns(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--verbose", "--frames"])
 @pytest.mark.parametrize("mode", ["simulate", "dataset", "energy", "sweep"])
-def test_emulate_only_flags_rejected_by_other_modes(mode, tmp_path, capsys):
+def test_emulate_only_flags_rejected_by_other_modes(mode, flag, tmp_path, capsys):
     # only emulate writes PGM frames and weight snapshots
     out = tmp_path / "out"
-    for flag in ("--verbose", "--frames"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(out, mode, flag)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(out, mode, flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -581,16 +581,16 @@ OVERLAPPING_BITMAPS = [
 ]
 
 
+@pytest.mark.parametrize("bitmap_text, message", OVERLAPPING_BITMAPS, ids=["z1-equals-v0", "v0-equals-z0"])
 @pytest.mark.parametrize("mode", ["dataset", "simulate", "sweep"])
-def test_held_out_variant_repeating_a_training_pattern_exit_code(tmp_path, capsys, mode):
-    for i, (bitmap_text, message) in enumerate(OVERLAPPING_BITMAPS):
-        bitmaps = tmp_path / f"overlap{i}.txt"
-        bitmaps.write_text(bitmap_text)
-        out = tmp_path / f"o{i}"
-        assert run_cli(out, mode, config=f"dataset.bitmaps_file = {bitmaps}\n") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {message}")
-        assert not out.exists()
+def test_held_out_variant_repeating_a_training_pattern_exit_code(tmp_path, capsys, mode, bitmap_text, message):
+    bitmaps = tmp_path / "overlap.txt"
+    bitmaps.write_text(bitmap_text)
+    out = tmp_path / "o"
+    assert run_cli(out, mode, config=f"dataset.bitmaps_file = {bitmaps}\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert not out.exists()
 
 
 # -- exit-code fuzz -------------------------------------------------------------

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from optoperceptron.config import load_config
@@ -42,8 +42,17 @@ def families(dataset):
     return found
 
 
+def test_flatten_all_ones():
+    assert families(build_dataset(SPARSE_BANK))["v"][0].inputs == (1,) * 9
+
+
+def test_flatten_single_cell_row2_col1():
+    # grid row 2, column 1 (1-based) lands at flat index 4 (x_4, 0-based 3)
+    z0 = families(build_dataset(SPARSE_BANK))["z"][0]
+    assert z0.inputs == (0, 0, 0, 1, 0, 0, 0, 0, 0)
+
+
 @given(banks)
-@example(SPARSE_BANK)  # z's grid row 2, column 1 (1-based) lands at flat index 4 (x_4, 0-based 3)
 def test_any_bank_builds_each_glyph_its_one_bit_variants_roles_and_ids(bitmaps):
     # per class: nine distinct patterns, the ideal reading back as its glyph's
     # rows and variant k flipping input k alone; variant 1 held out, ids cls+k
