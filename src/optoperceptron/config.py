@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import codecs
 import math
-from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigurationError
 from .patterns import CLASSES, DEFAULT_BITMAPS, parse_bitmap_text
@@ -94,6 +92,8 @@ def nanojoules(value: float) -> float:
     from 0.4e-9 in the last bit), and the ledger bills reads at exactly the
     configured cost.
     """
+    from decimal import Decimal
+
     return float(Decimal(repr(value)).scaleb(-9))
 
 
@@ -103,8 +103,7 @@ def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float)
     return pulse_energy_j * ratio * ratio
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     parse: Callable[[str], object]
     default: object
     doc: str
@@ -194,7 +193,6 @@ def parse_config_text(text: str) -> list[tuple[str, str, str]]:
     return list(entries.values())
 
 
-@dataclass
 class RunConfig:
     """Fully resolved run configuration plus derived typed objects.
 
@@ -203,8 +201,9 @@ class RunConfig:
     and bound, and each relation between keys is judged by the run that
     reads them (check_rig for the rig's, runner for the rest)."""
 
-    values: dict[str, object]
-    bitmaps: dict[str, tuple[str, str, str]]
+    def __init__(self, values: dict[str, object], bitmaps: dict[str, tuple[str, str, str]]):
+        self.values = values
+        self.bitmaps = bitmaps
 
     def __getitem__(self, key: str):
         return self.values[key]

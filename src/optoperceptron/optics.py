@@ -12,16 +12,14 @@ which reduce the trailing axes and so serve one read or several at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .synapse import SynapseSite
 
 
-@dataclass(frozen=True)
-class OpticalConstants:
+class OpticalConstants(NamedTuple):
     """Probe-side constants of the readout chain."""
 
     delta_rad: float
@@ -41,8 +39,7 @@ def analyzer_intensity(m: float, constants: OpticalConstants) -> float:
     return constants.intensity_in * constants.c * (1.0 - m)
 
 
-@dataclass(frozen=True)
-class CameraConfig:
+class CameraConfig(NamedTuple):
     """Linear monochrome camera: counts = gain * E + dark_offset (+ noise)."""
 
     width: int
@@ -66,7 +63,7 @@ class CameraConfig:
     def window(self, width_um: float, height_um: float) -> CameraConfig:
         """This camera cropped to a sample-plane window, each side rounded to whole pixels, at least one."""
         width, height = (max(1, int(um / self.pixel_scale_um + 0.5)) for um in (width_um, height_um))
-        return replace(self, width=width, height=height)
+        return self._replace(width=width, height=height)
 
     def in_field(self, x_um: float, y_um: float) -> bool:
         """Whether a sample-plane point lies on the sensor."""

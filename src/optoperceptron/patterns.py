@@ -13,8 +13,7 @@ refuses a bank whose patterns collide across classes or across the split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -34,28 +33,28 @@ DEFAULT_BITMAPS: dict[str, tuple[str, str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """One 9-input binary pattern with its provenance.
-
-    variant_index 0 is the ideal glyph; index k >= 1 is the ideal with input
-    position k+1 (1-based, row-wise) flipped. Variant 1 is the held-out test
-    pattern of its class.
-    """
-
+class _PatternFields(NamedTuple):
     pattern_id: str
     class_label: str
     variant_index: int
     role: str
     inputs: tuple[int, ...]
 
-    @cached_property
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.inputs) if x == 1)
+
+class Pattern(_PatternFields):
+    """One 9-input binary pattern with its provenance.
+
+    variant_index 0 is the ideal glyph; index k >= 1 is the ideal with input
+    position k+1 (1-based, row-wise) flipped. Variant 1 is the held-out test
+    pattern of its class. active_indices, the positions of its 1 inputs, is
+    derived once, here, since the trainer reads it on every step.
+    """
+
+    def __init__(self, *fields, **named):
+        self.active_indices = tuple(i for i, x in enumerate(self.inputs) if x == 1)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """24 ordered training patterns (class-blocked z, v, n) plus 3 test patterns."""
 
     training: tuple[Pattern, ...]

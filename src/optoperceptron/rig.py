@@ -13,8 +13,7 @@ current weight state and, when asked, keeps a snapshot of every state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +37,7 @@ THRESHOLD_SITE = 9  # index of the threshold area in the 10-site array
 SITE_LABELS = tuple(f"w{i + 1}" for i in range(N_WEIGHT_SITES)) + ("b",)
 
 
-@dataclass(frozen=True)
-class ShutterModel:
+class ShutterModel(NamedTuple):
     """Programmable shutter gating the write beam."""
 
     open_time_min_ms: float
@@ -70,7 +68,6 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     return [max(c, 1) for c in counts]
 
 
-@dataclass
 class EnergyLedger:
     """Energy accounting of a run at one read and one per-pulse write price,
     kept as its op log: one entry per operation, in order.
@@ -83,9 +80,10 @@ class EnergyLedger:
     total are derived from the log in packet order.
     """
 
-    per_read_j: float
-    per_pulse_j: float
-    ops: list[tuple] = field(default_factory=list)
+    def __init__(self, per_read_j: float, per_pulse_j: float):
+        self.per_read_j = per_read_j
+        self.per_pulse_j = per_pulse_j
+        self.ops: list[tuple] = []
 
     def add_writes(self, site: str, helicity: str, pulses: Sequence[int]) -> None:
         """One write entry; the ledger keeps the pulses sequence it is given."""
@@ -155,8 +153,7 @@ class EnergyLedger:
         )
 
 
-@dataclass(frozen=True)
-class RigConfig:
+class RigConfig(NamedTuple):
     """Site layout and write/read protocol of the emulated bench."""
 
     init_weight_packets: int

@@ -9,10 +9,8 @@ their stream; an emulate run builds the other three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from statistics import median
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .atomic import atomic_write, write_json
@@ -40,8 +38,7 @@ if TYPE_CHECKING:  # numpy, rig and optics load only where the rig draws or rend
 SCHEMA_PREFIX = "optoperceptron"
 
 
-@dataclass
-class Streams:
+class Streams(NamedTuple):
     """The rig's streams: children 1-3 of the run seed."""
 
     shutter: np.random.Generator
@@ -89,8 +86,7 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
     )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     mode: str
     seed: int
     trace: TrainingTrace
@@ -340,6 +336,8 @@ SWEEP_COLUMNS = {
 def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     """One sweep.csv row per seed, base_seed + i, from its run summary. A row
     needs the trace and the held-out evaluation only, so each run skips its bars."""
+    from statistics import median
+
     mode = cfg["sweep.mode"]
     runner = simulate_run if mode == "simulate" else emulate_run
     dataset = build_dataset(cfg.bitmaps)

@@ -12,8 +12,7 @@ opposite directions, which makes write/erase cycles exactly reversible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError
 
@@ -52,8 +51,7 @@ CURVE_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class InhomogeneityParams:
+class InhomogeneityParams(NamedTuple):
     """Per-site response parameters.
 
     Sites across the sample differ in onset, knee, and local illumination;
@@ -95,8 +93,7 @@ def response_curve(effective_pulses: float, params: InhomogeneityParams) -> floa
     return CURVE_FAMILIES[params.curve](t)
 
 
-@dataclass(frozen=True)
-class SynapseSite:
+class SynapseSite(NamedTuple):
     """One addressable sample area holding a single network weight.
 
     written_fraction is unchecked: apply_packet takes it from
@@ -149,8 +146,7 @@ def sample_sites(
                 f"synapse.site_spread {spread}"
             )
         sites.append(
-            replace(
-                nominal,
+            nominal._replace(
                 dead_zone_pulses=dead_zone,
                 saturation_pulses=saturation,
                 background_gain=nominal.background_gain * (1.0 + gain),

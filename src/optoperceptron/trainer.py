@@ -9,8 +9,7 @@ below zero the threshold is raised and training continues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .patterns import N_INPUTS, Pattern
 from .pcg import Pcg64
@@ -20,8 +19,7 @@ from .pcg import Pcg64
 ACCEPT, RAISE_OUTPUT, LOWER_OUTPUT = "accept", "raise", "lower"
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(NamedTuple):
     initial_weight: float
     initial_threshold: float
     eta_max: float
@@ -84,8 +82,7 @@ RAISE_KEYS = ("after_step", "old_threshold", "new_threshold")
 EVAL_KEYS = ("pattern_id", "class", "role", "output", "threshold", "desired_above", "correct")
 
 
-@dataclass(slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """A step row by field name; no artifact writer builds one, they read the rows."""
 
     step: int
@@ -99,18 +96,18 @@ class StepRecord:
     weights: tuple[float, ...]
 
 
-@dataclass
 class TrainingTrace:
     """rows holds one plain tuple per step, in STEP_KEYS order, and raises
     one per threshold raise, in RAISE_KEYS order; steps builds the
     StepRecords on each read, so a caller that reads none builds none."""
 
-    rows: list[tuple] = field(default_factory=list)
-    raises: list[tuple] = field(default_factory=list)
-    epochs: int = 0
-    converged: bool = False
-    final_weights: tuple[float, ...] = ()
-    final_threshold: float = 0.0
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.raises: list[tuple] = []
+        self.epochs = 0
+        self.converged = False
+        self.final_weights: tuple[float, ...] = ()
+        self.final_threshold = 0.0
 
     @property
     def steps(self) -> list[StepRecord]:

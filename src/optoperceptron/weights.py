@@ -10,16 +10,19 @@ is given is > 0: Rig.capture_backgrounds refuses any other before the first writ
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
 class ClampDiagnostics:
     """Counts of weight values pushed below 0 by noise and clamped to 0. None
     is pushed above 1: with b > 0 and w >= 0, (b - w) / b rounds to at most
     1.0, so weight_state.json prints clamped_high as 0."""
 
-    low: int = 0
+    def __init__(self):
+        self.low = 0
+
+    def __eq__(self, other) -> bool:  # by count, so equal WeightStates compare equal
+        return isinstance(other, ClampDiagnostics) and self.low == other.low
 
     @property
     def total(self) -> int:
@@ -42,8 +45,7 @@ def extract_weight(
     return w
 
 
-@dataclass
-class WeightState:
+class WeightState(NamedTuple):
     """Snapshot of the nine extracted weights plus the threshold."""
 
     background_sums: tuple[float, ...]
@@ -53,7 +55,7 @@ class WeightState:
     threshold_written: float
     threshold: float  # on the same counts scale as the gated inputs
     contributions: tuple[float, ...]  # I_B - I_W per site, unclamped
-    clamp_diagnostics: ClampDiagnostics = field(default_factory=ClampDiagnostics)
+    clamp_diagnostics: ClampDiagnostics  # no default: a NamedTuple default is one shared object
 
     @classmethod
     def from_sums(

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import tempfile
 import tracemalloc
@@ -46,13 +45,11 @@ def test_defaults_load():
 def test_typed_config_only_from_accessor(accessor, typed):
     # KEY_TABLE owns every default and bound, and the runs judge every
     # relation: a typed config is a plain field bundle, and only its RunConfig
-    # accessor builds one (dataclasses.replace of a built one is fine).
-    missing = dataclasses.MISSING
-    assert [
-        f.name for f in dataclasses.fields(typed)
-        if f.default is not missing or f.default_factory is not missing
-    ] == []
-    assert "__post_init__" not in vars(typed)
+    # accessor builds one (._replace of a built one is fine). A NamedTuple
+    # class may define no __new__ or __init__ of its own, so one built
+    # straight on tuple checks nothing.
+    assert typed._fields and typed._field_defaults == {}
+    assert typed.__bases__ == (tuple,)
     assert constructions(typed.__name__) == [("config", f"RunConfig.{accessor}")]
     assert isinstance(getattr(load_config(), accessor)(), typed)
 
@@ -82,8 +79,9 @@ def constructions(name: str) -> list[tuple[str, str]]:
 def test_rig_and_ledger_take_their_energy_prices_from_the_config():
     # energy.read_nj and the pulse price reach the rig through RunConfig only
     assert inspect.signature(Rig.__init__).parameters["ledger"].default is inspect.Parameter.empty
-    prices = {f.name: f.default for f in dataclasses.fields(EnergyLedger) if f.name != "ops"}
-    assert prices == {"per_read_j": dataclasses.MISSING, "per_pulse_j": dataclasses.MISSING}
+    prices = {name: p.default for name, p in inspect.signature(EnergyLedger.__init__).parameters.items()}
+    assert prices == {"self": inspect.Parameter.empty, "per_read_j": inspect.Parameter.empty,
+                      "per_pulse_j": inspect.Parameter.empty}
 
 
 def test_file_values_and_comments(tmp_path):

@@ -1,7 +1,8 @@
 """Layering guard: the physics modules neither touch the disk nor reach the
 run boundary, runner is the one module that writes artifacts, and numpy
 loads only where the rig draws or renders: simulate draws its learning rates
-from a pure-Python stream."""
+from a pure-Python stream. No run loads dataclasses, and a stdlib module
+that one rare call needs loads only where that call runs."""
 
 import ast
 import os
@@ -45,8 +46,8 @@ def test_physics_modules_stay_off_the_disk_and_runner_alone_writes():
 
 
 # A fresh interpreter imports the CLI, then either resolves the default
-# config (no arguments) or runs the CLI, and prints its exit code and
-# whether numpy got loaded.
+# config (no arguments) or runs the CLI, and prints its exit code, whether
+# numpy got loaded and which of four probed stdlib modules got loaded.
 NUMPY_PROBE = """
 import sys
 from optoperceptron.cli import main
@@ -60,8 +61,13 @@ try:
         code = 0
 except SystemExit as exc:
     code = exc.code
-print(code, "numpy" in sys.modules)
+probed = ("dataclasses", "inspect", "statistics", "decimal")
+print(code, "numpy" in sys.modules, *(name for name in probed if name in sys.modules))
 """
+# dataclasses pulls in inspect, ast, dis and tokenize; statistics serves
+# run_sweep's median and decimal config.nanojoules, and each loads in that call.
+NUMPY_FREE = {"load_config", "dataset", "help", "refused-config", "simulate"}
+SWEEPS = {"simulate-sweep", "emulate-sweep"}
 
 
 @pytest.mark.parametrize(
@@ -81,7 +87,7 @@ print(code, "numpy" in sys.modules)
         "emulate", "emulate-sweep",
     ],
 )
-def test_numpy_loads_only_where_a_run_draws_or_renders(tmp_path, args, code, loads_numpy):
+def test_numpy_loads_only_where_a_run_draws_or_renders(request, tmp_path, args, code, loads_numpy):
     (tmp_path / "refused.cfg").write_text("trainer.no_such_key = 1\n")
     (tmp_path / "quick.cfg").write_text("trainer.max_epochs = 1\n")
     sweep = "sweep.seeds = 3\ntrainer.max_epochs = 1\nsweep.mode = "
@@ -93,7 +99,13 @@ def test_numpy_loads_only_where_a_run_draws_or_renders(tmp_path, args, code, loa
         [sys.executable, "-c", NUMPY_PROBE, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    assert done.stdout.splitlines()[-1] == f"{code} {loads_numpy}"
+    exit_code, numpy_loaded, *stdlib = done.stdout.splitlines()[-1].split()
+    assert (exit_code, numpy_loaded) == (str(code), str(loads_numpy))
+    case = request.node.callspec.id
+    assert "dataclasses" not in stdlib
+    if case in NUMPY_FREE:
+        assert stdlib == []
+    assert ("statistics" in stdlib) == (case in SWEEPS)
 
 
 # Where a ValueError other than a ConfigurationError may be raised: config's

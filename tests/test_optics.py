@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ NOMINAL_SITE = site_params()
 
 
 def site_at(m, gain=1.0):
-    return SynapseSite(m, 0, replace(NOMINAL_SITE, background_gain=gain))
+    return SynapseSite(m, 0, NOMINAL_SITE._replace(background_gain=gain))
 
 
 def window_camera(**keys):
@@ -89,7 +88,7 @@ def test_fully_written_spot_reads_dark_level():
 
 
 def test_zero_exposure_reads_dark_everywhere():
-    camera = replace(window_camera(), exposure_s=0.0)  # no key admits a zero exposure
+    camera = window_camera()._replace(exposure_s=0.0)  # no key admits a zero exposure
     counts, _ = render([(site_at(0.3), centered_mask(camera))], camera)
     assert np.all(counts == 600)
 
@@ -144,7 +143,7 @@ def test_background_gain_scales_spot_region():
 def test_clipping_sets_flag_not_error():
     # full well 255 << bright level; the 600-count dark level is above it,
     # which no config admits
-    camera = replace(window_camera(), bit_depth=8)
+    camera = window_camera()._replace(bit_depth=8)
     counts, clipped = render([(site_at(0.0), centered_mask(camera))], camera)
     assert clipped
     assert counts.max() == camera.full_well
@@ -274,9 +273,7 @@ def test_kernel_matches_reference_byte_for_byte(
 ):
     # a dark level at or above the full well is no config's, but the kernel
     # must still render it
-    camera = replace(
-        window_camera(read_noise=noise, gain=camera_gain), dark_offset=dark, bit_depth=bit_depth
-    )
+    camera = window_camera(read_noise=noise, gain=camera_gain)._replace(dark_offset=dark, bit_depth=bit_depth)
     disks = [(6.0, 9.0, 8.0), (13.0, 9.0, 8.0)]  # overlapping
     spots = [(site_at(m, g), disk) for m, g, disk in zip(fractions, gains, disks)]
     scene = [(site, spot_pixel_mask(*disk, camera)) for site, disk in spots]

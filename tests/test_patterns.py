@@ -55,12 +55,14 @@ def test_flatten_single_cell_row2_col1():
 @given(banks)
 def test_any_bank_builds_each_glyph_its_one_bit_variants_roles_and_ids(bitmaps):
     # per class: nine distinct patterns, the ideal reading back as its glyph's
-    # rows and variant k flipping input k alone; variant 1 held out, ids cls+k
+    # rows and variant k flipping input k alone; variant 1 held out, ids cls+k;
+    # each pattern's active indices, derived once when it is built, its 1 inputs
     ds = build_dataset(bitmaps)
     assert all(p.role == "train" and p.variant_index != 1 for p in ds.training)
     assert [(p.pattern_id, p.role) for p in ds.testing] == [(f"{cls}1", "test") for cls in CLASSES]
     for p in ds.training + ds.testing:
         assert p.pattern_id == f"{p.class_label}{p.variant_index}"
+        assert p.active_indices == tuple(i for i, x in enumerate(p.inputs) if x == 1)
     for cls, family in families(ds).items():
         assert sorted(family) == list(range(9))
         assert len({p.inputs for p in family.values()}) == 9

@@ -342,9 +342,7 @@ def test_read_updates_only_listed_sites():
 
 def test_zero_init_packets_gives_zero_weights():
     cfg, rig = make_rig(**{})
-    rig.config = rig.config.__class__(
-        **{**rig.config.__dict__, "init_weight_packets": 0, "init_threshold_packets": 0}
-    )
+    rig.config = rig.config._replace(init_weight_packets=0, init_threshold_packets=0)
     # an unwritten threshold site reads 0.0, which judges no pattern
     with pytest.raises(ConfigurationError, match="the threshold reads 0.0"):
         rig.initialize_network()

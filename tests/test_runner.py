@@ -5,7 +5,6 @@ the training patterns before and after training (its bars). The
 benchmark's trace counts these calls through the same module-level names,
 so routing around them must fail here."""
 
-import dataclasses
 import json
 from collections import Counter
 
@@ -105,7 +104,7 @@ def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):
 def test_trace_steps_equal_its_rows_field_for_field(run):
     cfg = load_config()
     trace = run(cfg, 7, build_dataset(cfg.bitmaps), bars=False).trace
-    fields = [f.name for f in dataclasses.fields(trainer.StepRecord)]
+    fields = list(trainer.StepRecord._fields)
     assert trace.total_steps == len(trace.rows) == len(trace.steps) > 0
     for record, row in zip(trace.steps, trace.rows, strict=True):
         assert len(row) == len(fields)

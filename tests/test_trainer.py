@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,8 +360,8 @@ def reference_train(patterns, config, rng):
 def test_train_equals_the_reference_loop(initial_weight, eta, threshold_raise, max_epochs,
                                          target_class, seed):
     # repr keeps -0.0 apart from 0.0, which == would not
-    config = replace(
-        trainer_config(), initial_weight=initial_weight, eta_max=eta[0], eta_fixed=eta[1],
+    config = trainer_config()._replace(
+        initial_weight=initial_weight, eta_max=eta[0], eta_fixed=eta[1],
         threshold_raise=threshold_raise, max_epochs=max_epochs, target_class=target_class,
     )
     patterns = build_dataset().training

@@ -5,8 +5,7 @@ Each builder takes the names of its section's keys, so
 ``trainer_config(eta_fixed=0.01)`` sets ``trainer.eta_fixed = 0.01`` and
 every bound of load_config and every relation of RunConfig.check_rig
 applies. A test that needs a value no key admits (a zero exposure, a
-site's own background gain) takes ``dataclasses.replace`` of a built
-config.
+site's own background gain) takes ``._replace`` of a built config.
 
 zero_noise is the read-noise block of a noiseless render, the zeros that
 draw_read_noise returns for a camera without read noise.
