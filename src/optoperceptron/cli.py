@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     overrides = {key: str(value) for key, value in vars(args).items() if "." in key and value is not None}
     try:
         cfg = load_config(args.config, overrides)
-        summary = MODE_RUNNERS[args.mode](cfg, args.out, cfg["run.seed"])
+        summary = MODE_RUNNERS[args.mode](cfg, args.out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

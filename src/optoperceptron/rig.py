@@ -275,26 +275,15 @@ class Rig:
 
     # -- writes -------------------------------------------------------------
 
-    def _write_packets(self, index: int, helicity: str, delivered: Sequence[int]) -> None:
-        """Deliver shutter-gated packets of the given pulse counts to one site.
-
-        The conjugate shutter blocks the camera for the duration; the whole
-        operation is one ledger entry, from which Rig.events renders its
-        sequencing events.
-        """
-        site = self.sites[index]
-        for pulses in delivered:
-            site = apply_packet(site, helicity, pulses)
-        self.sites[index] = site
-        self.ledger.add_writes(SITE_LABELS[index], helicity, delivered)
-
     def _write_sites(
         self, indices: Sequence[int], helicity: str, packets: Sequence[int]
     ) -> dict[int, int]:
-        """packets[k] packets on site indices[k], in order; returns pulses/site.
+        """packets[k] gated packets on site indices[k], in order; returns pulses/site.
 
         One shutter draw covers every packet and is split across the sites in
-        delivery order, which equals one draw per site.
+        delivery order, which equals one draw per site. The conjugate shutter
+        blocks the camera while a site is written; each site's packets are one
+        ledger entry, from which Rig.events renders its sequencing events.
         """
         delivered = shutter_pulses(self.shutter_rng, self.shutter, sum(packets))
         applied = {}
@@ -302,7 +291,11 @@ class Rig:
         for i, n in zip(indices, packets):
             site_pulses = delivered[start : start + n]
             start += n
-            self._write_packets(i, helicity, site_pulses)
+            site = self.sites[i]
+            for pulses in site_pulses:
+                site = apply_packet(site, helicity, pulses)
+            self.sites[i] = site
+            self.ledger.add_writes(SITE_LABELS[i], helicity, site_pulses)
             applied[i] = sum(site_pulses)
         return applied
 

@@ -1,7 +1,7 @@
 """Run orchestration and plot-ready artifact export.
 
-Every run derives all of its randomness from (config, seed): the master
-seed spawns one stream each for learning rates, the shutter, the camera,
+Every run derives all of its randomness from its config: the master seed,
+run.seed, spawns one stream each for learning rates, the shutter, the camera,
 and the site parameter draws, in that order, so repeated runs are
 byte-identical. A simulate run draws learning rates alone and builds only
 their stream; an emulate run builds the other three.
@@ -266,21 +266,21 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
         yield "sample_final.pgm.json", sidecar
 
 
-def run_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
-    result = simulate_run(cfg, seed, build_dataset(cfg.bitmaps))
+def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
+    result = simulate_run(cfg, cfg["run.seed"], build_dataset(cfg.bitmaps))
     return write_artifacts(out_dir, cfg, result.summary(), run_files(result, cfg))
 
 
-def run_emulate(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
+def run_emulate(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg["run.dump_frames"]:  # only emulate renders the full frame, for sample_final.pgm
         w, h = cfg["camera.width_px"], cfg["camera.height_px"]
         check_budget(f"the run.dump_frames render of the {w}x{h} px sensor "
                      "(camera.width_px x camera.height_px)", FULL_FRAME_BYTES_PER_PX * w * h)
-    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps))
+    result = emulate_run(cfg, cfg["run.seed"], build_dataset(cfg.bitmaps))
     return write_artifacts(out_dir, cfg, result.summary(), run_files(result, cfg))
 
 
-def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
+def run_dataset(cfg: RunConfig, out_dir: Path) -> dict:
     dataset = build_dataset(cfg.bitmaps)
     summary = {
         "mode": "dataset",
@@ -291,22 +291,22 @@ def run_dataset(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     return write_artifacts(out_dir, cfg, summary, [("dataset.csv", dataset_csv(dataset))])
 
 
-def run_energy(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
+def run_energy(cfg: RunConfig, out_dir: Path) -> dict:
     """Per-pulse write energies and the energy ledger of the emulate run: its
-    ledger.json is byte-identical to that of emulate at the same (config, seed).
+    ledger.json is byte-identical to that of emulate at the same config.
     Energy writes no bars, and bar evaluations read no sites, so it skips them."""
     small_um, large_um, waist_um = cfg["energy.spot_small_um"], cfg["energy.spot_large_um"], cfg["energy.waist_um"]
     if small_um > large_um:
         raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
     if large_um > waist_um:  # a spot bills (d / waist)^2 of a pulse
         raise ConfigurationError(f"energy.spot_large_um {large_um} exceeds energy.waist_um {waist_um}")
-    result = emulate_run(cfg, seed, build_dataset(cfg.bitmaps), bars=False)
+    result = emulate_run(cfg, cfg["run.seed"], build_dataset(cfg.bitmaps), bars=False)
     ledger = result.rig.ledger
     small = cfg.per_pulse_j(small_um)
     large = cfg.per_pulse_j(large_um)
     summary = {
         "mode": "energy",
-        "seed": seed,
+        "seed": cfg["run.seed"],
         "per_pulse_spot_small_pj": small * 1e12,
         "per_pulse_spot_large_pj": large * 1e12,
         "per_pulse_network_spot_pj": cfg.per_pulse_j(cfg["rig.spot_diameter_um"]) * 1e12,
@@ -333,12 +333,12 @@ SWEEP_COLUMNS = {
 }
 
 
-def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
+def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     """One sweep.csv row per seed, base_seed + i, from its run summary. A row
     needs the trace and the held-out evaluation only, so each run skips its bars."""
     from statistics import median
 
-    mode = cfg["sweep.mode"]
+    mode, seed = cfg["sweep.mode"], cfg["run.seed"]
     runner = simulate_run if mode == "simulate" else emulate_run
     dataset = build_dataset(cfg.bitmaps)
     rows = []
@@ -358,6 +358,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path, seed: int) -> dict:
     return write_artifacts(out_dir, cfg, summary, [("sweep.csv", _csv_text("sweep.v1", SWEEP_COLUMNS, rows))])
 
 
+# Each is called as runner(cfg, out_dir) and seeds from cfg["run.seed"], which its echo writes.
 MODE_RUNNERS = {
     "simulate": run_simulate,
     "emulate": run_emulate,

@@ -21,9 +21,6 @@ class ClampDiagnostics:
     def __init__(self):
         self.low = 0
 
-    def __eq__(self, other) -> bool:  # by count, so equal WeightStates compare equal
-        return isinstance(other, ClampDiagnostics) and self.low == other.low
-
     @property
     def total(self) -> int:
         return self.low

@@ -221,8 +221,8 @@ def test_criterion_8_energy_ledger(tmp_path):
 
     # the energy mode writes the emulate run's own ledger, byte for byte,
     # billing 10 backgrounds + 10 initial reads + one read per updated site
-    run_energy(cfg, tmp_path / "energy", 0)
-    run_emulate(cfg, tmp_path / "emulate", 0)
+    run_energy(cfg, tmp_path / "energy")
+    run_emulate(cfg, tmp_path / "emulate")
     energy_bytes = (tmp_path / "energy" / "ledger.json").read_bytes()
     energy_ledger = json.loads(energy_bytes)
     trace = json.loads((tmp_path / "emulate" / "trace.json").read_text())

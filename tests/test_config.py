@@ -155,7 +155,7 @@ def admitted_by(monkeypatch, run_mode, overrides) -> bool:
 
     monkeypatch.setattr(runner, "emulate_run", reached)
     with pytest.raises(Admitted):
-        getattr(runner, f"run_{run_mode}")(load_config(overrides=overrides), Path("unwritten"), 7)
+        getattr(runner, f"run_{run_mode}")(load_config(overrides=overrides), Path("unwritten"))
     return True
 
 

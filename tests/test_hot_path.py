@@ -2,8 +2,8 @@
 
 Two loops call no class, an exception included (what they could check, the
 config and its callers guarantee: ``tests/test_layering.py``): ``train``'s
-step loop, and the rig's packet loop in ``Rig._write_packets`` together with
-``EnergyLedger.add_writes``. The guards read those bodies only, not the
+step loop, and the rig's per-site packet loop in ``Rig._write_sites`` together
+with ``EnergyLedger.add_writes``. The guards read those bodies only, not the
 functions they call: ``synapse.apply_packet`` builds a new ``SynapseSite``
 for every packet, and an emulate miss builds a ``WeightState``.
 A trainer step is one plain tuple, and a ``StepRecord`` is built only when
@@ -74,13 +74,14 @@ def test_train_step_loop_calls_no_class():
     assert called_classes(train_step_loop(), "trainer") == []
 
 
-@pytest.mark.parametrize("where", ["Rig._write_packets", "EnergyLedger.add_writes"])
+@pytest.mark.parametrize("where", ["Rig._write_sites", "EnergyLedger.add_writes"])
 def test_packet_write_calls_no_class(where):
-    # _write_packets is checked in its packet loop, which does nothing but
-    # apply each packet; add_writes, called once per write, as a whole.
+    # _write_sites is checked in its packet loop, inside its per-site loop,
+    # which does nothing but apply each packet; add_writes, called once per
+    # site written, as a whole.
     node = definitions("rig")[where]
-    if where == "Rig._write_packets":
-        node = first_loop(node.body)
+    if where == "Rig._write_sites":
+        node = first_loop(first_loop(node.body).body)
         assert [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)] == [
             "apply_packet"
         ]

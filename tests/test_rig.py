@@ -303,7 +303,8 @@ def test_unwritten_site_reads_background():
 def test_fully_written_site_reads_dark_area():
     cfg, rig = make_rig()
     rig.capture_backgrounds()
-    rig._write_packets(0, WRITE, [50] * 50)
+    # jitter is off: 50 nominal packets of 50 pulses, with no shutter draw
+    assert rig._write_sites([0], WRITE, [50]) == {0: 50 * 50}
     total = rig.read_sites([0])[0]
     dark = cfg["camera.dark_offset"]
     n_spot = int(rig._window_mask.sum())
@@ -317,7 +318,7 @@ def test_fully_written_covering_spot_reads_pure_dark():
     # spot larger than the readout window: no probe light reaches any pixel
     cfg, rig = make_rig(**{"rig.spot_diameter_um": 30.0})
     rig.capture_backgrounds()
-    rig._write_packets(5, WRITE, [50] * 50)
+    assert rig._write_sites([5], WRITE, [50]) == {5: 50 * 50}
     total = rig.read_sites([5])[5]
     assert total == cfg["camera.dark_offset"] * rig.window_camera.width * rig.window_camera.height
 
@@ -516,11 +517,14 @@ def test_dead_background_is_refused_at_its_capture_before_any_write():
 
 
 def per_site_writes(rig, indices, helicity, n_packets):
-    """Each site's packets from its own shutter draw; returns pulses/site."""
+    """Each site's packets from its own shutter draw, applied one by one and
+    logged as one ledger entry per site; returns pulses/site."""
     applied = {}
     for i in indices:
         delivered = shutter_pulses(rig.shutter_rng, rig.shutter, n_packets[i])
-        rig._write_packets(i, helicity, delivered)
+        for pulses in delivered:
+            rig.sites[i] = apply_packet(rig.sites[i], helicity, pulses)
+        rig.ledger.add_writes(SITE_LABELS[i], helicity, delivered)
         applied[i] = sum(delivered)
     return applied
 
@@ -554,7 +558,7 @@ def test_batched_writes_equal_per_site_writes(seed, jitter, learning_packets, or
     per_site_writes(reference, range(N_WEIGHT_SITES + 1), WRITE, budgets)
     reference.read_sites(range(N_WEIGHT_SITES + 1))
     assert write_record(batched) == write_record(reference)
-    assert batched.weight_state() == reference.weight_state()
+    assert batched.weight_state().to_json_dict() == reference.weight_state().to_json_dict()
 
     helicity = WRITE if direction == RAISE_OUTPUT else ERASE
     applied = batched.apply_learning_update(order, direction)
@@ -681,8 +685,8 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_
     assert calls["frames"] == ledger.read_events * cfg["rig.frames_per_read"]
     # the full-frame export of --frames is one more one-frame render through the same name
     calls["renders"] = calls["frames"] = 0
-    cfg = load_config(overrides={"trainer.max_epochs": "3", "run.dump_frames": "true"})
-    run_emulate(cfg, tmp_path, 7)
+    cfg = load_config(overrides={"trainer.max_epochs": "3", "run.dump_frames": "true", "run.seed": "7"})
+    run_emulate(cfg, tmp_path)
     ledger_json = json.loads((tmp_path / "ledger.json").read_text())
     assert (tmp_path / "sample_final.pgm").exists()
     assert calls["renders"] == ledger_json["read_events"] + 1
