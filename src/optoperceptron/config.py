@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ConfigurationError
-from .patterns import CLASSES, DEFAULT_BITMAPS, parse_bitmap_text
+from .patterns import CLASSES, DEFAULT_BITMAPS, N_INPUTS, parse_bitmap_text
 from .synapse import CURVE_FAMILIES, InhomogeneityParams
 from .trainer import TrainerConfig
 
@@ -276,12 +276,13 @@ class RunConfig:
         roi_w, roi_h = values["rig.roi_width_um"], values["rig.roi_height_um"]
         if roi_w / scale > camera.width or roi_h / scale > camera.height:
             raise ConfigurationError("the readout window exceeds the sensor size")
-        # a read renders its frames of all ten sites into Rig.__init__'s window as one float64
+        # a read renders its frames of every site into Rig.__init__'s window as one float64
         # block, and average_frames adds a float64 sum and an int64 copy of one frame per site
         window = camera.window(roi_w, roi_h)
+        sites = N_INPUTS + 1  # the weight sites and the threshold site
         frames, win_w, win_h = values["rig.frames_per_read"], window.width, window.height
-        check_budget(f"a read of 10 sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
-                     "px window (rig.roi_*_um / camera.pixel_scale_um)", (10 * frames + 20) * win_w * win_h * 8)
+        check_budget(f"a read of {sites} sites x {frames} frames (rig.frames_per_read) of the {win_w}x{win_h} "
+                     "px window (rig.roi_*_um / camera.pixel_scale_um)", sites * (frames + 2) * win_w * win_h * 8)
         if camera.dark_offset >= camera.full_well:
             raise ConfigurationError(
                 f"camera.dark_offset {camera.dark_offset} reaches the "

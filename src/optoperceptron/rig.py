@@ -27,13 +27,13 @@ from .optics import (
     integrate_roi,
     spot_pixel_mask,
 )
-from .patterns import Pattern
+from .patterns import GRID_SIDE, N_INPUTS, Pattern
 from .synapse import ERASE, WRITE, InhomogeneityParams, SynapseSite, apply_packet, fresh_site
 from .trainer import RAISE_OUTPUT
 from .weights import WeightState
 
-N_WEIGHT_SITES = 9
-THRESHOLD_SITE = 9  # index of the threshold area in the 10-site array
+N_WEIGHT_SITES = N_INPUTS
+THRESHOLD_SITE = N_WEIGHT_SITES  # index of the threshold area, the last of the site array
 SITE_LABELS = tuple(f"w{i + 1}" for i in range(N_WEIGHT_SITES)) + ("b",)
 
 
@@ -167,7 +167,7 @@ class RigConfig(NamedTuple):
 
 
 class Rig:
-    """One logical actor owning the 10-site sample array and the beams, and
+    """One logical actor owning the site sample array and the beams, and
     in emulate the trainer's WeightBackend. gate() is the current weight
     state's count-scale contributions (I_B - I_W per site), so outputs and
     the threshold live on the raw counts scale; threshold() is the threshold
@@ -244,7 +244,7 @@ class Rig:
         return integrate_roi(average_frames(block)), clipped
 
     def capture_backgrounds(self) -> list[int]:
-        """Snapshot and cache I_B for all ten sites, before any write.
+        """Snapshot and cache I_B for every site, before any write.
 
         This is the one place a background is judged. One that clipped at the
         full well, or that sums to 0 or less, cannot reference a weight, so
@@ -384,7 +384,7 @@ class Rig:
         )
 
     def full_frame(self) -> tuple[np.ndarray, bool]:
-        """All ten sites on the full sensor, for image export: counts and clip flag."""
+        """Every site on the full sensor, for image export: counts and clip flag."""
         camera, diameter = self.sensor_camera, self.config.spot_diameter_um
         scene = [
             (site, spot_pixel_mask(*self.site_position_um(i), diameter, camera))
@@ -403,5 +403,5 @@ class Rig:
         y0 = self.config.roi_height_um
         if index == THRESHOLD_SITE:
             return (min(x0 + 2 * spacing + spacing * 0.6, width_um - x0 / 2), height_um / 2.0)
-        row, col = divmod(index, 3)
+        row, col = divmod(index, GRID_SIDE)
         return (x0 + col * spacing * 0.85, y0 + row * spacing * 0.85)

@@ -14,16 +14,13 @@ from typing import NamedTuple
 
 
 class ClampDiagnostics:
-    """Counts of weight values pushed below 0 by noise and clamped to 0. None
-    is pushed above 1: with b > 0 and w >= 0, (b - w) / b rounds to at most
-    1.0, so weight_state.json prints clamped_high as 0."""
+    """The count, total, of weight values pushed below 0 by noise and clamped
+    to 0; weight_state.json prints it as clamped_low. None is pushed above 1:
+    with b > 0 and w >= 0, (b - w) / b rounds to at most 1.0, so
+    weight_state.json prints clamped_high as 0."""
 
     def __init__(self):
-        self.low = 0
-
-    @property
-    def total(self) -> int:
-        return self.low
+        self.total = 0
 
 
 def extract_weight(
@@ -37,7 +34,7 @@ def extract_weight(
     """
     w = (background_sum - written_sum) / background_sum
     if w < 0.0:
-        diagnostics.low += 1
+        diagnostics.total += 1
         return 0.0
     return w
 
@@ -90,6 +87,6 @@ class WeightState(NamedTuple):
             "threshold_background": self.threshold_background,
             "threshold_written": self.threshold_written,
             "threshold": self.threshold,
-            "clamped_low": self.clamp_diagnostics.low,
+            "clamped_low": self.clamp_diagnostics.total,
             "clamped_high": 0,
         }

@@ -1,4 +1,5 @@
-"""Golden sha256 digests of every artifact of a fixed set of CLI runs.
+"""Golden sha256 digests of every artifact of a fixed set of CLI runs, and of
+the rig's bench sequence (Rig.events) of one short run.
 
 Criterion 9 compares two runs of the same code; these digests pin the bytes
 across refactors. Regenerate them only together with a CHANGES.md entry that
@@ -9,6 +10,7 @@ says why the output changed:
 Before overwriting, it names each case/file whose digest changed on stderr.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -20,6 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from cli_runs import artifacts, run_cli
+
+from optoperceptron.config import load_config
+from optoperceptron.patterns import build_dataset
+from optoperceptron.runner import build_rig, make_streams
+from optoperceptron.trainer import LOWER_OUTPUT, RAISE_OUTPUT
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -80,6 +87,41 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     assert run_case(name, tmp_path) == golden[name]
 
 
+# The rig sequence's digest is keyed by the file it was first recorded in, one
+# event per line, from the rig that appended one tuple per event as it ran.
+RIG_EVENTS = ("rig-events-seed7", "rig_events_seed7.json")
+
+
+def seed7_rig():
+    """The rig of seed 7 at the default config after its initialization and two learning updates."""
+    cfg = load_config()
+    rig = build_rig(cfg, make_streams(7))
+    rig.initialize_network()
+    training = build_dataset(cfg.bitmaps).training
+    rig.apply_update(training[0], RAISE_OUTPUT)
+    rig.apply_update(training[9], LOWER_OUTPUT)
+    return rig
+
+
+def events_digest(events) -> str:
+    """sha256 of the events in the layout of the recording: one JSON list per line."""
+    text = "[\n" + ",\n".join(json.dumps(list(e)) for e in events) + "\n]\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_rig_events_match_the_golden_digest():
+    rig = seed7_rig()
+    events = rig.events
+    shutter = [(e[1], e[3]) for e in events if e[0] == "shutter"]
+    assert [(site, pulses) for site, pulses, _ in rig.ledger.write_events] == shutter
+    assert rig.ledger.read_events == sum(1 for e in events if e[0] == "read")
+    case, name = RIG_EVENTS
+    kinds = collections.Counter(e[0] for e in events)
+    assert events_digest(events) == json.loads(GOLDEN.read_text())[case][name], (
+        f"{len(events)} events by kind: {dict(sorted(kinds.items()))}"
+    )
+
+
 def test_energy_ledger_is_the_emulate_ledger():
     # energy writes the ledger of the emulate run at the same (config, seed)
     golden = json.loads(GOLDEN.read_text())
@@ -115,9 +157,10 @@ def test_numpy_draws_the_values_the_digests_were_recorded_with():
     }
     numpy_cases = [name for name, (argv, config_text) in CASES.items()
                    if argv[0] in ("emulate", "energy") or "sweep.mode = emulate" in (config_text or "")]
+    numpy_cases.append(RIG_EVENTS[0])
     assert drawn == NUMPY_DRAWS, (
         f"numpy {np.__version__} draws other values from these streams than numpy 2.4.6, which recorded "
-        f"the golden digests; the {len(numpy_cases)} cases that draw from them will fail: {', '.join(numpy_cases)}"
+        f"the golden digests; the {len(numpy_cases)} pins that draw from them will fail: {', '.join(numpy_cases)}"
     )
 
 
@@ -126,6 +169,8 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as work:
             digests[case] = run_case(case, Path(work))
+    case, name = RIG_EVENTS
+    digests[case] = {name: events_digest(seed7_rig().events)}
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for case in sorted(set(old) | set(digests)):
         before, after = old.get(case, {}), digests.get(case, {})
@@ -134,4 +179,4 @@ if __name__ == "__main__":
                 print(f"changed: {case}/{name}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(digests)} cases to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(CASES)} cases and {RIG_EVENTS[0]} to {GOLDEN}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 A run's outputs depend on its lengths only through their ratio to the
 camera's pixel scale, and its counts on gain x intensity x exposure over
-pixel area. So doubling every length key and quadrupling the gain, or
+pixel area. So scaling every length key by k and the gain by k^2, or
 doubling the gain and halving the intensity or the exposure, moves no
 artifact byte but the config echo and the fields that state a length, an
 area or a time. With time jitter a packet's pulses depend on the laser's
@@ -10,7 +10,7 @@ repetition rate x the shutter's opening and a pulse's energy on write power
 / rate, so doubling rate and power and halving both openings moves none.
 A simulate run's decisions depend on the ratios of its weights, threshold
 and learning rates alone, so doubling all three doubles every value of its
-trace. At a factor of 2 every float operation scales
+trace. At a power-of-two factor every float operation scales
 exactly, so equality holds bit for bit.
 """
 
@@ -28,9 +28,8 @@ LENGTH_KEYS = (
     "rig.site_spacing_um", "energy.waist_um", "energy.spot_small_um", "energy.spot_large_um",
 )
 SHORT = {"trainer.max_epochs": 3}
-# every length x 2 and the gain x 4, which keeps the counts of a pixel
-DOUBLED = {**SHORT, **{key: 2 * KEY_TABLE[key].default for key in LENGTH_KEYS},
-           "camera.gain": 4 * KEY_TABLE["camera.gain"].default}
+# every length x k and the gain x k^2, which keeps the counts of a pixel
+LENGTH_SCALES = (2, 0.25)
 # the gain x 2 and one light input / 2, which keeps every count
 HALF_THE_LIGHT = {
     key: {**SHORT, "camera.gain": 2 * KEY_TABLE["camera.gain"].default, key: KEY_TABLE[key].default / 2}
@@ -47,19 +46,24 @@ FASTER_SHUTTER = {
 RUNS = pytest.mark.parametrize("argv", [["emulate", "--verbose", "--frames"], ["energy"]], ids=["emulate", "energy"])
 
 
+@pytest.mark.parametrize("k", LENGTH_SCALES)
 @RUNS
-def test_doubling_every_length_with_four_times_the_gain_moves_no_artifact(files_of, argv):
-    base, double = (files_of(*argv, "--seed", "7", config=values) for values in (SHORT, DOUBLED))
-    assert sorted(base) == sorted(double)
-    assert base.pop("config.resolved.txt") != double.pop("config.resolved.txt")
+def test_scaling_every_length_by_k_and_the_gain_by_k_squared_moves_no_artifact(files_of, argv, k):
+    scaled_values = {**SHORT, **{key: k * KEY_TABLE[key].default for key in LENGTH_KEYS},
+                     "camera.gain": k * k * KEY_TABLE["camera.gain"].default}
+    base, scaled = (files_of(*argv, "--seed", "7", config=values) for values in (SHORT, scaled_values))
+    assert sorted(base) == sorted(scaled)
+    assert base.pop("config.resolved.txt") != scaled.pop("config.resolved.txt")
     if "sample_final.pgm.json" in base:
-        sidecar, scaled_sidecar = (json.loads(d.pop("sample_final.pgm.json")) for d in (base, double))
-        assert scaled_sidecar.pop("pixel_area_um2") == 4 * sidecar.pop("pixel_area_um2")
+        sidecar, scaled_sidecar = (json.loads(d.pop("sample_final.pgm.json")) for d in (base, scaled))
+        assert scaled_sidecar.pop("pixel_area_um2") == k * k * sidecar.pop("pixel_area_um2")
         assert scaled_sidecar == sidecar
     if "energy.txt" in base:
-        stated = base.pop("energy.txt").replace(b"(25.0 um spot)", b"(50.0 um spot)")
-        assert double.pop("energy.txt") == stated.replace(b"(40.0 um spot)", b"(80.0 um spot)")
-    assert [name for name in base if base[name] != double[name]] == []
+        stated = base.pop("energy.txt")
+        for diameter in (25.0, 40.0):
+            stated = stated.replace(f"({diameter} um spot)".encode(), f"({k * diameter} um spot)".encode())
+        assert scaled.pop("energy.txt") == stated
+    assert [name for name in base if base[name] != scaled[name]] == []
 
 
 @pytest.mark.parametrize("halved", HALF_THE_LIGHT)

@@ -78,6 +78,19 @@ def test_constants_small_angle_enforced():
         optical_constants(delta_rad=0.5)
 
 
+# -- field of view ------------------------------------------------------------
+
+def test_in_field_holds_both_ends_of_each_axis():
+    camera = window_camera(pixel_scale_um=1.5)
+    far_x, far_y = camera.width * 1.5, camera.height * 1.5
+    assert camera.in_field(0.0, 0.0)
+    assert camera.in_field(far_x, far_y)
+    below = math.nextafter(0.0, -1.0)
+    past_x, past_y = math.nextafter(far_x, math.inf), math.nextafter(far_y, math.inf)
+    for x, y in ((below, 0.0), (0.0, below), (past_x, far_y), (far_x, past_y)):
+        assert not camera.in_field(x, y), (x, y)
+
+
 # -- frame rendering ----------------------------------------------------------
 
 def test_fully_written_spot_reads_dark_level():

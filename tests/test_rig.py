@@ -1,6 +1,5 @@
 import itertools
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,25 +259,6 @@ def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j, per_pulse
 
 
 # -- rig sequencing -----------------------------------------------------------
-
-RECORDED_EVENTS = Path(__file__).parent / "golden" / "rig_events_seed7.json"
-
-
-def test_rig_events_equal_the_recorded_sequence():
-    # Recorded from the rig that appended one tuple per event as it ran:
-    # seed 7, default config, initialization plus two learning updates.
-    cfg = load_config()
-    rig = build_rig(cfg, make_streams(7))
-    rig.initialize_network()
-    training = build_dataset(cfg.bitmaps).training
-    rig.apply_update(training[0], RAISE_OUTPUT)
-    rig.apply_update(training[9], LOWER_OUTPUT)
-    recorded = [tuple(e) for e in json.loads(RECORDED_EVENTS.read_text())]
-    assert rig.events == recorded
-    shutter = [(e[1], e[3]) for e in recorded if e[0] == "shutter"]
-    assert [(site, pulses) for site, pulses, _ in rig.ledger.write_events] == shutter
-    assert rig.ledger.read_events == sum(1 for e in recorded if e[0] == "read")
-
 
 def test_initialization_saturates_weight_sites():
     cfg, rig = make_rig()

