@@ -68,6 +68,12 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     return [max(c, 1) for c in counts]
 
 
+# The artifact name of each field of a write event, in row order, and the
+# totals ledger.json prints, each an attribute of EnergyLedger by that name.
+WRITE_EVENT_KEYS = ("site", "pulses", "per_pulse_j")
+LEDGER_TOTALS = ("per_read_j", "read_events", "total_pulses", "write_energy_j", "read_energy_j", "total_energy_j")
+
+
 class EnergyLedger:
     """Energy accounting of a run at one read and one per-pulse write price,
     kept as its op log: one entry per operation, in order.
@@ -93,8 +99,9 @@ class EnergyLedger:
         """One read entry billing one read per listed site."""
         self.ops.append(("read", sites))
 
-    def _packets(self) -> Iterator[tuple[str, int, float]]:
-        """(site, pulses, per-pulse energy) of every packet, in delivery order."""
+    def packets(self) -> Iterator[tuple[str, int, float]]:
+        """(site, pulses, per-pulse energy) of every packet, in delivery order:
+        the fields of a write event, in WRITE_EVENT_KEYS order."""
         for op in self.ops:
             if op[0] == "write":
                 _, site, _, pulses = op
@@ -103,7 +110,7 @@ class EnergyLedger:
 
     @property
     def write_events(self) -> list[tuple[str, int, float]]:
-        return list(self._packets())
+        return list(self.packets())
 
     @property
     def read_events(self) -> int:
@@ -111,13 +118,13 @@ class EnergyLedger:
 
     @property
     def total_pulses(self) -> int:
-        return sum(p for _, p, _ in self._packets())
+        return sum(p for _, p, _ in self.packets())
 
     @property
     def write_energy_j(self) -> float:
         # a left fold from the int 0: sum() compensates float rounding from Python 3.12
         total = 0
-        for _, p, per_pulse_j in self._packets():
+        for _, p, per_pulse_j in self.packets():
             total += p * per_pulse_j
         return total
 
@@ -128,20 +135,6 @@ class EnergyLedger:
     @property
     def total_energy_j(self) -> float:
         return self.write_energy_j + self.read_energy_j
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_read_j": self.per_read_j,
-            "read_events": self.read_events,
-            "total_pulses": self.total_pulses,
-            "write_energy_j": self.write_energy_j,
-            "read_energy_j": self.read_energy_j,
-            "total_energy_j": self.total_energy_j,
-            "write_events": [
-                {"site": site, "pulses": p, "per_pulse_j": per_pulse_j}
-                for site, p, per_pulse_j in self._packets()
-            ],
-        }
 
     def summary_line(self) -> str:
         return (
@@ -173,7 +166,7 @@ class Rig:
     the threshold live on the raw counts scale; threshold() is the threshold
     site's read, the value train() starts from. The learning rate is realized
     as shutter-gated pulse packets, never sampled. initialize_network and
-    apply_update set state, and append its JSON form to snapshots if a list.
+    apply_update set state, and append it to snapshots if a list.
     """
 
     def __init__(
@@ -198,7 +191,7 @@ class Rig:
         self.written_sums: list[int | None] = [None] * (N_WEIGHT_SITES + 1)
         self.ledger = ledger
         self.state: WeightState | None = None
-        self.snapshots: list[dict] | None = None
+        self.snapshots: list[WeightState] | None = None
 
         # Per-site readout window: the ROI, spot centered. All sites share
         # the window geometry, so one mask serves every read.
@@ -372,7 +365,7 @@ class Rig:
         """The weight state of the cached sums, kept as state (and snapshotted)."""
         self.state = self.weight_state()
         if self.snapshots is not None:
-            self.snapshots.append(self.state.to_json_dict())
+            self.snapshots.append(self.state)
         return self.state
 
     def weight_state(self) -> WeightState:

@@ -215,12 +215,14 @@ def interleave_post_results(post_train: Sequence[tuple], post_test: Sequence[tup
 
 def write_artifacts(out_dir: Path, cfg: RunConfig, summary: dict, files: Iterable) -> dict:
     """The one artifact writer, atomic per file: config.resolved.txt, each
-    (name, payload) of files (a .json name as JSON), then summary.json,
-    stamped with the package version, last. Returns the stamped summary."""
+    (name, payload) of files, then summary.json, stamped with the package
+    version, last. A dict or list payload is written as JSON; text, bytes or
+    the text pieces of a rendered artifact are written as they are. Returns
+    the stamped summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", config_text(cfg))
     for name, payload in files:
-        if name.endswith(".json"):
+        if isinstance(payload, (dict, list)):
             write_json(out_dir / name, payload)
         else:
             atomic_write(out_dir / name, payload)
@@ -231,23 +233,28 @@ def write_artifacts(out_dir: Path, cfg: RunConfig, summary: dict, files: Iterabl
 
 def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]:
     """(name, payload) of every artifact of a simulate or emulate run but the
-    summary, one at a time, so no two large payloads are held at once."""
+    summary, one at a time, so no two large payloads are held at once. The
+    row-heavy JSON artifacts come as the text pieces jsontext renders from
+    the run's records, which only these runs and energy's load."""
     yield "bars_pre.csv", bars_csv(result.pre_eval)
     yield "bars_post.csv", bars_csv(
         interleave_post_results(result.post_train_eval, result.post_test_eval)
     )
     if cfg["run.trace_verbosity"] >= 1:
         yield "learning_curve.csv", learning_curve_csv(result.trace)
-        yield "trace.json", result.trace.to_json_dict()
+        from .jsontext import trace_pieces
+
+        yield "trace.json", trace_pieces(result.trace)
     rig = result.rig
     if rig is None:
         return
+    from .jsontext import ledger_pieces, snapshots_pieces, state_pieces
     from .optics import pgm_image
     from .rig import SITE_LABELS
 
-    yield "ledger.json", rig.ledger.to_json_dict()
+    yield "ledger.json", ledger_pieces(rig.ledger)
     yield "ledger.txt", rig.ledger.summary_line() + "\n"
-    yield "weight_state.json", rig.state.to_json_dict()
+    yield "weight_state.json", state_pieces(rig.state)
     yield "site_params.json", [
         {
             "site": SITE_LABELS[i],
@@ -259,7 +266,7 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
         for i, p in enumerate(s.params for s in rig.sites)
     ]
     if rig.snapshots:
-        yield "weight_snapshots.json", rig.snapshots
+        yield "weight_snapshots.json", snapshots_pieces(rig.snapshots)
     if cfg["run.dump_frames"]:
         image, sidecar = pgm_image(*rig.full_frame(), rig.sensor_camera)
         yield "sample_final.pgm", image
@@ -321,7 +328,9 @@ def run_energy(cfg: RunConfig, out_dir: Path) -> dict:
         f"{large * 1e12:.1f} pJ ({large_um} um spot)\n"
         f"ledger: {ledger.summary_line()}\n"
     )
-    files = [("ledger.json", ledger.to_json_dict()), ("energy.txt", energy_txt)]
+    from .jsontext import ledger_pieces
+
+    files = [("ledger.json", ledger_pieces(ledger)), ("energy.txt", energy_txt)]
     return write_artifacts(out_dir, cfg, summary, files)
 
 

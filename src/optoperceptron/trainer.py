@@ -131,13 +131,6 @@ class TrainingTrace:
             "final_threshold": self.final_threshold,
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "summary": self.summary(),
-            "raises": [dict(zip(RAISE_KEYS, r)) for r in self.raises],
-            "steps": [dict(zip(STEP_KEYS, row)) for row in self.rows],
-        }
-
 
 class WeightBackend(Protocol):
     """Where the weights live: an abstract vector (VectorBackend) or, in

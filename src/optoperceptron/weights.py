@@ -39,6 +39,13 @@ def extract_weight(
     return w
 
 
+# The artifact name of each field of a weight state's row, in row order.
+STATE_KEYS = (
+    "background_sums", "written_sums", "weights", "threshold_background",
+    "threshold_written", "threshold", "clamped_low", "clamped_high",
+)
+
+
 class WeightState(NamedTuple):
     """Snapshot of the nine extracted weights plus the threshold."""
 
@@ -79,14 +86,10 @@ class WeightState(NamedTuple):
             clamp_diagnostics=diagnostics,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "background_sums": list(self.background_sums),
-            "written_sums": list(self.written_sums),
-            "weights": list(self.weights),
-            "threshold_background": self.threshold_background,
-            "threshold_written": self.threshold_written,
-            "threshold": self.threshold,
-            "clamped_low": self.clamp_diagnostics.total,
-            "clamped_high": 0,
-        }
+    @property
+    def row(self) -> tuple:
+        """The state as its artifacts print it, in STATE_KEYS order."""
+        return (
+            self.background_sums, self.written_sums, self.weights, self.threshold_background,
+            self.threshold_written, self.threshold, self.clamp_diagnostics.total, 0,
+        )

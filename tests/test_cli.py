@@ -321,6 +321,21 @@ def test_artifact_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys)
     assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["config.resolved.txt", "dataset.csv"]
 
 
+def test_pieces_that_fail_halfway_leave_the_target_as_it_was(tmp_path):
+    target = tmp_path / "trace.json"
+    target.write_text("{}\n")
+
+    def pieces():
+        yield "{\n"
+        yield '  "steps": ['
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        atomic_write(target, pieces())
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trace.json"]
+    assert target.read_bytes() == b"{}\n"
+
+
 def test_non_utf8_config_file_exit_code(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes("# caf\u00e9\nrun.seed = 1\n".encode("latin-1"))

@@ -1,5 +1,7 @@
 """Golden sha256 digests of every artifact of a fixed set of CLI runs, and of
-the rig's bench sequence (Rig.events) of one short run.
+the rig's bench sequence (Rig.events) of one short run. The cases that load
+no numpy are also run in fresh processes of each interpreter listed in
+OPTOPERCEPTRON_PYTHONS (see PYTHONS below).
 
 Criterion 9 compares two runs of the same code; these digests pin the bytes
 across refactors. Regenerate them only together with a CHANGES.md entry that
@@ -15,6 +17,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +77,11 @@ CASES = {
 }
 
 
+def draws_from_numpy(name: str) -> bool:
+    argv, config_text = CASES[name]
+    return argv[0] in ("emulate", "energy") or "sweep.mode = emulate" in (config_text or "")
+
+
 def run_case(name: str, work: Path) -> dict[str, str]:
     """sha256 of every file the case writes, keyed by its relative path."""
     argv, config_text = CASES[name]
@@ -85,6 +94,37 @@ def run_case(name: str, work: Path) -> dict[str, str]:
 def test_artifacts_match_golden_digests(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert run_case(name, tmp_path) == golden[name]
+
+
+# The interpreters that run the numpy-free cases in fresh processes: the
+# executables listed in OPTOPERCEPTRON_PYTHONS, colon-separated, or this
+# interpreter alone when it is unset. Every Python that pyproject.toml admits
+# must print each float and string of these artifacts alike. With pyenv:
+#   OPTOPERCEPTRON_PYTHONS=$(pyenv root)/versions/3.10.13/bin/python:$(pyenv root)/versions/3.12.1/bin/python:$(pyenv root)/versions/3.13.0/bin/python
+# pyenv's python3.12 shims do not dispatch to these, so name the executables.
+PYTHONS = os.environ.get("OPTOPERCEPTRON_PYTHONS", sys.executable).split(os.pathsep)
+SRC = Path(__file__).parent.parent / "src"
+
+
+@pytest.mark.parametrize("python", PYTHONS)
+def test_numpy_free_cases_match_golden_digests_under_each_interpreter(python, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    mismatched = []
+    for name in sorted(CASES):
+        if draws_from_numpy(name):
+            continue
+        argv, config_text = CASES[name]
+        out = tmp_path / name
+        args = [*argv, "--out", str(out)]
+        if config_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(config_text)
+            args += ["--config", str(tmp_path / f"{name}.cfg")]
+        subprocess.run([python, "-m", "optoperceptron.cli", *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+                       capture_output=True, check=True)
+        digests = {path: hashlib.sha256(data).hexdigest() for path, data in artifacts(out).items()}
+        if digests != golden[name]:
+            mismatched.append(name)
+    assert mismatched == []
 
 
 # The rig sequence's digest is keyed by the file it was first recorded in, one
@@ -155,8 +195,7 @@ def test_numpy_draws_the_values_the_digests_were_recorded_with():
         )
         for child, method in NUMPY_DRAWS
     }
-    numpy_cases = [name for name, (argv, config_text) in CASES.items()
-                   if argv[0] in ("emulate", "energy") or "sweep.mode = emulate" in (config_text or "")]
+    numpy_cases = [name for name in CASES if draws_from_numpy(name)]
     numpy_cases.append(RIG_EVENTS[0])
     assert drawn == NUMPY_DRAWS, (
         f"numpy {np.__version__} draws other values from these streams than numpy 2.4.6, which recorded "

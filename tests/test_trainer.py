@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import operator
 
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.errors import ConfigurationError
+from optoperceptron.jsontext import trace_pieces
 from optoperceptron.patterns import CLASSES, Pattern, build_dataset
 from optoperceptron.runner import eta_stream
 from optoperceptron.synapse import ERASE, WRITE
@@ -393,9 +395,7 @@ def test_trace_json_shape():
     dataset = build_dataset()
     config = trainer_config(max_epochs=2)
     trace = train(dataset.training, config, VectorBackend(config, rng=np.random.default_rng(1)))
-    import json
-
-    payload = json.loads(json.dumps(trace.to_json_dict()))
+    payload = json.loads("".join(trace_pieces(trace)))
     assert payload["summary"]["total_steps"] == trace.total_steps
     assert len(payload["steps"]) == trace.total_steps
 

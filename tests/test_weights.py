@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from optoperceptron.jsontext import state_pieces
 from optoperceptron.weights import ClampDiagnostics, WeightState, extract_weight
+
+
+def state_json(state: WeightState) -> dict:
+    """weight_state.json of the state, read back."""
+    return json.loads("".join(state_pieces(state)))
 
 
 def test_unwritten_site_weight_zero():
@@ -23,7 +29,7 @@ def test_clamping_counted():
     diag = ClampDiagnostics()
     assert extract_weight(1000, 1050, diag) == 0.0  # noise pushed I_W above I_B
     assert diag.total == 1
-    payload = WeightState.from_sums([1000], [1050], 2000, 100).to_json_dict()
+    payload = state_json(WeightState.from_sums([1000], [1050], 2000, 100))
     assert (payload["clamped_low"], payload["clamped_high"]) == (1, 0)
 
 
@@ -36,7 +42,7 @@ def test_integer_sums_never_clamp_high(pairs):
     backgrounds, writtens = zip(*pairs)
     state = WeightState.from_sums(backgrounds, writtens, 2000, 100)
     assert all(0.0 <= w <= 1.0 for w in state.weights)
-    assert state.to_json_dict()["clamped_high"] == 0
+    assert state_json(state)["clamped_high"] == 0
 
 
 @given(
@@ -97,7 +103,7 @@ def test_weight_state_from_sums():
 
 def test_weight_state_json_roundtrip():
     state = WeightState.from_sums([1000] * 9, [500] * 9, 2000, 100)
-    payload = json.loads(json.dumps(state.to_json_dict()))
+    payload = state_json(state)
     assert payload["weights"] == [0.5] * 9
     assert payload["threshold"] == 1900
     # int count sums print as floats, the threshold like the sums it comes from
