@@ -24,7 +24,9 @@ if TYPE_CHECKING:  # the accessors import these, so a run that renders nothing l
 
 SMALL_ANGLE_LIMIT = 0.2  # radians; beyond this the small-angle readout chain is invalid
 MEMORY_BUDGET_BYTES = 1 << 27  # the largest block a run may allocate at once
-FULL_FRAME_BYTES_PER_PX = 64  # tracemalloc peak of Rig.full_frame + pgm_image, measured 57
+# tracemalloc peak of Rig.full_frame + pgm_image, measured 26.0-26.1 B/px at
+# 166x128, 500x400, 1000x800, 200x700 and 900x130 px sensors
+FULL_FRAME_BYTES_PER_PX = 32
 
 
 def _bool(text: str) -> bool:

@@ -113,9 +113,9 @@ def trace_pieces(trace: TrainingTrace) -> Iterator[str]:
 
 def ledger_pieces(ledger) -> Iterator[str]:
     """ledger.json: the ledger's totals and its per-packet write events."""
-    from .rig import LEDGER_TOTALS, WRITE_EVENT_KEYS  # loaded wherever a ledger exists
+    from .rig import WRITE_EVENT_KEYS  # loaded wherever a ledger exists
 
-    fields = {key: getattr(ledger, key) for key in LEDGER_TOTALS}
+    fields = ledger.totals()._asdict()
     fields["write_events"] = rows(template(WRITE_EVENT_KEYS, 2), ledger.packets(), 1)
     yield from document(fields)
 

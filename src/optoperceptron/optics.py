@@ -77,13 +77,17 @@ def spot_pixel_mask(
     x_um: float, y_um: float, diameter_um: float, camera: CameraConfig
 ) -> np.ndarray:
     """Boolean (height, width) mask of the pixels whose centers fall in the
-    disk of the given diameter centered at (x_um, y_um) on the sample."""
+    disk of the given diameter centered at (x_um, y_um) on the sample.
+
+    The squared center offsets are two vectors, one per axis, broadcast into
+    one float64 plane of their sums, so the call holds that plane and the
+    boolean result. Each sum is the same float64 expression, in the same
+    order, as over full coordinate grids."""
     scale = camera.pixel_scale_um
-    ys, xs = np.mgrid[0 : camera.height, 0 : camera.width]
-    px = (xs + 0.5) * scale
-    py = (ys + 0.5) * scale
+    dx2 = ((np.arange(camera.width) + 0.5) * scale - x_um) ** 2
+    dy2 = ((np.arange(camera.height) + 0.5) * scale - y_um) ** 2
     r = diameter_um / 2.0
-    return (px - x_um) ** 2 + (py - y_um) ** 2 <= r * r
+    return dx2[np.newaxis, :] + dy2[:, np.newaxis] <= r * r
 
 
 def draw_read_noise(rng: np.random.Generator, camera: CameraConfig, *leading: int) -> np.ndarray:

@@ -68,10 +68,29 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     return [max(c, 1) for c in counts]
 
 
-# The artifact name of each field of a write event, in row order, and the
-# totals ledger.json prints, each an attribute of EnergyLedger by that name.
+# The artifact name of each field of a write event, in row order.
 WRITE_EVENT_KEYS = ("site", "pulses", "per_pulse_j")
-LEDGER_TOTALS = ("per_read_j", "read_events", "total_pulses", "write_energy_j", "read_energy_j", "total_energy_j")
+
+
+class LedgerTotals(NamedTuple):
+    """The totals ledger.json prints, each under its field name."""
+
+    per_read_j: float
+    read_events: int
+    total_pulses: int
+    write_energy_j: float
+    read_energy_j: float
+    total_energy_j: float
+
+    def summary_line(self) -> str:
+        """The one-line account that ledger.txt and energy.txt print."""
+        return (
+            f"pulses={self.total_pulses} "
+            f"write={self.write_energy_j * 1e9:.3f}nJ "
+            f"reads={self.read_events} "
+            f"read={self.read_energy_j * 1e9:.3f}nJ "
+            f"total={self.total_energy_j * 1e9:.3f}nJ"
+        )
 
 
 class EnergyLedger:
@@ -82,8 +101,8 @@ class EnergyLedger:
     helicity tag, pulses per packet in delivery order). The counts are
     order-independent. The energies are not, since float addition is not
     associative: each is the fold of its terms in delivery order, which is
-    what keeps them byte-stable. The per-packet write events and every
-    total are derived from the log in packet order.
+    what keeps them byte-stable. The per-packet write events and the totals
+    are derived from the log in packet order.
     """
 
     def __init__(self, per_read_j: float, per_pulse_j: float):
@@ -116,34 +135,20 @@ class EnergyLedger:
     def read_events(self) -> int:
         return sum(len(op[1]) for op in self.ops if op[0] == "read")
 
-    @property
-    def total_pulses(self) -> int:
-        return sum(p for _, p, _ in self.packets())
-
-    @property
-    def write_energy_j(self) -> float:
-        # a left fold from the int 0: sum() compensates float rounding from Python 3.12
-        total = 0
-        for _, p, per_pulse_j in self.packets():
-            total += p * per_pulse_j
-        return total
-
-    @property
-    def read_energy_j(self) -> float:
-        return self.read_events * self.per_read_j
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.write_energy_j + self.read_energy_j
-
-    def summary_line(self) -> str:
-        return (
-            f"pulses={self.total_pulses} "
-            f"write={self.write_energy_j * 1e9:.3f}nJ "
-            f"reads={self.read_events} "
-            f"read={self.read_energy_j * 1e9:.3f}nJ "
-            f"total={self.total_energy_j * 1e9:.3f}nJ"
-        )
+    def totals(self) -> LedgerTotals:
+        """Every total from one walk of the op log."""
+        per_pulse_j = self.per_pulse_j
+        reads = pulses = 0
+        write_j = 0  # a left fold from the int 0: sum() compensates float rounding from Python 3.12
+        for op in self.ops:
+            if op[0] == "read":
+                reads += len(op[1])
+            else:
+                for p in op[3]:
+                    pulses += p
+                    write_j += p * per_pulse_j
+        read_j = reads * self.per_read_j
+        return LedgerTotals(self.per_read_j, reads, pulses, write_j, read_j, write_j + read_j)
 
 
 class RigConfig(NamedTuple):

@@ -253,7 +253,7 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
     from .rig import SITE_LABELS
 
     yield "ledger.json", ledger_pieces(rig.ledger)
-    yield "ledger.txt", rig.ledger.summary_line() + "\n"
+    yield "ledger.txt", rig.ledger.totals().summary_line() + "\n"
     yield "weight_state.json", state_pieces(rig.state)
     yield "site_params.json", [
         {
@@ -309,6 +309,7 @@ def run_energy(cfg: RunConfig, out_dir: Path) -> dict:
         raise ConfigurationError(f"energy.spot_large_um {large_um} exceeds energy.waist_um {waist_um}")
     result = emulate_run(cfg, cfg["run.seed"], build_dataset(cfg.bitmaps), bars=False)
     ledger = result.rig.ledger
+    totals = ledger.totals()
     small = cfg.per_pulse_j(small_um)
     large = cfg.per_pulse_j(large_um)
     summary = {
@@ -318,15 +319,15 @@ def run_energy(cfg: RunConfig, out_dir: Path) -> dict:
         "per_pulse_spot_large_pj": large * 1e12,
         "per_pulse_network_spot_pj": cfg.per_pulse_j(cfg["rig.spot_diameter_um"]) * 1e12,
         "training_steps": result.trace.total_steps,
-        "total_pulses": ledger.total_pulses,
-        "write_energy_nj": ledger.write_energy_j * 1e9,
-        "read_events": ledger.read_events,
-        "read_energy_nj": ledger.read_energy_j * 1e9,
+        "total_pulses": totals.total_pulses,
+        "write_energy_nj": totals.write_energy_j * 1e9,
+        "read_events": totals.read_events,
+        "read_energy_nj": totals.read_energy_j * 1e9,
     }
     energy_txt = (
         f"per-pulse energy: {small * 1e12:.1f} pJ ({small_um} um spot), "
         f"{large * 1e12:.1f} pJ ({large_um} um spot)\n"
-        f"ledger: {ledger.summary_line()}\n"
+        f"ledger: {totals.summary_line()}\n"
     )
     from .jsontext import ledger_pieces
 

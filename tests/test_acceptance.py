@@ -241,7 +241,7 @@ def test_criterion_8_energy_ledger(tmp_path):
     expected_live_reads = 20 + updated_sites  # 10 backgrounds + 10 init reads
     live_exact = (
         ledger.read_events == expected_live_reads
-        and ledger.read_energy_j == ledger.read_events * 0.4e-9
+        and ledger.totals().read_energy_j == ledger.read_events * 0.4e-9
         and ledger.read_events > 0
     )
     ok = in_window and energy_exact and live_exact

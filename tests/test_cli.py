@@ -512,7 +512,7 @@ RELATIONS = {
     "dumped-frame": (  # only emulate renders the full frame
         "camera.width_px = 4000\ncamera.height_px = 4000\nrun.dump_frames = true\n",
         "the run.dump_frames render of the 4000x4000 px sensor (camera.width_px x camera.height_px) "
-        "needs 1024000000 B, over the 134217728 B budget",
+        "needs 512000000 B, over the 134217728 B budget",
         [("emulate", "")],
     ),
     "dark-offset": (

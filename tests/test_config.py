@@ -189,17 +189,17 @@ def test_memory_budget_admits_the_last_read_block_under_it():
 
 
 def test_full_frame_render_over_the_budget_is_refused_only_when_dumped(monkeypatch):
-    # 64 B per sensor pixel: 2048 x 1024 px is exactly the budget
+    # 32 B per sensor pixel: 2048 x 2048 px is exactly the budget
     assert admitted_by(monkeypatch, "emulate", {
-        "camera.width_px": "2048", "camera.height_px": "1024", "run.dump_frames": "true",
+        "camera.width_px": "2048", "camera.height_px": "2048", "run.dump_frames": "true",
     })
-    big = {"camera.width_px": "2048", "camera.height_px": "1025"}
+    big = {"camera.width_px": "2048", "camera.height_px": "2049"}
     assert admitted_by(monkeypatch, "emulate", big)
     with pytest.raises(ConfigurationError) as exc:
         admitted_by(monkeypatch, "emulate", {**big, "run.dump_frames": "true"})
     assert str(exc.value) == (
-        "the run.dump_frames render of the 2048x1025 px sensor (camera.width_px x camera.height_px) "
-        "needs 134348800 B, over the 134217728 B budget"
+        "the run.dump_frames render of the 2048x2049 px sensor (camera.width_px x camera.height_px) "
+        "needs 134283264 B, over the 134217728 B budget"
     )
 
 
@@ -211,9 +211,11 @@ def test_memory_budget_keeps_every_roi_sum_exact():
     assert largest_window_px * (2**32 - 1) < 2**53 < 2**63
 
 
-def test_full_frame_render_allocates_at_most_its_stated_bytes_per_pixel():
-    # the budget charges a full frame FULL_FRAME_BYTES_PER_PX per sensor pixel
-    cfg = load_config(overrides={"camera.width_px": "500", "camera.height_px": "400"})
+@pytest.mark.parametrize("width, height", [(166, 128), (500, 400), (200, 700), (900, 130)])
+def test_full_frame_render_allocates_at_most_its_stated_bytes_per_pixel(width, height):
+    # the budget charges a full frame FULL_FRAME_BYTES_PER_PX per sensor
+    # pixel: the default sensor, a larger one, a tall one and a wide one
+    cfg = load_config(overrides={"camera.width_px": str(width), "camera.height_px": str(height)})
     rig = build_rig(cfg, make_streams(7))
     tracemalloc.start()
     try:
@@ -221,7 +223,7 @@ def test_full_frame_render_allocates_at_most_its_stated_bytes_per_pixel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= config.FULL_FRAME_BYTES_PER_PX * 500 * 400
+    assert peak <= config.FULL_FRAME_BYTES_PER_PX * width * height
 
 
 @pytest.mark.parametrize("frames", [1, 10])

@@ -30,13 +30,14 @@ def trace_payload(trace: TrainingTrace) -> dict:
 
 
 def ledger_payload(ledger: EnergyLedger) -> dict:
+    totals = ledger.totals()
     return {
-        "per_read_j": ledger.per_read_j,
-        "read_events": ledger.read_events,
-        "total_pulses": ledger.total_pulses,
-        "write_energy_j": ledger.write_energy_j,
-        "read_energy_j": ledger.read_energy_j,
-        "total_energy_j": ledger.total_energy_j,
+        "per_read_j": totals.per_read_j,
+        "read_events": totals.read_events,
+        "total_pulses": totals.total_pulses,
+        "write_energy_j": totals.write_energy_j,
+        "read_energy_j": totals.read_energy_j,
+        "total_energy_j": totals.total_energy_j,
         "write_events": [
             {"site": site, "pulses": p, "per_pulse_j": per_pulse_j}
             for site, p, per_pulse_j in ledger.write_events

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from optoperceptron.config import SMALL_ANGLE_LIMIT
+from optoperceptron.config import SMALL_ANGLE_LIMIT, load_config
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
     analyzer_intensity,
@@ -16,10 +16,12 @@ from optoperceptron.optics import (
     pgm_image,
     spot_pixel_mask,
 )
+from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.synapse import SynapseSite
 from typed_configs import camera_config, optical_constants, site_params, zero_noise
 
 CONSTANTS = optical_constants()  # delta 0.1, I_in 4e6
+SENSOR = camera_config()  # the default 166 x 128 px sensor at 1 um per pixel
 NOMINAL_SITE = site_params()
 
 
@@ -89,6 +91,74 @@ def test_in_field_holds_both_ends_of_each_axis():
     past_x, past_y = math.nextafter(far_x, math.inf), math.nextafter(far_y, math.inf)
     for x, y in ((below, 0.0), (0.0, below), (past_x, far_y), (far_x, past_y)):
         assert not camera.in_field(x, y), (x, y)
+
+
+# -- spot masks ---------------------------------------------------------------
+
+def grid_mask(x_um, y_um, diameter_um, camera):
+    """The reference mask, over full np.mgrid planes of pixel coordinates."""
+    scale = camera.pixel_scale_um
+    ys, xs = np.mgrid[0 : camera.height, 0 : camera.width]
+    px = (xs + 0.5) * scale
+    py = (ys + 0.5) * scale
+    r = diameter_um / 2.0
+    return (px - x_um) ** 2 + (py - y_um) ** 2 <= r * r
+
+
+# Each mask a default rig builds, as (x_um, y_um, diameter_um, width, height,
+# pixel_scale_um): its 17 x 16 px readout window, then the ten sites of the
+# 166 x 128 px full frame.
+DEFAULT_SITE_CENTERS = [
+    (16.5, 15.5), (57.3, 15.5), (98.1, 15.5),
+    (16.5, 56.3), (57.3, 56.3), (98.1, 56.3),
+    (16.5, 97.1), (57.3, 97.1), (98.1, 97.1),
+    (141.3, 64.0),
+]
+DEFAULT_MASKS = [(8.5, 8.0, 10.0, 17, 16, 1.0)] + [(x, y, 10.0, 166, 128, 1.0) for x, y in DEFAULT_SITE_CENTERS]
+
+
+def test_default_mask_examples_are_the_masks_a_default_rig_builds():
+    rig = build_rig(load_config(), make_streams(7))
+    window, sensor, diameter = rig.window_camera, rig.sensor_camera, rig.config.spot_diameter_um
+    scale = sensor.pixel_scale_um
+    assert DEFAULT_MASKS == [
+        (window.width * scale / 2.0, window.height * scale / 2.0, diameter, window.width, window.height, scale),
+        *((*rig.site_position_um(i), diameter, sensor.width, sensor.height, scale) for i in range(10)),
+    ]
+
+
+@st.composite
+def mask_geometries(draw):
+    """A sensor of 1 to 300 px a side at 0.05 to 4 um per pixel, and a spot
+    centered on a pixel center, on a pixel edge or anywhere, off the sensor
+    too, of diameter 0, below one pixel or up to past the whole sensor."""
+    width, height = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([0.1, 0.37, 0.5, 1.0, 3.0]) | st.floats(0.05, 4.0))
+
+    def coordinate(n_px):
+        i = draw(st.integers(-3, n_px + 3))
+        return draw(st.sampled_from([(i + 0.5) * scale, i * scale]) | st.floats(-20.0, n_px * scale + 20.0))
+
+    x_um, y_um = coordinate(width), coordinate(height)
+    diameter = draw(st.just(0.0) | st.floats(0.0, scale) | st.floats(0.0, 3.0 * max(width, height) * scale))
+    return x_um, y_um, diameter, width, height, scale
+
+
+def default_mask_examples(test):
+    """One @example per mask of DEFAULT_MASKS."""
+    for geometry in DEFAULT_MASKS:
+        test = example(geometry)(test)
+    return test
+
+
+@default_mask_examples
+@given(mask_geometries())
+def test_spot_mask_equals_the_coordinate_grid_mask(geometry):
+    x_um, y_um, diameter, width, height, scale = geometry
+    camera = SENSOR._replace(width=width, height=height, pixel_scale_um=scale)
+    mask = spot_pixel_mask(x_um, y_um, diameter, camera)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, grid_mask(x_um, y_um, diameter, camera))
 
 
 # -- frame rendering ----------------------------------------------------------

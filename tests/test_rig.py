@@ -25,7 +25,7 @@ from optoperceptron.rig import (
     THRESHOLD_SITE,
     shutter_pulses,
 )
-from optoperceptron.runner import build_rig, emulate_run, eta_stream, make_streams, run_emulate
+from optoperceptron.runner import build_rig, emulate_run, eta_stream, make_streams, run_emulate, run_files
 from optoperceptron.synapse import ERASE, WRITE, apply_packet, response_curve
 from optoperceptron.trainer import (
     LOWER_OUTPUT,
@@ -199,11 +199,12 @@ def test_ledger_counts_are_order_free_and_write_energy_is_the_delivery_order_fol
         for site, pulses in perm:
             ledger.add_writes(site, "write", [pulses])
         ledger.add_reads(["w1", "w2", "b"])
-        counts.add((ledger.total_pulses, ledger.read_events, ledger.read_energy_j))
+        totals = ledger.totals()
+        counts.add((totals.total_pulses, totals.read_events, totals.read_energy_j))
         fold = 0
         for _, pulses in perm:
             fold += pulses * 50e-12
-        assert ledger.write_energy_j == fold
+        assert totals.write_energy_j == fold
         energies.add(fold)
     assert counts == {(147, 3, 3 * 0.4e-9)}
     assert energies == {7.35e-09, 7.3500000000000005e-09}
@@ -252,11 +253,36 @@ def test_ledger_totals_equal_per_event_reference_sums(ops, per_read_j, per_pulse
         "total_energy_j": write_j + read_j,
         "write_events": [{"site": s, "pulses": p, "per_pulse_j": j} for s, p, j in events],
     }
-    assert ledger.summary_line() == (
+    assert ledger.totals().summary_line() == (
         f"pulses={pulses} write={write_j * 1e9:.3f}nJ reads={reads} "
         f"read={read_j * 1e9:.3f}nJ total={(write_j + read_j) * 1e9:.3f}nJ"
     )
     assert ledger.write_events == events
+
+
+def test_ledger_artifacts_walk_the_packets_at_most_three_times():
+    # ledger.json walks them once for its totals and once for its write
+    # events, ledger.txt once for its summary line
+    cfg = load_config(overrides={"trainer.max_epochs": "3"})
+    result = emulate_run(cfg, 7, build_dataset(cfg.bitmaps))
+    walks = []
+
+    class Pulses(list):
+        def __iter__(self):
+            walks.append(self)
+            return super().__iter__()
+
+    ops = result.rig.ledger.ops
+    writes = [i for i, op in enumerate(ops) if op[0] == "write"]
+    for i in writes:
+        kind, site, helicity, pulses = ops[i]
+        ops[i] = (kind, site, helicity, Pulses(pulses))
+    rendered = {}
+    for name, payload in run_files(result, cfg):
+        if name in ("ledger.json", "ledger.txt"):
+            rendered[name] = "".join(payload)
+    assert rendered.keys() == {"ledger.json", "ledger.txt"}
+    assert writes and len(walks) <= 3 * len(writes)
 
 
 # -- rig sequencing -----------------------------------------------------------
@@ -401,8 +427,8 @@ def test_rig_ledger_counts_expected_events():
     # 10 background reads + 10 initial reads; 9 * 50 + 250 write packets
     assert rig.ledger.read_events == 20
     assert len(rig.ledger.write_events) == 9 * 50 + 250
-    assert rig.ledger.total_pulses == (9 * 50 + 250) * 50
-    assert rig.ledger.read_energy_j == pytest.approx(20 * 0.4e-9)
+    assert rig.ledger.totals().total_pulses == (9 * 50 + 250) * 50
+    assert rig.ledger.totals().read_energy_j == pytest.approx(20 * 0.4e-9)
 
 
 # -- batched operations ----------------------------------------------------------
@@ -661,7 +687,7 @@ def test_every_packet_and_render_goes_through_the_traced_names(monkeypatch, tmp_
     cfg = load_config(overrides={"trainer.max_epochs": "3"})
     ledger = emulate_run(cfg, 7, build_dataset(cfg.bitmaps)).rig.ledger
     assert calls["packets"] == len(ledger.write_events) > 0
-    assert calls["pulses"] == ledger.total_pulses
+    assert calls["pulses"] == ledger.totals().total_pulses
     assert calls["renders"] == ledger.read_events > 0
     assert calls["frames"] == ledger.read_events * cfg["rig.frames_per_read"]
     # the full-frame export of --frames is one more one-frame render through the same name
