@@ -3,12 +3,13 @@ records a run keeps: trace.json from a TrainingTrace's rows and raises,
 ledger.json from an EnergyLedger's op log, weight_state.json and
 weight_snapshots.json from WeightStates.
 
-Each file's text is what json.dumps(payload, sort_keys=True, indent=2) + "\\n"
-gives for the payload its records stand for, but no payload and no whole
-string of it is built: atomic_write writes the pieces as they come, one row
-at a time. A row goes through a template built once from its key names,
-sorted, so only its values are encoded per row, by the one value encoder.
-Only the runs that write these files import this module.
+Each file's text is what runner.json_text, json.dumps(payload,
+sort_keys=True, indent=2) + "\\n", gives for the payload its records stand
+for, but no payload and no whole string of it is built: runner.atomic_write
+writes the pieces as they come, one row at a time. A row goes through a
+template built once from its key names, sorted, so only its values are
+encoded per row, by the one value encoder. Only the runs that write these
+files import this module.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ their stream; an emulate run builds the other three.
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
-from .atomic import atomic_write, write_json
 from .config import FULL_FRAME_BYTES_PER_PX, RunConfig, check_budget
 from .errors import ConfigurationError
 from .patterns import CLASSES, Dataset, build_dataset
@@ -172,6 +173,13 @@ def config_text(cfg: RunConfig) -> str:
     return "\n".join(["# resolved configuration", *lines]) + "\n"
 
 
+def json_text(payload) -> str:
+    """The one JSON artifact format: sorted keys, two-space indent, final
+    newline. It renders the small files; jsontext renders the row-heavy
+    artifacts in this format piece by piece."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _csv_text(schema: str, header: Iterable[str], rows: Sequence[Sequence]) -> str:
     lines = [f"# schema={SCHEMA_PREFIX}.{schema}", ",".join(header)]
     for row in rows:
@@ -213,21 +221,38 @@ def interleave_post_results(post_train: Sequence[tuple], post_test: Sequence[tup
     return ordered
 
 
+def atomic_write(path: Path, data: str | bytes | Iterable[str]) -> None:
+    """Write data, or each text piece of an iterable in turn, to a temp file
+    beside path, then move it into place. The temp file never outlives the
+    call: if the write, the pieces or the move fail, it is removed before the
+    error propagates, and path keeps what it held."""
+    tmp = path.with_name(path.name + ".tmp")
+    mode = "wb" if isinstance(data, bytes) else "w"
+    fh = open(tmp, mode)
+    try:
+        with fh:
+            if isinstance(data, (str, bytes)):
+                fh.write(data)
+            else:
+                fh.writelines(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_artifacts(out_dir: Path, cfg: RunConfig, summary: dict, files: Iterable) -> dict:
     """The one artifact writer, atomic per file: config.resolved.txt, each
-    (name, payload) of files, then summary.json, stamped with the package
-    version, last. A dict or list payload is written as JSON; text, bytes or
-    the text pieces of a rendered artifact are written as they are. Returns
-    the stamped summary."""
+    (name, payload) of files as it arrives, then summary.json, stamped with
+    the package version, last. A payload is what atomic_write takes: text,
+    bytes or the text pieces of a rendered artifact. files is read one item
+    at a time, so a generator renders each payload only once the one before
+    it is on disk. Returns the stamped summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "config.resolved.txt", config_text(cfg))
     for name, payload in files:
-        if isinstance(payload, (dict, list)):
-            write_json(out_dir / name, payload)
-        else:
-            atomic_write(out_dir / name, payload)
+        atomic_write(out_dir / name, payload)
     summary["version"] = __version__
-    write_json(out_dir / "summary.json", summary)
+    atomic_write(out_dir / "summary.json", json_text(summary))
     return summary
 
 
@@ -255,7 +280,7 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
     yield "ledger.json", ledger_pieces(rig.ledger)
     yield "ledger.txt", rig.ledger.totals().summary_line() + "\n"
     yield "weight_state.json", state_pieces(rig.state)
-    yield "site_params.json", [
+    yield "site_params.json", json_text([
         {
             "site": SITE_LABELS[i],
             "dead_zone_pulses": p.dead_zone_pulses,
@@ -264,13 +289,13 @@ def run_files(result: RunResult, cfg: RunConfig) -> Iterator[tuple[str, object]]
             "curve": p.curve,
         }
         for i, p in enumerate(s.params for s in rig.sites)
-    ]
+    ])
     if rig.snapshots:
         yield "weight_snapshots.json", snapshots_pieces(rig.snapshots)
     if cfg["run.dump_frames"]:
         image, sidecar = pgm_image(*rig.full_frame(), rig.sensor_camera)
         yield "sample_final.pgm", image
-        yield "sample_final.pgm.json", sidecar
+        yield "sample_final.pgm.json", json_text(sidecar)
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path) -> dict:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optoperceptron import config
-from optoperceptron.atomic import atomic_write
+from optoperceptron.runner import atomic_write, write_artifacts
 from optoperceptron.patterns import DEFAULT_BITMAPS
 
 EXPECTED_HEADERS = {
@@ -103,16 +103,23 @@ def test_sweep_mode(files_of):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_artifact_rows():
-    """(file names, modes cell) of each row of README's artifact table."""
-    table = README.read_text(encoding="utf-8").split("| file | modes | content |\n")[1].split("\n\n")[0]
-    for line in table.splitlines()[1:]:
-        files, modes, _ = line.strip("|").split(" | ", 2)
-        yield re.findall(r"`([^`]+)`", files), modes.strip()
+def readme_table(header: str) -> list[list[str]]:
+    """The stripped cells of each row of the README table under that header row."""
+    table = README.read_text(encoding="utf-8").split(f"{header}\n")[1].split("\n\n")[0]
+    return [[cell.strip() for cell in line.strip("|").split(" | ", header.count(" | "))]
+            for line in table.splitlines()[1:]]
 
 
-def readme_lists(modes: str, mode: str, flags: tuple) -> bool:
-    """Whether a modes cell ("all", "emulate, energy", "emulate `--frames`") covers a run."""
+def readme_lists(modes: str, mode: str, flags: tuple, cfg: config.RunConfig) -> bool:
+    """Whether a modes cell ("all", "emulate, energy", "emulate `--frames`",
+    "simulate, emulate when `run.trace_verbosity` ≥ 1") covers a run of that
+    mode with those flags, whose resolved config is cfg."""
+    modes, _, condition = modes.partition(" when ")
+    if condition:
+        key, op, bound = condition.split()
+        assert op == "≥", condition
+        if cfg[key.strip("`")] < int(bound):
+            return False
     if modes == "all":
         return True
     for entry in modes.split(", "):
@@ -125,14 +132,31 @@ def readme_lists(modes: str, mode: str, flags: tuple) -> bool:
 @pytest.mark.parametrize(
     "mode, flags",
     [("simulate", ()), ("emulate", ()), ("emulate", ("--verbose", "--frames")),
-     ("dataset", ()), ("energy", ()), ("sweep", ())],
+     ("dataset", ()), ("energy", ()), ("sweep", ()),
+     # a "key = value" entry is a line of the run's config file, not a flag
+     ("simulate", ("run.trace_verbosity = 0",)), ("emulate", ("run.trace_verbosity = 0",))],
 )
 def test_each_mode_writes_the_files_the_readme_lists(tmp_path, capsys, mode, flags):
     out = tmp_path / "out"
-    assert run_cli(out, mode, "--seed", "7", *flags, config="trainer.max_epochs = 2\nsweep.seeds = 2\n") == 0
-    rows = readme_artifact_rows()
-    listed = {name for names, modes in rows if readme_lists(modes, mode, flags) for name in names}
+    lines = "".join(f"{flag}\n" for flag in flags if " = " in flag)
+    cli_flags = [flag for flag in flags if " = " not in flag]
+    config_text = "trainer.max_epochs = 2\nsweep.seeds = 2\n" + lines
+    assert run_cli(out, mode, "--seed", "7", *cli_flags, config=config_text) == 0
+    cfg = config.load_config(out / "config.resolved.txt")
+    listed = {
+        name for files, modes, _ in readme_table("| file | modes | content |")
+        if readme_lists(modes, mode, flags, cfg) for name in re.findall(r"`([^`]+)`", files)
+    }
     assert sorted(path.name for path in out.iterdir()) == sorted(listed)
+
+
+def test_readme_key_table_defaults_are_the_key_table_defaults():
+    # each cell goes through its key's own parser: 600 stands for 600.0, none for None
+    rows = readme_table("| key | default | meaning |")
+    assert rows
+    for key, default, _ in rows:
+        spec = config.KEY_TABLE[key.strip("`")]
+        assert spec.parse(default) == spec.default, key
 
 
 @pytest.mark.parametrize(
@@ -319,6 +343,22 @@ def test_artifact_path_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys)
     assert run_cli(tmp_path / "o", "dataset") == 3
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["config.resolved.txt", "dataset.csv"]
+
+
+def test_the_writer_writes_each_file_before_the_next_is_rendered(tmp_path):
+    # run_files renders each payload only when asked for it, so no two large
+    # payloads are held at once; a writer that listed files first would hold all
+    names = [f"f{k}.txt" for k in range(4)]
+
+    def files():
+        for k, name in enumerate(names):
+            on_disk = sorted(path.name for path in tmp_path.iterdir())
+            assert on_disk == sorted(["config.resolved.txt", *names[:k]])
+            yield name, f"{k}\n"
+
+    summary = write_artifacts(tmp_path, config.load_config(), {"mode": "test"}, files())
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["config.resolved.txt", "summary.json", *names])
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
 
 
 def test_pieces_that_fail_halfway_leave_the_target_as_it_was(tmp_path):

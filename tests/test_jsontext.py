@@ -9,12 +9,11 @@ import tracemalloc
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from optoperceptron.atomic import atomic_write
 from optoperceptron.config import load_config
 from optoperceptron.jsontext import ledger_pieces, snapshots_pieces, state_pieces, trace_pieces
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import EnergyLedger
-from optoperceptron.runner import emulate_run, run_files
+from optoperceptron.runner import atomic_write, emulate_run, run_files
 from optoperceptron.trainer import RAISE_KEYS, STEP_KEYS, TrainingTrace
 from optoperceptron.weights import ClampDiagnostics, WeightState
 

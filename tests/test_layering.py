@@ -1,8 +1,9 @@
 """Layering guard: the physics modules neither touch the disk nor reach the
-run boundary, runner is the one module that writes artifacts, and numpy
-loads only where the rig draws or renders: simulate draws its learning rates
-from a pure-Python stream. No run loads dataclasses, and a stdlib module
-that one rare call needs loads only where that call runs."""
+run boundary, runner's atomic_write and write_artifacts are the only calls
+that write to the disk, and numpy loads only where the rig draws or renders:
+simulate draws its learning rates from a pure-Python stream. jsontext loads
+only in the runs that render its row-heavy files, no run loads dataclasses,
+and a stdlib module that one rare call needs loads only where that call runs."""
 
 import ast
 import os
@@ -17,12 +18,12 @@ from optoperceptron import errors
 
 PACKAGE = Path(optoperceptron.__file__).parent
 PHYSICS = ("optics", "synapse", "weights", "trainer", "patterns", "rig")
-BOUNDARY_OR_IO = {"atomic", "runner", "config", "cli", "json", "os", "pathlib"}
+BOUNDARY_OR_IO = {"runner", "config", "cli", "json", "os", "pathlib", "io", "shutil", "tempfile"}
 
 
 def imported_modules(module: str) -> set[str]:
     """Top-level names of the modules a package module imports, package-relative
-    ones without their package (``from .atomic import x`` gives ``atomic``)."""
+    ones without their package (``from .rig import x`` gives ``rig``)."""
     names = set()
     for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -35,19 +36,48 @@ def imported_modules(module: str) -> set[str]:
     return names
 
 
+# The names of the calls that open, create, move or delete a file: the builtin
+# open, the Path methods and numpy calls that reach the disk, and any os function.
+DISK_CALLS = {
+    "open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "touch",
+    "unlink", "rename", "rmdir", "tofile", "save", "savez", "savetxt",
+}
+DISK_CALLERS = {
+    ("config", "_read_text", "read_bytes"),  # the config and bitmap files, read
+    ("runner", "atomic_write", "open"),
+    ("runner", "atomic_write", "os.replace"),
+    ("runner", "atomic_write", "unlink"),
+    ("runner", "write_artifacts", "mkdir"),
+}
+
+
+def disk_calls(module: str):
+    """(enclosing top-level name, call name) of each disk call in a module:
+    ``open``, ``os.<name>`` for any os function, else the method's name."""
+    for top in ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in DISK_CALLS:
+                yield getattr(top, "name", None), func.id
+            elif isinstance(func, ast.Attribute):
+                if isinstance(func.value, ast.Name) and func.value.id == "os":
+                    yield getattr(top, "name", None), f"os.{func.attr}"
+                elif func.attr in DISK_CALLS:
+                    yield getattr(top, "name", None), func.attr
+
+
 def test_physics_modules_stay_off_the_disk_and_runner_alone_writes():
     offending = {m: sorted(imported_modules(m) & BOUNDARY_OR_IO) for m in PHYSICS}
     assert {m: names for m, names in offending.items() if names} == {}
-    writers = sorted(
-        path.stem for path in PACKAGE.glob("*.py")
-        if path.stem != "atomic" and "atomic" in imported_modules(path.stem)
-    )
-    assert writers == ["runner"]
+    calls = {(path.stem, *call) for path in PACKAGE.glob("*.py") for call in disk_calls(path.stem)}
+    assert calls == DISK_CALLERS
 
 
 # A fresh interpreter imports the CLI, then either resolves the default
 # config (no arguments) or runs the CLI, and prints its exit code, whether
-# numpy got loaded and which of four probed stdlib modules got loaded.
+# numpy and jsontext got loaded and which of four probed stdlib modules got loaded.
 NUMPY_PROBE = """
 import sys
 from optoperceptron.cli import main
@@ -62,12 +92,16 @@ try:
 except SystemExit as exc:
     code = exc.code
 probed = ("dataclasses", "inspect", "statistics", "decimal")
-print(code, "numpy" in sys.modules, *(name for name in probed if name in sys.modules))
+print(code, "numpy" in sys.modules, "optoperceptron.jsontext" in sys.modules,
+      *(name for name in probed if name in sys.modules))
 """
 # dataclasses pulls in inspect, ast, dis and tokenize; statistics serves
 # run_sweep's median and decimal config.nanojoules, and each loads in that call.
 NUMPY_FREE = {"load_config", "dataset", "help", "refused-config", "simulate"}
 SWEEPS = {"simulate-sweep", "emulate-sweep"}
+# jsontext (and the weights it imports) costs 2-5 ms to load, so only the
+# runs that render trace.json or the rig's row-heavy files load it.
+RENDERS_ROWS = {"simulate", "emulate"}
 
 
 @pytest.mark.parametrize(
@@ -99,9 +133,10 @@ def test_numpy_loads_only_where_a_run_draws_or_renders(request, tmp_path, args, 
         [sys.executable, "-c", NUMPY_PROBE, *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    exit_code, numpy_loaded, *stdlib = done.stdout.splitlines()[-1].split()
+    exit_code, numpy_loaded, jsontext_loaded, *stdlib = done.stdout.splitlines()[-1].split()
     assert (exit_code, numpy_loaded) == (str(code), str(loads_numpy))
     case = request.node.callspec.id
+    assert jsontext_loaded == str(case in RENDERS_ROWS)
     assert "dataclasses" not in stdlib
     if case in NUMPY_FREE:
         assert stdlib == []
