@@ -92,11 +92,11 @@ def nanojoules(value: float) -> float:
 
     Multiplying by 1e-9 would not reproduce the literal (0.4 * 1e-9 differs
     from 0.4e-9 in the last bit), and the ledger bills reads at exactly the
-    configured cost.
+    configured cost. The exponent of the shortest literal is shifted by -9
+    and float() parses that exact decimal, correctly rounded.
     """
-    from decimal import Decimal
-
-    return float(Decimal(repr(value)).scaleb(-9))
+    mantissa, _, exp = repr(value).partition("e")
+    return float(f"{mantissa}e{int(exp or 0) - 9}")
 
 
 def energy_per_pulse(pulse_energy_j: float, waist_um: float, diameter_um: float) -> float:

@@ -3,11 +3,13 @@
 Magnetization maps to a rotation angle, the crossed analyzer turns that into
 an intensity I_out = I_in * c * (1 - m) with c = delta^2 / 2, and a strictly
 linear camera (additive dark offset, optional Gaussian read noise) converts
-intensity into pixel counts. One kernel renders every camera read as a
-stack of frames into a read-noise block; one draw may cover the blocks of
-several reads of (site, mask) scenes, whose geometry the caller owns. The
-rest is frame averaging and integration of the readout window (the ROI),
-which reduce the trailing axes and so serve one read or several at once.
+intensity into pixel counts. The readout kernel has the camera's two
+stages: expose_frames adds one (site, mask) scene's noiseless counts to its
+stack of frames in a read-noise block, and digitize_frames, the ADC, rounds
+and clips the whole block of a read operation at once. One draw may cover
+the blocks of several reads, whose geometry the caller owns. The rest is
+frame averaging and integration of the readout window (the ROI), which
+reduce the trailing axes and so serve one read or several at once.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def expose_frames(
     constants: OpticalConstants,
     camera: CameraConfig,
     noise: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """The readout kernel: n noise-independent frames of one scene.
+) -> None:
+    """The exposure: n noise-independent frames of one scene, before the ADC.
 
     The scene lists (site, mask) pairs, each mask the spot_pixel_mask of the
     site's written spot. Pixels under a mask carry that site's intensity
@@ -123,13 +125,10 @@ def expose_frames(
     over an earlier one; all other pixels carry the background state.
     n_frames is rig.frames_per_read (at least 1) or 1 for a full frame. noise
     is the (n_frames, height, width) read-noise block of this exposure, from
-    draw_read_noise (zeros for a noiseless camera); the frames are rendered
-    into it in place, and a block of any other shape is refused, which is
-    what ties it to n_frames. Returns the integer counts, clipped to
-    [0, full_well], as a float64 (n_frames, height, width) stack, and
-    whether any pixel clipped at the full well. The clip pass runs only when
-    the rounded stack's minimum is below 0 or its maximum above the full
-    well; otherwise the stack is already in range.
+    draw_read_noise (zeros for a noiseless camera); the scene's noiseless
+    counts are added to it in place, and a block of any other shape is
+    refused, which is what ties it to n_frames. digitize_frames then turns
+    the exposed blocks of one read operation into counts.
     """
     shape = (n_frames, camera.height, camera.width)
     if noise.shape != shape:
@@ -142,14 +141,26 @@ def expose_frames(
             * analyzer_intensity(site.written_fraction, constants),
             camera,
         )
-    counts = noise
-    counts += base
-    np.rint(counts, out=counts)
+    noise += base
+
+
+def digitize_frames(block: np.ndarray, camera: CameraConfig) -> list[bool]:
+    """The ADC: the exposed (reads, frames, height, width) block of one read
+    operation rounded to integer counts and clipped to [0, full_well], in
+    place, and per read whether any of its pixels clipped at the full well.
+
+    Rounding and clipping act pixel by pixel, so digitizing several reads at
+    once equals digitizing each alone, up to the sign of a zero, which no
+    integer cast sees. The clip pass runs only when some read clipped high
+    or the block's minimum is below 0; otherwise the block is already in
+    range. Nothing the size of the block is allocated.
+    """
+    np.rint(block, out=block)
     full_well = camera.full_well
-    clipped = bool(counts.max() > full_well)
-    if clipped or counts.min() < 0:
-        np.clip(counts, 0, full_well, out=counts)
-    return counts, clipped
+    clipped = [peak > full_well for peak in block.max(axis=(-3, -2, -1)).tolist()]
+    if True in clipped or block.min(initial=0.0) < 0:  # initial: a read of no sites
+        np.clip(block, 0, full_well, out=block)
+    return clipped
 
 
 def _noiseless_counts(intensity: float, camera: CameraConfig) -> float:
@@ -183,7 +194,7 @@ def pgm_image(counts: np.ndarray, clipped: bool, camera: CameraConfig) -> tuple[
     """One (height, width) frame as 16-bit binary PGM (P5) bytes and its JSON
     metadata sidecar.
 
-    counts and clipped are one frame of expose_frames and its flag; exposure,
+    counts and clipped are one digitized frame and its flag; exposure,
     pixel area and bit depth come from the camera it was rendered with, width
     and height from counts.shape. The sidecar's "clipped" flag is set when the
     sensor clipped or a count above 65535 was cut to fit.

@@ -22,6 +22,7 @@ from .optics import (
     CameraConfig,
     OpticalConstants,
     average_frames,
+    digitize_frames,
     draw_read_noise,
     expose_frames,
     integrate_roi,
@@ -61,11 +62,9 @@ def shutter_pulses(rng: np.random.Generator, model: ShutterModel, n: int) -> lis
     if model.jitter_mode == "time":
         rate = model.repetition_rate_hz
         openings_ms = rng.uniform(model.open_time_min_ms, model.open_time_max_ms, n)
-        counts = [round(rate * (ms / 1000.0)) for ms in openings_ms.tolist()]
-    else:
-        nominal = model.nominal_packet_pulses
-        counts = [round(nominal * (1.0 - u)) for u in rng.random(n).tolist()]  # (0, 1]
-    return [max(c, 1) for c in counts]
+        return [max(round(rate * (ms / 1000.0)), 1) for ms in openings_ms.tolist()]
+    nominal = model.nominal_packet_pulses
+    return [max(round(nominal * (1.0 - u)), 1) for u in rng.random(n).tolist()]  # (0, 1]
 
 
 # The artifact name of each field of a write event, in row order.
@@ -227,17 +226,16 @@ class Rig:
         each, and per site whether any of its frames clipped at the full well.
 
         One read-noise draw covers every frame of every listed site. Each
-        site is rendered into its slice of that block, and the block is
-        averaged and integrated at once.
+        site is exposed into its slice of that block, and the block is then
+        digitized, averaged and integrated at once.
         """
         camera = self.window_camera
         n_frames = self.config.frames_per_read
         block = draw_read_noise(self.camera_rng, camera, len(indices), n_frames)
         sites, mask, constants = self.sites, self._window_mask, self.constants
-        clipped = [
-            expose_frames(n_frames, [(sites[i], mask)], constants, camera, noise)[1]
-            for i, noise in zip(indices, block)
-        ]
+        for i, noise in zip(indices, block):
+            expose_frames(n_frames, [(sites[i], mask)], constants, camera, noise)
+        clipped = digitize_frames(block, camera)
         self.ledger.add_reads([SITE_LABELS[i] for i in indices])
         return integrate_roi(average_frames(block)), clipped
 
@@ -388,9 +386,10 @@ class Rig:
             (site, spot_pixel_mask(*self.site_position_um(i), diameter, camera))
             for i, site in enumerate(self.sites)
         ]
-        noise = draw_read_noise(self.camera_rng, camera, 1)
-        counts, clipped = expose_frames(1, scene, self.constants, camera, noise)
-        return counts[0].astype(np.int64), clipped
+        block = draw_read_noise(self.camera_rng, camera, 1, 1)
+        expose_frames(1, scene, self.constants, camera, block[0])
+        [clipped] = digitize_frames(block, camera)
+        return block[0, 0].astype(np.int64), clipped
 
     def site_position_um(self, index: int) -> tuple[float, float]:
         """Layout: 3x3 weight grid plus the threshold area beside it."""

@@ -368,11 +368,19 @@ SWEEP_COLUMNS = {
 }
 
 
+def median(values: Sequence[int]) -> float:
+    """float(statistics.median(values)) of a non-empty list of ints, without
+    loading statistics and the fractions, decimal and random it imports."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     """One sweep.csv row per seed, base_seed + i, from its run summary. A row
     needs the trace and the held-out evaluation only, so each run skips its bars."""
-    from statistics import median
-
     mode, seed = cfg["sweep.mode"], cfg["run.seed"]
     runner = simulate_run if mode == "simulate" else emulate_run
     dataset = build_dataset(cfg.bitmaps)
@@ -388,7 +396,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
         "base_seed": seed,
         "seeds": cfg["sweep.seeds"],
         "converged": len(converged_steps),
-        "median_steps": float(median(converged_steps)) if converged_steps else None,
+        "median_steps": median(converged_steps) if converged_steps else None,
     }
     return write_artifacts(out_dir, cfg, summary, [("sweep.csv", _csv_text("sweep.v1", SWEEP_COLUMNS, rows))])
 

@@ -114,10 +114,14 @@ def apply_packet(site: SynapseSite, helicity: str, pulse_count: int) -> SynapseS
     """Deliver one pulse packet; returns the updated site.
 
     The odometer is floor-clamped at 0 and ceiling-clamped at the site's
-    exposure ceiling, then m is recomputed from the response curve.
+    exposure ceiling, then m is recomputed from the response curve. It
+    starts at 0 and stays in [0, ceiling], so a write (pulse_count >= 0)
+    can only cross the ceiling and an erase only the floor.
     """
-    delta = pulse_count if helicity == WRITE else -pulse_count
-    accumulated = min(max(site.accumulated_pulses + delta, 0), site.params.exposure_ceiling)
+    if helicity == WRITE:
+        accumulated = min(site.accumulated_pulses + pulse_count, site.params.exposure_ceiling)
+    else:
+        accumulated = max(site.accumulated_pulses - pulse_count, 0)
     return SynapseSite(response_curve(accumulated, site.params), accumulated, site.params)
 
 

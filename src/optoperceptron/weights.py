@@ -66,8 +66,8 @@ class WeightState(NamedTuple):
         threshold_background: float,
         threshold_written: float,
     ) -> "WeightState":
-        backgrounds = tuple(float(v) for v in background_sums)
-        writtens = tuple(float(v) for v in written_sums)
+        backgrounds = tuple(map(float, background_sums))
+        writtens = tuple(map(float, written_sums))
         threshold_background = float(threshold_background)
         threshold_written = float(threshold_written)
         diagnostics = ClampDiagnostics()

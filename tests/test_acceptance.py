@@ -13,7 +13,7 @@ import pytest
 
 from cli_runs import artifacts, run_cli
 from optoperceptron.config import load_config
-from optoperceptron.optics import expose_frames, integrate_roi, spot_pixel_mask
+from optoperceptron.optics import integrate_roi, spot_pixel_mask
 from optoperceptron.patterns import build_dataset
 from optoperceptron.runner import (
     build_rig,
@@ -26,7 +26,7 @@ from optoperceptron.runner import (
 from optoperceptron.synapse import SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
 from optoperceptron.weights import ClampDiagnostics, extract_weight
-from typed_configs import camera_config, optical_constants, site_params, zero_noise
+from typed_configs import camera_config, optical_constants, render_frames, site_params, zero_noise
 
 N_SWEEP_SEEDS = 50
 
@@ -149,7 +149,7 @@ def test_criterion_6_readout_linearity():
     params = site_params()
 
     def roi_sum(m: float) -> int:
-        counts, _ = expose_frames(
+        counts, _ = render_frames(
             1, [(SynapseSite(m, 0, params), mask)], constants, camera, zero_noise(camera)
         )
         return integrate_roi(counts[0])

@@ -2,15 +2,17 @@ import ast
 import inspect
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_cli import fuzzed_configs
 
 import optoperceptron
 from optoperceptron import config, runner
-from optoperceptron.config import KEY_TABLE, load_config, parse_config_text
+from optoperceptron.config import KEY_TABLE, load_config, nanojoules, parse_config_text
 from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import CameraConfig, OpticalConstants, pgm_image
 from optoperceptron.patterns import DEFAULT_BITMAPS
@@ -411,3 +413,20 @@ def test_every_key_changes_an_artifact(key, tmp_path, files_of):
     before, after = files_of(mode, config=base), files_of(mode, config={**base, key: value})
     assert before.pop("config.resolved.txt") != after.pop("config.resolved.txt")
     assert before != after, f"{key} = {value} changed no artifact of {mode}"
+
+
+@example(0.0)
+@example(5e-324)
+@example(1e-5)
+@example(0.4)
+@example(1e22)
+@example(1.7976931348623157e308)
+@given(st.one_of(
+    st.floats(0.0, 1e9),  # the range energy.read_nj admits
+    st.floats(-300.0, 9.0).map(lambda e: 10.0**e),
+    st.floats(allow_nan=False, allow_infinity=False),
+))
+def test_nanojoules_is_the_exact_decimal_rescale(value):
+    # Decimal's scaleb is the exact shift of the literal by -9 that
+    # nanojoules makes on its exponent; both parse to the nearest double.
+    assert nanojoules(value) == float(Decimal(repr(value)).scaleb(-9))

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import optoperceptron
+from optoperceptron import rig as rig_module
 from optoperceptron.config import load_config
 from optoperceptron.patterns import build_dataset
 from optoperceptron.runner import build_rig, eta_stream, make_streams
@@ -115,6 +116,25 @@ def test_one_camera_draw_per_read_operation():
         rig.read_sites(sites)
     assert rig.camera_rng.draws == 4
     assert rig.ledger.read_events == 10 + 3 + 10 + 1
+
+
+def test_one_digitize_per_read_operation(monkeypatch):
+    # each site's scene is exposed into its slice of the block, and the
+    # whole block then goes through the ADC once
+    calls = []
+    for name in ("expose_frames", "digitize_frames"):
+        stage = getattr(rig_module, name)
+        monkeypatch.setattr(
+            rig_module, name, lambda *args, stage=stage, name=name: calls.append(name) or stage(*args)
+        )
+    rig = counting_rig()
+    rig.capture_backgrounds()
+    for sites in ([3, 1, 4], range(10), [5], []):
+        rig.read_sites(sites)
+    operations = [10, 3, 10, 1, 0]
+    assert calls == [
+        name for n in operations for name in ["expose_frames"] * n + ["digitize_frames"]
+    ]
 
 
 def test_one_shutter_draw_per_write_operation():

@@ -2,8 +2,8 @@
 run boundary, runner's atomic_write and write_artifacts are the only calls
 that write to the disk, and numpy loads only where the rig draws or renders:
 simulate draws its learning rates from a pure-Python stream. jsontext loads
-only in the runs that render its row-heavy files, no run loads dataclasses,
-and a stdlib module that one rare call needs loads only where that call runs."""
+only in the runs that render its row-heavy files, and no run loads
+dataclasses, statistics or decimal."""
 
 import ast
 import os
@@ -95,13 +95,13 @@ probed = ("dataclasses", "inspect", "statistics", "decimal")
 print(code, "numpy" in sys.modules, "optoperceptron.jsontext" in sys.modules,
       *(name for name in probed if name in sys.modules))
 """
-# dataclasses pulls in inspect, ast, dis and tokenize; statistics serves
-# run_sweep's median and decimal config.nanojoules, and each loads in that call.
+# dataclasses pulls in inspect, ast, dis and tokenize; no run loads statistics
+# (run_sweep takes its median itself) or decimal (config.nanojoules shifts the
+# exponent of the literal). numpy itself loads inspect.
 NUMPY_FREE = {"load_config", "dataset", "help", "refused-config", "simulate"}
-SWEEPS = {"simulate-sweep", "emulate-sweep"}
 # jsontext (and the weights it imports) costs 2-5 ms to load, so only the
 # runs that render trace.json or the rig's row-heavy files load it.
-RENDERS_ROWS = {"simulate", "emulate"}
+RENDERS_ROWS = {"simulate", "emulate", "energy"}
 
 
 @pytest.mark.parametrize(
@@ -114,11 +114,12 @@ RENDERS_ROWS = {"simulate", "emulate"}
         (["simulate", "--out", "{dir}/out"], 0, False),
         (["sweep", "--config", "{dir}/simulate-sweep.cfg", "--out", "{dir}/out"], 0, False),
         (["emulate", "--config", "{dir}/quick.cfg", "--out", "{dir}/out"], 0, True),
+        (["energy", "--config", "{dir}/quick.cfg", "--out", "{dir}/out"], 0, True),
         (["sweep", "--config", "{dir}/emulate-sweep.cfg", "--out", "{dir}/out"], 0, True),
     ],
     ids=[
         "load_config", "dataset", "help", "refused-config", "simulate", "simulate-sweep",
-        "emulate", "emulate-sweep",
+        "emulate", "energy", "emulate-sweep",
     ],
 )
 def test_numpy_loads_only_where_a_run_draws_or_renders(request, tmp_path, args, code, loads_numpy):
@@ -137,10 +138,9 @@ def test_numpy_loads_only_where_a_run_draws_or_renders(request, tmp_path, args, 
     assert (exit_code, numpy_loaded) == (str(code), str(loads_numpy))
     case = request.node.callspec.id
     assert jsontext_loaded == str(case in RENDERS_ROWS)
-    assert "dataclasses" not in stdlib
+    assert not {"dataclasses", "statistics", "decimal"} & set(stdlib)
     if case in NUMPY_FREE:
         assert stdlib == []
-    assert ("statistics" in stdlib) == (case in SWEEPS)
 
 
 # Where a ValueError other than a ConfigurationError may be raised: config's

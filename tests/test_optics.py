@@ -10,6 +10,7 @@ from optoperceptron.errors import ConfigurationError
 from optoperceptron.optics import (
     analyzer_intensity,
     average_frames,
+    digitize_frames,
     draw_read_noise,
     expose_frames,
     integrate_roi,
@@ -18,7 +19,7 @@ from optoperceptron.optics import (
 )
 from optoperceptron.runner import build_rig, make_streams
 from optoperceptron.synapse import SynapseSite
-from typed_configs import camera_config, optical_constants, site_params, zero_noise
+from typed_configs import camera_config, optical_constants, render_frames, site_params, zero_noise
 
 CONSTANTS = optical_constants()  # delta 0.1, I_in 4e6
 SENSOR = camera_config()  # the default 166 x 128 px sensor at 1 um per pixel
@@ -42,7 +43,7 @@ def centered_mask(camera, diameter=10.0):
 
 def render(sites, camera):
     """One frame of the scene through the kernel, with a zero noise block."""
-    return expose_frames(1, sites, CONSTANTS, camera, zero_noise(camera))
+    return render_frames(1, sites, CONSTANTS, camera, zero_noise(camera))
 
 
 # -- analyzer -----------------------------------------------------------------
@@ -243,7 +244,7 @@ def test_batched_frames_are_noise_independent():
     camera = window_camera(read_noise=10.0)
     rng = np.random.default_rng(5)
     noise = draw_read_noise(rng, camera, 3)
-    counts, _ = expose_frames(3, [(site_at(0.0), centered_mask(camera))], CONSTANTS, camera, noise)
+    counts, _ = render_frames(3, [(site_at(0.0), centered_mask(camera))], CONSTANTS, camera, noise)
     assert counts.shape == (3, camera.height, camera.width)
     assert not np.array_equal(counts[0], counts[1])
     assert not np.array_equal(counts[1], counts[2])
@@ -268,7 +269,7 @@ def test_ten_frame_average_reduces_noise():
     sigma = 8.0
     camera = camera_config(width_px=128, height_px=128, read_noise=sigma, dark_offset=5000.0, gain=100.0)
     rng = np.random.default_rng(11)
-    counts, clipped = expose_frames(10, [], CONSTANTS, camera, draw_read_noise(rng, camera, 10))  # 25000 counts
+    counts, clipped = render_frames(10, [], CONSTANTS, camera, draw_read_noise(rng, camera, 10))  # 25000 counts
     assert not clipped
     residual = average_frames(counts).astype(float).std()
     expected = sigma / math.sqrt(10)
@@ -285,7 +286,7 @@ def test_ten_frame_average_reduces_noise():
 )
 def test_kernel_matches_per_frame_reference(camera):
     mask = centered_mask(camera)
-    counts, clipped = expose_frames(
+    counts, clipped = render_frames(
         10, [(site_at(1.0), mask)], CONSTANTS, camera,
         draw_read_noise(np.random.default_rng(3), camera, 10),
     )
@@ -362,7 +363,7 @@ def test_kernel_matches_reference_byte_for_byte(
     scene = [(site, spot_pixel_mask(*disk, camera)) for site, disk in spots]
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
     noise = draw_read_noise(rng, camera, n_frames)
-    counts, clipped = expose_frames(n_frames, scene, CONSTANTS, camera, noise)
+    counts, clipped = render_frames(n_frames, scene, CONSTANTS, camera, noise)
     ref_counts, ref_clipped = reference_expose_frames(n_frames, spots, CONSTANTS, camera, ref_rng)
     assert counts.dtype == ref_counts.dtype and counts.shape == ref_counts.shape
     assert counts.tobytes() == ref_counts.tobytes()
@@ -374,6 +375,54 @@ def test_kernel_matches_reference_byte_for_byte(
         assert mean.dtype == ref_mean.dtype and mean.tobytes() == ref_mean.tobytes()
     total = integrate_roi(mean)
     assert type(total) is int and total == int(mean.sum())
+
+
+def exposed_read(kind, n_frames, camera, rng):
+    """An exposed (n_frames, height, width) stack of one read, before the ADC:
+    counts in [0, full_well] with fractions, and for a "high" read one pixel
+    above the full well, for a "negative" one a pixel below -0.5, and for a
+    "zero" one pixels at -0.0 and at -0.3, which rounds to -0.0."""
+    full_well = camera.full_well
+    stack = rng.uniform(0.0, full_well, (n_frames, camera.height, camera.width))
+    pixel = (rng.integers(n_frames), rng.integers(camera.height), rng.integers(camera.width))
+    if kind == "high":
+        stack[pixel] = full_well + rng.uniform(0.6, 100.0)
+    elif kind == "negative":
+        stack[pixel] = -rng.uniform(0.6, 100.0)
+    elif kind == "zero":
+        stack[0, 0, :2] = (-0.0, -0.3)
+    return stack
+
+
+READ_KINDS = ("in-range", "high", "negative", "zero")
+
+
+@example(kinds=["in-range", "high", "in-range", "negative", "zero"], n_frames=3, bit_depth=8, seed=0)
+@example(kinds=["zero", "in-range"], n_frames=1, bit_depth=12, seed=1)
+@given(
+    kinds=st.lists(st.sampled_from(READ_KINDS), min_size=1, max_size=6),
+    n_frames=st.integers(1, 4),
+    bit_depth=st.sampled_from([8, 12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_digitizing_a_read_operation_equals_digitizing_each_read_alone(kinds, n_frames, bit_depth, seed):
+    camera = window_camera()._replace(width=6, height=5, bit_depth=bit_depth)
+    rng = np.random.default_rng(seed)
+    block = np.stack([exposed_read(kind, n_frames, camera, rng) for kind in kinds])
+    exposed = block.copy()
+    flags = digitize_frames(block, camera)
+    means = average_frames(block)
+    assert len(flags) == len(kinds)
+    for read, flag, mean, total in zip(exposed, flags, means, integrate_roi(means)):
+        alone = read[np.newaxis].copy()
+        assert digitize_frames(alone, camera) == [flag]
+        rounded = np.rint(read)
+        assert flag == bool((rounded > camera.full_well).any())
+        assert np.array_equal(alone[0], np.clip(rounded, 0, camera.full_well))
+        alone_mean = average_frames(alone)[0]
+        assert mean.dtype == alone_mean.dtype == np.int64
+        assert mean.tobytes() == alone_mean.tobytes()
+        assert total == integrate_roi(alone_mean)
 
 
 def test_integrate_ramp_closed_form():

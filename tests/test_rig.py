@@ -13,7 +13,6 @@ from optoperceptron.jsontext import ledger_pieces
 from optoperceptron.optics import (
     average_frames,
     draw_read_noise,
-    expose_frames,
     integrate_roi,
     spot_pixel_mask,
 )
@@ -35,7 +34,7 @@ from optoperceptron.trainer import (
     pattern_output,
     train,
 )
-from typed_configs import shutter_model
+from typed_configs import render_frames, shutter_model
 
 
 def quiet_overrides(**extra):
@@ -442,7 +441,7 @@ def twin_generator(rng):
 def one_site_read(rig, index, rng):
     """One site's read from its own noise draw: total and clip flag."""
     camera, n_frames = rig.window_camera, rig.config.frames_per_read
-    counts, clipped = expose_frames(
+    counts, clipped = render_frames(
         n_frames,
         [(rig.sites[index], rig._window_mask)],
         rig.constants,

@@ -6,10 +6,13 @@ benchmark's trace counts these calls through the same module-level names,
 so routing around them must fail here."""
 
 import json
+import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from cli_runs import artifacts, csv_rows, run_cli
 
 from optoperceptron import runner, trainer
@@ -79,6 +82,12 @@ def test_sweep_median_steps_is_the_midpoint_of_an_even_count(files_of):
     assert len(steps) == 4 and steps[1] != steps[2]
     summary = json.loads(files["summary.json"])
     assert summary["median_steps"] == float(np.median(steps)) == (steps[1] + steps[2]) / 2
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
+def test_sweep_median_equals_the_statistics_median(steps):
+    assert runner.median(steps) == float(statistics.median(steps))
+    assert type(runner.median(steps)) is float
 
 
 def test_simulate_sweep_builds_no_step_record(tmp_path, capsys, monkeypatch):

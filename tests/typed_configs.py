@@ -8,12 +8,15 @@ applies. A test that needs a value no key admits (a zero exposure, a
 site's own background gain) takes ``._replace`` of a built config.
 
 zero_noise is the read-noise block of a noiseless render, the zeros that
-draw_read_noise returns for a camera without read noise.
+draw_read_noise returns for a camera without read noise, and render_frames
+is the readout kernel's two stages on one exposure, for the tests that
+read one scene at a time.
 """
 
 import numpy as np
 
 from optoperceptron.config import load_config
+from optoperceptron.optics import digitize_frames, expose_frames
 
 
 def _builder(accessor: str, section: str):
@@ -38,3 +41,12 @@ shutter_model = _builder("shutter_model", "shutter")
 def zero_noise(camera):
     """An all-zero read-noise block for one frame of camera."""
     return np.zeros((1, camera.height, camera.width))
+
+
+def render_frames(n_frames, scene, constants, camera, noise):
+    """expose_frames of one scene into noise, then digitize_frames of it as a
+    read operation of one read: the integer counts (noise itself, in place)
+    and whether any of them clipped at the full well."""
+    expose_frames(n_frames, scene, constants, camera, noise)
+    [clipped] = digitize_frames(noise[np.newaxis], camera)
+    return noise, clipped
