@@ -15,9 +15,9 @@ two functions would is checked by behaviour, against a reference loop, in
 and ``Rig.events`` and the ledger's per-packet write events are rendered
 only when read.
 
-A rig operation on several sites makes one camera draw (reads) or one
-shutter draw (writes), not one per site: each draw carries its own fixed
-per-call cost. A simulate run takes one draw per learning update.
+A rig operation on several sites makes one camera draw and one ADC pass
+(reads) or one shutter draw (writes), not one per site: each carries its own
+fixed per-call cost. A simulate run takes one draw per learning update.
 """
 
 import ast
