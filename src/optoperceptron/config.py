@@ -9,7 +9,6 @@ config.resolved.txt, so a run is reproducible from (config, seed) alone.
 from __future__ import annotations
 
 import codecs
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -38,22 +37,11 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _int(lo=None, hi=None) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = int(text)
-        if lo is not None and value < lo:
-            raise ValueError(f"{value} is below the minimum {lo}")
-        if hi is not None and value > hi:
-            raise ValueError(f"{value} is above the maximum {hi}")
-        return value
-
-    return parse
-
-
-def _float(lo=None, hi=None, lo_open=False) -> Callable[[str], float]:
-    def parse(text: str) -> float:
-        value = float(text)
-        if math.isnan(value):  # every bound comparison below is false for NaN
+def _number(kind: type, lo=None, hi=None, lo_open=False) -> Callable[[str], object]:
+    """The one number parser: kind(text), refused if NaN or out of bounds."""
+    def parse(text: str):
+        value = kind(text)
+        if value != value:  # NaN; every bound comparison below is false for it
             raise ValueError(f"expected a number, got {text!r}")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ValueError(f"{value} must be above {lo}" if lo_open else f"{value} is below the minimum {lo}")
@@ -62,6 +50,14 @@ def _float(lo=None, hi=None, lo_open=False) -> Callable[[str], float]:
         return value
 
     return parse
+
+
+def _int(lo=None, hi=None) -> Callable[[str], int]:
+    return _number(int, lo, hi)
+
+
+def _float(lo=None, hi=None, lo_open=False) -> Callable[[str], float]:
+    return _number(float, lo, hi, lo_open)
 
 
 def _choice(*options: str) -> Callable[[str], str]:
@@ -201,7 +197,7 @@ class RunConfig:
     The accessors below are the only builders of the typed configs, which
     carry no defaults or checks of their own: KEY_TABLE owns every default
     and bound, and each relation between keys is judged by the run that
-    reads them (check_rig for the rig's, runner for the rest)."""
+    reads them (check_rig and per_pulse_j for the rig's, runner for the rest)."""
 
     def __init__(self, values: dict[str, object], bitmaps: dict[str, tuple[str, str, str]]):
         self.values = values
@@ -260,7 +256,8 @@ class RunConfig:
     def check_rig(self) -> None:
         """Judge the relations between keys the rig reads. runner.build_rig calls this before it
         draws or allocates, so only a mode that builds a rig (emulate, energy, an emulate sweep)
-        refuses them. The relations of keys that one mode alone reads are judged by its runner."""
+        refuses them; it then prices the spot with per_pulse_j, which judges it against the waist.
+        The relations of keys that one mode alone reads are judged by its runner."""
         values = self.values
         if values["synapse.saturation_pulses"] <= values["synapse.dead_zone_pulses"]:
             raise ConfigurationError("synapse.saturation_pulses must exceed synapse.dead_zone_pulses")
@@ -290,19 +287,20 @@ class RunConfig:
                 f"camera.dark_offset {camera.dark_offset} reaches the "
                 f"{camera.bit_depth}-bit full well {camera.full_well}: every read would clip"
             )
-        # a spot bills (d / waist)^2 of a pulse, so a wider one would bill more than it
-        spot, waist = values["rig.spot_diameter_um"], values["energy.waist_um"]
-        if spot > waist:
-            raise ConfigurationError(f"rig.spot_diameter_um {spot} exceeds energy.waist_um {waist}")
 
     def per_read_j(self) -> float:
         return nanojoules(self["energy.read_nj"])
 
-    def per_pulse_j(self, diameter_um: float) -> float:
-        """Write energy of one pulse on a spot of the given diameter: the
-        calibrated power at the shutter's repetition rate, by area fraction."""
+    def per_pulse_j(self, key: str) -> float:
+        """Write energy of one pulse on the spot whose diameter the key holds:
+        the calibrated power at the shutter's repetition rate, by area
+        fraction of the waist. A spot bills (d / waist)^2 of a pulse, so one
+        wider than the waist, which would bill more than the pulse, is refused."""
+        diameter, waist = self[key], self["energy.waist_um"]
+        if diameter > waist:
+            raise ConfigurationError(f"{key} {diameter} exceeds energy.waist_um {waist}")
         pulse_energy_j = self["energy.write_power_uw"] * 1e-6 / self["shutter.repetition_rate_hz"]
-        return energy_per_pulse(pulse_energy_j, self["energy.waist_um"], diameter_um)
+        return energy_per_pulse(pulse_energy_j, waist, diameter)
 
 
 def _read_text(path: str | Path) -> str:

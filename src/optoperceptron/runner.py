@@ -69,6 +69,7 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
     from .rig import N_WEIGHT_SITES, EnergyLedger, Rig
 
     cfg.check_rig()
+    ledger = EnergyLedger(cfg.per_read_j(), cfg.per_pulse_j("rig.spot_diameter_um"))
     site_params = sample_sites(
         streams.sites,
         N_WEIGHT_SITES + 1,
@@ -83,7 +84,7 @@ def build_rig(cfg: RunConfig, streams: Streams) -> Rig:
         shutter=cfg.shutter_model(),
         shutter_rng=streams.shutter,
         camera_rng=streams.camera,
-        ledger=EnergyLedger(cfg.per_read_j(), cfg.per_pulse_j(cfg["rig.spot_diameter_um"])),
+        ledger=ledger,
     )
 
 
@@ -327,22 +328,20 @@ def run_energy(cfg: RunConfig, out_dir: Path) -> dict:
     """Per-pulse write energies and the energy ledger of the emulate run: its
     ledger.json is byte-identical to that of emulate at the same config.
     Energy writes no bars, and bar evaluations read no sites, so it skips them."""
-    small_um, large_um, waist_um = cfg["energy.spot_small_um"], cfg["energy.spot_large_um"], cfg["energy.waist_um"]
+    small_um, large_um = cfg["energy.spot_small_um"], cfg["energy.spot_large_um"]
     if small_um > large_um:
         raise ConfigurationError("energy.spot_small_um must be <= energy.spot_large_um")
-    if large_um > waist_um:  # a spot bills (d / waist)^2 of a pulse
-        raise ConfigurationError(f"energy.spot_large_um {large_um} exceeds energy.waist_um {waist_um}")
+    large = cfg.per_pulse_j("energy.spot_large_um")
+    small = cfg.per_pulse_j("energy.spot_small_um")
     result = emulate_run(cfg, cfg["run.seed"], build_dataset(cfg.bitmaps), bars=False)
     ledger = result.rig.ledger
     totals = ledger.totals()
-    small = cfg.per_pulse_j(small_um)
-    large = cfg.per_pulse_j(large_um)
     summary = {
         "mode": "energy",
         "seed": cfg["run.seed"],
         "per_pulse_spot_small_pj": small * 1e12,
         "per_pulse_spot_large_pj": large * 1e12,
-        "per_pulse_network_spot_pj": cfg.per_pulse_j(cfg["rig.spot_diameter_um"]) * 1e12,
+        "per_pulse_network_spot_pj": ledger.per_pulse_j * 1e12,
         "training_steps": result.trace.total_steps,
         "total_pulses": totals.total_pulses,
         "write_energy_nj": totals.write_energy_j * 1e9,

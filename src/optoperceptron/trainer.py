@@ -96,18 +96,18 @@ class StepRecord(NamedTuple):
     weights: tuple[float, ...]
 
 
-class TrainingTrace:
-    """rows holds one plain tuple per step, in STEP_KEYS order, and raises
-    one per threshold raise, in RAISE_KEYS order; steps builds the
-    StepRecords on each read, so a caller that reads none builds none."""
+class TrainingTrace(NamedTuple):
+    """A learning run as train returns it, built once: rows holds one plain
+    tuple per step, in STEP_KEYS order, and raises one per threshold raise,
+    in RAISE_KEYS order; steps builds the StepRecords on each read, so a
+    caller that reads none builds none."""
 
-    def __init__(self):
-        self.rows: list[tuple] = []
-        self.raises: list[tuple] = []
-        self.epochs = 0
-        self.converged = False
-        self.final_weights: tuple[float, ...] = ()
-        self.final_threshold = 0.0
+    rows: list[tuple]
+    raises: list[tuple]
+    epochs: int
+    converged: bool
+    final_weights: tuple[float, ...]
+    final_threshold: float
 
     @property
     def steps(self) -> list[StepRecord]:
@@ -194,16 +194,17 @@ def train(
     sum(), whose float algorithm varies by Python version) and classify's
     strict test, so an accepted step calls nothing but record.
     """
-    trace = TrainingTrace()
+    rows: list[tuple] = []
+    raises: list[tuple] = []
     update_of, gate_of, weights_of = backend.apply_update, backend.gate, backend.weights
-    record = trace.rows.append
+    record = rows.append
     target = config.target_class
     plan = [(p, p.pattern_id, p.class_label, p.active_indices, p.class_label == target) for p in patterns]
     threshold = backend.threshold()
     gate, weights = gate_of(), weights_of()
-    step = 0
+    step = epoch = 0
+    converged = False
     for epoch in range(1, config.max_epochs + 1):
-        trace.epochs = epoch
         clean = True
         for pattern, pattern_id, class_label, active, is_target in plan:
             step += 1
@@ -222,13 +223,11 @@ def train(
             if min(weights) < 0:
                 old = threshold
                 threshold *= 1.0 + config.threshold_raise
-                trace.raises.append((step, old, threshold))
+                raises.append((step, old, threshold))
             else:
-                trace.converged = True
+                converged = True
                 break
-    trace.final_weights = weights
-    trace.final_threshold = threshold
-    return trace
+    return TrainingTrace(rows, raises, epoch, converged, weights, threshold)
 
 
 def evaluate_patterns(

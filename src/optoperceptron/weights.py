@@ -4,8 +4,10 @@ A network weight is the fractional darkening of a readout region relative to
 its cached background: w = (I_B - I_W) / I_B. On the raw count scale each
 site contributes I_B - I_W; the input gate, trainer.pattern_output (inlined
 in train), adds those of the active inputs only, in index order (an inactive
-input reads B - B = 0). This module is arithmetic only: every background it
-is given is > 0: Rig.capture_backgrounds refuses any other before the first write.
+input reads B - B = 0). This module is arithmetic only: it refuses nothing,
+since every background it is given is > 0 (Rig.capture_backgrounds refuses
+any other before the first write), and it changes nothing, since each state
+and its clamp count are built whole by WeightState.from_sums.
 """
 
 from __future__ import annotations
@@ -13,30 +15,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
-class ClampDiagnostics:
+class ClampDiagnostics(NamedTuple):
     """The count, total, of weight values pushed below 0 by noise and clamped
     to 0; weight_state.json prints it as clamped_low. None is pushed above 1:
     with b > 0 and w >= 0, (b - w) / b rounds to at most 1.0, so
     weight_state.json prints clamped_high as 0."""
 
-    def __init__(self):
-        self.total = 0
+    total: int
 
 
-def extract_weight(
-    background_sum: float, written_sum: float, diagnostics: ClampDiagnostics
-) -> float:
+def extract_weight(background_sum: float, written_sum: float) -> float:
     """(I_B - I_W) / I_B, clamped to [0, 1], for a background sum > 0.
 
-    Clamping events (noise pushing the raw ratio below 0) are tallied in
-    diagnostics. The written sum is a sum of counts clipped at 0, so it is
-    never negative and keeps the ratio at most 1.
+    Noise can push the raw ratio below 0, and the weight is then 0. The
+    written sum is a sum of counts clipped at 0, so it is never negative and
+    keeps the ratio at most 1.
     """
     w = (background_sum - written_sum) / background_sum
-    if w < 0.0:
-        diagnostics.total += 1
-        return 0.0
-    return w
+    return 0.0 if w < 0.0 else w
 
 
 # The artifact name of each field of a weight state's row, in row order.
@@ -56,7 +52,7 @@ class WeightState(NamedTuple):
     threshold_written: float
     threshold: float  # on the same counts scale as the gated inputs
     contributions: tuple[float, ...]  # I_B - I_W per site, unclamped
-    clamp_diagnostics: ClampDiagnostics  # no default: a NamedTuple default is one shared object
+    clamp_diagnostics: ClampDiagnostics
 
     @classmethod
     def from_sums(
@@ -70,10 +66,7 @@ class WeightState(NamedTuple):
         writtens = tuple(map(float, written_sums))
         threshold_background = float(threshold_background)
         threshold_written = float(threshold_written)
-        diagnostics = ClampDiagnostics()
-        weights = tuple(
-            extract_weight(b, w, diagnostics) for b, w in zip(backgrounds, writtens)
-        )
+        weights = tuple(extract_weight(b, w) for b, w in zip(backgrounds, writtens))
         contributions = tuple(b - w for b, w in zip(backgrounds, writtens))
         return cls(
             background_sums=backgrounds,
@@ -83,7 +76,8 @@ class WeightState(NamedTuple):
             threshold_written=threshold_written,
             threshold=threshold_background - threshold_written,
             contributions=contributions,
-            clamp_diagnostics=diagnostics,
+            # b > 0, so extract_weight clamps exactly where b - w < 0
+            clamp_diagnostics=ClampDiagnostics(sum(c < 0.0 for c in contributions)),
         )
 
     @property

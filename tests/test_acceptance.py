@@ -25,7 +25,7 @@ from optoperceptron.runner import (
 )
 from optoperceptron.synapse import SynapseSite, response_curve
 from optoperceptron.trainer import VectorBackend, train
-from optoperceptron.weights import ClampDiagnostics, extract_weight
+from optoperceptron.weights import extract_weight
 from typed_configs import camera_config, optical_constants, render_frames, site_params, zero_noise
 
 N_SWEEP_SEEDS = 50
@@ -157,7 +157,7 @@ def test_criterion_6_readout_linearity():
     background = roi_sum(0.0)
     worst = 0.0
     for m in np.linspace(0.0, 1.0, 100):
-        recovered = extract_weight(background, roi_sum(float(m)), ClampDiagnostics())
+        recovered = extract_weight(background, roi_sum(float(m)))
         worst = max(worst, abs(recovered - float(m)))
     report(
         "6 readout-linearity",
@@ -215,8 +215,8 @@ def test_criterion_7_mode_equivalence():
 
 def test_criterion_8_energy_ledger(tmp_path):
     cfg = load_config()
-    small = cfg.per_pulse_j(cfg["energy.spot_small_um"])
-    large = cfg.per_pulse_j(cfg["energy.spot_large_um"])
+    small = cfg.per_pulse_j("energy.spot_small_um")
+    large = cfg.per_pulse_j("energy.spot_large_um")
     in_window = 33e-12 <= small <= 96e-12 and 33e-12 <= large <= 96e-12
 
     # the energy mode writes the emulate run's own ledger, byte for byte,

@@ -667,7 +667,7 @@ FUZZ_SUB_RANGES = {
 
 def values_within_the_parser_bounds(key, parse):
     """Config values of one key drawn from its own parser's bounds, read
-    from the closure that config's _int/_float/_choice/_optional build."""
+    from the closure that config's _number/_choice/_optional build."""
     cells = parse.__closure__ or ()
     bound = dict(zip(parse.__code__.co_freevars, (c.cell_contents for c in cells)))
     if parse is config._bool:
@@ -676,9 +676,9 @@ def values_within_the_parser_bounds(key, parse):
         return st.sampled_from(bound["options"])
     if "inner" in bound:
         return st.just("none") | values_within_the_parser_bounds(key, bound["inner"])
-    if "lo_open" in bound:
+    if bound.get("kind") is float:
         return st.floats(bound["lo"], bound["hi"], exclude_min=bound["lo_open"]).map(repr)
-    if "lo" in bound:
+    if bound.get("kind") is int:
         hi = 2**64 if bound["hi"] is None else bound["hi"]
         lo_sub, hi_sub = FUZZ_SUB_RANGES.get(key, (bound["lo"], hi))
         assert bound["lo"] <= lo_sub <= hi_sub <= hi

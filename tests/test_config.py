@@ -164,11 +164,12 @@ def admitted_by(monkeypatch, run_mode, overrides) -> bool:
 def test_cross_validation_spot_vs_waist(monkeypatch):
     # the area fraction (d / waist)^2 would bill more than the whole pulse
     with pytest.raises(ConfigurationError, match="rig.spot_diameter_um 300.0 exceeds"):
-        load_rig_config({"rig.spot_diameter_um": "300"})
+        load_config(overrides={"rig.spot_diameter_um": "300"}).per_pulse_j("rig.spot_diameter_um")
     with pytest.raises(ConfigurationError, match="energy.spot_large_um 200.0 exceeds"):
         admitted_by(monkeypatch, "energy", {"energy.spot_large_um": "200"})
     cfg = load_rig_config({"rig.spot_diameter_um": "100"})
     assert cfg["rig.spot_diameter_um"] == cfg["energy.waist_um"]
+    assert cfg.per_pulse_j("rig.spot_diameter_um") == cfg["energy.write_power_uw"] * 1e-6 / cfg["shutter.repetition_rate_hz"]
     assert admitted_by(monkeypatch, "energy", {"energy.spot_large_um": "100"})
 
 
@@ -303,6 +304,7 @@ def test_bitmaps_file_missing():
 @settings(max_examples=50, deadline=None)
 @given(values=fuzzed_configs)
 @example(values={"trainer.eta_max": "0.01", "run.seed": "9"})
+@example(values={"run.seed": str(10**400)})  # unbounded above, and beyond any float
 def test_echo_reads_back_every_key(values):
     # each key at its parser's bounds, none and subnormal floats included
     cfg = load_config(overrides=values)

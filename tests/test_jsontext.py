@@ -6,14 +6,15 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.config import load_config
-from optoperceptron.jsontext import ledger_pieces, snapshots_pieces, state_pieces, trace_pieces
+from optoperceptron.jsontext import document, ledger_pieces, snapshots_pieces, state_pieces, trace_pieces
 from optoperceptron.patterns import build_dataset
 from optoperceptron.rig import EnergyLedger
-from optoperceptron.runner import atomic_write, emulate_run, run_files
+from optoperceptron.runner import atomic_write, emulate_run, json_text, run_files
 from optoperceptron.trainer import RAISE_KEYS, STEP_KEYS, TrainingTrace
 from optoperceptron.weights import ClampDiagnostics, WeightState
 
@@ -83,11 +84,13 @@ ledger_ops = st.lists(
 
 
 def make_state(sums, threshold_sums, clamped) -> WeightState:
-    diagnostics = ClampDiagnostics()
-    diagnostics.total = clamped
-    return WeightState(*sums, *threshold_sums, sums[0], diagnostics)
+    return WeightState(*sums, *threshold_sums, sums[0], ClampDiagnostics(clamped))
 
 
+scalars = st.one_of(st.none(), st.booleans(), ints, floats, floats.map(np.float64), ids)
+json_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ids, inner, max_size=3), max_leaves=8
+)
 states = st.builds(make_state, st.tuples(vectors, vectors, vectors), st.tuples(floats, floats, floats), ints)
 
 ONE_STEP = (1, "z0", "z", 1.5, 1.0, "lower", None, (3, 2), (0.25,) * 9)
@@ -97,9 +100,7 @@ ONE_STEP = (1, "z0", "z", 1.5, 1.0, "lower", None, (3, 2), (0.25,) * 9)
        epochs=ints, converged=st.booleans(), final_weights=vectors, final_threshold=floats)
 @example(rows=[ONE_STEP], raises=[], epochs=1, converged=True, final_weights=(0.25,) * 9, final_threshold=1.0)
 def test_trace_text_is_the_json_of_its_payload(rows, raises, epochs, converged, final_weights, final_threshold):
-    trace = TrainingTrace()
-    trace.rows, trace.raises, trace.epochs, trace.converged = rows, raises, epochs, converged
-    trace.final_weights, trace.final_threshold = final_weights, final_threshold
+    trace = TrainingTrace(rows, raises, epochs, converged, final_weights, final_threshold)
     assert "".join(trace_pieces(trace)) == reference(trace_payload(trace))
 
 
@@ -113,6 +114,14 @@ def test_ledger_text_is_the_json_of_its_payload(ops, per_read_j, per_pulse_j):
         else:
             ledger.add_writes(*op[1:])
     assert "".join(ledger_pieces(ledger)) == reference(ledger_payload(ledger))
+
+
+@given(fields=st.dictionaries(ids, json_values, min_size=1, max_size=4))
+@example(fields={"empty": {}, "float64": np.float64(0.1), "nested": [{}, np.float64(-0.0)]})
+def test_document_text_is_the_json_of_its_fields(fields):
+    # every branch of jsontext.value: scalars by exact type, lists, dicts
+    # (an empty one prints {}) and float subclasses such as numpy's float64
+    assert "".join(document(fields)) == json_text(fields)
 
 
 @given(snapshots=st.lists(states, max_size=3))

@@ -147,7 +147,7 @@ def test_numpy_loads_only_where_a_run_draws_or_renders(request, tmp_path, args, 
 # value parsers (load_config names the line and key of what they refuse) and
 # expose_frames' noise-shape check, which ties the noise block to n_frames.
 PLAIN_VALUE_ERRORS = {
-    ("config", "_bool"), ("config", "_int"), ("config", "_float"), ("config", "_choice"),
+    ("config", "_bool"), ("config", "_number"), ("config", "_choice"),
     ("optics", "expose_frames"),
 }
 
@@ -186,3 +186,14 @@ def test_backgrounds_are_judged_only_where_they_are_captured():
         for _, name, _ in raises(path.stem) if name == "DegenerateBackgroundError"
     }
     assert raisers == {"rig"}
+
+
+def test_weights_builds_its_records_whole():
+    # from_sums counts the clamps as it builds the state, so weights sets no
+    # attribute of a record after building it and tallies nothing
+    tree = ast.parse((PACKAGE / "weights.py").read_text(encoding="utf-8"))
+    changes = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    ]
+    assert changes == []

@@ -184,7 +184,7 @@ def test_per_pulse_energy_is_finite_and_never_negative_across_the_energy_bounds(
             "energy.spot_small_um": diameter, "energy.spot_large_um": diameter,
         })
         for key in ("rig.spot_diameter_um", "energy.spot_small_um", "energy.spot_large_um"):
-            assert 0.0 <= cfg.per_pulse_j(cfg[key]) < float("inf")
+            assert 0.0 <= cfg.per_pulse_j(key) < float("inf")
 
 
 def test_ledger_counts_are_order_free_and_write_energy_is_the_delivery_order_fold():

@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optoperceptron.jsontext import state_pieces
-from optoperceptron.weights import ClampDiagnostics, WeightState, extract_weight
+from optoperceptron.weights import WeightState, extract_weight
 
 
 def state_json(state: WeightState) -> dict:
@@ -14,22 +14,22 @@ def state_json(state: WeightState) -> dict:
 
 
 def test_unwritten_site_weight_zero():
-    assert extract_weight(1000, 1000, ClampDiagnostics()) == 0.0
+    assert extract_weight(1000, 1000) == 0.0
 
 
 def test_fully_dark_spot_weight_one():
-    assert extract_weight(1000, 0, ClampDiagnostics()) == 1.0
+    assert extract_weight(1000, 0) == 1.0
 
 
 def test_weight_direct_value():
-    assert extract_weight(1000, 600, ClampDiagnostics()) == pytest.approx(0.4)
+    assert extract_weight(1000, 600) == pytest.approx(0.4)
 
 
 def test_clamping_counted():
-    diag = ClampDiagnostics()
-    assert extract_weight(1000, 1050, diag) == 0.0  # noise pushed I_W above I_B
-    assert diag.total == 1
-    payload = state_json(WeightState.from_sums([1000], [1050], 2000, 100))
+    assert extract_weight(1000, 1050) == 0.0  # noise pushed I_W above I_B
+    state = WeightState.from_sums([1000], [1050], 2000, 100)
+    assert state.clamp_diagnostics.total == 1
+    payload = state_json(state)
     assert (payload["clamped_low"], payload["clamped_high"]) == (1, 0)
 
 
@@ -45,14 +45,38 @@ def test_integer_sums_never_clamp_high(pairs):
     assert state_json(state)["clamped_high"] == 0
 
 
+def accumulated_clamps(backgrounds, writtens) -> int:
+    """The reference clamp count, tallied weight by weight: one per negative
+    raw ratio (b - w) / b."""
+    total = 0
+    for b, w in zip(backgrounds, writtens):
+        if (b - w) / b < 0.0:
+            total += 1
+    return total
+
+
+sums = st.floats(0.0, 2.0**60) | st.integers(0, 2**54).map(float)
+
+
+@given(st.lists(st.tuples(sums.filter(lambda b: b > 0.0), sums), min_size=1, max_size=9))
+@example([(5e-324, 1e-323), (1.0, 1.0000000000000002), (1.0000000000000002, 1.0), (2.0**60, 2.0**60)])
+def test_clamp_count_is_the_count_of_negative_contributions(pairs):
+    # b > 0 and b != w give b - w != 0 and |b - w| / b >= 2**-53, so the
+    # ratio is negative, and never -0.0, exactly where the contribution is
+    backgrounds, writtens = zip(*pairs)
+    state = WeightState.from_sums(backgrounds, writtens, 2000, 100)
+    assert state.clamp_diagnostics.total == accumulated_clamps(backgrounds, writtens)
+    assert state.weights == tuple(0.0 if c < 0.0 else c / b for c, b in zip(state.contributions, backgrounds))
+
+
 @given(
     st.floats(1.0, 1e9),
     st.floats(0.0, 1e9),
     st.floats(0.001, 1e6),
 )
 def test_weight_scale_invariant(background, written, k):
-    w1 = extract_weight(background, written, ClampDiagnostics())
-    w2 = extract_weight(background * k, written * k, ClampDiagnostics())
+    w1 = extract_weight(background, written)
+    w2 = extract_weight(background * k, written * k)
     assert w1 == pytest.approx(w2, rel=1e-12)
 
 
@@ -72,7 +96,7 @@ def test_contribution_equals_background_times_weight(background, written):
     if 0.0 <= (background - written) / background <= 1.0:
         state = WeightState.from_sums([background] * 9, [written] * 9, 2000, 100)
         assert state.contributions[0] == pytest.approx(
-            background * extract_weight(background, written, ClampDiagnostics()), rel=1e-12
+            background * extract_weight(background, written), rel=1e-12
         )
 
 
