@@ -4,7 +4,7 @@ Pcg64(seed).random() gives, draw for draw, what
 np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).random() gives.
 """
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -53,5 +53,5 @@ class Pcg64:
 
     def random(self) -> float:
         self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
+        x = (state >> 64 ^ state) & _M64  # XSL; RR by state >> 122, its top 53 bits
+        return ((x | x << 64) >> ((state >> 122) + 11) & _M53) * 2.0**-53

@@ -332,12 +332,12 @@ class Rig:
     def threshold(self) -> float:
         return self.state.threshold
 
-    def apply_update(self, pattern: Pattern, direction: str) -> tuple[None, tuple[int, ...]]:
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple:
         active = pattern.active_indices
         applied = self.apply_learning_update(active, direction)
         self.read_sites(active)
-        self._take_state()
-        return None, tuple(applied[i] for i in active)
+        state = self._take_state()
+        return None, tuple(applied[i] for i in active), state.contributions, state.weights
 
     def weights(self) -> tuple[float, ...]:
         return self.state.weights

@@ -56,26 +56,6 @@ def classify(output: float, threshold: float, pattern_class: str, target_class: 
     return ACCEPT if output < threshold else LOWER_OUTPUT
 
 
-def update_weights(
-    weights: Sequence[float], pattern: Pattern, direction: str, eta: float
-) -> list[float]:
-    """w_i +- eta * x_i, bit for bit; only the pattern's active inputs move.
-
-    An active input adds +-eta, the product (+-1.0) * eta. An inactive one
-    adds the product's +-0.0, which changes a weight only on a raise:
-    -0.0 + 0.0 is +0.0 (trainer.initial_weight may be -0.0). w + 0.0 is w
-    for any other weight, so a raise maps every weight through it only when
-    some weight equals 0.0.
-    """
-    step = eta if direction == RAISE_OUTPUT else -eta
-    updated = list(weights)
-    if direction == RAISE_OUTPUT and 0.0 in updated:
-        updated = [w + 0.0 for w in updated]
-    for i in pattern.active_indices:
-        updated[i] += step
-    return updated
-
-
 # The artifact name of each field of a step, threshold raise and evaluation row, in row order.
 STEP_KEYS = ("step", "pattern_id", "class", "output", "threshold", "action", "eta", "pulses", "weights")
 RAISE_KEYS = ("after_step", "old_threshold", "new_threshold")
@@ -137,14 +117,16 @@ class WeightBackend(Protocol):
     emulate, the rig itself, which also keeps the weight snapshots.
 
     gate() is the vector that pattern_output sums for the current weight
-    state; it changes only when apply_update moves the weights.
+    state; it changes only when apply_update moves the weights, and that one
+    call returns (eta, pulses, gate, weights), the two as gate() and
+    weights() would read them after it.
     """
 
     def gate(self) -> Sequence[float]: ...
 
     def threshold(self) -> float: ...
 
-    def apply_update(self, pattern: Pattern, direction: str) -> tuple: ...  # (eta, pulses)
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple: ...  # (eta, pulses, gate, weights)
 
     def weights(self) -> tuple[float, ...]: ...
 
@@ -154,10 +136,12 @@ class VectorBackend:
 
     Each sampled learning rate takes one rng.random() draw, in order, so the
     k-th update gets the k-th draw; rng (or a numpy Generator) serves nothing else.
+    The weight vector is its own gate, so apply_update returns it twice.
     """
 
     def __init__(self, config: TrainerConfig, rng: Pcg64):
         self.config = config
+        self._eta_fixed, self._eta_max = config.eta_fixed, config.eta_max
         self._weights = (config.initial_weight,) * N_INPUTS
         self._rng = rng
 
@@ -167,12 +151,28 @@ class VectorBackend:
     def threshold(self) -> float:
         return self.config.initial_threshold
 
-    def apply_update(self, pattern: Pattern, direction: str) -> tuple[float, None]:
-        eta = self.config.eta_fixed
+    def apply_update(self, pattern: Pattern, direction: str) -> tuple:
+        """w_i +- eta * x_i, bit for bit; only the pattern's active inputs move.
+
+        An active input adds +-eta, the product (+-1.0) * eta. An inactive one
+        adds the product's +-0.0, which changes a weight only on a raise:
+        -0.0 + 0.0 is +0.0 (trainer.initial_weight may be -0.0). w + 0.0 is w
+        for any other weight, so a raise maps every weight through it only when
+        some weight equals 0.0.
+        """
+        eta = self._eta_fixed
         if eta is None:
-            eta = self.config.eta_max * (1.0 - self._rng.random())
-        self._weights = tuple(update_weights(self._weights, pattern, direction, eta))
-        return eta, None
+            eta = self._eta_max * (1.0 - self._rng.random())
+        weights = list(self._weights)
+        step = -eta
+        if direction == RAISE_OUTPUT:
+            step = eta
+            if 0.0 in weights:
+                weights = [w + 0.0 for w in weights]
+        for i in pattern.active_indices:
+            weights[i] += step
+        self._weights = weights = tuple(weights)
+        return eta, None, weights, weights
 
     def weights(self) -> tuple[float, ...]:
         return self._weights
@@ -188,20 +188,20 @@ def train(
     backend.threshold() and only train raises it: a clean pass that ends
     with a negative weight multiplies it by 1 + config.threshold_raise and
     training continues. Hitting max_epochs returns an unconverged trace.
-    Only an update moves the weights, so they and the backend's gate are
-    read again after each update alone. Each step inlines pattern_output of
-    that gate (the active inputs added in index order from 0.0, never with
-    sum(), whose float algorithm varies by Python version) and classify's
-    strict test, so an accepted step calls nothing but record.
+    Only an update moves the weights, so a miss makes one backend call,
+    which returns the gate and weights it moved. Each step inlines
+    pattern_output of that gate (the active inputs added in index order from
+    0.0, never with sum(), whose float algorithm varies by Python version)
+    and classify's strict test, so an accepted step calls nothing but record.
     """
     rows: list[tuple] = []
     raises: list[tuple] = []
-    update_of, gate_of, weights_of = backend.apply_update, backend.gate, backend.weights
+    update_of = backend.apply_update
     record = rows.append
     target = config.target_class
     plan = [(p, p.pattern_id, p.class_label, p.active_indices, p.class_label == target) for p in patterns]
     threshold = backend.threshold()
-    gate, weights = gate_of(), weights_of()
+    gate, weights = backend.gate(), backend.weights()
     step = epoch = 0
     converged = False
     for epoch in range(1, config.max_epochs + 1):
@@ -216,8 +216,7 @@ def train(
                 continue
             clean = False
             action = RAISE_OUTPUT if is_target else LOWER_OUTPUT
-            eta, pulses = update_of(pattern, action)
-            gate, weights = gate_of(), weights_of()
+            eta, pulses, gate, weights = update_of(pattern, action)
             record((step, pattern_id, class_label, output, threshold, action, eta, pulses, weights))
         if clean:
             if min(weights) < 0:

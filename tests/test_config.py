@@ -260,7 +260,7 @@ def test_pixel_area_that_rounds_to_zero_is_refused():
     "key, value",
     [
         ("run.seed", "-1"),  # Pcg64 and SeedSequence take seeds >= 0
-        ("trainer.eta_fixed", "0"),  # update_weights moves by a positive eta
+        ("trainer.eta_fixed", "0"),  # VectorBackend.apply_update moves by a positive eta
         ("rig.frames_per_read", "0"),  # expose_frames renders at least one frame
         ("rig.learning_packets", "0"),
         ("shutter.nominal_packet_pulses", "0"),  # shutter_pulses' counts

@@ -11,7 +11,9 @@ a caller reads ``trace.steps``. The step loop inlines ``pattern_output``
 of the backend's gate vector and ``classify``'s accept test, so an accepted
 step calls nothing but the row append; that it computes exactly what those
 two functions would is checked by behaviour, against a reference loop, in
-``tests/test_trainer.py``. The ledger logs a write operation as one entry,
+``tests/test_trainer.py``. A missed step makes one backend call,
+``apply_update``, which returns the gate and weights it moved, and then
+appends its row. The ledger logs a write operation as one entry,
 and ``Rig.events`` and the ledger's per-packet write events are rendered
 only when read.
 
@@ -73,6 +75,19 @@ def test_train_step_loop_calls_no_class():
     # The trace is built once per run and a threshold raise once per epoch,
     # outside the step loop; inside it every call is a function or method.
     assert called_classes(train_step_loop(), "trainer") == []
+
+
+def test_train_miss_makes_one_backend_call():
+    # The miss branch is every statement after the accept test's `continue`:
+    # apply_update returns the gate and weights it moved, so no gate() or
+    # weights() call follows it, and the row append is the only other call.
+    body = train_step_loop().body
+    accept = next(i for i, node in enumerate(body) if isinstance(node, ast.If))
+    miss = ast.Module(body[accept + 1 :], [])
+    assert [ast.unparse(n.func) for n in ast.walk(miss) if isinstance(n, ast.Call)] == [
+        "update_of",
+        "record",
+    ]
 
 
 @pytest.mark.parametrize("where", ["Rig._write_sites", "EnergyLedger.add_writes"])

@@ -584,8 +584,10 @@ def test_both_backends_gate_one_entry_per_input_and_the_rig_holds_ten_sites():
         if backend is rig:
             rig.initialize_network()
         assert len(backend.gate()) == N_INPUTS
-        backend.apply_update(pattern, RAISE_OUTPUT)
+        _, _, gate, weights = backend.apply_update(pattern, RAISE_OUTPUT)
         assert len(backend.gate()) == len(backend.weights()) == N_INPUTS
+        assert (gate, weights) == (backend.gate(), backend.weights())  # the one call train makes on a miss
+    assert (gate, weights) == (rig.state.contributions, rig.state.weights)
     assert len(rig.state.contributions) == len(rig.state.background_sums) == N_WEIGHT_SITES
 
 

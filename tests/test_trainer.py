@@ -23,7 +23,6 @@ from optoperceptron.trainer import (
     evaluate_patterns,
     pattern_output,
     train,
-    update_weights,
 )
 from typed_configs import trainer_config
 
@@ -94,14 +93,26 @@ def test_classify_scale_invariant(output, threshold, k, cls):
     )
 
 
+def update_from(weights, p, direction, eta):
+    """The weights VectorBackend.apply_update moves from the given start
+    weights at trainer.eta_fixed = eta, as a list; the returned gate and
+    weights must be what gate() and weights() read after the call."""
+    backend = VectorBackend(trainer_config()._replace(eta_fixed=eta), rng=None)
+    backend._weights = tuple(weights)
+    moved, pulses, gate, updated = backend.apply_update(p, direction)
+    assert (moved, pulses) == (eta, None)
+    assert gate == backend.gate() and updated == backend.weights()
+    return list(updated)
+
+
 def test_update_leaves_inactive_weights():
-    w = update_weights([0.5] * 9, pat([0] * 9), RAISE_OUTPUT, 0.01)
+    w = update_from([0.5] * 9, pat([0] * 9), RAISE_OUTPUT, 0.01)
     assert w == [0.5] * 9
 
 
 def test_update_single_active_input():
     p = pat([1] + [0] * 8)
-    w = update_weights([0.5] * 9, p, RAISE_OUTPUT, 0.01)
+    w = update_from([0.5] * 9, p, RAISE_OUTPUT, 0.01)
     assert w[0] == pytest.approx(0.51)
     assert w[1:] == [0.5] * 8
 
@@ -109,8 +120,8 @@ def test_update_single_active_input():
 def test_update_raise_then_lower_restores():
     p = pat([1, 0, 1, 0, 1, 0, 1, 0, 1])
     w0 = [0.37] * 9
-    w1 = update_weights(w0, p, RAISE_OUTPUT, 0.013)
-    w2 = update_weights(w1, p, LOWER_OUTPUT, 0.013)
+    w1 = update_from(w0, p, RAISE_OUTPUT, 0.013)
+    w2 = update_from(w1, p, LOWER_OUTPUT, 0.013)
     assert w2 == w0
 
 
@@ -145,7 +156,7 @@ MIXED_ZEROS = [-0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0, -0.0, 5e-324]
 def test_update_is_bit_identical_to_the_signed_product(weights, p, direction, eta):
     sign = 1.0 if direction == RAISE_OUTPUT else -1.0
     reference = [w + sign * eta * x for w, x in zip(weights, p.inputs)]
-    updated = update_weights(weights, p, direction, eta)
+    updated = update_from(weights, p, direction, eta)
     assert len(updated) == 9
     assert all(same_float(a, b) for a, b in zip(updated, reference))
 
@@ -157,7 +168,7 @@ def test_raise_turns_an_inactive_negative_zero_weight_positive():
     raised = backend.weights()
     assert same_float(raised[0], 0.01)
     assert all(same_float(w, 0.0) for w in raised[1:])
-    lowered = update_weights([-0.0] * 9, pat([1] + [0] * 8), LOWER_OUTPUT, 0.01)
+    lowered = update_from([-0.0] * 9, pat([1] + [0] * 8), LOWER_OUTPUT, 0.01)
     assert same_float(lowered[0], -0.01)
     assert all(same_float(w, -0.0) for w in lowered[1:])
 
@@ -198,8 +209,9 @@ def test_vector_backend_takes_the_stream_in_draw_order():
     twin = np.random.default_rng(8)
     p = pat([1] * 9)
     for _ in range(131):
-        eta, pulses = backend.apply_update(p, RAISE_OUTPUT)
+        eta, pulses, gate, weights = backend.apply_update(p, RAISE_OUTPUT)
         assert eta == 0.3 * (1.0 - twin.random()) and pulses is None
+        assert gate == backend.gate() and weights == backend.weights()
 
 
 def test_fixed_point_dataset_accepts_everything():
@@ -273,8 +285,9 @@ def test_step_records_hold_the_weights_after_each_step(initial_weight):
     by_id = {p.pattern_id: p for p in dataset.training}
     for record in trace.steps:
         if record.action != "accept":
-            eta, pulses = replay.apply_update(by_id[record.pattern_id], record.action)
+            eta, pulses, gate, weights = replay.apply_update(by_id[record.pattern_id], record.action)
             assert (eta, pulses) == (record.eta, None)
+            assert gate == replay.gate() and weights == replay.weights()
         assert [w.hex() for w in record.weights] == [w.hex() for w in replay.weights()]
     assert replay.weights() == trace.final_weights
 
@@ -316,8 +329,8 @@ def test_max_epochs_returns_unconverged_trace():
 
 def reference_train(patterns, config, rng):
     """train spelled out from its one definition of each operation: every
-    output is pattern_output, every action classify, every update
-    update_weights with the next eta VectorBackend would draw."""
+    output is pattern_output, every action classify, every update the signed
+    product w + (+-eta) * x, with the next eta VectorBackend would draw."""
     weights, threshold = (config.initial_weight,) * 9, config.initial_threshold
     rows, raises, step, converged = [], [], 0, False
     for epoch in range(1, config.max_epochs + 1):
@@ -332,7 +345,8 @@ def reference_train(patterns, config, rng):
                 eta = config.eta_fixed
                 if eta is None:
                     eta = config.eta_max * (1.0 - rng.random())
-                weights = tuple(update_weights(weights, p, action, eta))
+                sign = 1.0 if action == RAISE_OUTPUT else -1.0
+                weights = tuple(w + sign * eta * x for w, x in zip(weights, p.inputs))
             rows.append((step, p.pattern_id, p.class_label, output, threshold, action, eta, None, weights))
         if clean:
             if min(weights) < 0:

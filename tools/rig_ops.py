@@ -1,4 +1,4 @@
-"""Per-operation cost of the emulate rig, in microseconds.
+"""Per-operation cost of the emulate rig and the simulate backend, in microseconds.
 
 Builds the default rig at one seed, initializes its network, then times
 each operation in interleaved rounds in this one process: every round runs
@@ -6,7 +6,9 @@ every operation --ops times in a row, in a fixed order, and the printed
 figure is the median over rounds of the mean per call. A read is timed at
 1, 5 and 10 sites, and also per site; the two stages of the readout kernel
 are timed on their own, one site's exposure and the ADC pass over a 5-site
-block. Uses only the stdlib, numpy and the package:
+block. The simulate backend's learning update is timed on the same five
+sites, beside one learning-rate draw and one stream built from its seed.
+Uses only the stdlib, numpy and the package:
 
     PYTHONPATH=src python tools/rig_ops.py [--rounds 300] [--ops 20] [--seed 100000]
 """
@@ -17,8 +19,10 @@ import time
 
 from optoperceptron.config import load_config
 from optoperceptron.optics import digitize_frames, draw_read_noise, expose_frames
+from optoperceptron.patterns import N_INPUTS, Pattern
+from optoperceptron.pcg import Pcg64
 from optoperceptron.runner import build_rig, make_streams
-from optoperceptron.trainer import LOWER_OUTPUT, RAISE_OUTPUT
+from optoperceptron.trainer import LOWER_OUTPUT, RAISE_OUTPUT, VectorBackend
 
 
 def main() -> None:
@@ -28,7 +32,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=100000)
     args = parser.parse_args()
 
-    rig = build_rig(load_config(), make_streams(args.seed))
+    cfg = load_config()
+    rig = build_rig(cfg, make_streams(args.seed))
     rig.initialize_network()
     camera, n_frames, constants = rig.window_camera, rig.config.frames_per_read, rig.constants
     active = [0, 2, 4, 6, 8]  # five active sites, near the mean learning update's 5.2
@@ -37,11 +42,17 @@ def main() -> None:
     block = draw_read_noise(rig.camera_rng, camera, len(active), n_frames)
     for scene, noise in zip(scenes, block):
         expose_frames(n_frames, scene, constants, camera, noise)
-    helicity = [RAISE_OUTPUT, LOWER_OUTPUT]
+    direction = [RAISE_OUTPUT, LOWER_OUTPUT]
+    vector, stream = VectorBackend(cfg.trainer_config(), Pcg64(args.seed)), Pcg64(args.seed)
+    pattern = Pattern("x0", "v", 0, "train", tuple(int(i in active) for i in range(N_INPUTS)))
 
     def write():
-        helicity.reverse()  # raise and lower in turn, as a training run mixes them
-        rig.apply_learning_update(active, helicity[0])
+        direction.reverse()  # raise and lower in turn, as a training run mixes them
+        rig.apply_learning_update(active, direction[0])
+
+    def update():
+        direction.reverse()
+        vector.apply_update(pattern, direction[0])
 
     ops = {  # name: (call, sites it covers)
         "read, 1 site": (lambda: rig.read_sites([4]), 1),
@@ -51,6 +62,9 @@ def main() -> None:
         "digitize_frames, 5 sites": (lambda: digitize_frames(block, camera), 5),
         "learning write, 5 sites": (write, 5),
         "weight state": (rig.weight_state, 1),
+        "simulate update, 5 sites": (update, 5),
+        "learning-rate draw": (stream.random, 1),
+        "stream from a seed": (lambda: Pcg64(args.seed), 1),
     }
     samples = {name: [] for name in ops}
     for _ in range(args.rounds):
